@@ -10,9 +10,8 @@ partial pre-aggregation before any groupby shuffle):
 - dedup:       exact, n-gram Jaccard, MinHash+LSH, SimHash
 - similarity:  embedding near-dup pairs, brute-force ANN top-k, LSH ANN
 - relational:  broadcast joins / pre-aggregated groupbys / sessionize
-- multimodal:  opaque-binary decode stages (stubbed codecs, real plumbing)
 
 Every operator with SQL-expressible semantics has a DuckDB oracle in
-``__ray_entry__.oracle_sql()``; value equality is engineered (identical
+``registry.oracle_sql()``; value equality is engineered (identical
 integer arithmetic, shared half-up rounding — see ``common.round_half_up``).
 """

@@ -5,9 +5,7 @@ weights load ONCE per worker from a ``ray.put`` broadcast, the batch is
 scored in one vectorized pass, output is one score row per document.
 Swapping the toy linear model for a real forward pass changes ONLY the
 ``__call__`` body; the plumbing — broadcast, task pool, batch size,
-schema — is what this stage pins down (cf. the codec seam in
-:mod:`engine.ops.multimodal`, which stubs the library and keeps the
-plumbing real).
+schema — is what this stage pins down.
 
 EXACT-parity design (the "model" must be auditable by the DuckDB
 oracle): features are integer counts (tokens, chars, digits), the

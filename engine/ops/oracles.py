@@ -80,109 +80,6 @@ HAVING count(*) >= {m}
 """.format(m=min_shared)
 
 
-def multimodal_features_oracle_sql():
-    """Recompute decode_media_features over the deterministic MMV1 fake
-    payloads: dims from doc_id arithmetic, body mean from the tiled
-    (code point % 256) sequence — (full_repeats·sum_all + sum_rem)/need."""
-    return r"""
-WITH base AS (
-  SELECT doc_id, text,
-         (8 + (doc_id % 24))::INTEGER AS w,
-         (8 + ((doc_id // 7) % 16))::INTEGER AS h,
-         (1 + (doc_id % 3))::INTEGER AS ch,
-         greatest(length(text), 1) AS m,
-         (8 + (doc_id % 24)) * (8 + ((doc_id // 7) % 16)) * (1 + (doc_id % 3)) AS need
-  FROM documents
-), cps AS (
-  SELECT doc_id, need, m, text,
-         unnest(generate_series(1, m)) AS i
-  FROM base
-), sums AS (
-  SELECT doc_id,
-         sum(CASE WHEN length(text) > 0
-                  THEN ascii(substr(text, i, 1)) % 256 ELSE 0 END)::BIGINT AS s_all,
-         sum(CASE WHEN i <= need % m AND length(text) > 0
-                  THEN ascii(substr(text, i, 1)) % 256 ELSE 0 END)::BIGINT AS s_rem
-  FROM cps GROUP BY doc_id
-)
-SELECT b.doc_id AS media_id,
-       CASE b.doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
-       (16 + b.need)::BIGINT AS byte_len,
-       b.w AS width, b.h AS height, b.ch AS channels,
-       floor(((b.need // b.m) * s.s_all + s.s_rem)::DOUBLE / b.need * 10000 + 0.5)
-         / 10000 AS mean_value,
-       true AS decode_ok
-FROM base b JOIN sums s USING (doc_id)
-"""
-
-
-def multimodal_resized_oracle_sql(tw=16, th=16):
-    """Recompute resized_features: the nearest-neighbor resample picks
-    source pixel (y·h//th, x·w//tw, c), whose byte is the tiled codepoint
-    sequence at (row·w·ch + col·ch + c) % m — pure index arithmetic over
-    the documents text, summed per doc."""
-    return r"""
-WITH base AS (
-  SELECT doc_id, text,
-         8 + (doc_id % 24) AS w,
-         8 + ((doc_id // 7) % 16) AS h,
-         1 + (doc_id % 3) AS ch,
-         greatest(length(text), 1) AS m
-  FROM documents
-), ys AS (SELECT *, unnest(generate_series(0, {thm1})) AS y FROM base),
-xs AS (SELECT *, unnest(generate_series(0, {twm1})) AS x FROM ys),
-cs AS (SELECT *, unnest(generate_series(0, ch - 1)) AS c FROM xs),
-px AS (
-  SELECT doc_id, text,
-         ((y * h // {th}) * w * ch + (x * w // {tw}) * ch + c) % m AS i
-  FROM cs
-), sums AS (
-  SELECT doc_id,
-         sum(CASE WHEN length(text) > 0
-                  THEN ascii(substr(text, i + 1, 1)) % 256 ELSE 0 END)::BIGINT AS s,
-         count(*)::BIGINT AS need
-  FROM px GROUP BY doc_id
-)
-SELECT b.doc_id AS media_id,
-       CASE b.doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
-       (16 + {tw} * {th} * b.ch)::BIGINT AS byte_len,
-       {tw}::INTEGER AS width, {th}::INTEGER AS height, b.ch::INTEGER AS channels,
-       floor(s.s::DOUBLE / s.need * 10000 + 0.5) / 10000 AS mean_value,
-       true AS decode_ok
-FROM base b JOIN sums s USING (doc_id)
-""".format(tw=tw, th=th, twm1=tw - 1, thm1=th - 1)
-
-
-def multimodal_frames_oracle_sql(stride=4):
-    """Recompute frame_features: frame f of a 'video' payload is body row
-    f, i.e. bytes (f·w·ch + j) % m for j in [0, w·ch) of the tiled
-    codepoint sequence; frames sampled every ``stride`` rows."""
-    return r"""
-WITH base AS (
-  SELECT doc_id, text,
-         8 + (doc_id % 24) AS w,
-         8 + ((doc_id // 7) % 16) AS h,
-         1 + (doc_id % 3) AS ch,
-         greatest(length(text), 1) AS m
-  FROM documents
-  WHERE doc_id % 3 = 2
-), fs AS (
-  SELECT *, unnest(generate_series(0, h - 1)) AS f FROM base
-), js AS (
-  SELECT *, unnest(generate_series(0, w * ch - 1)) AS jj
-  FROM fs WHERE f % {stride} = 0
-), px AS (
-  SELECT doc_id, f, w, ch, text, (f * w * ch + jj) % m AS i FROM js
-)
-SELECT doc_id AS media_id, f::INTEGER AS frame_idx,
-       (16 + any_value(w) * any_value(ch))::BIGINT AS byte_len,
-       floor(sum(CASE WHEN length(text) > 0
-                      THEN ascii(substr(text, i + 1, 1)) % 256 ELSE 0 END)::DOUBLE
-             / count(*) * 10000 + 0.5) / 10000 AS mean_value
-FROM px GROUP BY doc_id, f
-""".format(stride=stride)
-
-
 def _dlist(vec):
     return '[%s]::DOUBLE[]' % ', '.join('%.17g' % v for v in vec)
 
@@ -490,148 +387,6 @@ WITH t AS (
 SELECT fp, conv_id, turn_idx, n_copies::BIGINT AS n_copies
 FROM r WHERE rn = 1
 """.format(corpus=corpus)
-
-
-def _mm_expected_tables(sf_dir, tw, th, stride):
-    """Fixture-time INDEPENDENT recompute of the multimodal blob bytes →
-    md5 side tables.  Pure-Python loops straight off the documented MMV1
-    payload convention (multimodal.py module docstring) — no numpy, no
-    engine classes — so a bug in the engine's vectorized resample/frame
-    slicing cannot cancel out here.  Cached per (sf dir, params)."""
-    import hashlib
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = '/tmp/graft_mm_expected/%s-tw%dth%ds%d-v1' % (tag, tw, th, stride)
-    rp = os.path.join(out_dir, 'expected_resize_md5.parquet')
-    fp = os.path.join(out_dir, 'expected_frame_md5.parquet')
-    marker = os.path.join(out_dir, '_COMPLETE')
-    if os.path.exists(marker):
-        return rp, fp
-    tbl = pq.read_table(os.path.join(sf_dir, 'documents.parquet'),
-                        columns=['doc_id', 'text'])
-    r_id, r_md5 = [], []
-    f_id, f_idx, f_md5 = [], [], []
-    magic = b'MMV1'
-
-    def u32(*vals):
-        return b''.join(v.to_bytes(4, 'little') for v in vals)
-
-    for doc_id, text in zip(tbl.column('doc_id').to_pylist(),
-                            tbl.column('text').to_pylist()):
-        w = 8 + (doc_id % 24)
-        h = 8 + ((doc_id // 7) % 16)
-        ch = 1 + (doc_id % 3)
-        cps = [ord(c) % 256 for c in text] or [0]
-        m = len(cps)
-        need = w * h * ch
-        body = bytes(cps[i % m] for i in range(need))
-        resized = bytes(
-            body[(y * h // th) * w * ch + (x * w // tw) * ch + c]
-            for y in range(th) for x in range(tw) for c in range(ch))
-        r_id.append(doc_id)
-        r_md5.append(hashlib.md5(magic + u32(tw, th, ch) + resized).hexdigest())
-        if doc_id % 3 == 2:                       # 'video' rows only
-            for f in range(0, h, stride):
-                row = body[f * w * ch:(f + 1) * w * ch]
-                f_id.append(doc_id)
-                f_idx.append(f)
-                f_md5.append(hashlib.md5(magic + u32(w, 1, ch) + row).hexdigest())
-
-    os.makedirs(out_dir, exist_ok=True)
-    pq.write_table(pa.table({
-        'media_id': pa.array(r_id, pa.int64()),
-        'payload_md5': pa.array(r_md5, pa.string()),
-    }), rp)
-    pq.write_table(pa.table({
-        'media_id': pa.array(f_id, pa.int64()),
-        'frame_idx': pa.array(f_idx, pa.int32()),
-        'frame_md5': pa.array(f_md5, pa.string()),
-    }), fp)
-    with open(marker, 'w') as f:
-        f.write('ok\n')
-    return rp, fp
-
-
-def mm_blob_oracle_sqls(sf_dir=None, tw=16, th=16, stride=4):
-    """Blob-level oracles for multimodal_resize_blobs / frame_blobs: the
-    emitted bytes' md5s vs the fixture-time independent recompute, with the
-    row inventory (which media, which frames, dims, byte lengths) derived
-    in SQL from doc_id arithmetic."""
-    sf_dir = sf_dir or _oracle_sf_dir()
-    rp, fp = _mm_expected_tables(sf_dir, tw, th, stride)
-    return {
-        'multimodal_resize_blobs': """
-WITH base AS (
-  SELECT doc_id,
-         CASE doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
-         (1 + doc_id % 3)::INTEGER AS ch
-  FROM documents
-)
-SELECT b.doc_id AS media_id, b.kind,
-       {tw}::INTEGER AS width, {th}::INTEGER AS height, b.ch AS channels,
-       e.payload_md5
-FROM base b JOIN read_parquet('{rp}') e ON e.media_id = b.doc_id
-""".format(tw=tw, th=th, rp=rp),
-        'multimodal_frame_blobs': """
-WITH v AS (
-  SELECT doc_id, 8 + (doc_id % 24) AS w, 8 + ((doc_id // 7) % 16) AS h,
-         1 + (doc_id % 3) AS ch
-  FROM documents WHERE doc_id % 3 = 2
-), f AS (
-  SELECT doc_id, w, ch, unnest(generate_series(0, h - 1)) AS fi FROM v
-)
-SELECT f.doc_id AS media_id, f.fi::INTEGER AS frame_idx,
-       (16 + f.w * f.ch)::BIGINT AS byte_len, e.frame_md5
-FROM f JOIN read_parquet('{fp}') e
-  ON e.media_id = f.doc_id AND e.frame_idx = f.fi
-WHERE f.fi % {stride} = 0
-""".format(fp=fp, stride=stride),
-    }
-
-
-def extract_oracle_sqls(sf_dir=None):
-    """INDEPENDENT driver oracles for the flagship extraction queries.
-
-    The corpus draws every payload from the deterministic variant pool, and
-    ``ensure_expected`` ships reference-derived expected tables beside it
-    (built from tests/golden/pdf_text — the unmodified reference library's
-    own GetFullText pages and 'glyph draw' events, generated by
-    tests/gen_golden.py; never from this engine).  Each flagship query is
-    then a pure SQL join on ``md5(payload)``:
-
-    - extract_fulltext: per-turn text / span / page counts / decode_ok
-      (reference __init__.py:548-620 semantics);
-    - extract_spans: one row per glyph draw with exact float64 positions
-      (reference __init__.py:524 callback surface);
-    - extract_metrics: the corpus-level aggregate of the same.
-    """
-    from .common import sf_from_dir
-    from engine.rayjob.transcripts import ensure_corpus, ensure_expected
-    sf_dir = sf_dir or _oracle_sf_dir()
-    corpus = ensure_corpus(sf_from_dir(sf_dir))
-    exp = ensure_expected(corpus)
-    t = ("(SELECT conv_id, turn_idx, md5(text) AS fp "
-         "FROM read_parquet('%s/*.parquet'))" % corpus)
-    turns = "read_parquet('%s/expected_turns.parquet')" % exp
-    spans = "read_parquet('%s/expected_spans.parquet')" % exp
-    return {
-        'extract_fulltext': """
-SELECT t.conv_id, t.turn_idx, e.text, e.n_spans, e.n_pages, e.decode_ok
-FROM {t} t JOIN {turns} e USING (fp)
-""".format(t=t, turns=turns),
-        'extract_spans': """
-SELECT t.conv_id, t.turn_idx, s.page, s.x, s.y, s."unicode", s.cid, s.width
-FROM {t} t JOIN {spans} s USING (fp)
-""".format(t=t, spans=spans),
-        'extract_metrics': """
-SELECT count(*)::BIGINT AS n_turns,
-       sum(CASE WHEN e.decode_ok THEN 0 ELSE 1 END)::BIGINT AS decode_failures,
-       sum(e.n_spans)::BIGINT AS total_spans,
-       sum(e.n_pages)::BIGINT AS total_pages
-FROM {t} t JOIN {turns} e USING (fp)
-""".format(t=t, turns=turns),
-    }
 
 
 def embedding_dim(sf_dir=None):

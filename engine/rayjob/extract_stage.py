@@ -18,8 +18,7 @@ import pyarrow as pa
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
-__all__ = ['ExtractTurns', 'extract_distinct_rows', 'assign_bucket',
-           'make_done_filter']
+__all__ = ['ExtractTurns', 'assign_bucket', 'make_done_filter']
 
 
 def _payload_key(payload):
@@ -48,11 +47,10 @@ class ExtractTurns(object):
     """``payload_lru``: per-actor LRU of extraction results keyed by payload
     md5.  Extraction is a pure function of the payload, so a repeated
     payload (boilerplate PDFs attached to many turns — common in web-scale
-    transcript corpora, measured via dedup_exact_payloads) costs one md5
-    (~µs) instead of a full re-extraction (~ms).  Bounded by entry COUNT;
-    set 0 to disable."""
+    transcript corpora) costs one md5 (~µs) instead of a full
+    re-extraction (~ms).  Bounded by entry COUNT; set 0 to disable."""
 
-    def __init__(self, payload_lru=None, results_ref=None):
+    def __init__(self, payload_lru=None):
         pin_arrow_threads()
         self.shared = SharedFontState()
         if payload_lru is None:
@@ -62,25 +60,8 @@ class ExtractTurns(object):
         self._lru = OrderedDict() if payload_lru else None
         self._lru_cap = payload_lru
         self.lru_hits = 0
-        # distinct-payload mode (pipeline.distinct_payload_map): a
-        # GLOBAL md5 → result map, extracted once per distinct payload
-        # corpus-wide and broadcast via ray.put — fetched ONCE per actor
-        # here, never per batch.  Checked before the LRU; a miss (a
-        # payload the pre-pass never saw, e.g. with a stale map) falls
-        # through to real extraction, so output equality never depends
-        # on the map's completeness.
-        self._global = None
-        self.global_hits = 0
-        if results_ref is not None:
-            import ray as _ray
-            self._global = _ray.get(results_ref)
 
     def _extract(self, payload):
-        if self._global is not None:
-            hit = self._global.get(_payload_key(payload))
-            if hit is not None:
-                self.global_hits += 1
-                return hit
         if self._lru is None:
             r = extract_turn(payload, self.shared)
             return (r['text'], r['n_spans'], r['n_pages'],
@@ -217,9 +198,8 @@ class ExtractAndSpill(ExtractTurns):
     file count per block grows by ≤ S, so keep S ≪ rows-per-block.
     """
 
-    def __init__(self, spill_dir, num_buckets, payload_lru=None, num_shards=1,
-                 results_ref=None):
-        super().__init__(payload_lru=payload_lru, results_ref=results_ref)
+    def __init__(self, spill_dir, num_buckets, payload_lru=None, num_shards=1):
+        super().__init__(payload_lru=payload_lru)
         self.spill_dir = spill_dir
         self.num_buckets = num_buckets
         self.num_shards = num_shards
@@ -265,46 +245,6 @@ class ExtractAndSpill(ExtractTurns):
             'rows': pa.array([ordered.num_rows], pa.int64()),
             'decode_failures': pa.array([failures], pa.int64()),
         })
-
-
-_PROC_SHARED = None
-
-
-def process_font_state():
-    """Process-level SharedFontState singleton for PLAIN-TASK extraction
-    stages (the distinct-payload pre-pass's per-bucket map_groups tasks).
-    Ray reuses worker processes across tasks, so the ~90 ms font-state
-    build amortizes exactly like an actor ``__init__`` — without paying
-    an actor-pool spawn for what may be a tiny distinct set.  Long-lived
-    actor stages (ExtractTurns & co) keep their own instance."""
-    global _PROC_SHARED
-    if _PROC_SHARED is None:
-        _PROC_SHARED = SharedFontState()
-    return _PROC_SHARED
-
-
-def extract_distinct_rows(batch: pa.Table) -> pa.Table:
-    """Extract each (pkey, text) DISTINCT payload once; plain-task kernel
-    for the pre-pass (no LRU — every payload arrives exactly once
-    globally by construction of the upstream distinct fold)."""
-    shared = process_font_state()
-    texts = batch.column('text').to_pylist()
-    out_text, n_spans, n_pages, decode_ok, error = [], [], [], [], []
-    for payload in texts:
-        r = extract_turn(payload, shared)
-        out_text.append(r['text'])
-        n_spans.append(r['n_spans'])
-        n_pages.append(r['n_pages'])
-        decode_ok.append(r['decode_ok'])
-        error.append(r['error'])
-    return pa.table({
-        'pkey': batch.column('pkey'),
-        'text': pa.array(out_text, pa.string()),
-        'n_spans': pa.array(n_spans, pa.int32()),
-        'n_pages': pa.array(n_pages, pa.int32()),
-        'decode_ok': pa.array(decode_ok, pa.bool_()),
-        'error': pa.array(error, pa.string()),
-    })
 
 
 def assign_bucket(num_buckets):

@@ -55,12 +55,11 @@ import ray
 import ray.data
 
 from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
-                            extract_distinct_rows, assign_bucket,
-                            make_done_filter, _payload_key)
+                            assign_bucket, make_done_filter, shard_of)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
-           'default_concurrency', 'distinct_payload_map']
+           'default_concurrency']
 
 
 def default_concurrency():
@@ -74,113 +73,18 @@ def default_concurrency():
     return max(1, cpus * 7 // 8)
 
 
-def distinct_payload_map(input_path, batch_size=64, concurrency=None,
-                         num_buckets=64, cap=None):
-    """Distinct-payload pre-pass (the opt-in boilerplate-dedup mode,
-    GRAFT_PAYLOAD_DEDUP=1): extract each DISTINCT payload exactly once
-    corpus-wide and return ``ray.put({md5 → result tuple})`` for the
-    Stage A actors to consult before their per-actor LRUs.
-
-    Shape: per-block Arrow-side distinct (md5 the payloads, np.unique)
-    → ONE md5-bucketed groupby whose exchange carries one row per
-    distinct payload per block (never the raw corpus) → per-bucket
-    distinct fold → extraction actor pool over globally-unique
-    payloads.  The per-actor LRU catches repeats within an actor's
-    stream; this pass catches repeats ACROSS actors/blocks, which the
-    LRU structurally cannot (a payload duplicated k times costs up to
-    min(k, pool_width) extractions without it).
-
-    100 TB contract: broadcast-join mode — the RESULT map must fit a
-    worker heap, i.e. the corpus is boilerplate-heavy (distinct ≪
-    total).  ``cap`` (GRAFT_DISTINCT_CAP, default 500k entries) guards
-    that assumption LOUDLY: exceeding it raises with the remedy (raise
-    the cap, or run the default per-actor-LRU mode) rather than
-    silently OOMing; the map ships through the object store once
-    (ray.put) and is fetched once per actor, never per batch."""
-    if concurrency is None:
-        concurrency = default_concurrency()
-    if cap is None:
-        cap = int(os.environ.get('GRAFT_DISTINCT_CAP', '500000'))
-    nb = num_buckets
-
-    def _first_occurrence(keys):
-        # exact bytes-keyed distinct (numpy 'S' dtypes strip trailing
-        # nulls, which would alias digests); the md5 loop upstream
-        # dominates this dict pass anyway
-        seen = {}
-        for i, kk in enumerate(keys):
-            if kk not in seen:
-                seen[kk] = i
-        return sorted(seen.values())
-
-    def block_distinct(batch: pa.Table) -> pa.Table:
-        texts = batch.column('text').to_pylist()
-        keys = [_payload_key(t) for t in texts]
-        idx = _first_occurrence(keys)
-        kept = [keys[i] for i in idx]
-        pb = [int.from_bytes(kk[:8], 'little') % nb for kk in kept]
-        return pa.table({
-            'pkey': pa.array(kept, pa.binary()),
-            'text': pa.array([texts[i] for i in idx], pa.string()),
-            'pbucket': pa.array(pb, pa.int64()),
-        })
-
-    def bucket_distinct_extract(group: pa.Table) -> pa.Table:
-        # distinct fold + extraction FUSED into one plain task per
-        # bucket: workers are already warm from the distinct stage and
-        # font state is a process-level singleton (~90 ms once per
-        # worker), so a tiny distinct set costs no actor-pool spawn
-        # while a distinct-heavy corpus still runs one task per bucket
-        # across the cluster (parallelism = num_buckets ≥ cores).
-        keys = group.column('pkey').to_pylist()
-        take = pa.array(_first_occurrence(keys), pa.int64())
-        return extract_distinct_rows(pa.table({
-            'pkey': group.column('pkey').take(take),
-            'text': group.column('text').take(take),
-        }))
-
-    ds = ray.data.read_parquet(input_path, columns=['text'])
-    results = ds.map_batches(block_distinct, batch_format='pyarrow',
-                             zero_copy_batch=True) \
-                .groupby('pbucket').map_groups(bucket_distinct_extract,
-                                               batch_format='pyarrow')
-    rows = results.take(cap + 1)
-    if len(rows) > cap:
-        raise RuntimeError(
-            'distinct_payload_map: > %d distinct payloads — the corpus is '
-            'not boilerplate-heavy enough for broadcast-join dedup mode. '
-            'Raise GRAFT_DISTINCT_CAP if the map still fits worker heap, '
-            'or unset GRAFT_PAYLOAD_DEDUP to run the per-actor-LRU path.'
-            % cap)
-    table = {r['pkey']: (r['text'], r['n_spans'], r['n_pages'],
-                         r['decode_ok'], r['error']) for r in rows}
-    return ray.put(table), len(table)
-
-
-def _resolve_payload_dedup(payload_dedup):
-    if payload_dedup is None:
-        return os.environ.get('GRAFT_PAYLOAD_DEDUP', '0') == '1'
-    return bool(payload_dedup)
-
-
 def build_extract_dataset(input_path, batch_size=64, concurrency=None,
-                          with_bucket=False, num_buckets=64,
-                          payload_dedup=None):
+                          with_bucket=False, num_buckets=64):
     """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
     if concurrency is None:
         concurrency = default_concurrency()
-    ctor = {}
-    if _resolve_payload_dedup(payload_dedup):
-        ref, _ = distinct_payload_map(input_path, batch_size=batch_size,
-                                      concurrency=concurrency)
-        ctor['fn_constructor_kwargs'] = {'results_ref': ref}
     ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
     if with_bucket:
         ds = ds.map_batches(assign_bucket(num_buckets), batch_format='pyarrow',
                             zero_copy_batch=True)
     ds = ds.map_batches(ExtractTurns, batch_format='pyarrow',
                         batch_size=batch_size, concurrency=concurrency,
-                        zero_copy_batch=True, **ctor)
+                        zero_copy_batch=True)
     return ds
 
 
@@ -261,12 +165,10 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
     return rows, failures, spans
 
 
-def _make_bucket_compactor(spill_dir, out_dir, num_buckets=None, num_shards=1):
+def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards):
     """Stage B UDF: compact one bucket from the spill files — per-shard
     file listing, predicate read with row-group pruning, in-bucket sort,
-    atomic publish.  ``num_buckets=None`` keeps the legacy unsharded
-    layout (all spill files at the dir root)."""
-    from .extract_stage import shard_of
+    atomic publish."""
 
     def compact(batch: pa.Table) -> pa.Table:
         import glob
@@ -290,11 +192,8 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets=None, num_shards=1):
         dsets = {}
 
         def shard_dset(bucket):
-            if num_buckets is None:
-                sdir = spill_dir
-            else:
-                s = shard_of(bucket, num_buckets, num_shards)
-                sdir = os.path.join(spill_dir, 'shard-%03d' % s)
+            sdir = os.path.join(spill_dir, 'shard-%03d'
+                                % shard_of(bucket, num_buckets, num_shards))
             if sdir not in dsets:
                 files = sorted(glob.glob(os.path.join(sdir, 'spill-*.parquet')))
                 if files:
@@ -373,14 +272,8 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets=None, num_shards=1):
 
 def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
                    concurrency=None, resume=True, payload_lru=None,
-                   num_shards=None, payload_dedup=None):
-    """Run the full pipeline; returns a summary dict (job metrics).
-
-    ``payload_dedup`` (GRAFT_PAYLOAD_DEDUP=1): run the distinct-payload
-    pre-pass and broadcast its result map to the Stage A actors —
-    byte-identical output (extraction is a pure function of the
-    payload; tested in test_pipeline.py), each distinct payload
-    extracted once corpus-wide instead of once per (actor, LRU window)."""
+                   num_shards=None):
+    """Run the full pipeline; returns a summary dict (job metrics)."""
     import glob
     import shutil
     import uuid
@@ -396,16 +289,6 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     t0 = time.perf_counter()
     if concurrency is None:
         concurrency = default_concurrency()
-    results_ref, n_distinct = None, 0
-    if _resolve_payload_dedup(payload_dedup):
-        results_ref, n_distinct = distinct_payload_map(
-            input_path, batch_size=batch_size or 64, concurrency=concurrency)
-        # the consumed pre-pass Dataset's executor tears down lazily via
-        # cyclic GC; left to chance, Stage A/B tasks contend with it
-        # (same effect measured between bench queries: 18.2s vs 2.4s)
-        import gc
-        gc.collect()
-    dedup_s = time.perf_counter() - t0
     spill_dir = os.path.join(out_dir, '_spill-%s' % uuid.uuid4().hex)
     os.makedirs(spill_dir)
 
@@ -438,13 +321,12 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     num_shards = max(1, min(num_shards, num_buckets))
     stats = ds.map_batches(ExtractAndSpill,
                            fn_constructor_args=(spill_dir, num_buckets,
-                                                payload_lru, num_shards,
-                                                results_ref),
+                                                payload_lru, num_shards),
                            batch_format='pyarrow', batch_size=batch_size,
                            concurrency=concurrency, zero_copy_batch=True,
                            **extra)
     extracted = sum(r['rows'] for r in stats.take_all())   # tiny stat rows
-    stage_a_s = time.perf_counter() - t0 - dedup_s
+    stage_a_s = time.perf_counter() - t0
 
     # Stage B: one compaction task per (not-yet-done) bucket
     new_rows = []
@@ -457,7 +339,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             batch_format='pyarrow', batch_size=None)
         new_rows = manifest_ds.take_all()      # one row per bucket
 
-    stage_b_s = time.perf_counter() - t0 - dedup_s - stage_a_s
+    stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)
     checkpoint.append_manifest_rows(out_dir, new_rows)
     wall = time.perf_counter() - t0
@@ -475,8 +357,6 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
         'wall_s': wall,
         'stage_a_s': stage_a_s,
         'stage_b_s': stage_b_s,
-        'dedup_s': dedup_s,          # distinct-payload pre-pass (0 if off)
-        'n_distinct_payloads': n_distinct,
         'turns_per_sec': (fresh / wall) if wall > 0 else 0.0,
         'out_dir': out_dir,
     }

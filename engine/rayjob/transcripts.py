@@ -201,9 +201,13 @@ def _install_staged(stage, out_dir, marker):
 
     If the target already exists: a COMPLETE copy (marker present) wins and
     ours is discarded; a stale PARTIAL copy (no marker — e.g. an old
-    interrupted in-place write) is replaced by ours.
+    interrupted in-place write) is replaced by ours.  The old copy is
+    renamed aside before it is deleted, so a racer that installed a
+    complete copy after our marker check never has it deleted in place
+    under a concurrent reader.
     """
     import shutil
+    import uuid
     try:
         os.rename(stage, out_dir)
         return
@@ -212,13 +216,20 @@ def _install_staged(stage, out_dir, marker):
     if os.path.exists(marker):
         shutil.rmtree(stage, ignore_errors=True)
         return
-    shutil.rmtree(out_dir, ignore_errors=True)
+    trash = '%s.trash-%s' % (out_dir, uuid.uuid4().hex)
+    try:
+        os.rename(out_dir, trash)
+    except OSError:
+        trash = None          # another racer moved it first
     try:
         os.rename(stage, out_dir)
     except OSError:
         if not os.path.exists(marker):
             raise
         shutil.rmtree(stage, ignore_errors=True)
+    finally:
+        if trash is not None:
+            shutil.rmtree(trash, ignore_errors=True)
 
 
 def corpus_dir_for_sf(sf, base='/tmp/graft_transcripts'):

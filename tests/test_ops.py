@@ -23,14 +23,14 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def oracle_con():
     # generated oracles (IVF centroids) must train on THIS sf dir
     os.environ['GRAFT_ORACLE_SF_DIR'] = SF_DIR
-    import __ray_entry__ as entrymod
+    from engine.ops import registry
     con = duckdb.connect()
     for t in ['region', 'nation', 'customer', 'supplier', 'part', 'orders',
               'lineitem', 'events', 'documents', 'embeddings']:
         p = os.path.join(SF_DIR, t + '.parquet')
         if os.path.exists(p):
             con.execute("CREATE VIEW %s AS SELECT * FROM read_parquet('%s')" % (t, p))
-    return con, entrymod
+    return con, registry
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -51,14 +51,11 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'events_by_type', 'events_sessionize', 'events_windowed',
                   'events_windowed_sliding',
                   'events_asof_orders', 'events_range_orders', 'top_parts',
-                  'fingerprint_winnow', 'sample_stratified', 'multimodal_features',
+                  'fingerprint_winnow', 'sample_stratified',
                   'ann_topk_lsh', 'ann_topk_ivf',
                   'minhash_near_dup', 'simhash_near_dup',
-                  'multimodal_resize_stats', 'multimodal_frame_stats',
-                  'multimodal_resize_blobs', 'multimodal_frame_blobs',
                   'token_frequencies', 'dedup_clusters',
                   'dedup_exact_payloads',
-                  'extract_fulltext', 'extract_spans', 'extract_metrics',
                   'customers_inactive', 'top_orders_per_customer',
                   'events_value_quantiles', 'shipping_priority',
                   'doc_tfidf_topk', 'corpus_clean', 'embedding_dup_lsh',
@@ -125,11 +122,11 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
 
 @pytest.mark.parametrize('name', ORACLE_CHECKED)
 def test_query_matches_oracle(ray_session, oracle_con, name):
-    con, entrymod = oracle_con
-    ray_df = entrymod.queries()[name](SF_DIR)
+    con, registry = oracle_con
+    ray_df = registry.queries()[name](SF_DIR)
     if not isinstance(ray_df, pd.DataFrame):
         ray_df = ray_df.to_pandas()
-    sql_df = con.execute(entrymod.oracle_sql()[name]).fetchdf()
+    sql_df = con.execute(registry.oracle_sql()[name]).fetchdf()
     assert sorted(ray_df.columns) == sorted(sql_df.columns)
     assert len(ray_df) == len(sql_df)
     a, b = _canon(ray_df), _canon(sql_df)
@@ -190,60 +187,12 @@ def test_ann_ivf_recall(ray_session):
     assert len(ek & ik) / len(ek) > 0.3
 
 
-def test_multimodal_roundtrip(ray_session):
-    from engine.ops import multimodal
-    df = multimodal.decode_media_features(SF_DIR).to_pandas()
-    assert df.decode_ok.all()
-    assert (df.width == 8 + (df.media_id % 24)).all()
-    assert (df.height == 8 + ((df.media_id // 7) % 16)).all()
-    assert (df.channels == 1 + (df.media_id % 3)).all()
-    assert ((df.mean_value > 0) & (df.mean_value < 255)).all()
-    assert set(df.kind) == {'image', 'audio', 'video'}
-
-
-def test_multimodal_resize(ray_session):
-    from engine.ops import multimodal
-    df = multimodal.resize_media(SF_DIR, target_w=10, target_h=6).to_pandas()
-    ok = df[df.meta_width > 0]
-    assert len(ok) == len(df)          # every fake payload resizes
-    assert (ok.meta_width == 10).all() and (ok.meta_height == 6).all()
-    # payload length matches the new dims exactly
-    assert all(len(p) == 16 + 10 * 6 * c
-               for p, c in zip(ok.payload, ok.meta_channels))
-
-
-def test_multimodal_frame_sample(ray_session):
-    from engine.ops import multimodal
-    df = multimodal.sample_frames(SF_DIR, stride=4).to_pandas()
-    assert len(df) > 0
-    assert (df.frame_idx % 4 == 0).all()
-    # only video rows produce frames: media_id % 3 == 2 by synth convention
-    assert (df.media_id % 3 == 2).all()
-
-
-def test_multimodal_real_codec_seam():
-    """fake=False always has a REAL decoder behind it now (Pillow or the
-    pure PNG codec); a payload that is not an encoded image decodes to
-    None (→ decode_ok=False downstream), never to fabricated values."""
-    from engine.ops.multimodal import DecodeMedia
-    assert DecodeMedia(fake=False)._decode(b'MMV1' + b'\x00' * 20) is None
-
-
 def test_winnow_deterministic():
     from engine.ops.textstats import winnow_fingerprints
     a = winnow_fingerprints('the quick brown fox jumps over the lazy dog')
     b = winnow_fingerprints('the quick brown fox jumps over the lazy dog')
     assert a == b and len(a) > 0
     assert winnow_fingerprints('abc', k=5) == set()
-
-
-def test_entry_smoke(ray_session):
-    import __ray_entry__ as entrymod
-    df = entrymod.entry().to_pandas()
-    assert len(df) > 0
-    assert list(df.columns) == ['conv_id', 'turn_idx', 'text', 'n_spans',
-                                'n_pages', 'decode_ok', 'error']
-    assert df.decode_ok.mean() > 0.9  # corrupt_frac is small
 
 
 def test_dedup_clusters_chain_collapse(ray_session, tmp_path):
@@ -419,7 +368,7 @@ def test_window_ops_adversarial_events(ray_session, tmp_path):
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import __ray_entry__ as entrymod
+    from engine.ops import registry
 
     ts0 = 1704067200000000
     HOUR = 3_600_000_000
@@ -442,8 +391,8 @@ def test_window_ops_adversarial_events(ray_session, tmp_path):
     con = duckdb.connect()
     con.execute("CREATE VIEW events AS SELECT * FROM read_parquet('%s')"
                 % os.path.join(d, 'events.parquet'))
-    sqls = entrymod.oracle_sql()
-    qs = entrymod.queries()
+    sqls = registry.oracle_sql()
+    qs = registry.queries()
     for name in ['events_user_running', 'events_user_rolling',
                  'events_time_rolling', 'events_value_zscore',
                  'events_props_stats', 'events_value_hist_quantiles']:
@@ -518,23 +467,6 @@ def test_csv_source_empty_text_parity(ray_session, tmp_path):
                    .df().reset_index(drop=True)
     pd.testing.assert_frame_equal(_canon(ray_df), _canon(sql_df),
                                   check_dtype=False)
-
-
-def test_extract_sink_manifest(ray_session):
-    """The sink query's manifest totals must equal the extraction
-    dataset's row count, and a re-run must resume to identical output.
-    The sink root is wiped first so the first call exercises a FRESH
-    write, not a resume of an earlier session's output."""
-    import shutil
-    shutil.rmtree('/tmp/graft_extract_out', ignore_errors=True)
-    import __ray_entry__ as entrymod
-    qs = entrymod.queries()
-    t = qs['extract_to_parquet'](SF_DIR)
-    rows = sum(t.column('rows').to_pylist())
-    ds_rows = qs['extract_fulltext'](SF_DIR).count()
-    assert rows == ds_rows
-    t2 = qs['extract_to_parquet'](SF_DIR)
-    assert t.equals(t2)
 
 
 def test_time_rolling_matches_bruteforce(ray_session, tmp_path):
@@ -700,8 +632,8 @@ def test_tdigest_query_brackets_exact_tier(ray_session, oracle_con):
     (q+eps)n computed from events_value_quantiles' raw input."""
     import numpy as np
     import duckdb
-    _, entrymod = oracle_con
-    est = entrymod.queries()['events_value_tdigest'](SF_DIR).to_pandas()
+    _, registry = oracle_con
+    est = registry.queries()['events_value_tdigest'](SF_DIR).to_pandas()
     raw = duckdb.sql("SELECT event_type, value FROM '%s/events.parquet' "
                      "ORDER BY event_type, value" % SF_DIR).df()
     eps = 0.05
@@ -715,165 +647,6 @@ def test_tdigest_query_brackets_exact_tier(ray_session, oracle_con):
             lo = vals[max(0, int(np.ceil((q - eps) * n)) - 1)]
             hi = vals[min(n, int(np.ceil((q + eps) * n))) - 1]
             assert lo <= row[col] <= hi, (row.event_type, col)
-
-
-def test_multimodal_real_codec_decode():
-    """fake=False decode/resize runs in THIS container: Pillow when
-    installed, else the bundled pure-Python PNG codec — DecodeMedia must
-    decode an actual PNG payload to its true dims/mean and ResizeMedia
-    must emit a decodable resized PNG."""
-    import io
-    import numpy as np
-    import pyarrow as pa
-    from engine.ops.multimodal import DecodeMedia, ResizeMedia
-    from engine.ops.pngcodec import encode_png, decode_png
-    arr = (np.arange(12 * 9 * 3) % 251).astype(np.uint8).reshape(9, 12, 3)
-    payload = encode_png(arr)
-    batch = pa.table({
-        'media_id': pa.array([1], pa.int64()),
-        'kind': pa.array(['image'], pa.string()),
-        'payload': pa.array([payload], pa.large_binary()),
-        'meta_width': pa.array([12], pa.int32()),
-        'meta_height': pa.array([9], pa.int32()),
-        'meta_channels': pa.array([3], pa.int32()),
-    })
-    feats = DecodeMedia(fake=False)(batch)
-    assert feats.column('decode_ok').to_pylist() == [True]
-    assert feats.column('width').to_pylist() == [12]
-    assert feats.column('height').to_pylist() == [9]
-    assert feats.column('channels').to_pylist() == [3]
-    assert abs(feats.column('mean_value')[0].as_py()
-               - round(float(arr.mean()), 4)) < 1e-3
-    resized = ResizeMedia(4, 3, fake=False)(batch)
-    assert resized.column('meta_width').to_pylist() == [4]
-    assert resized.column('meta_height').to_pylist() == [3]
-    out = decode_png(resized.column('payload')[0].as_py())
-    assert out.shape == (3, 4, 3)
-    try:
-        from PIL import Image
-        pil_out = np.asarray(Image.open(
-            io.BytesIO(resized.column('payload')[0].as_py())))
-        assert pil_out.shape == (3, 4, 3)
-    except ImportError:
-        pass
-
-
-def test_pngcodec_roundtrip_and_filters():
-    """The pure codec is a real PNG implementation: encode→decode
-    round-trips every supported channel count, decode recovers scanlines
-    under ALL FIVE filter types (hand-filtered IDAT vectors), the
-    signature/CRC/profile guards reject junk, and Pillow (when present)
-    reads our bytes and we read Pillow's."""
-    import io
-    import struct
-    import zlib
-    import numpy as np
-    import pytest as _pytest
-    from engine.ops.pngcodec import encode_png, decode_png, _chunk, _SIG
-
-    rng = np.random.RandomState(7)
-    for ch in (1, 2, 3, 4):
-        arr = rng.randint(0, 256, size=(11, 7, ch)).astype(np.uint8)
-        arr_in = arr[:, :, 0] if ch == 1 else arr
-        got = decode_png(encode_png(arr_in))
-        assert np.array_equal(got, arr_in)
-
-    # all five filters: forward-filter known pixels by hand, rebuild the
-    # IDAT, and require exact recovery
-    def filt_rows(img, f):
-        h, w, ch = img.shape
-        prev = np.zeros(w * ch, np.int64)
-        out = b''
-        for y in range(h):
-            rec = img[y].reshape(-1).astype(np.int64)
-            row = np.empty_like(rec)
-            for i in range(len(rec)):
-                a = rec[i - ch] if i >= ch else 0
-                b = prev[i]
-                c = prev[i - ch] if i >= ch else 0
-                if f == 0:
-                    pred = 0
-                elif f == 1:
-                    pred = a
-                elif f == 2:
-                    pred = b
-                elif f == 3:
-                    pred = (a + b) >> 1
-                else:
-                    p = a + b - c
-                    pa_, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa_ <= pb and pa_ <= pc) else \
-                        (b if pb <= pc else c)
-                row[i] = (rec[i] - pred) & 0xFF
-            out += bytes([f]) + row.astype(np.uint8).tobytes()
-            prev = rec
-        return out
-
-    img = rng.randint(0, 256, size=(6, 5, 3)).astype(np.uint8)
-    for f in range(5):
-        ihdr = struct.pack('>IIBBBBB', 5, 6, 8, 2, 0, 0, 0)
-        data = (_SIG + _chunk(b'IHDR', ihdr)
-                + _chunk(b'IDAT', zlib.compress(filt_rows(img, f)))
-                + _chunk(b'IEND', b''))
-        assert np.array_equal(decode_png(data), img), 'filter %d' % f
-
-    for junk in (b'', b'notapng', b'\x89PNG\r\n\x1a\nrest'):
-        with _pytest.raises(ValueError):
-            decode_png(junk)
-
-    try:
-        from PIL import Image
-    except ImportError:
-        return
-    arr = rng.randint(0, 256, size=(9, 13, 3)).astype(np.uint8)
-    buf = io.BytesIO()
-    Image.fromarray(arr).save(buf, format='PNG')
-    assert np.array_equal(decode_png(buf.getvalue()), arr)
-    assert np.array_equal(np.asarray(Image.open(
-        io.BytesIO(encode_png(arr)))), arr)
-
-
-def test_multimodal_real_codec_e2e_ray(ray_session):
-    """End-to-end fake=False through the actor-pool Ray stage: PNG
-    payload synthesis → DecodeMedia(fake=False) — every row decodes and
-    the recovered dims match the metadata columns."""
-    from engine.ops.multimodal import DecodeMedia, synthesize_media
-    from engine.ops.common import pool
-    ds = synthesize_media(SF_DIR, encoding='png').map_batches(
-        DecodeMedia, fn_constructor_kwargs={'fake': False},
-        batch_format='pyarrow', batch_size=64,
-        concurrency=pool(), zero_copy_batch=True)
-    df = ds.to_pandas()
-    assert len(df) > 0
-    assert df.decode_ok.all()
-    mmv1 = synthesize_media(SF_DIR).to_pandas()
-    meta = mmv1.set_index('media_id')
-    assert (df.set_index('media_id').width
-            == meta.meta_width.astype('int64')).all()
-    assert (df.set_index('media_id').height
-            == meta.meta_height.astype('int64')).all()
-
-
-def test_multimodal_real_codec_seam_honest():
-    """The one seam no pure fallback can fill — video frame sampling
-    (ffmpeg) — must still raise a NotImplementedError naming the
-    GRAFT_MM_REAL_CODECS knob; and the fake=False image path must report
-    decode_ok=False for undecodable payloads (never fabricate values)."""
-    import pyarrow as pa
-    from engine.ops.multimodal import DecodeMedia, FrameSample
-    batch = pa.table({
-        'media_id': pa.array([1], pa.int64()),
-        'kind': pa.array(['video'], pa.string()),
-        'payload': pa.array([b'MMV1-not-a-png-payload'], pa.large_binary()),
-        'meta_width': pa.array([4], pa.int32()),
-        'meta_height': pa.array([4], pa.int32()),
-        'meta_channels': pa.array([1], pa.int32()),
-    })
-    with pytest.raises(NotImplementedError, match='GRAFT_MM_REAL_CODECS'):
-        FrameSample(fake=False)(batch)
-    feats = DecodeMedia(fake=False)(batch)
-    assert feats.column('decode_ok').to_pylist() == [False]
-    assert feats.column('mean_value').to_pylist() == [0.0]
 
 
 def test_spill_exchange_matches_groupby(ray_session):
@@ -1331,10 +1104,9 @@ def test_oracle_sql_poisoned_generator_isolated(monkeypatch, caplog):
     whole generated batch the way round 4's bare try/except could."""
     import logging
 
-    import __ray_entry__ as entrymod
-    from engine.ops import oracles
+    from engine.ops import oracles, registry
 
-    baseline = set(entrymod.oracle_sql())
+    baseline = set(registry.oracle_sql())
     assert 'ann_topk_ivf' in baseline and 'conv_stats' in baseline
 
     def boom(*a, **k):
@@ -1342,7 +1114,7 @@ def test_oracle_sql_poisoned_generator_isolated(monkeypatch, caplog):
 
     monkeypatch.setattr(oracles, 'ivf_oracle_sql', boom)
     with caplog.at_level(logging.WARNING, logger='graft.oracles'):
-        got = entrymod.oracle_sql()
+        got = registry.oracle_sql()
     assert 'ann_topk_ivf' not in got
     # ann_recall_eval COMPOSES the ivf oracle, so it degrades with it —
     # everything else survives

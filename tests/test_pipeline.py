@@ -199,6 +199,29 @@ def test_corpus_generation_deterministic(tmp_path_factory):
     assert hashes[0] == hashes[1]
 
 
+def test_install_staged_replaces_stale_partial(tmp_path):
+    """A stale PARTIAL out_dir (no marker) is replaced by the staged copy,
+    and the renamed-aside old copy leaves no trash dir behind."""
+    from engine.rayjob.transcripts import _install_staged
+    out_dir = str(tmp_path / 'corpus')
+    stage = out_dir + '.stage-1'
+    marker = os.path.join(out_dir, '_COMPLETE')
+    os.makedirs(out_dir)
+    with open(os.path.join(out_dir, 'part-00000.parquet'), 'w') as f:
+        f.write('stale')
+    os.makedirs(stage)
+    with open(os.path.join(stage, 'part-00000.parquet'), 'w') as f:
+        f.write('fresh')
+    with open(os.path.join(stage, '_COMPLETE'), 'w') as f:
+        f.write('1\n')
+
+    _install_staged(stage, out_dir, marker)
+    assert os.path.exists(marker)
+    with open(os.path.join(out_dir, 'part-00000.parquet')) as f:
+        assert f.read() == 'fresh'
+    assert sorted(os.listdir(str(tmp_path))) == ['corpus']
+
+
 def test_spill_retry_overwrites_not_duplicates(tmp_path):
     """A Ray-retried ExtractAndSpill task re-executes __call__ on the SAME
     batch after a possibly-successful earlier publish.  The deterministic
@@ -275,7 +298,8 @@ def test_compactor_ignores_tmp_files(tmp_path):
 
     spill = str(tmp_path / 'spill')
     out = str(tmp_path / 'out')
-    os.makedirs(spill)
+    shard = os.path.join(spill, 'shard-000')
+    os.makedirs(shard)
     os.makedirs(out)
     good = pa.table({
         'conv_id': pa.array(['c1', 'c2'], pa.string()),
@@ -287,12 +311,12 @@ def test_compactor_ignores_tmp_files(tmp_path):
         'error': pa.array(['', ''], pa.string()),
         'bucket': pa.array([0, 1], pa.int32()),
     })
-    pq.write_table(good, os.path.join(spill, 'spill-aaaa.parquet'))
+    pq.write_table(good, os.path.join(shard, 'spill-aaaa.parquet'))
     # half-written leftover: invalid parquet bytes
-    with open(os.path.join(spill, 'spill-bbbb.parquet.tmp'), 'wb') as f:
+    with open(os.path.join(shard, 'spill-bbbb.parquet.tmp'), 'wb') as f:
         f.write(b'PAR1 garbage truncated')
 
-    compact = _make_bucket_compactor(spill, out)
+    compact = _make_bucket_compactor(spill, out, num_buckets=2, num_shards=1)
     manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))
     assert manifest.column('rows').to_pylist() == [1, 1]
     parts = sorted(glob.glob(os.path.join(out, 'part-*.parquet')))
@@ -449,38 +473,3 @@ def test_compact_chunked_duplicate_keys(tmp_path):
     ks = list(zip(got.column('conv_id').to_pylist(),
                   got.column('turn_idx').to_pylist()))
     assert ks == sorted(ks)                       # fully sorted
-
-
-def test_payload_dedup_mode_byte_identical(ray_session, corpus,
-                                           tmp_path_factory):
-    """Opt-in distinct-payload mode (GRAFT_PAYLOAD_DEDUP): the
-    pre-extracted broadcast map must yield BYTE-identical part files to
-    the default per-actor-LRU run (extraction is a pure function of the
-    payload), identical manifests modulo timing, and every distinct
-    payload extracted exactly once (global_hits covers the corpus)."""
-    from engine.rayjob.pipeline import run_extraction, distinct_payload_map
-    d, n = corpus
-    out_a = str(tmp_path_factory.mktemp('out_default'))
-    out_b = str(tmp_path_factory.mktemp('out_dedup'))
-    sa = run_extraction(d, out_a, num_buckets=4, batch_size=32,
-                        concurrency=2, resume=False)
-    sb = run_extraction(d, out_b, num_buckets=4, batch_size=32,
-                        concurrency=2, resume=False, payload_dedup=True)
-    assert sb['n_distinct_payloads'] > 0
-    assert sb['rows_out'] == sa['rows_out'] == n
-    pa_files, a_tables = _read_all(out_a)
-    pb_files, b_tables = _read_all(out_b)
-    assert [os.path.basename(p) for p in pa_files] == \
-           [os.path.basename(p) for p in pb_files]
-    for fa, fb in zip(pa_files, pb_files):
-        with open(fa, 'rb') as ha, open(fb, 'rb') as hb:
-            assert ha.read() == hb.read()
-
-
-def test_distinct_payload_cap_raises(ray_session, corpus):
-    """The broadcast-size guard must fail LOUDLY (named env remedy), not
-    OOM, when the distinct set exceeds the cap."""
-    from engine.rayjob.pipeline import distinct_payload_map
-    d, _ = corpus
-    with pytest.raises(RuntimeError, match='GRAFT_DISTINCT_CAP'):
-        distinct_payload_map(d, cap=3)
