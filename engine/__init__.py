@@ -8,6 +8,6 @@ Ray Data pipelines over Arrow batches:
   lexing/parsing, xref resolution, stream filters, content-stream
   interpretation, font/CMap decoding, positioned-text assembly.
 * ``engine.rayjob`` — the distributed layer: ``ray.data.Dataset`` pipelines
-  with actor-pool ``map_batches`` stages, ordering shuffle, checkpoint
+  with task-based ``map_batches`` stages, ordering shuffle, checkpoint
   manifest, and metrics.
 """

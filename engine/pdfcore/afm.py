@@ -41,7 +41,7 @@ class FontMetrics(object):
     def get_widths(self):
         """name → (wx, 0) for every (kept) character (reference
         FontMetricsData.GetWidths).  Memoized: FontMetrics instances are
-        corpus-invariant actor state, and the reference rebuilds this dict
+        corpus-invariant per-process state, and the reference rebuilds this dict
         per call only because it never amortizes anything."""
         if self._widths is None:
             self._widths = {k: v['W'] for k, v in self.char_metrics.items()}

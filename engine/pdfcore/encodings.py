@@ -4,7 +4,7 @@ The code→glyph-name tables for StandardEncoding / MacRomanEncoding /
 WinAnsiEncoding / PDFDocEncoding and the glyph-name→unicode map are public
 standard data (PDF 1.7 spec Appendix D; Adobe Glyph List), shipped here as
 JSON under ``data/`` (SURVEY.md F10).  Loaded once per process — this is
-actor-member state in the Ray pipeline.
+per-worker-process state in the Ray pipeline.
 
 CMap mapper construction mirrors the reference's CMapTokenizer.BuildMapper
 (pypdfproc/parser/__init__.py:932-1046; SURVEY.md P6): bfchar pairs then

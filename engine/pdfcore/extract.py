@@ -43,10 +43,12 @@ __all__ = ['SharedFontState', 'Renderer', 'extract_turn',
 class SharedFontState(object):
     """Corpus-invariant read-only state, loaded ONCE per worker process:
     the 14 standard-font AFM metrics, the encoding maps, and the glyph-name
-    map (SURVEY.md S3/F10/F11 → actor-member state).
+    map (SURVEY.md S3/F10/F11).
 
-    In the Ray pipeline this object is built in the actor's ``__init__``
-    and shared across every batch the actor processes.
+    In the Ray pipeline one instance is built per worker process, on first
+    use (``engine.rayjob.extract_stage.font_state``), and shared by every
+    batch and job that process runs: it depends on no corpus, and
+    ``afm_width_stats`` is keyed by the 14 base fonts.
     """
 
     def __init__(self, afm_zip_path=None):

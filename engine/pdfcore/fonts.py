@@ -85,7 +85,7 @@ def get_font_widths(shared, f):
     if f.Subtype in ('TrueType', 'Type1'):
         if f.Widths is None:
             # Pure function of BaseFont → cross-turn cache on the shared
-            # actor state (fonts repeat heavily across transcript turns)
+            # per-process font state (fonts repeat heavily across turns)
             cache = getattr(shared, 'afm_widths_synth', None)
             if cache is None:
                 cache = shared.afm_widths_synth = {}

@@ -26,23 +26,37 @@ def manifest_path(out_dir):
 
 
 def load_done_buckets(out_dir):
-    """Buckets with a manifest row AND an existing output file."""
+    """Buckets with a manifest row AND an existing output file.
+
+    A torn last line (the driver died inside ``append_manifest_rows``:
+    unparseable, or cut before its newline) is dropped, so its bucket is
+    redone, and cut from the file, so the next append starts on a fresh
+    line.  A corrupt line before the last still raises."""
     path = manifest_path(out_dir)
     done = {}
     if not os.path.exists(path):
         return done
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, 'rb') as f:
+        lines = f.readlines()
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            if not line.endswith(b'\n'):
+                raise ValueError('manifest line cut before its newline')
             row = json.loads(line)
-            if row['rows'] == 0 and not row['file']:
-                done[row['bucket']] = row       # empty bucket: done by fiat
-                continue
-            fpath = os.path.join(out_dir, row['file'])
-            if os.path.exists(fpath):
-                done[row['bucket']] = row
+        except ValueError:
+            if i < len(lines) - 1:
+                raise
+            with open(path, 'r+b') as f:       # drop the torn tail
+                f.truncate(sum(len(x) for x in lines[:i]))
+            break
+        if row['rows'] == 0 and not row['file']:
+            done[row['bucket']] = row       # empty bucket: done by fiat
+            continue
+        fpath = os.path.join(out_dir, row['file'])
+        if os.path.exists(fpath):
+            done[row['bucket']] = row
     return done
 
 

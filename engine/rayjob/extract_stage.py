@@ -1,24 +1,56 @@
-"""Actor-pool extraction stage (the north star's stateful map_batches).
+"""Stage A extraction: plain Ray Data tasks over zero-copy Arrow batches.
 
-``ExtractTurns`` is a callable CLASS for ``Dataset.map_batches``: the
-corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
-S3/F10/F11) is built ONCE per actor in ``__init__``; ``__call__`` runs the
-pure per-row extraction kernel over a zero-copy Arrow batch.
+``map_batches(run_stage)`` applies this worker process's stage instance
+(``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
+current job (``stage_for``).  The corpus-invariant font state (AFM
+metrics, encoding maps — SURVEY.md S3/F10/F11) is built once per process
+(``font_state``); the payload LRU lives in the stage instance, so it is
+per job and a job is never served another job's extraction.
 
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
-arbitrarily; ``batch_size`` bounds actor heap (payloads decompress in-row,
-nothing accumulates); output columns are plain Arrow arrays built once per
-batch.
+arbitrarily; ``batch_size`` bounds worker heap (payloads decompress
+in-row, nothing accumulates); output columns are plain Arrow arrays built
+once per batch.
 """
 
+import functools
 import zlib
+from collections import OrderedDict
 
 import pyarrow as pa
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
-__all__ = ['ExtractTurns', 'assign_bucket', 'make_done_filter']
+__all__ = ['ExtractTurns', 'ExtractSpans', 'ExtractAndSpill', 'run_stage',
+           'stage_for', 'assign_bucket', 'make_done_filter']
+
+PAYLOAD_LRU = 4096   # ExtractTurns cache entries (one text row each)
+SPANS_LRU = 1024     # ExtractSpans cache entries (a whole span list each)
+
+_stages = {}         # stage class -> (job id, instance) in this process
+
+
+@functools.lru_cache(maxsize=None)
+def font_state():
+    """This process's ``SharedFontState``, built on first use.  It is
+    corpus-invariant, so every job in the process shares it."""
+    return SharedFontState()
+
+
+def stage_for(cls, job_id, *args):
+    """This process's ``cls(*args)`` for job ``job_id``.  Only the latest
+    job's instance per class is kept: a new job id gets a fresh instance
+    (and payload LRU), so a process holds one job's cache per stage."""
+    cur = _stages.get(cls)
+    if cur is None or cur[0] != job_id:
+        cur = _stages[cls] = (job_id, cls(*args))
+    return cur[1]
+
+
+def run_stage(batch, cls, job_id, *args):
+    """The ``map_batches`` function of every extraction stage."""
+    return stage_for(cls, job_id, *args)(batch)
 
 
 def _payload_key(payload):
@@ -36,67 +68,61 @@ def _payload_key(payload):
 
 def pin_arrow_threads():
     """pyarrow defaults BOTH its CPU and IO pools to the machine core count
-    PER PROCESS — a full actor pool means cores² threads thrashing the box
-    (measured: -19% Stage A throughput at 28 actors).  Every 1-CPU actor
-    stage pins Arrow to its own core."""
+    PER PROCESS — one 1-CPU worker per core means cores² threads thrashing
+    the box (measured: -19% Stage A throughput at 28 workers).  Every 1-CPU
+    extraction stage pins Arrow to its own core."""
     pa.set_cpu_count(1)
     pa.set_io_thread_count(1)
 
 
-class ExtractTurns(object):
-    """``payload_lru``: per-actor LRU of extraction results keyed by payload
-    md5.  Extraction is a pure function of the payload, so a repeated
-    payload (boilerplate PDFs attached to many turns — common in web-scale
+class _CachedStage(object):
+    """Font state plus an LRU of extraction results keyed by payload md5.
+    Extraction is a pure function of the payload, so a repeated payload
+    (boilerplate PDFs attached to many turns — common in web-scale
     transcript corpora) costs one md5 (~µs) instead of a full
-    re-extraction (~ms).  Bounded by entry COUNT; set 0 to disable."""
+    re-extraction (~ms).  Bounded by entry COUNT; ``payload_lru=0``
+    disables it."""
 
-    def __init__(self, payload_lru=None):
+    def __init__(self, payload_lru):
         pin_arrow_threads()
-        self.shared = SharedFontState()
-        if payload_lru is None:
-            import os
-            payload_lru = int(os.environ.get('GRAFT_PAYLOAD_LRU', '4096'))
-        from collections import OrderedDict
-        self._lru = OrderedDict() if payload_lru else None
+        self.shared = font_state()
+        self._lru = OrderedDict()
         self._lru_cap = payload_lru
         self.lru_hits = 0
 
-    def _extract(self, payload):
-        if self._lru is None:
-            r = extract_turn(payload, self.shared)
-            return (r['text'], r['n_spans'], r['n_pages'],
-                    r['decode_ok'], r['error'])
+    def _cached(self, payload, extract):
+        if not self._lru_cap:
+            return extract(payload)
         key = _payload_key(payload)
         hit = self._lru.get(key)
         if hit is not None:
             self._lru.move_to_end(key)
             self.lru_hits += 1
             return hit
-        r = extract_turn(payload, self.shared)
-        row = (r['text'], r['n_spans'], r['n_pages'], r['decode_ok'], r['error'])
-        self._lru[key] = row
+        value = self._lru[key] = extract(payload)
         if len(self._lru) > self._lru_cap:
             self._lru.popitem(last=False)
-        return row
+        return value
+
+
+class ExtractTurns(_CachedStage):
+    """One output row per turn: text, span/page counts, decode status."""
+
+    def __init__(self, payload_lru=PAYLOAD_LRU):
+        super().__init__(payload_lru)
+
+    def _extract(self, payload):
+        r = extract_turn(payload, self.shared)
+        return (r['text'], r['n_spans'], r['n_pages'], r['decode_ok'], r['error'])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column('text').to_pylist()
-        out_text = []
-        n_spans = []
-        n_pages = []
-        decode_ok = []
-        error = []
-        for payload in texts:
-            text, ns, np_, ok, err = self._extract(payload)
-            out_text.append(text)
-            n_spans.append(ns)
-            n_pages.append(np_)
-            decode_ok.append(ok)
-            error.append(err)
+        rows = [self._cached(payload, self._extract)
+                for payload in batch.column('text').to_pylist()]
+        text, n_spans, n_pages, decode_ok, error = zip(*rows) if rows else [()] * 5
         cols = {
             'conv_id': batch.column('conv_id'),
             'turn_idx': batch.column('turn_idx'),
-            'text': pa.array(out_text, pa.string()),
+            'text': pa.array(text, pa.string()),
             'n_spans': pa.array(n_spans, pa.int32()),
             'n_pages': pa.array(n_pages, pa.int32()),
             'decode_ok': pa.array(decode_ok, pa.bool_()),
@@ -107,51 +133,28 @@ class ExtractTurns(object):
         return pa.table(cols)
 
 
-class ExtractSpans(object):
-    """Actor stage emitting ONE ROW PER POSITIONED SPAN (the reference's
-    ``glyph draw`` callback surface, U1) instead of per-turn text —
-    the exploded detail table for layout-aware downstream consumers.
+class ExtractSpans(_CachedStage):
+    """ONE ROW PER POSITIONED SPAN (the reference's ``glyph draw`` callback
+    surface, U1) instead of per-turn text — the exploded detail table for
+    layout-aware downstream consumers.
 
     Spans are a pure function of the payload (only conv_id/turn_idx differ
-    between rows sharing a payload), so the same md5-keyed LRU as
-    ``ExtractTurns`` applies; boilerplate-heavy corpora pay one extraction
-    per distinct payload.  The cap defaults lower than the fulltext stage
-    (a cached entry holds the whole span list, not one text string)."""
+    between rows sharing a payload), so the same payload LRU applies, with
+    a lower cap (a cached entry holds the whole span list, not one text
+    string)."""
 
-    def __init__(self, payload_lru=None):
-        pin_arrow_threads()
-        self.shared = SharedFontState()
-        if payload_lru is None:
-            import os
-            payload_lru = int(os.environ.get('GRAFT_SPANS_LRU', '1024'))
-        from collections import OrderedDict
-        self._lru = OrderedDict() if payload_lru else None
-        self._lru_cap = payload_lru
-        self.lru_hits = 0
+    def __init__(self, payload_lru=SPANS_LRU):
+        super().__init__(payload_lru)
 
     def _spans(self, payload):
-        if self._lru is None:
-            return extract_turn(payload, self.shared,
-                                collect_spans=True)['spans'] or ()
-        key = _payload_key(payload)
-        hit = self._lru.get(key)
-        if hit is not None:
-            self._lru.move_to_end(key)
-            self.lru_hits += 1
-            return hit
-        spans = extract_turn(payload, self.shared,
-                             collect_spans=True)['spans'] or ()
-        self._lru[key] = spans
-        if len(self._lru) > self._lru_cap:
-            self._lru.popitem(last=False)
-        return spans
+        return extract_turn(payload, self.shared, collect_spans=True)['spans'] or ()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         conv, turn, page, xs, ys, uni, cid, width = [], [], [], [], [], [], [], []
         conv_ids = batch.column('conv_id').to_pylist()
         turn_idxs = batch.column('turn_idx').to_pylist()
         for c, t, payload in zip(conv_ids, turn_idxs, batch.column('text').to_pylist()):
-            for (pg, x, y, u, g_cid, g_w) in self._spans(payload):
+            for (pg, x, y, u, g_cid, g_w) in self._cached(payload, self._spans):
                 conv.append(c)
                 turn.append(t)
                 page.append(pg)
@@ -179,10 +182,10 @@ def shard_of(bucket, num_buckets, num_shards):
 
 
 class ExtractAndSpill(ExtractTurns):
-    """Extract + external-shuffle spill in one actor stage.
+    """Extract + external-shuffle spill in one stage.
 
     Instead of a Ray all-to-all (sort/groupby) after extraction, each
-    actor writes its output block straight to shared storage, sorted by
+    task writes its output block straight to shared storage, sorted by
     ``bucket`` with per-bucket-sized row groups so the per-bucket
     compaction stage can prune row groups via parquet min/max stats.
     Returns one tiny stat row per block — the object store never carries
@@ -198,8 +201,8 @@ class ExtractAndSpill(ExtractTurns):
     file count per block grows by ≤ S, so keep S ≪ rows-per-block.
     """
 
-    def __init__(self, spill_dir, num_buckets, payload_lru=None, num_shards=1):
-        super().__init__(payload_lru=payload_lru)
+    def __init__(self, spill_dir, num_buckets, num_shards=1):
+        super().__init__()
         self.spill_dir = spill_dir
         self.num_buckets = num_buckets
         self.num_shards = num_shards

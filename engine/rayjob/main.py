@@ -16,7 +16,6 @@ turns/sec) — the per-partition detail lives in ``_MANIFEST.jsonl``.
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -30,16 +29,12 @@ def main(argv=None):
     ap.add_argument('--batch-size', type=int, default=None,
                     help='extraction batch size (default: one batch per block)')
     ap.add_argument('--concurrency', type=int, default=None,
-                    help='actor-pool size (default: 7/8 of cluster CPUs)')
+                    help='max concurrent extraction tasks (default: cluster CPUs)')
     ap.add_argument('--no-resume', action='store_true', help='ignore existing manifest')
     args = ap.parse_args(argv)
 
     import ray
     if not ray.is_initialized():
-        # Prestarted idle workers steal scheduler time from a full-width
-        # actor pool (measured +2-6% end-to-end with prestart off).  Must be
-        # set before ray.init; no effect if the driver owns the session.
-        os.environ.setdefault('RAY_enable_worker_prestart', 'false')
         ray.init()   # local or RAY_ADDRESS; the driver may own the session
 
     from .pipeline import run_extraction

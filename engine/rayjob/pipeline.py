@@ -7,7 +7,7 @@ Dataflow (all Ray Data, streaming executor, no driver-side row loops):
     read_parquet(columns=conv_id,turn_idx,text)    # prune at the read
       → map_batches(assign_bucket)                 # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
-      → map_batches(ExtractAndSpill, actor pool)   # stateful, zero-copy;
+      → map_batches(run_stage, ExtractAndSpill)    # plain tasks, zero-copy;
            each block is extracted, sorted by bucket, and SPILLED to
            shared storage with per-bucket row groups; only tiny stat
            rows flow downstream
@@ -37,7 +37,8 @@ and no salting is needed where it matters most.  The only key-grouped
 stage is per-bucket compaction, where a conversation's rows all land in
 one crc32 bucket: skew there is capped at the size of the single largest
 conversation.  If a bucket exceeds ``GRAFT_COMPACT_MAX_ROWS`` (a single
-conversation bigger than a healthy bucket, or many medium ones),
+conversation bigger than a healthy bucket, or many medium ones; read once
+by the driver),
 compaction switches to the IMPLEMENTED escape hatch ``_compact_chunked``:
 a narrow key-column probe, then sorted (conv_id, turn_idx) key-range
 windows streamed through one ParquetWriter — byte-identical output with
@@ -47,6 +48,7 @@ per-task memory O(window), equivalent to splitting the spill key by
 
 import os
 import time
+import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -55,47 +57,49 @@ import ray
 import ray.data
 
 from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
-                            assign_bucket, make_done_filter, shard_of)
+                            assign_bucket, make_done_filter, run_stage,
+                            shard_of)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
            'default_concurrency']
 
 
+COMPACT_MAX_ROWS = 2000000
+
+
 def default_concurrency():
-    """Actor-pool size: 7/8 of the cluster's CPUs, proportionally at every
-    cluster size (a fixed ``cpus - k`` skews small-vs-large scaling runs),
-    leaving headroom for the read tasks feeding the pool."""
-    try:
-        cpus = int(ray.cluster_resources().get('CPU', 4))
-    except Exception:
-        cpus = 4
-    return max(1, cpus * 7 // 8)
+    """Stage A task cap: the cluster's logical CPU count (None before
+    ``ray.init``: Ray Data then starts Ray and sizes the stage itself)."""
+    if not ray.is_initialized():
+        return None
+    return max(1, int(ray.cluster_resources().get('CPU', 1)))
+
+
+def _extract(ds, batch_size, concurrency, cls, job_id, *args):
+    """Stage A extraction as plain tasks: ``run_stage`` applies this
+    worker process's ``cls(*args)`` for ``job_id`` to each batch."""
+    if concurrency is None:
+        concurrency = default_concurrency()
+    return ds.map_batches(run_stage, fn_args=(cls, job_id) + args,
+                          batch_format='pyarrow', batch_size=batch_size,
+                          concurrency=concurrency, zero_copy_batch=True)
 
 
 def build_extract_dataset(input_path, batch_size=64, concurrency=None,
                           with_bucket=False, num_buckets=64):
     """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
-    if concurrency is None:
-        concurrency = default_concurrency()
     ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
     if with_bucket:
         ds = ds.map_batches(assign_bucket(num_buckets), batch_format='pyarrow',
                             zero_copy_batch=True)
-    ds = ds.map_batches(ExtractTurns, batch_format='pyarrow',
-                        batch_size=batch_size, concurrency=concurrency,
-                        zero_copy_batch=True)
-    return ds
+    return _extract(ds, batch_size, concurrency, ExtractTurns, uuid.uuid4().hex)
 
 
 def build_spans_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of positioned spans, one row per drawn glyph."""
-    if concurrency is None:
-        concurrency = default_concurrency()
     ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
-    return ds.map_batches(ExtractSpans, batch_format='pyarrow',
-                          batch_size=batch_size, concurrency=concurrency,
-                          zero_copy_batch=True)
+    return _extract(ds, batch_size, concurrency, ExtractSpans, uuid.uuid4().hex)
 
 
 def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
@@ -165,7 +169,8 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
     return rows, failures, spans
 
 
-def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards):
+def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
+                           max_rows=COMPACT_MAX_ROWS):
     """Stage B UDF: compact one bucket from the spill files — per-shard
     file listing, predicate read with row-group pruning, in-bucket sort,
     atomic publish."""
@@ -182,7 +187,7 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards):
         pa.set_io_thread_count(2)
         out = {'bucket': [], 'rows': [], 'decode_failures': [],
                'span_count': [], 'wall_s': [], 'file': []}
-        # Enumerate PUBLISHED spill files only: an actor that died mid
+        # Enumerate PUBLISHED spill files only: a task that died mid
         # pq.write_table leaves a 'spill-*.parquet.tmp' that directory
         # discovery would pick up and fail on (ArrowInvalid for every
         # compact task).  The retried task re-publishes under the same
@@ -206,7 +211,6 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards):
                     dsets[sdir] = (None, 0)
             return dsets[sdir]
 
-        max_rows = int(os.environ.get('GRAFT_COMPACT_MAX_ROWS', '2000000'))
         for bucket in batch.column('bucket').to_pylist():
             t0 = time.perf_counter()
             dset, shard_rows = shard_dset(bucket)
@@ -271,12 +275,10 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards):
 
 
 def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
-                   concurrency=None, resume=True, payload_lru=None,
-                   num_shards=None):
+                   concurrency=None, resume=True, num_shards=None):
     """Run the full pipeline; returns a summary dict (job metrics)."""
     import glob
     import shutil
-    import uuid
 
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
@@ -287,10 +289,11 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     done = checkpoint.load_done_buckets(out_dir) if resume else {}
 
     t0 = time.perf_counter()
-    if concurrency is None:
-        concurrency = default_concurrency()
-    spill_dir = os.path.join(out_dir, '_spill-%s' % uuid.uuid4().hex)
+    job_id = uuid.uuid4().hex
+    spill_dir = os.path.join(out_dir, '_spill-%s' % job_id)
     os.makedirs(spill_dir)
+    # driver-side: env vars set after ray.init never reach the workers
+    max_rows = int(os.environ.get('GRAFT_COMPACT_MAX_ROWS', COMPACT_MAX_ROWS))
 
     # Stage A: map-only extract + external-shuffle spill
     ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
@@ -299,32 +302,11 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if done:
         ds = ds.map_batches(make_done_filter(done.keys()), batch_format='pyarrow',
                             zero_copy_batch=True)
-    # Stage-A-only worker knob (DEFAULT ON): RAY_num_server_call_thread=1
-    # trims each EXTRACT actor's gRPC server-call thread pool without
-    # touching read-task / driver workers.  Globally this knob measurably
-    # hurt the read/dispatch path (r1: -8% e2e); scoped via runtime_env to
-    # the compute actors it removes idle-thread context-switch pressure:
-    # measured +27% at 8 cpus (7.7k→9.77k turns/s, reproducible to 0.2%,
-    # = the single-process kernel rate per actor) and within-noise-or-
-    # better at 32 cpus.  GRAFT_STAGEA_SCT=0 disables for A/B.
-    extra = {}
-    sct = os.environ.get('GRAFT_STAGEA_SCT', '1')
-    if sct and sct != '0':
-        extra['runtime_env'] = {
-            'env_vars': {'RAY_num_server_call_thread': sct}}
-    # resolve the LRU size DRIVER-SIDE and ship it in the ctor args: env
-    # vars set after ray.init never reach the (raylet-spawned) actors
-    if payload_lru is None:
-        payload_lru = int(os.environ.get('GRAFT_PAYLOAD_LRU', '4096'))
     if num_shards is None:
         num_shards = int(os.environ.get('GRAFT_SPILL_SHARDS', '4'))
     num_shards = max(1, min(num_shards, num_buckets))
-    stats = ds.map_batches(ExtractAndSpill,
-                           fn_constructor_args=(spill_dir, num_buckets,
-                                                payload_lru, num_shards),
-                           batch_format='pyarrow', batch_size=batch_size,
-                           concurrency=concurrency, zero_copy_batch=True,
-                           **extra)
+    stats = _extract(ds, batch_size, concurrency, ExtractAndSpill, job_id,
+                     spill_dir, num_buckets, num_shards)
     extracted = sum(r['rows'] for r in stats.take_all())   # tiny stat rows
     stage_a_s = time.perf_counter() - t0
 
@@ -335,7 +317,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
         items = ray.data.from_items([{'bucket': b} for b in todo],
                                     override_num_blocks=len(todo))
         manifest_ds = items.map_batches(
-            _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards),
+            _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
+                                   max_rows),
             batch_format='pyarrow', batch_size=None)
         new_rows = manifest_ds.take_all()      # one row per bucket
 

@@ -81,8 +81,8 @@ def generate_transcripts(out_dir, n_convs, seed=42, rows_per_file=None,
 
     n = len(conv_ids)
     if rows_per_file is None:
-        # ~512 files: enough read→extract task granularity that the actor
-        # pool's tail stays balanced, without exploding into tiny files
+        # ~512 files: enough read→extract task granularity that the
+        # job's tail stays balanced, without exploding into tiny files
         rows_per_file = max(1000, -(-n // 512))
     order = list(range(n))
     rng.shuffle(order)  # shuffled row order within the corpus

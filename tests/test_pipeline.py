@@ -390,11 +390,13 @@ def test_expected_tables_match_engine_per_variant(tmp_path, shared_fonts):
 
 def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
                                              monkeypatch):
-    """Skew escape hatch: with GRAFT_COMPACT_MAX_ROWS far below the bucket
-    size (one conversation much larger than the chunk window), the external
-    merge compaction must produce byte-identical parts, manifest counts and
-    ordering to the in-memory path."""
-    from engine.rayjob.pipeline import run_extraction
+    """Skew escape hatch: with max_rows far below the bucket size (one
+    conversation much larger than the chunk window), the external merge
+    compaction must run and produce byte-identical parts, manifest counts
+    and ordering to the in-memory path.  GRAFT_COMPACT_MAX_ROWS is read by
+    the driver, so a value set after ray.init reaches the compactor."""
+    from engine.rayjob import pipeline
+    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
     from engine.rayjob.transcripts import generate_transcripts
     import pyarrow as pa
     import sys
@@ -417,17 +419,45 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     }), os.path.join(d, 'part-giant.parquet'))
 
     out_mem = str(tmp_path_factory.mktemp('out_mem'))
-    s1 = run_extraction(d, out_mem, num_buckets=4, batch_size=32,
-                        concurrency=2, resume=False)
+    s1 = pipeline.run_extraction(d, out_mem, num_buckets=4, batch_size=32,
+                                 concurrency=2, resume=False)
 
+    # the driver hands the env value to the compactor it builds
+    seen = []
+    make = pipeline._make_bucket_compactor
+
+    def spy(*args):
+        seen.append(args[-1])
+        return make(*args)
+    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
     monkeypatch.setenv('GRAFT_COMPACT_MAX_ROWS', '16')
-    out_chk = str(tmp_path_factory.mktemp('out_chk'))
-    s2 = run_extraction(d, out_chk, num_buckets=4, batch_size=32,
-                        concurrency=2, resume=False)
+    s2 = pipeline.run_extraction(d, str(tmp_path_factory.mktemp('out_env')),
+                                 num_buckets=4, batch_size=32, concurrency=2,
+                                 resume=False)
+    assert seen == [16]
+    assert s2['rows_out'] == s1['rows_out']
 
-    assert s1['rows_out'] == s2['rows_out']
-    assert s1['decode_failures'] == s2['decode_failures']
-    assert s1['span_count'] == s2['span_count']
+    # compact a real spill in-process with max_rows=16, counting chunked runs
+    spill = str(tmp_path_factory.mktemp('chunk_spill'))
+    out_chk = str(tmp_path_factory.mktemp('out_chk'))
+    stage = ExtractAndSpill(spill, 4, num_shards=4)
+    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
+        stage(assign_bucket(4)(pq.read_table(
+            f, columns=['conv_id', 'turn_idx', 'text'])))
+    chunked = []
+    run_chunked = pipeline._compact_chunked
+
+    def counting(*args):
+        chunked.append(args[-1])
+        return run_chunked(*args)
+    monkeypatch.setattr(pipeline, '_compact_chunked', counting)
+    compact = make(spill, out_chk, 4, 4, max_rows=16)
+    manifest = compact(pa.table({'bucket': pa.array(range(4), pa.int32())}))
+    assert chunked and set(chunked) == {16}
+
+    assert sum(manifest.column('rows').to_pylist()) == s1['rows_out']
+    assert sum(manifest.column('decode_failures').to_pylist()) == s1['decode_failures']
+    assert sum(manifest.column('span_count').to_pylist()) == s1['span_count']
     p1 = sorted(os.path.basename(p)
                 for p in glob.glob(os.path.join(out_mem, 'part-*.parquet')))
     p2 = sorted(os.path.basename(p)
@@ -473,3 +503,122 @@ def test_compact_chunked_duplicate_keys(tmp_path):
     ks = list(zip(got.column('conv_id').to_pylist(),
                   got.column('turn_idx').to_pylist()))
     assert ks == sorted(ks)                       # fully sorted
+
+
+def test_stage_instance_is_per_job():
+    """One stage instance per (class, job) in a process: the same job id
+    reuses it, a new job id gets a fresh payload LRU (a job is never served
+    another job's extraction), and the font state is shared across jobs."""
+    import sys
+    import pyarrow as pa
+    from engine.rayjob.extract_stage import ExtractTurns, stage_for
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from gen_pdf import build_variant
+
+    ids = ['V01', 'V02', 'V03', 'V11']             # distinct payloads
+    batch = pa.table({
+        'conv_id': pa.array(['c%d' % i for i in range(len(ids))], pa.string()),
+        'turn_idx': pa.array([0] * len(ids), pa.int32()),
+        'text': pa.array([build_variant(v).decode('latin-1') for v in ids],
+                         pa.string()),
+    })
+    first = stage_for(ExtractTurns, 'job-a')
+    assert stage_for(ExtractTurns, 'job-a') is first
+    first(batch)
+    assert first.lru_hits == 0
+    first(batch)
+    assert first.lru_hits == len(ids)
+
+    second = stage_for(ExtractTurns, 'job-b')
+    assert second is not first
+    out = second(batch)
+    assert second.lru_hits == 0
+    assert out.equals(first(batch))
+    assert second.shared is first.shared
+
+
+def test_torn_manifest_tail_redone(ray_session, extracted):
+    """A driver killed inside append_manifest_rows leaves a torn last line:
+    resume drops it, redoes that bucket, and leaves a manifest that parses."""
+    from engine.rayjob.pipeline import run_extraction
+    d, n, out, _ = extracted
+    mpath = checkpoint.manifest_path(out)
+    with open(mpath) as f:
+        text = f.read()
+    last = text.rstrip('\n').rsplit('\n', 1)[-1]
+    with open(mpath, 'w') as f:
+        f.write(text[:len(text) - len(last) - 1] + last[:len(last) // 2])
+
+    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+                             concurrency=2, resume=True)
+    assert summary['buckets_this_run'] == 1
+    assert summary['rows_out'] == n
+    rows = [json.loads(l) for l in open(mpath)]
+    assert sorted(r['bucket'] for r in rows) == [0, 1, 2, 3]
+
+
+def test_torn_manifest_tail_truncated(tmp_path):
+    """The torn bytes are cut back to the last newline, so the next append
+    starts on its own line instead of gluing onto them."""
+    out = str(tmp_path)
+    good = [{'bucket': b, 'rows': 0, 'decode_failures': 0, 'span_count': 0,
+             'wall_s': 0.0, 'file': ''} for b in (0, 1)]
+    checkpoint.append_manifest_rows(out, good)
+    mpath = checkpoint.manifest_path(out)
+    with open(mpath) as f:
+        intact = f.read()
+    with open(mpath, 'a') as f:
+        f.write('{"bucket": 2, "ro')
+    assert sorted(checkpoint.load_done_buckets(out)) == [0, 1]
+    with open(mpath) as f:
+        assert f.read() == intact
+    checkpoint.append_manifest_rows(out, [dict(good[0], bucket=2)])
+    assert sorted(checkpoint.load_done_buckets(out)) == [0, 1, 2]
+
+
+def test_corrupt_manifest_line_before_last_raises(tmp_path):
+    """Only the last line can be torn by a crash; corruption anywhere else
+    fails loudly instead of silently redoing or skipping buckets."""
+    out = str(tmp_path)
+    row = {'bucket': 0, 'rows': 0, 'decode_failures': 0, 'span_count': 0,
+           'wall_s': 0.0, 'file': ''}
+    with open(checkpoint.manifest_path(out), 'w') as f:
+        f.write(json.dumps(row) + '\n{"bucket": 1, "ro\n'
+                + json.dumps(dict(row, bucket=2)) + '\n')
+    with pytest.raises(ValueError):
+        checkpoint.load_done_buckets(out)
+
+
+def test_run_extraction_at_one_cpu(tmp_path):
+    """Ray at num_cpus=1 must finish (regression: the extraction actor held
+    the only CPU, so the read task never ran and the job hung)."""
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = '''
+import sys
+import ray
+ray.init(address='local', num_cpus=1, include_dashboard=False)
+from engine.rayjob.transcripts import generate_transcripts
+from engine.rayjob.pipeline import run_extraction
+n, _ = generate_transcripts(sys.argv[1], n_convs=6, seed=7, rows_per_file=40)
+summary = run_extraction(sys.argv[1], sys.argv[2], num_buckets=4, resume=False)
+assert summary['rows_out'] == n, (summary, n)
+print('rows_out', summary['rows_out'])
+'''
+    env = dict(os.environ, PYTHONPATH=root)
+    env.pop('RAY_ADDRESS', None)
+    proc = subprocess.Popen(
+        [sys.executable, '-c', code, str(tmp_path / 'corpus'),
+         str(tmp_path / 'out')], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, cwd=root, env=env,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)     # the job and its Ray processes
+        proc.communicate()
+        pytest.fail('run_extraction at num_cpus=1 did not finish in 120 s')
+    assert proc.returncode == 0, err[-2000:]
+    assert 'rows_out' in out
