@@ -640,8 +640,7 @@ def training_manifest(sf_dir, threshold=0.8, k=3, train_mod=10,
     composition a pretraining run actually ships: clean the corpus
     (:func:`corpus_clean` = near-dup cluster survivor ∩ quality gate),
     assign each surviving document a deterministic train/val/test
-    split (the decontaminate_split / split_manifest md5 rule — the
-    SAME split the contamination screen checks) and a training shard
+    split (the split_manifest md5 rule) and a training shard
     (an independent digit of the same 63-bit key), and emit the
     per-(split, shard) document/token budget a trainer consumes.
     Output: (split, shard, n_docs, n_tokens).

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-__all__ = ['round_half_up', 'sql_round', 'sf_from_dir', 'table_path',
+__all__ = ['round_half_up', 'sf_from_dir', 'table_path',
            'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
            'hash63_keys', 'hash63_strings', 'run_pairs',
            'concat_tables_or_empty']
@@ -69,16 +69,10 @@ def hash63_strings(strs):
 
 
 def round_half_up(x, digits):
-    """Vectorized half-up rounding; mirrors :func:`sql_round` exactly."""
+    """Vectorized half-up rounding; the oracles' SQL spells the same
+    formula as ``floor(x * 10^d + 0.5) / 10^d``."""
     scale = 10.0 ** digits
     return np.floor(np.asarray(x, dtype=np.float64) * scale + 0.5) / scale
-
-
-def sql_round(expr, digits):
-    """DuckDB expression computing the same half-up rounding as
-    :func:`round_half_up` (do NOT use DuckDB's ``round``)."""
-    scale = 10 ** digits
-    return 'floor((%s) * %d + 0.5) / %d' % (expr, scale, scale)
 
 
 def sf_from_dir(sf_dir):

@@ -509,7 +509,7 @@ SELECT * FROM r ORDER BY lift DESC, antecedent, consequent LIMIT {k}
 
 def _tri_pair_keys(a, b):
     """Structured (a, b) composite keys for exact set membership on
-    int64 pairs (the evals.py convention — no arithmetic packing)."""
+    int64 pairs (no arithmetic packing)."""
     out = np.empty(len(a), dtype=[('a', '<i8'), ('b', '<i8')])
     out['a'], out['b'] = a, b
     return out

@@ -30,86 +30,11 @@ def _dedup_payloads(sf_dir: str) -> Any:
     return dedup_exact_payloads(_transcripts_dir(sf_dir))
 
 
-def _conv_stats(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_stats
-    return conv_stats(_transcripts_dir(sf_dir))
-
-
-def _conv_text_md5(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_text_md5
-    return conv_text_md5(_transcripts_dir(sf_dir))
-
-
-def _conv_role_transitions(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_role_transitions
-    return conv_role_transitions(_transcripts_dir(sf_dir))
-
-
-def _conv_tool_usage(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_tool_usage
-    return conv_tool_usage(_transcripts_dir(sf_dir))
-
-
-def _conv_turn_gaps(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_turn_gaps
-    return conv_turn_gaps(_transcripts_dir(sf_dir))
-
-
-def _conv_split_manifest(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_split_manifest
-    return conv_split_manifest(_transcripts_dir(sf_dir))
-
-
-def _conv_first_tool(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_first_tool
-    return conv_first_tool(_transcripts_dir(sf_dir))
-
-
-def _conv_pack_manifest(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_pack_manifest
-    return conv_pack_manifest(_transcripts_dir(sf_dir))
-
-
-def _conv_near_dup(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_near_dup
-    return conv_near_dup(_transcripts_dir(sf_dir))
-
-
-def _conv_near_dup_lsh(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_near_dup_lsh
-    return conv_near_dup_lsh(_transcripts_dir(sf_dir))
-
-
-def _conv_context_growth(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_context_growth
-    return conv_context_growth(_transcripts_dir(sf_dir))
-
-
-def _tool_transition_matrix(sf_dir: str) -> Any:
-    from engine.ops.convstats import tool_transition_matrix
-    return tool_transition_matrix(_transcripts_dir(sf_dir))
-
-
-def _conv_role_token_stats(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_role_token_stats
-    return conv_role_token_stats(_transcripts_dir(sf_dir))
-
-
-def _conv_boilerplate_turns(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_boilerplate_turns
-    return conv_boilerplate_turns(_transcripts_dir(sf_dir))
-
-
-def _conv_dedup_clusters(sf_dir: str) -> Any:
-    from engine.ops.convstats import conv_dedup_clusters
-    return conv_dedup_clusters(_transcripts_dir(sf_dir))
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     from engine.ops import (dedup, relational, similarity, textstats,
                             sampling, clusters, sketches, ingest,
-                            bloomjoin, checksum, graph, modelscore, decontam,
-                            evals, sharding, quality, tpch)
+                            bloomjoin, checksum, graph, modelscore,
+                            sharding, quality, tpch)
 
     return {
         'part_assoc_rules': graph.part_assoc_rules,
@@ -117,11 +42,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'lang_confusion': textstats.lang_confusion,
         'events_dau_wau': relational.events_dau_wau,
         'daily_revenue_running': relational.daily_revenue_running,
-        'decontaminate_split': decontam.decontaminate_split,
-        'dedup_simhash_eval': evals.dedup_simhash_eval,
-        'ann_recall_eval': evals.ann_recall_eval,
-        'tdigest_error_eval': evals.tdigest_error_eval,
-        'conv_role_transitions': _conv_role_transitions,
         'events_anomaly_days': relational.events_anomaly_days,
         'doc_shard_assign': sharding.doc_shard_assign,
         'embedding_norm_stats': similarity.embedding_norm_stats,
@@ -135,29 +55,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'shard_balance': sharding.shard_balance,
         'part_triangles': graph.part_triangles,
         'purchase_view_lag': relational.purchase_view_lag,
-        'conv_tool_usage': _conv_tool_usage,
         'embedding_project2d': similarity.embedding_project2d,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
         'events_type_drift': relational.events_type_drift,
-        'doc_ngram_novelty': decontam.doc_ngram_novelty,
         'dedup_keep_best': clusters.dedup_keep_best,
         'dedup_normalized': dedup.dedup_normalized,
         'vocab_coverage': textstats.vocab_coverage,
         'source_token_drift': textstats.source_token_drift,
         'embedding_kmeans': similarity.embedding_kmeans,
         'score_calibration': modelscore.score_calibration,
-        'conv_turn_gaps': _conv_turn_gaps,
         'doc_ttr': textstats.doc_ttr,
         'events_hourly_profile': relational.events_hourly_profile,
         'source_dup_rate': dedup.source_dup_rate,
-        'conv_split_manifest': _conv_split_manifest,
-        'conv_first_tool': _conv_first_tool,
-        'conv_pack_manifest': _conv_pack_manifest,
-        'conv_near_dup': _conv_near_dup,
-        'conv_near_dup_lsh': _conv_near_dup_lsh,
-        'conv_context_growth': _conv_context_growth,
-        'tool_transition_matrix': _tool_transition_matrix,
-        'conv_role_token_stats': _conv_role_token_stats,
         'fk_integrity_audit': quality.fk_integrity_audit,
         'table_profile': quality.table_profile,
         'embedding_label_centroids': similarity.embedding_label_centroids,
@@ -176,7 +85,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'urgent_order_lineitems': bloomjoin.urgent_order_lineitems,
         'doc_repetition': textstats.doc_repetition,
         'doc_chunks': textstats.doc_chunks,
-        'conv_stats': _conv_stats,
         'events_time_rolling': relational.events_time_rolling,
         'events_value_zscore': relational.events_value_zscore,
         'events_value_deciles': relational.events_value_deciles,
@@ -185,7 +93,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'user_event_paths': relational.user_event_paths,
         'orders_price_percentile': relational.orders_price_percentile,
         'daily_activity': relational.daily_activity,
-        'conv_text_md5': _conv_text_md5,
         'lineitem_checksum': checksum.lineitem_checksum,
         'distinct_users_kmv': sketches.distinct_users_kmv,
         'docs_from_jsonl': ingest.docs_from_jsonl,
@@ -224,8 +131,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'q15_top_supplier': tpch.q15_top_supplier,
         'q19_discounted_revenue': tpch.q19_discounted_revenue,
         'q22_global_sales_opportunity': tpch.q22_global_sales_opportunity,
-        'conv_boilerplate_turns': _conv_boilerplate_turns,
-        'conv_dedup_clusters': _conv_dedup_clusters,
         'doc_curriculum': modelscore.doc_curriculum,
         'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
@@ -325,34 +230,6 @@ def oracle_sql() -> dict[str, str]:
     from engine.ops import ingest
     _gen('docs_from_jsonl', ingest.jsonl_oracle_sql)
     _gen('docs_from_csv', ingest.csv_oracle_sql)
-    try:
-        from engine.ops.common import sf_from_dir as _sfd
-        from engine.rayjob.transcripts import ensure_corpus as _ec
-        _corpus = _ec(_sfd(oracles._oracle_sf_dir()))
-    except Exception:
-        _corpus = None
-        _olog.warning('transcripts corpus synthesis failed; every conv_* '
-                      'oracle falls back to rows-only',
-                      exc_info=True)
-    if _corpus is not None:
-        from engine.ops import convstats as _cs
-        for _name, _fn in (
-                ('conv_stats', _cs.conv_stats_oracle_sql),
-                ('conv_text_md5', _cs.conv_text_oracle_sql),
-                ('conv_role_transitions', _cs.conv_role_transitions_oracle_sql),
-                ('conv_tool_usage', _cs.conv_tool_usage_oracle_sql),
-                ('conv_turn_gaps', _cs.conv_turn_gaps_oracle_sql),
-                ('conv_split_manifest', _cs.conv_split_oracle_sql),
-                ('conv_first_tool', _cs.conv_first_tool_oracle_sql),
-                ('conv_pack_manifest', _cs.conv_pack_oracle_sql),
-                ('conv_near_dup', _cs.conv_near_dup_oracle_sql),
-                ('conv_near_dup_lsh', _cs.conv_near_dup_lsh_oracle_sql),
-                ('conv_context_growth', _cs.conv_context_growth_oracle_sql),
-                ('tool_transition_matrix', _cs.tool_transition_oracle_sql),
-                ('conv_role_token_stats', _cs.conv_role_token_oracle_sql),
-                ('conv_boilerplate_turns', _cs.conv_boilerplate_oracle_sql),
-                ('conv_dedup_clusters', _cs.conv_dedup_clusters_oracle_sql)):
-            _gen(_name, (lambda f=_fn: f(_corpus)))
     from engine.ops import sampling as _sampling
     from engine.ops import relational as _relational_mod
     from engine.ops import checksum as _checksum
@@ -1188,18 +1065,4 @@ SELECT bg AS bigram, c AS n_occurrences,
 FROM r WHERE rank <= 50
 """,
     }
-    full = generated | static
-    # eval / decontamination oracles compose the production oracles
-    from engine.ops import decontam as _decontam
-    from engine.ops import evals as _evals
-    full['decontaminate_split'] = _decontam.decontam_oracle_sql()
-    full['doc_ngram_novelty'] = _decontam.novelty_oracle_sql()
-    full['dedup_simhash_eval'] = _evals.simhash_eval_oracle_sql(
-        full['ngram_jaccard_pairs'], full['simhash_near_dup'])
-    if 'events_value_tdigest' in full:
-        full['tdigest_error_eval'] = _evals.tdigest_error_oracle_sql(
-            full['events_value_tdigest'])
-    if 'ann_topk_ivf' in full:
-        full['ann_recall_eval'] = _evals.ann_recall_oracle_sql(
-            full['ann_topk'], full['ann_topk_ivf'])
-    return full
+    return generated | static

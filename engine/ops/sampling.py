@@ -168,10 +168,8 @@ def split_manifest(sf_dir, train_mod=10, train_lt=8, val_eq=8):
     """TRAIN/VAL/TEST SPLIT MANIFEST — the artifact a corpus release
     ships beside the data: per (split, source), document and token
     counts under the deterministic md5 split (hash63(doc_id) % 10 →
-    0-7 train, 8 val, 9 test; the train rule is decontaminate_split's,
-    so the manifest describes exactly the split the contamination
-    screen checks).  One combiner pass, one tiny keyed exchange, all
-    integer."""
+    0-7 train, 8 val, 9 test).  One combiner pass, one tiny keyed
+    exchange, all integer."""
     import pyarrow.compute as pc
 
     from .textstats import TOKEN_RE

@@ -5,11 +5,12 @@ names (``part-{bucket:05d}.parquet``), written tmp-then-rename, plus a
 ``_MANIFEST.jsonl`` with one lineage row per finished bucket:
 
     {"bucket": int, "rows": int, "decode_failures": int,
-     "span_count": int, "wall_s": float, "file": str}
+     "span_count": int, "wall_s": float, "file": str, "num_buckets": int}
 
 On resume, buckets present in the manifest are filtered out BEFORE the
 expensive extraction stage, so a restarted job only pays for unfinished
-partitions.  Never one giant file; every bucket is independently retryable.
+partitions; ``run_extraction`` refuses rows of another ``num_buckets``.
+Never one giant file; every bucket is independently retryable.
 """
 
 import json

@@ -196,9 +196,10 @@ class ExtractAndSpill(ExtractTurns):
     one file per non-empty shard (cheap slices of the already-sorted
     table), and a compaction task lists/footer-scans ONLY its bucket's
     shard.  At 100 TB (~400k spill blocks) an unsharded dir makes every
-    compact task scan 400k footers; with S shards it scans 400k/S.  Pick
-    S so footer-scan time ≪ bucket read time (S ≈ 64–1024 at that scale);
-    file count per block grows by ≤ S, so keep S ≪ rows-per-block.
+    compact task scan 400k footers; with S shards it scans 400k/S.
+    ``run_extraction`` derives S = isqrt(num_buckets) // 2: 4 at the
+    default 64 buckets, 223–316 at 200–400k buckets, so footer-scan time
+    stays ≪ bucket read time while file count per block grows by ≤ S.
     """
 
     def __init__(self, spill_dir, num_buckets, num_shards=1):

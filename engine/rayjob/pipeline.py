@@ -46,6 +46,7 @@ per-task memory O(window), equivalent to splitting the spill key by
 ``(conv_id, turn_idx // window)`` without touching the spill format.
 """
 
+import math
 import os
 import time
 import uuid
@@ -86,13 +87,9 @@ def _extract(ds, batch_size, concurrency, cls, job_id, *args):
                           concurrency=concurrency, zero_copy_batch=True)
 
 
-def build_extract_dataset(input_path, batch_size=64, concurrency=None,
-                          with_bucket=False, num_buckets=64):
+def build_extract_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
     ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
-    if with_bucket:
-        ds = ds.map_batches(assign_bucket(num_buckets), batch_format='pyarrow',
-                            zero_copy_batch=True)
     return _extract(ds, batch_size, concurrency, ExtractTurns, uuid.uuid4().hex)
 
 
@@ -275,8 +272,12 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
 
 
 def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
-                   concurrency=None, resume=True, num_shards=None):
-    """Run the full pipeline; returns a summary dict (job metrics)."""
+                   concurrency=None, resume=True):
+    """Run the full pipeline; returns a summary dict (job metrics).
+
+    Resume refuses an output written with another ``num_buckets``: its
+    bucket ids name different row sets, so skipping them would drop rows.
+    """
     import glob
     import shutil
 
@@ -287,6 +288,12 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     for stale in glob.glob(os.path.join(out_dir, '_spill-*')):
         shutil.rmtree(stale, ignore_errors=True)
     done = checkpoint.load_done_buckets(out_dir) if resume else {}
+    other = {r.get('num_buckets') for r in done.values()} - {num_buckets}
+    if other:
+        raise ValueError(
+            '%s holds buckets of num_buckets=%s, not %d; resume with the '
+            'same num_buckets or rerun with --no-resume'
+            % (out_dir, ', '.join(sorted(map(str, other))), num_buckets))
 
     t0 = time.perf_counter()
     job_id = uuid.uuid4().hex
@@ -302,9 +309,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if done:
         ds = ds.map_batches(make_done_filter(done.keys()), batch_format='pyarrow',
                             zero_copy_batch=True)
-    if num_shards is None:
-        num_shards = int(os.environ.get('GRAFT_SPILL_SHARDS', '4'))
-    num_shards = max(1, min(num_shards, num_buckets))
+    num_shards = max(1, math.isqrt(num_buckets) // 2)   # 4 at 64 buckets
     stats = _extract(ds, batch_size, concurrency, ExtractAndSpill, job_id,
                      spill_dir, num_buckets, num_shards)
     extracted = sum(r['rows'] for r in stats.take_all())   # tiny stat rows
@@ -320,7 +325,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                                    max_rows),
             batch_format='pyarrow', batch_size=None)
-        new_rows = manifest_ds.take_all()      # one row per bucket
+        new_rows = [dict(r, num_buckets=num_buckets)   # one row per bucket
+                    for r in manifest_ds.take_all()]
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)

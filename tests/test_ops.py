@@ -67,11 +67,11 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'returnflag_priority_counts', 'events_rollup',
                   'events_funnel', 'doc_repetition',
                   'users_view_and_purchase', 'users_purchase_not_view',
-                  'urgent_order_lineitems', 'conv_stats', 'docs_from_csv',
+                  'urgent_order_lineitems', 'docs_from_csv',
                   'doc_chunks', 'sample_weighted_mix', 'events_time_rolling',
                   'events_value_zscore', 'events_value_deciles',
                   'events_hour_value_corr', 'lineitem_checksum',
-                  'events_debounced', 'user_event_paths', 'conv_text_md5',
+                  'events_debounced', 'user_event_paths',
                   'shared_span_pairs', 'orders_price_percentile',
                   'embedding_norms', 'daily_activity',
                   'events_value_tdigest', 'distinct_users_hll',
@@ -84,40 +84,35 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'events_user_gini', 'part_assoc_rules',
                   'events_funnel_windowed', 'lang_confusion',
                   'events_dau_wau', 'daily_revenue_running',
-                  'decontaminate_split', 'dedup_simhash_eval',
-                  'ann_recall_eval', 'conv_role_transitions',
-                  'events_anomaly_days', 'tdigest_error_eval',
+                  'events_anomaly_days',
                   'doc_shard_assign', 'embedding_norm_stats',
                   'lang_fertility', 'events_late_arrivals',
                   'dedup_cluster_sizes', 'clean_token_budget',
                   'doc_surprisal', 'split_manifest',
                   'session_durations', 'shard_balance',
                   'part_triangles', 'purchase_view_lag',
-                  'conv_tool_usage', 'embedding_project2d',
+                  'embedding_project2d',
                   'customer_ltv_deciles', 'events_type_drift',
-                  'doc_ngram_novelty', 'dedup_keep_best',
+                  'dedup_keep_best',
                   'dedup_normalized', 'vocab_coverage',
                   'source_token_drift', 'embedding_kmeans',
-                  'score_calibration', 'conv_turn_gaps',
+                  'score_calibration',
                   'doc_ttr', 'events_hourly_profile',
-                  'source_dup_rate', 'conv_split_manifest',
-                  'conv_first_tool', 'conv_pack_manifest',
+                  'source_dup_rate',
                   'fk_integrity_audit', 'table_profile',
-                  'conv_near_dup', 'embedding_label_centroids',
-                  'conv_context_growth', 'training_manifest',
-                  'tool_transition_matrix', 'conv_role_token_stats',
+                  'embedding_label_centroids',
+                  'training_manifest',
                   'source_quality_funnel', 'embedding_label_outliers',
-                  'conv_near_dup_lsh',
                   'q5_local_supplier_volume', 'q6_forecast_revenue',
                   'q9_product_profit', 'q10_returned_item',
                   'q14_promo_revenue', 'q17_small_quantity_revenue',
                   'q18_large_volume_customer',
-                  'conv_boilerplate_turns', 'doc_length_outliers',
+                  'doc_length_outliers',
                   'q4_order_priority', 'q7_volume_shipping',
                   'q8_market_share', 'q13_order_count_distribution',
                   'q15_top_supplier', 'q19_discounted_revenue',
                   'q22_global_sales_opportunity', 'ngram_containment_pairs',
-                  'conv_dedup_clusters', 'doc_curriculum']
+                  'doc_curriculum']
 
 
 @pytest.mark.parametrize('name', ORACLE_CHECKED)
@@ -989,76 +984,6 @@ def test_late_arrivals_true_branch(ray_session, tmp_path):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_conv_pack_invariants(ray_session):
-    """Greedy packing invariants: chunks partition each conversation's
-    turns exactly (turn conservation vs conv_stats), every multi-turn
-    chunk respects the token budget, oversized chunks are singletons,
-    and chunk_idx is dense from 0 per conversation."""
-    from engine.ops.common import sf_from_dir
-    from engine.ops.convstats import conv_pack_manifest, conv_stats
-    from engine.rayjob.transcripts import ensure_corpus
-
-    corpus = ensure_corpus(sf_from_dir(SF_DIR))
-    budget = 64
-    packs = conv_pack_manifest(corpus, budget=budget).to_pandas()
-    stats = conv_stats(corpus).to_pandas().set_index('conv_id')
-
-    assert ((packs.n_tokens <= budget) | (packs.n_turns == 1)).all()
-    per_conv = packs.groupby('conv_id')
-    got_turns = per_conv.n_turns.sum().sort_index()
-    assert (got_turns == stats.n_turns.sort_index()).all()
-    for cid, g in per_conv:
-        idx = sorted(g.chunk_idx)
-        assert idx == list(range(len(idx)))
-
-
-def test_conv_near_dup_capped(ray_session):
-    """max_run cap contract: a capped run yields a SUBSET of the exact
-    pairs (dropped hot fps only ever undercount inter), and a cap above
-    every run length is a no-op (bit-identical output)."""
-    from engine.ops.common import sf_from_dir
-    from engine.ops.convstats import conv_near_dup
-    from engine.rayjob.transcripts import ensure_corpus
-
-    corpus = ensure_corpus(sf_from_dir(SF_DIR))
-    exact = conv_near_dup(corpus).to_pandas()
-    exact_pairs = set(zip(exact.conv_a, exact.conv_b))
-
-    capped = conv_near_dup(corpus, max_run=3).to_pandas()
-    capped_pairs = (set(zip(capped.conv_a, capped.conv_b))
-                    if len(capped) else set())
-    assert capped_pairs <= exact_pairs
-
-    noop = conv_near_dup(corpus, max_run=1 << 40).to_pandas()
-    assert set(zip(noop.conv_a, noop.conv_b)) == exact_pairs
-    assert len(noop) == len(exact)
-
-
-def test_conv_near_dup_lsh_recall(ray_session):
-    """LSH tier contract: every emitted pair is a TRUE pair (exact
-    verify), and recall is total for clearly-above-threshold pairs
-    (P(miss | jac >= 0.6) = (1 - jac^4)^32 <= 4e-2 per pair; the fixed
-    seed makes the fixture outcome deterministic — measured 0 missed
-    at jac >= 0.6 on both sf0.001 and sf0.01 corpora)."""
-    from engine.ops.common import sf_from_dir
-    from engine.ops.convstats import conv_near_dup, conv_near_dup_lsh
-    from engine.rayjob.transcripts import ensure_corpus
-
-    corpus = ensure_corpus(sf_from_dir(SF_DIR))
-    exact = conv_near_dup(corpus).to_pandas()
-    lsh = conv_near_dup_lsh(corpus).to_pandas()
-    exact_pairs = set(zip(exact.conv_a, exact.conv_b))
-    lsh_pairs = set(zip(lsh.conv_a, lsh.conv_b))
-    assert lsh_pairs <= exact_pairs
-    hi = exact[exact.jac >= 0.6]
-    assert set(zip(hi.conv_a, hi.conv_b)) <= lsh_pairs
-    # jac values agree exactly on the common pairs (same verify math)
-    merged = lsh.merge(exact, on=['conv_a', 'conv_b'],
-                       suffixes=('_l', '_e'))
-    assert (merged.jac_l == merged.jac_e).all()
-    assert (merged.inter_l == merged.inter_e).all()
-
-
 def test_fk_orphans_true_branch(ray_session, tmp_path):
     """The sf tables are referentially intact (0 orphans), so the oracle
     check never exercises the orphan path — this fixture drops parent
@@ -1107,7 +1032,7 @@ def test_oracle_sql_poisoned_generator_isolated(monkeypatch, caplog):
     from engine.ops import oracles, registry
 
     baseline = set(registry.oracle_sql())
-    assert 'ann_topk_ivf' in baseline and 'conv_stats' in baseline
+    assert 'ann_topk_ivf' in baseline
 
     def boom(*a, **k):
         raise RuntimeError('poisoned generator')
@@ -1116,9 +1041,8 @@ def test_oracle_sql_poisoned_generator_isolated(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger='graft.oracles'):
         got = registry.oracle_sql()
     assert 'ann_topk_ivf' not in got
-    # ann_recall_eval COMPOSES the ivf oracle, so it degrades with it —
     # everything else survives
-    assert baseline - set(got) == {'ann_topk_ivf', 'ann_recall_eval'}
+    assert baseline - set(got) == {'ann_topk_ivf'}
     assert any('ann_topk_ivf' in r.message for r in caplog.records)
 
 
@@ -1186,34 +1110,3 @@ WHERE l.l_shipdate >= TIMESTAMP '2030-01-01'""").fetchdf()
     r = tpch.q15_top_supplier(SF_DIR, date_from='2030-01-01',
                               date_to='2030-02-01').to_pandas()
     assert len(r) == 0
-
-
-def test_conv_near_dup_pair_budget_guard(ray_session, monkeypatch):
-    """The exact tier fails FAST with an actionable error when a bucket's
-    quadratic expansion would exceed the pair budget (the round-5
-    crossover run showed the uncapped expansion filling the disk at 4x
-    bench scale); the default budget passes the test corpus."""
-    import ray.exceptions
-
-    from engine.ops.convstats import conv_near_dup
-    from engine.rayjob.transcripts import ensure_corpus
-    corpus = ensure_corpus(0.001)
-    assert conv_near_dup(corpus).count() > 0          # default budget: fine
-    monkeypatch.setenv('GRAFT_NEARDUP_MAX_PAIRS', '1')
-    with pytest.raises(Exception) as ei:
-        conv_near_dup(corpus).count()
-    assert 'GRAFT_NEARDUP_MAX_PAIRS' in str(ei.value)
-
-
-def test_conv_near_dup_lsh_pair_budget_guard(ray_session, monkeypatch):
-    """The LSH discovery tier enforces the same fail-fast candidate-pair
-    budget (degenerate bands on near-identical corpora emit
-    quadratically); default budget passes the test corpus."""
-    from engine.ops.convstats import conv_near_dup_lsh
-    from engine.rayjob.transcripts import ensure_corpus
-    corpus = ensure_corpus(0.001)
-    assert conv_near_dup_lsh(corpus).count() > 0
-    monkeypatch.setenv('GRAFT_NEARDUP_MAX_PAIRS', '1')
-    with pytest.raises(Exception) as ei:
-        conv_near_dup_lsh(corpus).count()
-    assert 'GRAFT_NEARDUP_MAX_PAIRS' in str(ei.value)

@@ -109,6 +109,42 @@ def test_resume_skips_done_and_rebuilds_missing(ray_session, extracted):
     assert rebuilt.equals(original[victim])
 
 
+def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
+    """Bucket ids name different row sets under another num_buckets, so a
+    resume with a changed count must raise instead of skipping buckets it
+    never extracted and silently returning fewer rows."""
+    from engine.rayjob.pipeline import run_extraction
+    d, n = corpus
+    out = str(tmp_path)
+    run_extraction(d, out, num_buckets=4, batch_size=32, concurrency=2,
+                   resume=False)
+    mpath = checkpoint.manifest_path(out)
+    rows = [json.loads(l) for l in open(mpath)]
+    with open(mpath, 'w') as f:
+        for r in rows:
+            if r['bucket'] < 2:
+                f.write(json.dumps(r) + '\n')
+            elif r['file']:
+                os.unlink(os.path.join(out, r['file']))
+
+    with pytest.raises(ValueError, match='--no-resume'):
+        run_extraction(d, out, num_buckets=2, batch_size=32, concurrency=2,
+                       resume=True)
+    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+                             concurrency=2, resume=True)
+    assert summary['buckets_this_run'] == 2
+    assert summary['rows_out'] == n
+
+    # a manifest that records no bucket count is refused too
+    rows = [json.loads(l) for l in open(mpath)]
+    with open(mpath, 'w') as f:
+        for r in rows:
+            r.pop('num_buckets')
+            f.write(json.dumps(r) + '\n')
+    with pytest.raises(ValueError, match='--no-resume'):
+        run_extraction(d, out, num_buckets=4, resume=True)
+
+
 def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
     """A crashed run's _spill-* leftovers must be deleted on the next run
     and never pollute compaction output."""

@@ -5,6 +5,7 @@ aggregate.  Pure pdfcore: no Ray, no oracle."""
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from engine.pdfcore.lexers import (scan_cos, scan_content, scan_cmap,
                                    PdfLexError, NeedStreamLengthError)
@@ -330,3 +331,24 @@ def test_afm_ligature_accessors():
     assert fm.get_kerning_pairs_for_char('f') == {'i': (-20, 0)}
     assert fm.get_kerning_pairs_for_char('e') == {'v': (-15, 0)}
     assert fm.get_kerning_pairs_for_char('z') == {}
+
+
+# ------------------------------------- generated documents, text by design
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_generated_pdf_extracts_what_it_draws(shared_fonts, seed):
+    """Random documents from the benchmark's generator (1-4 pages, Flate or
+    plain streams, Tj and TJ with implied-space kerns, font switches) know
+    their text, glyph and page counts by construction; the kernel must
+    return exactly those, with no reference implementation needed."""
+    import random
+    from engine.pdfcore.extract import extract_turn
+    from perfbench.corpus import build_unique_pdf
+
+    payload, text, n_spans, n_pages = build_unique_pdf(
+        random.Random(seed), 'Doc%d' % seed)
+    got = extract_turn(payload, shared_fonts)
+    assert got['decode_ok'], got['error']
+    assert (got['text'], got['n_spans'], got['n_pages']) == (
+        text, n_spans, n_pages)
