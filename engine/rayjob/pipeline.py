@@ -11,23 +11,27 @@ Dataflow (all Ray Data, streaming executor, no driver-side row loops):
            each block is extracted, sorted by bucket, and SPILLED to
            shared storage with per-bucket row groups; only tiny stat
            rows flow downstream
-  Stage B (map-only, one task per bucket):
-    from_items(buckets) → map_batches(compact)     # parquet predicate
-           read of one bucket across ITS SHARD's spill files (spill dir
-           is sharded by contiguous bucket range; row-group pruning via
-           bucket min/max stats within the shard) → in-bucket
-           (conv_id, turn_idx) sort → atomic tmp+rename part file →
-           one lineage row
+  Stage B (map-only, one task per spill shard):
+    from_arrow(one block of bucket ids per shard)
+      → map_batches(compact)                       # list and footer-scan
+           the shard's spill files once (spill dir is sharded by
+           contiguous bucket range), then for each of its buckets in
+           turn: parquet predicate read (row-group pruning via bucket
+           min/max stats) → in-bucket (conv_id, turn_idx) sort → atomic
+           tmp+rename part file → one lineage row
 
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
 shared filesystem, like Spark's shuffle files — so no Ray AllToAll
 barrier operator sits between extraction and write, the object store
 never holds the shuffled payload, and both stages are embarrassingly
-parallel (Stage A per block, Stage B per bucket).  Bucket keys are
-uniform crc32 hashes: a single skewed conversation cannot skew a
-partition beyond its own size.  At 100 TB: pick num_buckets so each
-bucket ≈ a few hundred MB and Stage B parallelism ≥ cluster cores;
-spill locality is whatever the cluster's shared store gives (the same
+parallel (Stage A per block, Stage B per spill shard).  Bucket keys
+are uniform crc32 hashes: a single skewed conversation cannot skew a
+partition beyond its own size.  Stage B's width is ``num_shards`` =
+isqrt(num_buckets) // 2 (4 at 64 buckets, 223–316 at 200–400k), not
+``num_buckets``: a single bucket is ~10 ms of work on small jobs, less
+than the cost of dispatching a task for it.  At 100 TB: pick num_buckets so
+each bucket ≈ a few hundred MB and num_shards ≥ cluster cores; spill
+locality is whatever the cluster's shared store gives (the same
 trade Spark/MapReduce external shuffles make).
 
 Skew (the north rule's long-conversation concern): the COMPUTE stage is
@@ -168,9 +172,10 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
 
 def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                            max_rows=COMPACT_MAX_ROWS):
-    """Stage B UDF: compact one bucket from the spill files — per-shard
-    file listing, predicate read with row-group pruning, in-bucket sort,
-    atomic publish."""
+    """Stage B UDF: one call compacts one spill shard's buckets in turn —
+    the shard's file listing is made once per call, then per bucket a
+    predicate read with row-group pruning, in-bucket sort and atomic
+    publish (memory holds one bucket at a time)."""
 
     def compact(batch: pa.Table) -> pa.Table:
         import glob
@@ -315,12 +320,20 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     extracted = sum(r['rows'] for r in stats.take_all())   # tiny stat rows
     stage_a_s = time.perf_counter() - t0
 
-    # Stage B: one compaction task per (not-yet-done) bucket
+    # Stage B: one compaction task per spill shard, over that shard's
+    # not-yet-done buckets: one block per non-empty shard group, in shard
+    # order.  Grouped, not split evenly, so a resume with gaps never
+    # mixes two shards in one block.
     new_rows = []
     if extracted:
-        todo = [b for b in range(num_buckets) if b not in done]
-        items = ray.data.from_items([{'bucket': b} for b in todo],
-                                    override_num_blocks=len(todo))
+        groups = {}
+        for b in range(num_buckets):
+            if b not in done:
+                groups.setdefault(shard_of(b, num_buckets, num_shards),
+                                  []).append(b)
+        items = ray.data.from_arrow(
+            [pa.table({'bucket': pa.array(g, pa.int32())})
+             for g in groups.values()])
         manifest_ds = items.map_batches(
             _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                                    max_rows),

@@ -145,6 +145,59 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
         run_extraction(d, out, num_buckets=4, resume=True)
 
 
+def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
+                                    monkeypatch):
+    """Stage B compacts one spill shard per call: a fresh job makes one
+    call per shard with its whole bucket range, and a resume with gaps
+    makes one call per shard with only that shard's missing buckets."""
+    from engine.rayjob import pipeline
+    d, n = corpus
+    calls_path = str(tmp_path / 'calls.jsonl')
+    make = pipeline._make_bucket_compactor
+
+    def spy(*args):
+        compact = make(*args)
+
+        def logged(batch):
+            with open(calls_path, 'a') as f:
+                f.write(json.dumps(batch.column('bucket').to_pylist()) + '\n')
+            return compact(batch)
+        return logged
+    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
+
+    def calls():
+        with open(calls_path) as f:
+            got = sorted(json.loads(l) for l in f)
+        os.unlink(calls_path)
+        return got
+
+    out = str(tmp_path / 'out')
+    pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+                            concurrency=2, resume=False)   # 2 spill shards
+    assert calls() == [list(range(8)), list(range(8, 16))]
+    parts, _ = _read_all(out)
+    fresh = {os.path.basename(p): pq.read_table(p) for p in parts}
+
+    gaps = {1, 2, 9, 14}
+    mpath = checkpoint.manifest_path(out)
+    rows = [json.loads(l) for l in open(mpath)]
+    with open(mpath, 'w') as f:
+        for r in rows:
+            if r['bucket'] not in gaps:
+                f.write(json.dumps(r) + '\n')
+            elif r['file']:
+                os.unlink(os.path.join(out, r['file']))
+    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+                                      concurrency=2, resume=True)
+    assert calls() == [[1, 2], [9, 14]]
+    assert summary['buckets_this_run'] == 4
+    assert summary['rows_out'] == n
+    parts, _ = _read_all(out)
+    assert sorted(os.path.basename(p) for p in parts) == sorted(fresh)
+    for name, table in fresh.items():
+        assert pq.read_table(os.path.join(out, name)).equals(table), name
+
+
 def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
     """A crashed run's _spill-* leftovers must be deleted on the next run
     and never pollute compaction output."""
