@@ -14,7 +14,7 @@ import pyarrow as pa
 
 __all__ = ['round_half_up', 'sf_from_dir', 'table_path',
            'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
-           'hash63_keys', 'hash63_strings', 'run_pairs',
+           'hash63_keys', 'run_pairs',
            'concat_tables_or_empty']
 
 
@@ -54,18 +54,6 @@ def hash63_keys(ids):
         (int.from_bytes(hashlib.md5(str(int(v)).encode()).digest()[8:16],
                         'little') & 0x7FFFFFFFFFFFFFFF for v in ids),
         dtype=np.int64, count=len(ids))
-
-
-def hash63_strings(strs):
-    """63-bit md5 key per STRING — the same byte rule as
-    :func:`hash63_keys` (last 8 digest bytes little-endian, 63-bit mask
-    = DuckDB ``md5_number_lower(s) & (2^63 - 1)``), for pre-built
-    composite key strings."""
-    import hashlib
-    return np.fromiter(
-        (int.from_bytes(hashlib.md5(s.encode('utf-8')).digest()[8:16],
-                        'little') & 0x7FFFFFFFFFFFFFFF for s in strs),
-        dtype=np.int64, count=len(strs))
 
 
 def round_half_up(x, digits):

@@ -280,90 +280,6 @@ FROM cand WHERE bit_count(xor(sa, sb)) <= {maxh}
 """.format(maxh=max_hamming)
 
 
-def clusters_oracle_sql(threshold=0.8, k=3):
-    """Connected components over the minhash near-dup pairs (the full
-    minhash oracle runs as a subquery), via a recursive transitive-closure
-    CTE: cluster_id = min reachable doc_id; docs in no pair are
-    singletons."""
-    pairs_sql = minhash_oracle_sql(threshold=threshold, k=k)
-    return _components_cte(pairs_sql, 'doc_id_a', 'doc_id_b',
-                           'documents', 'doc_id')
-
-
-def _components_cte(pairs_sql, col_a, col_b, entity_table, entity_col):
-    """Recursive transitive-closure CTE shared by the minhash and
-    embedding cluster oracles: cluster_id = min reachable entity id;
-    entities in no pair are singletons."""
-    return """
-WITH RECURSIVE pairs AS (
-  SELECT {a} AS pa, {b} AS pb FROM ({pairs_sql}) src
-), sym AS (
-  SELECT pa AS a, pb AS b FROM pairs
-  UNION ALL
-  SELECT pb AS a, pa AS b FROM pairs
-), reach(n, m) AS (
-  SELECT a, a FROM sym
-  UNION
-  SELECT r.n, s.b FROM reach r JOIN sym s ON s.a = r.m
-), cl AS (
-  SELECT n AS eid, min(m) AS cluster_id FROM reach GROUP BY n
-)
-SELECT d.{ec},
-       coalesce(cl.cluster_id, d.{ec}) AS cluster_id,
-       (coalesce(cl.cluster_id, d.{ec}) = d.{ec}) AS is_survivor
-FROM {et} d LEFT JOIN cl ON cl.eid = d.{ec}
-""".format(pairs_sql=pairs_sql, a=col_a, b=col_b,
-           et=entity_table, ec=entity_col)
-
-
-def keep_best_oracle_sql(threshold=0.8, k=3):
-    """Oracle for :func:`engine.ops.clusters.dedup_keep_best`: the full
-    clusters oracle (recursive CTE over the minhash pair subquery) runs
-    as a subquery; the keep decision is row_number() OVER (PARTITION BY
-    cluster_id ORDER BY n_tokens DESC, doc_id) = 1 — the exact policy the
-    engine's in-bucket argmax + min-id tie-break implements."""
-    cl = clusters_oracle_sql(threshold=threshold, k=k)
-    return r"""
-WITH cl AS ({cl}
-), tok AS (
-  SELECT doc_id, len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens
-  FROM documents
-), j AS (
-  SELECT cl.cluster_id, cl.doc_id, tok.n_tokens
-  FROM cl JOIN tok USING (doc_id)
-), r AS (
-  SELECT cluster_id, doc_id, n_tokens,
-         row_number() OVER (PARTITION BY cluster_id
-                            ORDER BY n_tokens DESC, doc_id) AS rn,
-         count(*) OVER (PARTITION BY cluster_id) AS cluster_size
-  FROM j
-)
-SELECT cluster_id, doc_id, n_tokens, cluster_size::BIGINT AS cluster_size
-FROM r WHERE rn = 1
-""".format(cl=cl.strip())
-
-
-def embedding_pairs_sql(threshold=0.42):
-    """The exact embedding-cosine pair predicate (same as the
-    embedding_dup_pairs oracle's WHERE clause), with the threshold
-    threaded through — callers verifying a non-default engine threshold
-    get a matching oracle, not a silently-0.42 one."""
-    return """
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[],
-                             b.embedding::DOUBLE[]) >= {t}
-""".format(t=repr(float(threshold)))
-
-
-def embedding_clusters_oracle_sql(threshold=0.42):
-    """Connected components over the exact embedding-cosine pairs (the
-    same pair predicate as the embedding_dup_pairs oracle), for
-    :func:`engine.ops.clusters.embedding_dedup_clusters`."""
-    return _components_cte(embedding_pairs_sql(threshold),
-                           'vec_id_a', 'vec_id_b', 'embeddings', 'vec_id')
-
-
 def payload_dedup_oracle_sql(sf_dir=None):
     """dedup_exact_payloads over the TRANSCRIPTS corpus: the corpus is a
     deterministic synthesized parquet dir, so the oracle reads it by path
@@ -431,33 +347,6 @@ SELECT c.va AS vec_id_a, c.vb AS vec_id_b,
 FROM cand c JOIN e ea ON ea.vec_id = c.va JOIN e eb ON eb.vec_id = c.vb
 WHERE list_cosine_similarity(ea.ee, eb.ee) >= {threshold}
 """.format(bands_sql=bands_sql, threshold=repr(threshold))
-
-
-def corpus_clean_oracle_sql(threshold=0.8, k=3):
-    """corpus_clean = dedup_clusters survivors ∩ doc_quality keepers; the
-    full clusters oracle (recursive CTE over the minhash pair subquery)
-    runs as a subquery, the quality gate replicates the doc_quality
-    oracle's integer/half-up math."""
-    cl = clusters_oracle_sql(threshold=threshold, k=k)
-    return r"""
-WITH cl AS ({cl}
-), q0 AS (
-  SELECT doc_id, lang,
-         len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens,
-         len(regexp_extract_all(text, '\b(the|a|of|to|and|in|is|it|that|for|on|as|with|by)\b'))::BIGINT AS n_stop
-  FROM documents
-), q AS (
-  SELECT doc_id, lang, n_tokens,
-         CASE WHEN n_tokens > 0
-              THEN floor(n_stop::DOUBLE / n_tokens * 1000000 + 0.5) / 1000000
-              ELSE 0.0 END AS stopword_ratio
-  FROM q0
-)
-SELECT q.doc_id, q.lang, q.n_tokens, q.stopword_ratio
-FROM q JOIN cl ON cl.doc_id = q.doc_id
-WHERE cl.is_survivor
-  AND q.n_tokens >= 5 AND q.n_tokens <= 2000 AND q.stopword_ratio > 0.01
-""".format(cl=cl)
 
 
 def tdigest_oracle_sql(sf_dir=None, k=2048, delta=64, qs=(0.5, 0.9, 0.99),
@@ -612,62 +501,3 @@ FROM r WHERE rank <= {k}
 """.format(book_rows=book_rows, sub_cases=sub_cases,
            qsub_cases=qsub_cases, nq=n_queries,
            scale=_PQ_LUT_SCALE, k=k)
-
-
-def training_manifest_oracle_sql(threshold=0.8, k=3, train_mod=10,
-                                 train_lt=8, val_eq=8, n_shards=4):
-    """Oracle for :func:`engine.ops.clusters.training_manifest`: the
-    full corpus_clean oracle (recursive-CTE cluster solve + quality
-    gate) as a CTE, then the shared md5 split rule and the independent
-    shard digit of the same 63-bit key."""
-    clean = corpus_clean_oracle_sql(threshold=threshold, k=k)
-    return """
-WITH clean AS ({clean}
-), d AS (
-  SELECT ((md5_number_lower(doc_id::VARCHAR)
-           & 9223372036854775807) % {mod}) AS m,
-         (((md5_number_lower(doc_id::VARCHAR)
-            & 9223372036854775807) // {mod}) % {ns})::BIGINT AS shard,
-         n_tokens
-  FROM clean
-)
-SELECT CASE WHEN m < {lt} THEN 'train'
-            WHEN m = {veq} THEN 'val' ELSE 'test' END AS split,
-       shard, count(*)::BIGINT AS n_docs, sum(n_tokens)::BIGINT AS n_tokens
-FROM d GROUP BY 1, 2
-""".format(clean=clean, mod=train_mod, lt=train_lt, veq=val_eq,
-           ns=n_shards)
-
-
-def source_funnel_oracle_sql(threshold=0.8, k=3):
-    """Oracle for :func:`engine.ops.clusters.source_quality_funnel`:
-    the clusters oracle as a CTE (one row per doc, is_survivor flag),
-    the doc_quality gate replicated with the identical integer/half-up
-    math, folded per source."""
-    cl = clusters_oracle_sql(threshold=threshold, k=k)
-    return r"""
-WITH cl AS ({cl}
-), q0 AS (
-  SELECT doc_id, source,
-         len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens,
-         len(regexp_extract_all(text, '\b(the|a|of|to|and|in|is|it|that|for|on|as|with|by)\b'))::BIGINT AS n_stop
-  FROM documents
-), q AS (
-  SELECT doc_id, source,
-         (n_tokens >= 5 AND n_tokens <= 2000 AND
-          CASE WHEN n_tokens > 0
-               THEN floor(n_stop::DOUBLE / n_tokens * 1000000 + 0.5)
-                    / 1000000
-               ELSE 0.0 END > 0.01) AS is_q
-  FROM q0
-), j AS (
-  SELECT q.source, q.is_q, (q.is_q AND cl.is_survivor) AS is_clean
-  FROM q JOIN cl ON cl.doc_id = q.doc_id
-)
-SELECT source, count(*)::BIGINT AS n_docs,
-       count(*) FILTER (WHERE is_q)::BIGINT AS n_quality,
-       count(*) FILTER (WHERE is_clean)::BIGINT AS n_clean,
-       floor(count(*) FILTER (WHERE is_clean)::DOUBLE
-             / count(*)::DOUBLE * 1000000 + 0.5) / 1000000 AS keep_rate
-FROM j GROUP BY source
-""".format(cl=cl)

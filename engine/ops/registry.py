@@ -32,12 +32,10 @@ def _dedup_payloads(sf_dir: str) -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from engine.ops import (dedup, relational, similarity, textstats,
-                            sampling, clusters, sketches, ingest,
-                            bloomjoin, checksum, graph, modelscore,
-                            sharding, quality, tpch)
+                            sampling, sketches, ingest, sharding,
+                            quality, tpch)
 
     return {
-        'part_assoc_rules': graph.part_assoc_rules,
         'events_funnel_windowed': relational.events_funnel_windowed,
         'lang_confusion': textstats.lang_confusion,
         'events_dau_wau': relational.events_dau_wau,
@@ -47,23 +45,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'embedding_norm_stats': similarity.embedding_norm_stats,
         'lang_fertility': textstats.lang_fertility,
         'events_late_arrivals': relational.events_late_arrivals,
-        'dedup_cluster_sizes': clusters.dedup_cluster_sizes,
-        'clean_token_budget': clusters.clean_token_budget,
         'doc_surprisal': textstats.doc_surprisal,
         'split_manifest': sampling.split_manifest,
         'session_durations': relational.session_durations,
         'shard_balance': sharding.shard_balance,
-        'part_triangles': graph.part_triangles,
         'purchase_view_lag': relational.purchase_view_lag,
         'embedding_project2d': similarity.embedding_project2d,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
         'events_type_drift': relational.events_type_drift,
-        'dedup_keep_best': clusters.dedup_keep_best,
         'dedup_normalized': dedup.dedup_normalized,
         'vocab_coverage': textstats.vocab_coverage,
         'source_token_drift': textstats.source_token_drift,
         'embedding_kmeans': similarity.embedding_kmeans,
-        'score_calibration': modelscore.score_calibration,
         'doc_ttr': textstats.doc_ttr,
         'events_hourly_profile': relational.events_hourly_profile,
         'source_dup_rate': dedup.source_dup_rate,
@@ -71,8 +64,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'table_profile': quality.table_profile,
         'embedding_label_centroids': similarity.embedding_label_centroids,
         'embedding_label_outliers': similarity.embedding_label_outliers,
-        'training_manifest': clusters.training_manifest,
-        'source_quality_funnel': clusters.source_quality_funnel,
         'user_event_pivot': relational.user_event_pivot,
         'events_user_rolling': relational.events_user_rolling,
         'customer_order_counts': relational.customer_order_counts,
@@ -82,7 +73,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'events_funnel': relational.events_funnel,
         'users_view_and_purchase': relational.users_view_and_purchase,
         'users_purchase_not_view': relational.users_purchase_not_view,
-        'urgent_order_lineitems': bloomjoin.urgent_order_lineitems,
         'doc_repetition': textstats.doc_repetition,
         'doc_chunks': textstats.doc_chunks,
         'events_time_rolling': relational.events_time_rolling,
@@ -93,7 +83,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'user_event_paths': relational.user_event_paths,
         'orders_price_percentile': relational.orders_price_percentile,
         'daily_activity': relational.daily_activity,
-        'lineitem_checksum': checksum.lineitem_checksum,
         'distinct_users_kmv': sketches.distinct_users_kmv,
         'docs_from_jsonl': ingest.docs_from_jsonl,
         'docs_from_csv': ingest.docs_from_csv,
@@ -105,17 +94,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             relational.events_windowed_distinct_users,
         'events_value_mad_outliers': relational.events_value_mad_outliers,
         'orders_cohort_retention': relational.orders_cohort_retention,
-        'embedding_dedup_clusters': clusters.embedding_dedup_clusters,
-        'part_pagerank': graph.part_pagerank,
         'token_cooccur_topk': textstats.token_cooccur_topk,
         'source_token_topk': textstats.source_token_topk,
         'user_decay_score': relational.user_decay_score,
-        'doc_model_score': modelscore.doc_model_score,
         'ann_topk_pq': similarity.ann_topk_pq,
         'events_user_gini': relational.events_user_gini,
         'embedding_norms': similarity.embedding_norms,
         'minhash_near_dup': dedup.minhash_near_dup,
-        'corpus_clean': clusters.corpus_clean,
         # TPC-H and later additions
         'q5_local_supplier_volume': tpch.q5_local_supplier_volume,
         'q6_forecast_revenue': tpch.q6_forecast_revenue,
@@ -131,7 +116,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'q15_top_supplier': tpch.q15_top_supplier,
         'q19_discounted_revenue': tpch.q19_discounted_revenue,
         'q22_global_sales_opportunity': tpch.q22_global_sales_opportunity,
-        'doc_curriculum': modelscore.doc_curriculum,
         'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
         'doc_token_stats': textstats.doc_token_stats,
@@ -154,7 +138,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'ngram_containment_pairs': dedup.ngram_containment_pairs,
         'simhash_near_dup': dedup.simhash_near_dup,
         'shared_span_pairs': dedup.shared_span_pairs,
-        'dedup_clusters': clusters.dedup_clusters,
         # similarity search
         'embedding_dup_pairs': similarity.embedding_dup_pairs,
         'embedding_dup_pairs_blocked': similarity.embedding_dup_pairs_blocked,
@@ -197,11 +180,6 @@ def oracle_sql() -> dict[str, str]:
         'minhash_near_dup': oracles.minhash_oracle_sql(),
         'simhash_near_dup': oracles.simhash_oracle_sql(),
         'shared_span_pairs': oracles.shared_span_oracle_sql(),
-        'dedup_clusters': oracles.clusters_oracle_sql(),
-        'corpus_clean': oracles.corpus_clean_oracle_sql(),
-        'training_manifest': oracles.training_manifest_oracle_sql(),
-        'source_quality_funnel': oracles.source_funnel_oracle_sql(),
-        'embedding_dedup_clusters': oracles.embedding_clusters_oracle_sql(),
         'events_value_tdigest': oracles.tdigest_oracle_sql(),
     }
     # Data-dependent oracles (trained centroids/codebooks, corpus-derived
@@ -232,18 +210,13 @@ def oracle_sql() -> dict[str, str]:
     _gen('docs_from_csv', ingest.csv_oracle_sql)
     from engine.ops import sampling as _sampling
     from engine.ops import relational as _relational_mod
-    from engine.ops import checksum as _checksum
     from engine.ops import similarity as _similarity
-    generated['lineitem_checksum'] = _checksum.CHECKSUM_SQL
     generated['embedding_norms'] = _similarity.EMBEDDING_NORMS_SQL
     generated['events_anomaly_days'] = _relational_mod.EVENTS_ANOMALY_SQL
     from engine.ops import sharding as _sharding
     generated['doc_shard_assign'] = _sharding.shard_assign_oracle_sql()
     generated['embedding_norm_stats'] = _similarity.EMBEDDING_NORM_STATS_SQL
     generated['events_late_arrivals'] = _relational_mod.EVENTS_LATE_SQL
-    from engine.ops import clusters as _clusters_mod
-    generated['dedup_cluster_sizes'] = _clusters_mod.cluster_sizes_oracle_sql()
-    generated['clean_token_budget'] = _clusters_mod.token_budget_oracle_sql()
     generated['sample_weighted_mix'] = _sampling.weighted_mix_oracle_sql()
     from engine.ops import textstats as _textstats
     generated['token_heavy_hitters'] = _textstats.heavy_hitters_oracle_sql()
@@ -252,20 +225,15 @@ def oracle_sql() -> dict[str, str]:
     generated['split_manifest'] = _sampling.split_manifest_oracle_sql()
     generated['session_durations'] = _relational_mod.SESSION_DURATIONS_SQL
     generated['shard_balance'] = _sharding.shard_balance_oracle_sql()
-    from engine.ops import graph as _graph_mod
-    generated['part_triangles'] = _graph_mod.TRIANGLES_SQL
     generated['purchase_view_lag'] = _relational_mod.PURCHASE_VIEW_LAG_SQL
     generated['customer_ltv_deciles'] = _relational_mod.LTV_DECILES_SQL
     generated['events_type_drift'] = _relational_mod.EVENTS_TYPE_DRIFT_SQL
     from engine.ops import dedup as _dedup_mod
-    generated['dedup_keep_best'] = oracles.keep_best_oracle_sql()
     generated['dedup_normalized'] = _dedup_mod.DEDUP_NORMALIZED_SQL
     generated['vocab_coverage'] = _textstats.vocab_coverage_oracle_sql()
     generated['source_token_drift'] = _textstats.SOURCE_TOKEN_DRIFT_SQL
     generated['doc_ttr'] = _textstats.DOC_TTR_SQL
     generated['doc_length_outliers'] = _textstats.DOC_LENGTH_OUTLIERS_SQL
-    from engine.ops import modelscore as _modelscore
-    generated['doc_curriculum'] = _modelscore.curriculum_oracle_sql()
     generated['source_dup_rate'] = _dedup_mod.SOURCE_DUP_RATE_SQL
     generated['events_hourly_profile'] = \
         _relational_mod.EVENTS_HOURLY_PROFILE_SQL
@@ -278,16 +246,9 @@ def oracle_sql() -> dict[str, str]:
     _gen('embedding_label_outliers',
          _similarity_mod.label_outliers_oracle_sql)
     generated['embedding_kmeans'] = _similarity_mod.kmeans_oracle_sql()
-    from engine.ops import modelscore as _modelscore_mod
-    generated['score_calibration'] = _modelscore_mod.calibration_oracle_sql()
     generated['token_postings'] = _textstats.postings_oracle_sql()
     generated['token_cooccur_topk'] = _textstats.cooccur_oracle_sql()
     generated['source_token_topk'] = _textstats.source_topk_oracle_sql()
-    from engine.ops import graph as _graph
-    generated['part_pagerank'] = _graph.pagerank_oracle_sql()
-    generated['part_assoc_rules'] = _graph.assoc_rules_oracle_sql()
-    from engine.ops import modelscore as _modelscore
-    generated['doc_model_score'] = _modelscore.model_score_oracle_sql()
     generated['events_windowed_distinct_users'] = """
 SELECT event_type, date_trunc('day', ts) AS window_start,
        count(*)::BIGINT AS n_events,
@@ -401,14 +362,6 @@ SELECT user_id FROM events WHERE event_type = 'purchase' AND value >= 95.0
 SELECT user_id FROM events WHERE event_type = 'purchase' AND value >= 95.0
 EXCEPT
 SELECT user_id FROM events WHERE event_type = 'view' AND value >= 95.0
-""",
-        'urgent_order_lineitems': """
-SELECT l.l_orderkey AS o_orderkey, count(*)::BIGINT AS n_items,
-       sum(CAST(floor(l.l_quantity * 100 + 0.5) AS BIGINT))::BIGINT
-         AS qty_cents
-FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-WHERE o.o_orderpriority = '1-URGENT'
-GROUP BY l.l_orderkey
 """,
         'doc_repetition': """
 WITH w AS (

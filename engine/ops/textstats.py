@@ -100,9 +100,8 @@ def doc_token_bpe(sf_dir):
         stats, batch_format='pyarrow', zero_copy_batch=True)
 
 
-# Quality keep-gate thresholds — ONE home, used by doc_quality here and
-# clusters.corpus_clean (whose oracle and tests assert the two gates are
-# the same predicate; forking them breaks both silently).
+# Quality keep-gate thresholds: doc_quality is their one home.  Its
+# DuckDB oracle in registry.py spells the same literals; change both.
 QUALITY_MIN_TOKENS = 5
 QUALITY_MAX_TOKENS = 2000
 QUALITY_MIN_STOPWORD_RATIO = 0.01

@@ -34,8 +34,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     import ray
-    if not ray.is_initialized():
-        ray.init()   # local or RAY_ADDRESS; the driver may own the session
+    owns_session = not ray.is_initialized()   # the driver may own it
+    if owns_session:
+        ray.init()   # local or RAY_ADDRESS
 
     from .pipeline import run_extraction
     summary = run_extraction(args.input, args.output,
@@ -44,7 +45,8 @@ def main(argv=None):
                              concurrency=args.concurrency,
                              resume=not args.no_resume)
     print(json.dumps(summary))
-    ray.shutdown()
+    if owns_session:
+        ray.shutdown()
     return 0
 
 

@@ -282,10 +282,15 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
 
     Resume refuses an output written with another ``num_buckets``: its
     bucket ids name different row sets, so skipping them would drop rows.
+    A ``num_buckets`` that is not an int >= 1 raises before anything is
+    written.
     """
     import glob
     import shutil
 
+    if not isinstance(num_buckets, int) or num_buckets < 1:
+        raise ValueError('num_buckets must be an int >= 1, got %r'
+                         % (num_buckets,))
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
         checkpoint.reset_output(out_dir)

@@ -54,11 +54,11 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'fingerprint_winnow', 'sample_stratified',
                   'ann_topk_lsh', 'ann_topk_ivf',
                   'minhash_near_dup', 'simhash_near_dup',
-                  'token_frequencies', 'dedup_clusters',
+                  'token_frequencies',
                   'dedup_exact_payloads',
                   'customers_inactive', 'top_orders_per_customer',
                   'events_value_quantiles', 'shipping_priority',
-                  'doc_tfidf_topk', 'corpus_clean', 'embedding_dup_lsh',
+                  'doc_tfidf_topk', 'embedding_dup_lsh',
                   'distinct_users_kmv', 'bigram_pmi_topk', 'docs_from_jsonl',
                   'events_user_running', 'events_props_stats',
                   'events_value_hist_quantiles', 'sample_uniform', 'doc_scrub',
@@ -67,10 +67,10 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'returnflag_priority_counts', 'events_rollup',
                   'events_funnel', 'doc_repetition',
                   'users_view_and_purchase', 'users_purchase_not_view',
-                  'urgent_order_lineitems', 'docs_from_csv',
+                  'docs_from_csv',
                   'doc_chunks', 'sample_weighted_mix', 'events_time_rolling',
                   'events_value_zscore', 'events_value_deciles',
-                  'events_hour_value_corr', 'lineitem_checksum',
+                  'events_hour_value_corr',
                   'events_debounced', 'user_event_paths',
                   'shared_span_pairs', 'orders_price_percentile',
                   'embedding_norms', 'daily_activity',
@@ -78,31 +78,26 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'token_heavy_hitters', 'token_postings',
                   'events_windowed_distinct_users',
                   'events_value_mad_outliers', 'orders_cohort_retention',
-                  'embedding_dedup_clusters',
-                  'part_pagerank', 'token_cooccur_topk', 'source_token_topk',
-                  'user_decay_score', 'doc_model_score', 'ann_topk_pq',
-                  'events_user_gini', 'part_assoc_rules',
+                  'token_cooccur_topk', 'source_token_topk',
+                  'user_decay_score', 'ann_topk_pq',
+                  'events_user_gini',
                   'events_funnel_windowed', 'lang_confusion',
                   'events_dau_wau', 'daily_revenue_running',
                   'events_anomaly_days',
                   'doc_shard_assign', 'embedding_norm_stats',
                   'lang_fertility', 'events_late_arrivals',
-                  'dedup_cluster_sizes', 'clean_token_budget',
                   'doc_surprisal', 'split_manifest',
                   'session_durations', 'shard_balance',
-                  'part_triangles', 'purchase_view_lag',
+                  'purchase_view_lag',
                   'embedding_project2d',
                   'customer_ltv_deciles', 'events_type_drift',
-                  'dedup_keep_best',
                   'dedup_normalized', 'vocab_coverage',
                   'source_token_drift', 'embedding_kmeans',
-                  'score_calibration',
                   'doc_ttr', 'events_hourly_profile',
                   'source_dup_rate',
                   'fk_integrity_audit', 'table_profile',
                   'embedding_label_centroids',
-                  'training_manifest',
-                  'source_quality_funnel', 'embedding_label_outliers',
+                  'embedding_label_outliers',
                   'q5_local_supplier_volume', 'q6_forecast_revenue',
                   'q9_product_profit', 'q10_returned_item',
                   'q14_promo_revenue', 'q17_small_quantity_revenue',
@@ -111,8 +106,7 @@ ORACLE_CHECKED = ['doc_token_stats', 'doc_token_bpe', 'doc_quality', 'lang_id', 
                   'q4_order_priority', 'q7_volume_shipping',
                   'q8_market_share', 'q13_order_count_distribution',
                   'q15_top_supplier', 'q19_discounted_revenue',
-                  'q22_global_sales_opportunity', 'ngram_containment_pairs',
-                  'doc_curriculum']
+                  'q22_global_sales_opportunity', 'ngram_containment_pairs']
 
 
 @pytest.mark.parametrize('name', ORACLE_CHECKED)
@@ -190,42 +184,6 @@ def test_winnow_deterministic():
     assert winnow_fingerprints('abc', k=5) == set()
 
 
-def test_dedup_clusters_chain_collapse(ray_session, tmp_path):
-    """A~B~C near-dup CHAIN (A,C below threshold with each other) must
-    collapse into ONE cluster — the case pairwise output can't answer and
-    the reason label propagation needs >1 round; exact dups and unique
-    docs come out as 2-cluster / singleton."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    from engine.ops.clusters import dedup_clusters
-
-    base = ['tok%02d' % i for i in range(24)]
-    a = ' '.join(base)
-    b = ' '.join(base[:22] + ['xx22', 'xx23'])          # ~0.83 jac vs a
-    c = ' '.join(['yy00', 'yy01'] + base[2:22] + ['xx22', 'xx23'])  # ~vs b
-    texts = [a, b, c, 'dup dup dup same text here ok fine', 
-             'dup dup dup same text here ok fine', 'totally different words']
-    d = str(tmp_path / 'docs')
-    os.makedirs(d)
-    pq.write_table(pa.table({
-        'doc_id': pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-        'text': pa.array(texts, pa.string()),
-        'lang': pa.array(['en'] * 6, pa.string()),
-    }), os.path.join(d, 'documents.parquet'))
-
-    from engine.ops.dedup import shingle_set, _jaccard
-    sa, sb, sc = (shingle_set(t, 3) for t in (a, b, c))
-    assert _jaccard(sa, sb) >= 0.8 and _jaccard(sb, sc) >= 0.8
-    assert _jaccard(sa, sc) < 0.8                        # a real chain
-
-    df = dedup_clusters(d).to_pandas().set_index('doc_id').sort_index()
-    assert df.loc[[1, 2, 3], 'cluster_id'].tolist() == [1, 1, 1]
-    assert df.loc[[4, 5], 'cluster_id'].tolist() == [4, 4]
-    assert df.loc[6, 'cluster_id'] == 6
-    assert df['is_survivor'].tolist() == [True, False, False,
-                                          True, False, True]
-
-
 def test_dup_lsh_subset_of_exact(ray_session):
     """embedding_dup_lsh is candidate-generation + exact verify: every
     emitted pair must appear in the exact all-pairs output with the SAME
@@ -239,18 +197,6 @@ def test_dup_lsh_subset_of_exact(ray_session):
     for k, v in lsh.items():
         assert v == exact[k]
     assert len(lsh) >= 0.4 * len(exact)   # recall floor at cos>=0.42, P=4 B=8
-
-
-def test_corpus_clean_is_survivor_and_quality(ray_session):
-    """corpus_clean == quality keepers ∩ cluster survivors, row for row."""
-    from engine.ops.clusters import dedup_clusters, corpus_clean
-    from engine.ops.textstats import doc_quality
-    surv = {r['doc_id'] for r in dedup_clusters(SF_DIR).take_all()
-            if r['is_survivor']}
-    qual = {r['doc_id'] for r in doc_quality(SF_DIR).take_all()
-            if r['is_quality']}
-    got = {r['doc_id'] for r in corpus_clean(SF_DIR).take_all()}
-    assert got == (surv & qual)
 
 
 def test_grouped_topk_rank_contract(ray_session):
@@ -343,18 +289,6 @@ def test_pivot_unknown_type_raises(ray_session):
     assert 'pivot vocabulary' in str(ei.value)
 
 
-def test_clusters_unconverged_raises(ray_session):
-    """No silent caps: exhausting max_iters without convergence must raise
-    loudly (unconverged labels would silently produce multiple survivors
-    per real cluster downstream in corpus_clean)."""
-    from engine.ops.clusters import dedup_clusters
-    with pytest.raises(Exception) as ei:
-        # small_edge_limit=0 forces the distributed loop (the driver-side
-        # fast path always converges)
-        dedup_clusters(SF_DIR, max_iters=0, small_edge_limit=0).take_all()
-    assert 'did not converge' in str(ei.value)
-
-
 def test_window_ops_adversarial_events(ray_session, tmp_path):
     """Window operators vs their oracles on CRAFTED data the synthetic
     corpus never produces: duplicate timestamps within a user (tie-break
@@ -397,45 +331,6 @@ def test_window_ops_adversarial_events(ray_session, tmp_path):
         sql_df = con.execute(sqls[name]).fetchdf()
         a, b = _canon(ray_df), _canon(sql_df)
         pd.testing.assert_frame_equal(a, b, check_dtype=False), name
-
-
-def test_bloom_filter_no_false_negatives(ray_session):
-    """A Bloom filter never drops a real member; false-positive rate at
-    16 bits/key stays far under the 1% the exchange sizing assumes."""
-    import numpy as np
-    from engine.ops.bloomjoin import _bitmap_of, _bloom_test
-    rng = np.random.default_rng(7)
-    members = rng.integers(0, 1 << 60, size=4096)
-    others = rng.integers(0, 1 << 60, size=65536)
-    others = np.setdiff1d(others, members)
-    m_bits = 1 << 16   # 16 bits/key at 4096 keys
-    bits = _bitmap_of(members, m_bits, k=4)
-    assert _bloom_test(bits, members, m_bits, k=4).all()
-    fp = _bloom_test(bits, others, m_bits, k=4).mean()
-    assert fp < 0.01, fp
-
-
-def test_dedup_clusters_paths_agree(ray_session):
-    """The driver-side small-graph fast path and the distributed
-    label-propagation loop must produce identical clusters."""
-    from engine.ops.clusters import dedup_clusters
-    fast = dedup_clusters(SF_DIR).to_pandas() \
-        .sort_values('doc_id').reset_index(drop=True)
-    dist = dedup_clusters(SF_DIR, small_edge_limit=0).to_pandas() \
-        .sort_values('doc_id').reset_index(drop=True)
-    pd.testing.assert_frame_equal(fast, dist)
-
-
-def test_local_components_chain_fast():
-    """Pointer doubling: a path graph converges in O(log D) rounds, not D
-    (the round-cap RuntimeError guards the impossible case loudly)."""
-    import numpy as np
-    from engine.ops.clusters import _local_components
-    n = 60000
-    src = np.r_[np.arange(n - 1), np.arange(1, n)]
-    dst = np.r_[np.arange(1, n), np.arange(n - 1)]
-    nodes, lbl = _local_components(src, dst)
-    assert len(nodes) == n and (lbl == 0).all()
 
 
 def test_csv_source_empty_text_parity(ray_session, tmp_path):
@@ -530,37 +425,6 @@ def test_doc_chunks_matches_reference(ray_session, tmp_path):
     for row, (did, ci, nt, txt) in zip(got.itertuples(index=False), exp):
         assert (row.doc_id, row.chunk_idx, row.n_tokens,
                 row.chunk_text) == (did, ci, nt, txt)
-
-
-def test_local_components_random_graphs():
-    """Random-graph property: _local_components must equal a plain
-    union-find reference (min doc_id per component) on 50 random
-    edge sets including self-loops, duplicates and isolated pairs."""
-    import numpy as np
-    from engine.ops.clusters import _local_components
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n_nodes = int(rng.integers(2, 60))
-        n_edges = int(rng.integers(1, 80))
-        a = rng.integers(0, n_nodes * 3, n_edges)   # sparse id space
-        b = rng.integers(0, n_nodes * 3, n_edges)
-        src = np.r_[a, b]
-        dst = np.r_[b, a]
-        nodes, lbl = _local_components(src, dst)
-        # union-find reference
-        parent = {}
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-        for x, y in zip(a.tolist(), b.tolist()):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        expect = {x: find(x) for x in set(a.tolist()) | set(b.tolist())}
-        got = dict(zip(nodes.tolist(), lbl.tolist()))
-        assert got == expect
 
 
 def test_tdigest_rank_error_bound():
@@ -760,19 +624,6 @@ def test_cohort_retention_invariants(ray_session):
     assert (df.months_since >= 0).all()
 
 
-def test_pagerank_distributed_matches_local(ray_session):
-    """small_edge_limit=0 forces the K-round distributed exchange loop;
-    the fixed-point integer math must make it bit-equal to the measured
-    gate's driver-side path (int64 sums are order-independent)."""
-    from engine.ops import graph
-    local = graph.part_pagerank(SF_DIR).to_pandas()
-    dist = graph.part_pagerank(SF_DIR, small_edge_limit=0).to_pandas()
-    pd.testing.assert_frame_equal(local, dist)
-    # ranks are the damped-sum fixed point: every rank ≥ the base mass
-    assert (local.pr_rank >= graph.PR_BASE).all()
-    assert local.pr_rank.is_monotonic_decreasing
-
-
 def test_cooccur_apriori_invariant(ray_session, oracle_con):
     """A pair's support can never exceed either member's document
     frequency (the invariant the a-priori prune relies on)."""
@@ -827,16 +678,6 @@ def test_decay_score_halving(ray_session):
     assert dict(zip(got.index, got.decay_score)) == expect
 
 
-def test_model_score_decision_boundary(ray_session):
-    """softsign keeps sign(score) == sign(z); keep ⇔ z > 0; |score| < 1."""
-    from engine.ops import modelscore
-    t = modelscore.doc_model_score(SF_DIR).to_pandas()
-    import numpy as np
-    assert (np.sign(t.model_score) == np.sign(t.z_num)).all()
-    assert (t.keep == (t.z_num > 0)).all()
-    assert (t.model_score.abs() < 1.0).all()
-
-
 def test_ann_pq_recall(ray_session):
     """PQ-ADC is approximate but must overlap the exact top-k on
     clustered embeddings; every neighbor must be a real corpus id and
@@ -862,19 +703,6 @@ def test_user_gini_bounds(ray_session):
     assert ((t.gini >= 0) & (t.gini < 1)).all()
     assert (t.top_user_share >= 1.0 / t.n_users - 1e-9).all()
     assert (t.n_events >= t.n_users).all()
-
-
-def test_assoc_rules_metrics(ray_session):
-    """Rule metrics obey their definitions: 0 < confidence ≤ 1, lift > 0,
-    support ≥ the threshold, and confidence = support/sup(antecedent)
-    implies support ≤ sup(antecedent)."""
-    from engine.ops import graph
-    t = graph.part_assoc_rules(SF_DIR).to_pandas()
-    assert len(t) > 0
-    assert ((t.confidence > 0) & (t.confidence <= 1.0)).all()
-    assert (t.lift > 0).all()
-    assert (t.support >= graph.RULES_MIN_SUPPORT).all()
-    assert (t.antecedent != t.consequent).all()
 
 
 def test_windowed_funnel_bounded_by_unbounded(ray_session):
@@ -915,42 +743,6 @@ def test_run_pairs_matches_bruteforce():
         a, b = run_pairs(lens, upper=True)
         assert set(zip(a.tolist(), b.tolist())) == expect_u
         assert len(a) == len(expect_u)
-
-
-def test_local_pagerank_properties():
-    """The fixed-point integer recurrence against a dict-of-ints
-    reference on random graphs: bit-equal ranks, and total rank mass
-    stays within the damping bound."""
-    import numpy as np
-    from engine.ops.graph import _local_pagerank, PR_SCALE, PR_BASE, \
-        PR_DAMP_NUM, PR_DAMP_DEN
-    rng = np.random.RandomState(11)
-    for _ in range(10):
-        n = rng.randint(2, 30)
-        m = rng.randint(1, 80)
-        a = rng.randint(0, n, size=m)
-        b = (a + 1 + rng.randint(0, n - 1, size=m)) % n
-        src = np.concatenate([a, b]).astype(np.int64)
-        dst = np.concatenate([b, a]).astype(np.int64)
-        e = {(int(s), int(d)) for s, d in zip(src, dst)}
-        src = np.array([p[0] for p in sorted(e)], np.int64)
-        dst = np.array([p[1] for p in sorted(e)], np.int64)
-        nodes, r = _local_pagerank(src, dst, 5)
-        # pure-python dict reference (arbitrary iteration order — int
-        # sums are order-independent, so results must be identical)
-        deg = {}
-        for s in src.tolist():
-            deg[s] = deg.get(s, 0) + 1
-        rank = {int(u): PR_SCALE for u in nodes.tolist()}
-        for _i in range(5):
-            S = {int(u): 0 for u in nodes.tolist()}
-            for s, d in zip(src.tolist(), dst.tolist()):
-                S[d] += rank[s] // deg[s]
-            rank = {u: PR_BASE + (PR_DAMP_NUM * S[u]) // PR_DAMP_DEN
-                    for u in rank}
-        assert all(int(rv) == rank[int(u)]
-                   for u, rv in zip(nodes.tolist(), r.tolist()))
-        assert (r >= PR_BASE).all()
 
 
 def test_late_arrivals_true_branch(ray_session, tmp_path):

@@ -145,6 +145,18 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
         run_extraction(d, out, num_buckets=4, resume=True)
 
 
+def test_run_extraction_rejects_bad_bucket_count(corpus, tmp_path):
+    """A bucket count below 1 raises a ValueError naming num_buckets
+    before any work: no Ray task runs and no spill dir is left behind."""
+    from engine.rayjob.pipeline import run_extraction
+    d, _ = corpus
+    for bad in (0, -4):
+        out = str(tmp_path / str(bad))
+        with pytest.raises(ValueError, match='num_buckets'):
+            run_extraction(d, out, num_buckets=bad, resume=False)
+        assert glob.glob(os.path.join(out, '_spill-*')) == []
+
+
 def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
                                     monkeypatch):
     """Stage B compacts one spill shard per call: a fresh job makes one

@@ -54,6 +54,31 @@ def test_cli_end_to_end(tmp_path):
     assert summary2['rows_out'] == summary['rows_out']
 
 
+def test_cli_keeps_driver_session(tmp_path):
+    """main() run under a driver's Ray session must leave that session up:
+    it shuts down only a session it started.  Fresh process so a failure
+    cannot tear down this test run's shared session."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = '''
+import sys
+import ray
+ray.init(address='local', num_cpus=1, include_dashboard=False)
+from engine.rayjob.transcripts import generate_transcripts
+from engine.rayjob.main import main
+generate_transcripts(sys.argv[1], n_convs=4, seed=7)
+main(['--input', sys.argv[1], '--output', sys.argv[2], '--num-buckets', '2'])
+print('initialized:', ray.is_initialized())
+'''
+    env = dict(os.environ, PYTHONPATH=root)
+    env.pop('RAY_ADDRESS', None)
+    r = subprocess.run(
+        [sys.executable, '-c', code, str(tmp_path / 'corpus'),
+         str(tmp_path / 'out')],
+        capture_output=True, text=True, timeout=300, cwd=root, env=env)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert 'initialized: True' in r.stdout
+
+
 def test_inspector_cli(tmp_path):
     """python -m engine.inspect over a fixture PDF: all modes run."""
     import subprocess
