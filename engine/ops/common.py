@@ -46,9 +46,9 @@ def hash63_keys(ids):
     """63-bit md5 key per integer id — the ORACLE-SHARED hashing
     convention (= DuckDB ``md5_number_lower(v::VARCHAR) & (2^63 - 1)``:
     last 8 digest bytes little-endian, 63-bit mask).  The SINGLE home
-    for the convention: the oracle parity of uniform/stratified
-    sampling, the IVF training sample and the KMV sketch all hang on
-    this exact byte rule, so it must not fork per module."""
+    for the convention: the oracle parity of the IVF training sample
+    and the KMV and HLL sketches hangs on this exact byte rule, so it
+    must not fork per module."""
     import hashlib
     return np.fromiter(
         (int.from_bytes(hashlib.md5(str(int(v)).encode()).digest()[8:16],

@@ -31,9 +31,8 @@ def _dedup_payloads(sf_dir: str) -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from engine.ops import (dedup, relational, similarity, textstats,
-                            sampling, sketches, ingest, sharding,
-                            quality, tpch)
+    from engine.ops import (dedup, quality, relational, similarity, sketches,
+                            textstats)
 
     return {
         'events_funnel_windowed': relational.events_funnel_windowed,
@@ -41,14 +40,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'events_dau_wau': relational.events_dau_wau,
         'daily_revenue_running': relational.daily_revenue_running,
         'events_anomaly_days': relational.events_anomaly_days,
-        'doc_shard_assign': sharding.doc_shard_assign,
         'embedding_norm_stats': similarity.embedding_norm_stats,
         'lang_fertility': textstats.lang_fertility,
         'events_late_arrivals': relational.events_late_arrivals,
         'doc_surprisal': textstats.doc_surprisal,
-        'split_manifest': sampling.split_manifest,
         'session_durations': relational.session_durations,
-        'shard_balance': sharding.shard_balance,
         'purchase_view_lag': relational.purchase_view_lag,
         'embedding_project2d': similarity.embedding_project2d,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
@@ -84,8 +80,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'orders_price_percentile': relational.orders_price_percentile,
         'daily_activity': relational.daily_activity,
         'distinct_users_kmv': sketches.distinct_users_kmv,
-        'docs_from_jsonl': ingest.docs_from_jsonl,
-        'docs_from_csv': ingest.docs_from_csv,
         'events_value_tdigest': relational.events_value_tdigest,
         'distinct_users_hll': sketches.distinct_users_hll,
         'token_heavy_hitters': textstats.token_heavy_hitters,
@@ -101,21 +95,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'events_user_gini': relational.events_user_gini,
         'embedding_norms': similarity.embedding_norms,
         'minhash_near_dup': dedup.minhash_near_dup,
-        # TPC-H and later additions
-        'q5_local_supplier_volume': tpch.q5_local_supplier_volume,
-        'q6_forecast_revenue': tpch.q6_forecast_revenue,
-        'q9_product_profit': tpch.q9_product_profit,
-        'q10_returned_item': tpch.q10_returned_item,
-        'q14_promo_revenue': tpch.q14_promo_revenue,
-        'q17_small_quantity_revenue': tpch.q17_small_quantity_revenue,
-        'q18_large_volume_customer': tpch.q18_large_volume_customer,
-        'q4_order_priority': tpch.q4_order_priority,
-        'q7_volume_shipping': tpch.q7_volume_shipping,
-        'q8_market_share': tpch.q8_market_share,
-        'q13_order_count_distribution': tpch.q13_order_count_distribution,
-        'q15_top_supplier': tpch.q15_top_supplier,
-        'q19_discounted_revenue': tpch.q19_discounted_revenue,
-        'q22_global_sales_opportunity': tpch.q22_global_sales_opportunity,
         'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
         'doc_token_stats': textstats.doc_token_stats,
@@ -128,9 +107,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'doc_tfidf_topk': textstats.doc_tfidf_topk,
         'doc_scrub': textstats.doc_scrub,
         'bigram_pmi_topk': textstats.bigram_pmi_topk,
-        'sample_stratified': sampling.sample_stratified,
-        'sample_uniform': sampling.sample_uniform,
-        'sample_weighted_mix': sampling.sample_weighted_mix,
         # dedup
         'dedup_exact': dedup.dedup_exact,
         'dedup_exact_payloads': _dedup_payloads,      # rows-only (transcripts)
@@ -205,26 +181,17 @@ def oracle_sql() -> dict[str, str]:
     _gen('ann_topk_pq', oracles.pq_oracle_sql)
     _gen('embedding_dup_lsh', oracles.dup_lsh_oracle_sql)
     _gen('dedup_exact_payloads', oracles.payload_dedup_oracle_sql)
-    from engine.ops import ingest
-    _gen('docs_from_jsonl', ingest.jsonl_oracle_sql)
-    _gen('docs_from_csv', ingest.csv_oracle_sql)
-    from engine.ops import sampling as _sampling
     from engine.ops import relational as _relational_mod
     from engine.ops import similarity as _similarity
     generated['embedding_norms'] = _similarity.EMBEDDING_NORMS_SQL
     generated['events_anomaly_days'] = _relational_mod.EVENTS_ANOMALY_SQL
-    from engine.ops import sharding as _sharding
-    generated['doc_shard_assign'] = _sharding.shard_assign_oracle_sql()
     generated['embedding_norm_stats'] = _similarity.EMBEDDING_NORM_STATS_SQL
     generated['events_late_arrivals'] = _relational_mod.EVENTS_LATE_SQL
-    generated['sample_weighted_mix'] = _sampling.weighted_mix_oracle_sql()
     from engine.ops import textstats as _textstats
     generated['token_heavy_hitters'] = _textstats.heavy_hitters_oracle_sql()
     generated['lang_fertility'] = _textstats.LANG_FERTILITY_SQL
     generated['doc_surprisal'] = _textstats.DOC_SURPRISAL_SQL
-    generated['split_manifest'] = _sampling.split_manifest_oracle_sql()
     generated['session_durations'] = _relational_mod.SESSION_DURATIONS_SQL
-    generated['shard_balance'] = _sharding.shard_balance_oracle_sql()
     generated['purchase_view_lag'] = _relational_mod.PURCHASE_VIEW_LAG_SQL
     generated['customer_ltv_deciles'] = _relational_mod.LTV_DECILES_SQL
     generated['events_type_drift'] = _relational_mod.EVENTS_TYPE_DRIFT_SQL
@@ -265,12 +232,6 @@ FROM events GROUP BY event_type, date_trunc('day', ts)
     generated['events_dau_wau'] = _relational.DAU_WAU_SQL
     generated['daily_revenue_running'] = _relational.REVENUE_RUNNING_SQL
     generated['orders_cohort_retention'] = _relational.COHORT_RETENTION_SQL
-    generated['sample_uniform'] = """
-SELECT doc_id, lang,
-       (md5_number_lower(doc_id::VARCHAR) & 9223372036854775807)::BIGINT AS skey
-FROM documents
-WHERE (md5_number_lower(doc_id::VARCHAR) & 9223372036854775807)::BIGINT < %d
-""" % _sampling.uniform_threshold()
     static = {
         'events_user_running': """
 SELECT event_id, user_id,
@@ -517,18 +478,6 @@ SELECT doc_id, md5(clean) AS clean_md5, length(clean)::BIGINT AS clean_len,
        n_removed
 FROM s
 """,
-        'sample_stratified': """
-WITH s AS (
-  SELECT doc_id, lang,
-         (md5_number_lower(doc_id::VARCHAR) & 9223372036854775807)::BIGINT AS skey
-  FROM documents
-), r AS (
-  SELECT doc_id, lang, skey,
-         row_number() OVER (PARTITION BY lang ORDER BY skey, doc_id)::BIGINT AS sample_rank
-  FROM s
-)
-SELECT doc_id, lang, sample_rank FROM r WHERE sample_rank <= 50
-""",
         'doc_token_stats': r"""
 SELECT doc_id,
        len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens,
@@ -689,174 +638,6 @@ WHERE c.c_mktsegment = 'BUILDING'
 GROUP BY l.l_orderkey
 ORDER BY sum(l.l_extendedprice * (1 - l.l_discount)) DESC, l.l_orderkey ASC
 LIMIT 10
-""",
-        'q4_order_priority': """
-SELECT o.o_orderpriority, count(*)::BIGINT AS order_count
-FROM orders o
-WHERE o.o_orderdate >= TIMESTAMP '1996-07-01'
-  AND o.o_orderdate < TIMESTAMP '1996-10-01'
-  AND EXISTS (SELECT 1 FROM lineitem l WHERE l.l_orderkey = o.o_orderkey
-              AND l.l_shipdate > o.o_orderdate + INTERVAL 60 DAY)
-GROUP BY o.o_orderpriority
-""",
-        'q7_volume_shipping': """
-SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
-       year(l.l_shipdate)::BIGINT AS l_year,
-       sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) / 100.0 AS revenue
-FROM lineitem l
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN nation n1 ON n1.n_nationkey = s.s_nationkey
-JOIN nation n2 ON n2.n_nationkey = c.c_nationkey
-WHERE n1.n_name IN ('NATION_13', 'NATION_19')
-  AND n2.n_name IN ('NATION_13', 'NATION_19')
-  AND n1.n_name <> n2.n_name
-GROUP BY n1.n_name, n2.n_name, year(l.l_shipdate)
-""",
-        'q8_market_share': """
-WITH base AS (
-  SELECT year(o.o_orderdate)::BIGINT AS o_year,
-         CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT) AS cents,
-         n.n_name AS supp_nation
-  FROM lineitem l
-  JOIN supplier s ON s.s_suppkey = l.l_suppkey
-  JOIN orders o ON o.o_orderkey = l.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey
-  JOIN nation nc ON nc.n_nationkey = c.c_nationkey
-  JOIN region r ON r.r_regionkey = nc.n_regionkey
-  JOIN nation n ON n.n_nationkey = s.s_nationkey
-  WHERE r.r_name = 'AMERICA'
-    AND o.o_orderdate >= TIMESTAMP '1996-01-01'
-    AND o.o_orderdate < TIMESTAMP '1998-01-01'
-)
-SELECT o_year,
-       floor(sum(CASE WHEN supp_nation = 'NATION_6' THEN cents ELSE 0 END)::DOUBLE
-             / sum(cents)::DOUBLE * 1000000 + 0.5) / 1000000 AS mkt_share
-FROM base GROUP BY o_year
-""",
-        'q13_order_count_distribution': """
-SELECT c_count, count(*)::BIGINT AS custdist FROM (
-  SELECT c.c_custkey, count(o.o_orderkey)::BIGINT AS c_count
-  FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey
-  GROUP BY c.c_custkey)
-GROUP BY c_count
-""",
-        'q15_top_supplier': """
-WITH rev AS (
-  SELECT l_suppkey,
-         sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS total_cents
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1996-04-01'
-  GROUP BY l_suppkey)
-SELECT s.s_suppkey, s.s_name, r.total_cents / 100.0 AS total_revenue
-FROM rev r JOIN supplier s ON s.s_suppkey = r.l_suppkey
-WHERE r.total_cents = (SELECT max(total_cents) FROM rev)
-""",
-        'q19_discounted_revenue': """
-SELECT coalesce(sum(cents), 0) / 100.0 AS revenue, count(*)::BIGINT AS n_items
-FROM (
-  SELECT CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT) AS cents
-  FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-  WHERE (p.p_brand = 'Brand#1' AND l.l_quantity BETWEEN 1 AND 11
-         AND p.p_size BETWEEN 1 AND 5)
-     OR (p.p_brand = 'Brand#2' AND l.l_quantity BETWEEN 10 AND 20
-         AND p.p_size BETWEEN 1 AND 10)
-     OR (p.p_brand = 'Brand#3' AND l.l_quantity BETWEEN 20 AND 30
-         AND p.p_size BETWEEN 1 AND 15))
-""",
-        'q22_global_sales_opportunity': """
-WITH t AS (
-  SELECT sum(CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT)) AS s,
-         count(*)::BIGINT AS c
-  FROM customer WHERE CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) > 0)
-SELECT n.n_name, count(*)::BIGINT AS numcust,
-       sum(CAST(floor(c.c_acctbal * 100 + 0.5) AS BIGINT)) / 100.0 AS totacctbal
-FROM customer c
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-WHERE CAST(floor(c.c_acctbal * 100 + 0.5) AS BIGINT) * (SELECT c FROM t)
-        > (SELECT s FROM t)
-  AND NOT EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey
-                  AND o.o_orderdate >= TIMESTAMP '2000-01-01')
-GROUP BY n.n_name
-""",
-        'q5_local_supplier_volume': """
-SELECT n.n_name,
-       sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) / 100.0 AS revenue
-FROM customer c
-JOIN orders o ON o.o_custkey = c.c_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-JOIN region r ON r.r_regionkey = n.n_regionkey
-WHERE r.r_name = 'ASIA'
-  AND s.s_nationkey = c.c_nationkey
-  AND o.o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o.o_orderdate < TIMESTAMP '1997-01-01'
-GROUP BY n.n_name
-""",
-        'q6_forecast_revenue': """
-SELECT coalesce(sum(CAST(floor(l_extendedprice * l_discount * 100 + 0.5) AS BIGINT)), 0) / 100.0 AS revenue,
-       count(*)::BIGINT AS n_items
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01' AND l_shipdate < TIMESTAMP '1997-01-01'
-  AND l_discount BETWEEN 0.05 - 1e-9 AND 0.07 + 1e-9
-  AND l_quantity < 24
-""",
-        'q9_product_profit': """
-SELECT n.n_name, year(l.l_shipdate)::BIGINT AS o_year,
-       sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) / 100.0 AS profit
-FROM lineitem l
-JOIN part p ON p.p_partkey = l.l_partkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation n ON n.n_nationkey = s.s_nationkey
-WHERE p.p_type = 'PROMO'
-GROUP BY n.n_name, year(l.l_shipdate)
-""",
-        'q10_returned_item': """
-SELECT c.c_custkey, c.c_name,
-       sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) / 100.0 AS revenue,
-       c.c_acctbal, n.n_name
-FROM customer c
-JOIN orders o ON o.o_custkey = c.c_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-WHERE l.l_returnflag = 'R'
-GROUP BY c.c_custkey, c.c_name, c.c_acctbal, n.n_name
-ORDER BY sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) DESC, c.c_custkey
-LIMIT 20
-""",
-        'q14_promo_revenue': """
-SELECT floor(100.0 * coalesce(sum(CASE WHEN p.p_type = 'PROMO'
-                 THEN CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT) END), 0)
-       / sum(CAST(floor(l.l_extendedprice * (1 - l.l_discount) * 100 + 0.5) AS BIGINT)) * 1000000 + 0.5) / 1000000
-       AS promo_revenue
-FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-WHERE l.l_shipdate >= TIMESTAMP '1996-03-01'
-  AND l.l_shipdate < TIMESTAMP '1996-04-01'
-""",
-        'q17_small_quantity_revenue': """
-SELECT floor(coalesce(sum(CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)), 0)
-             / 100.0 / 7.0 * 100 + 0.5) / 100 AS avg_yearly
-FROM lineitem l
-JOIN part p ON p.p_partkey = l.l_partkey
-WHERE p.p_brand = 'Brand#13'
-  AND l.l_quantity < 0.2 * (SELECT avg(l2.l_quantity) FROM lineitem l2
-                            WHERE l2.l_partkey = l.l_partkey)
-""",
-        'q18_large_volume_customer': """
-SELECT c.c_name, c.c_custkey, o.o_orderkey,
-       floor(o.o_totalprice * 100 + 0.5) / 100 AS o_totalprice,
-       o.o_orderdate,
-       floor(sum(l.l_quantity) * 100 + 0.5) / 100 AS sum_qty
-FROM customer c
-JOIN orders o ON o.o_custkey = c.c_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-GROUP BY c.c_name, c.c_custkey, o.o_orderkey, o.o_totalprice, o.o_orderdate
-HAVING sum(l.l_quantity) > 250
-ORDER BY o.o_totalprice DESC, o.o_orderkey
-LIMIT 100
 """,
         'customers_per_region': """
 SELECT r.r_name, count(*)::BIGINT AS n_customers

@@ -2912,8 +2912,7 @@ def events_late_arrivals(sf_dir, range_size=4096, max_rbuckets=1 << 20):
     diagnosis a streaming pipeline runs to size its allowed-lateness
     window; late_by_us is how far behind the frontier it arrived.
 
-    Second instance of the DISTRIBUTED ORDERED PREFIX-SCAN shape
-    (:mod:`engine.ops.sharding` is the sum instance) with the MAX
+    A DISTRIBUTED ORDERED PREFIX-SCAN with the MAX
     monoid: per-range-bucket combiner maxes → driver exclusive
     running-max over the bounded, loudly-guarded bucket list →
     per-bucket finalize (sort by event_id, vectorized

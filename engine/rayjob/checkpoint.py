@@ -7,6 +7,9 @@ names (``part-{bucket:05d}.parquet``), written tmp-then-rename, plus a
     {"bucket": int, "rows": int, "decode_failures": int,
      "span_count": int, "wall_s": float, "file": str, "num_buckets": int}
 
+The manifest rows of a Stage B task are appended as soon as that task
+finishes, after its part files are published, so a row always names a
+complete file and a later task's failure keeps the finished buckets.
 On resume, buckets present in the manifest are filtered out BEFORE the
 expensive extraction stage, so a restarted job only pays for unfinished
 partitions; ``run_extraction`` refuses rows of another ``num_buckets``.

@@ -328,7 +328,9 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     # Stage B: one compaction task per spill shard, over that shard's
     # not-yet-done buckets: one block per non-empty shard group, in shard
     # order.  Grouped, not split evenly, so a resume with gaps never
-    # mixes two shards in one block.
+    # mixes two shards in one block.  A task's manifest rows are appended
+    # as soon as it finishes, so a later shard's failure keeps the
+    # finished shards' buckets for the next run.
     new_rows = []
     if extracted:
         groups = {}
@@ -343,12 +345,18 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                                    max_rows),
             batch_format='pyarrow', batch_size=None)
-        new_rows = [dict(r, num_buckets=num_buckets)   # one row per bucket
-                    for r in manifest_ds.take_all()]
+        # prefetch_batches=0: with prefetching, a finished block can stay
+        # unyielded until another task's failure ends the iteration.
+        for block in manifest_ds.iter_batches(batch_format='pyarrow',
+                                              batch_size=None,
+                                              prefetch_batches=0):
+            rows = [dict(r, num_buckets=num_buckets)   # one row per bucket
+                    for r in block.to_pylist()]
+            checkpoint.append_manifest_rows(out_dir, rows)
+            new_rows.extend(rows)
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)
-    checkpoint.append_manifest_rows(out_dir, new_rows)
     wall = time.perf_counter() - t0
 
     all_rows = list(done.values()) + new_rows

@@ -210,6 +210,50 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
         assert pq.read_table(os.path.join(out, name)).equals(table), name
 
 
+def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
+                                               monkeypatch):
+    """A Stage B task that fails after another shard has finished must not
+    lose that shard: its manifest rows are already written, and a resume
+    compacts only the failed shard's buckets, every row exactly once."""
+    import time
+    from engine.rayjob import pipeline
+    d, n = corpus
+    out = str(tmp_path / 'out')
+    mpath = checkpoint.manifest_path(out)
+    make = pipeline._make_bucket_compactor
+
+    def failing(*args):
+        compact = make(*args)
+
+        def second_shard_fails(batch):
+            if batch.column('bucket')[0].as_py() < 8:
+                return compact(batch)
+            # wait until the driver has recorded shard 0, then fail
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline:
+                if os.path.exists(mpath) and os.path.getsize(mpath):
+                    break
+                time.sleep(0.05)
+            raise RuntimeError('injected Stage B failure')
+        return second_shard_fails
+    monkeypatch.setattr(pipeline, '_make_bucket_compactor', failing)
+
+    with pytest.raises(Exception, match='injected Stage B failure'):
+        pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+                                concurrency=2, resume=False)   # 2 shards
+    assert sorted(checkpoint.load_done_buckets(out)) == list(range(8))
+
+    monkeypatch.setattr(pipeline, '_make_bucket_compactor', make)
+    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+                                      concurrency=2, resume=True)
+    assert summary['buckets_this_run'] == 8
+    assert summary['rows_out'] == n
+    _, tables = _read_all(out)
+    keys = [k for t in tables for k in zip(t.column('conv_id').to_pylist(),
+                                           t.column('turn_idx').to_pylist())]
+    assert len(keys) == len(set(keys)) == n
+
+
 def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
     """A crashed run's _spill-* leftovers must be deleted on the next run
     and never pollute compaction output."""
