@@ -63,6 +63,12 @@ def encoding_map(name):
     return _ENC_MAPS[name]
 
 
+def is_encoding_name(name):
+    """True when ``encoding_map(name)`` returns a map."""
+    _load()
+    return isinstance(name, str) and _NAME_ALIASES.get(name, name) in _ENC_MAPS
+
+
 def glyph_name_to_unicode(name):
     """Glyph name → unicode str (or list for multi-codepoint names), None if
     unknown (reference encodingmap.MapGlyphNameToUnicode)."""

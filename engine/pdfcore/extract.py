@@ -1,9 +1,11 @@
 """Per-turn extraction: page rendering driver and full-text assembly.
 
 Re-derivation of the reference's RenderPages/RenderPage/_RenderPage_Tokens
-dispatch loop and the GetFullText callback assembler (pypdfproc/__init__.py:
+dispatch loop and the GetFullText text assembler (pypdfproc/__init__.py:
 273-620; SURVEY.md I1-I3, T1-T2, U1) plus the literal/hex splitters
-(__init__.py:648-740; I10).
+(__init__.py:648-740; I10).  The reference's renderer reports string
+actions ('glyph draw', 'space draw', ...) that GetFullText turns into
+text; here the renderer does each action's work in place, in one pass.
 
 The assembler defines BYTE-EXACT per-turn text equality with the reference:
 
@@ -12,19 +14,20 @@ The assembler defines BYTE-EXACT per-turn text equality with the reference:
   −1.0), and the remembered y carries ACROSS pages;
 * an implied space is emitted for a TJ numeric kern when |w| exceeds 50% of
   the current font's average nonzero width;
-* page text is joined at 'page end'; a page that raises mid-render leaves
-  its partial chars in the buffer, which then leak into the NEXT page's
-  string (cloned reference behavior — the buffer is only cleared at 'page
-  end').
+* the implied-space rule reads the width stats of the font set by the
+  last Tf, not of a font switched in by Q or gs;
+* page text is joined at the page's end; a page that raises mid-render
+  leaves its partial chars in the buffer, which then leak into the NEXT
+  page's string (cloned reference behavior — the buffer is only cleared
+  at a page's end), and its resources stay on the resource stack.
 
 ``extract_turn`` is the engine's per-row kernel: it never raises; failures
 are reported in the result dict (decode_ok=False + error).
 """
 
 import os
-import traceback
 
-from .cos import PdfError, Ref, Hexstring
+from .cos import PdfError, Ref
 from .document import PdfDocument, ResourceView
 from .content import Mat, StateStack, tokenize_content
 from .fonts import FontCache, get_font_widths
@@ -41,14 +44,22 @@ __all__ = ['SharedFontState', 'Renderer', 'extract_turn',
 
 
 class SharedFontState(object):
-    """Corpus-invariant read-only state, loaded ONCE per worker process:
-    the 14 standard-font AFM metrics, the encoding maps, and the glyph-name
-    map (SURVEY.md S3/F10/F11).
+    """Corpus-invariant state, loaded ONCE per worker process: the 14
+    standard-font AFM metrics, the encoding maps, and the glyph-name map
+    (SURVEY.md S3/F10/F11), plus three caches of pure functions of them.
 
     In the Ray pipeline one instance is built per worker process, on first
     use (``engine.rayjob.extract_stage.font_state``), and shared by every
-    batch and job that process runs: it depends on no corpus, and
-    ``afm_width_stats`` is keyed by the 14 base fonts.
+    batch and job that process runs.  It depends on no corpus; every cache
+    is keyed only by standard-font inputs:
+
+    * ``afm_widths_synth``: BaseFont → (widths, FirstChar, LastChar) of a
+      font whose /Widths are synthesized from its AFM (``get_font_widths``);
+    * ``afm_width_stats``: BaseFont → the width-stats dict of such a font
+      (``Renderer._set_width_stats``);
+    * ``type1_glyphs``: (BaseFont, Encoding) → {cid: Glyph} of a Type1
+      standard font with no /Encoding or a named one; each document's
+      ``FontCache`` uses it as that font's glyph dict.
     """
 
     def __init__(self, afm_zip_path=None):
@@ -57,10 +68,11 @@ class SharedFontState(object):
         self.std_fonts = _afm.load_afm_zip(afm_zip_path)
         # Force-load the JSON tables now (not lazily per batch)
         _enc.encoding_map('Std')
-        # Cross-turn cache of (avg, min, max) width stats for fonts whose
-        # widths are AFM-synthesized — those depend only on BaseFont, and
-        # transcripts repeat fonts heavily (SURVEY.md §3.5 actor-state LRU).
+        # Cross-turn caches (SURVEY.md §3.5 actor-state LRU): transcripts
+        # repeat the standard fonts heavily.
+        self.afm_widths_synth = {}
         self.afm_width_stats = {}
+        self.type1_glyphs = {}
 
     def std_font(self, name):
         if name not in self.std_fonts:
@@ -150,14 +162,27 @@ def get_token_string(tok, bytesize=None):
 
 
 # ---------------------------------------------------------------------------
-# Renderer (reference PDF.RenderPages / RenderPage / _RenderPage_Tokens)
+# Renderer (reference PDF.RenderPages / RenderPage / _RenderPage_Tokens,
+# fused with GetFullText's text assembly)
 
 class Renderer(object):
-    def __init__(self, doc, shared):
+    """Renders every page of one document and assembles its text as it
+    draws: the reference's 'glyph draw', 'space draw', 'change font' and
+    'page end' actions happen in place in the dispatch loop."""
+
+    def __init__(self, doc, shared, collect_spans=False):
         self.doc = doc
         self.shared = shared
         self.fonts = FontCache(doc, shared)
         self.resources = []     # resource stack (page, then XObjects)
+        self.pages = []         # text of each completed page
+        self.txt = []           # current page buffer (only cleared at page end)
+        self.y = -1.0           # y of the last drawn glyph, across pages
+        self.n_spans = 0
+        self.page_errors = []
+        self.spans = [] if collect_spans else None
+        self.widths = None      # width stats of the font set by the last Tf
+        self.stats_by_font = {}  # font oid key -> width stats
 
     # -- resource-stack font lookup (reference PDF.GetFont, :128-158) ----
 
@@ -177,10 +202,6 @@ class Renderer(object):
             return f
         raise PdfError("Unable to find font '%s'" % (fontname,))
 
-    def get_glyph(self, fontname, cid):
-        f = self.get_font(fontname)
-        return self.fonts.get_glyph(f, cid)
-
     def get_graphics_state(self, page, gsname):
         recs = self.doc.page_resources(page)
         eg = recs.ExtGState
@@ -193,37 +214,48 @@ class Renderer(object):
 
     # -- page drivers -----------------------------------------------------
 
-    def render_pages(self, callback):
-        pages = self.doc.dfs_pages()
-        callback(None, 'render pages start', None)
-        for page in pages:
+    def render_pages(self):
+        for page in self.doc.dfs_pages():
             try:
-                self.render_page(page, callback)
+                self.render_page(page)
             except Exception as e:
-                ret = callback(None, 'page exception', None, e)
-                if ret:
-                    raise
-        callback(None, 'render pages end', None)
+                # the page's partial text stays in self.txt and leaks into
+                # the next page; its resources stay on the stack (cloned)
+                self.page_errors.append("%s: %s" % (type(e).__name__, e))
 
-    def render_page(self, page, callback):
+    def render_page(self, page):
         ct = self.doc.page_content_text(page)
         self.resources.append(self.doc.page_resources(page))
         s = StateStack()
-        callback(s, 'page start', page)
         toks = tokenize_content(ct)['tokens']
-        self._render_tokens(page, callback, toks, s)
-        callback(s, 'page end', page)
+        self._render_tokens(page, toks, s)
+        self.pages.append("".join(self.txt))
+        self.txt.clear()
         self.resources.pop()
 
-    def _render_tokens(self, page, callback, toks, s):
-        """The dispatch loop (reference __init__.py:344-543; I2)."""
+    def _render_tokens(self, page, toks, s):
+        """The dispatch loop (reference __init__.py:344-543; I2).  Text
+        operators come first: they are most of every content stream."""
         for tok in toks:
             tt = tok.type
-            if tt == 'q':
+            if tt == 'Tj' or tt == 'TJ':
+                self._show_text(s, tok.value)
+            elif tt == 'Td':
+                s.T.do_Td(tok.value[0].value, tok.value[1].value)
+            elif tt == 'Tf':
+                T = s.T
+                T.Tf = tok.value[0].value
+                T.set_Tfs(tok.value[1].value)
+                self._set_width_stats(T.Tf)
+            elif tt == 'BT':
+                s.T.text_begin()
+            elif tt == 'ET':
+                s.T.text_end()
+
+            elif tt == 'q':
                 s.push()
             elif tt == 'Q':
                 s.pop()
-
             elif tt == 'i':
                 s.S.flatness = bool(tok.value[0].value)
             elif tt == 'd':
@@ -260,10 +292,8 @@ class Renderer(object):
                 pass
             elif tt == 'S':
                 s.S.do_S()
-                callback(s, 'stroke', page, tt)
             elif tt == 's':
                 s.S.do_s()
-                callback(s, 'stroke', page, tt)
             elif tt == 'n':
                 s.S.do_n()
             elif tt == 're':
@@ -279,7 +309,7 @@ class Renderer(object):
                     x = self.doc.get_xobject(x)
                 self.resources.append(x.Resources)
                 x_toks = tokenize_content(x.Stream)['tokens']
-                self._render_tokens(page, callback, x_toks, s)
+                self._render_tokens(page, x_toks, s)
                 self.resources.pop()
 
             elif tt == 'cs':
@@ -310,60 +340,8 @@ class Renderer(object):
             elif tt == 'cm':
                 s.S.cm = Mat(*[v.value for v in tok.value])
 
-            elif tt == 'BT':
-                s.T.text_begin()
-            elif tt == 'ET':
-                s.T.text_end()
-
             elif tt == 'Tc':
                 s.T.set_Tc(tok.value[0].value)
-            elif tt == 'Tf':
-                s.T.Tf = tok.value[0].value
-                s.T.set_Tfs(tok.value[1].value)
-                callback(s, 'change font', page, s.T.Tf, s.T.Tfs)
-            elif tt in ('Tj', 'TJ'):
-                callback(s, 'text start', page)
-                for subtok in tok.value:
-                    if subtok.type in ('INT', 'FLOAT'):
-                        s.T.do_Tj(subtok.value, None)
-                        callback(s, 'space draw', page, subtok.value)
-                    else:
-                        if subtok.type == 'HEXSTRING':
-                            f = self.get_font(s.T.Tf)
-                            if type(f.Encoding) == str:
-                                if f.Encoding.startswith('Identity'):
-                                    txt = get_token_string(subtok, bytesize=2)
-                                else:
-                                    raise NotImplementedError(
-                                        "Unknown encoding for HEXSTRING: '%s'" % f.Encoding)
-                            else:
-                                raise NotImplementedError(
-                                    "Unknown encoding for HEXSTRING: '%s'" % f.Encoding)
-                        else:
-                            txt = get_token_string(subtok)
-
-                        callback(s, 'text', page, txt)
-                        for t in txt:
-                            g = self.get_glyph(s.T.Tf, ord(t))
-                            # position BEFORE advancing Tm; NB Tr-as-rise
-                            # cloned from reference __init__.py:521.  Only
-                            # (E, F) of Mat(Tfs*Tz,0,0,Tfs,0,Tr)*Tm*cm are
-                            # consumed — computed scalar-only below with the
-                            # reference multiply's exact per-term order
-                            # (bit-identical, no Mat allocations per glyph).
-                            T = s.T
-                            Tm = T._Tm
-                            cm = s.S.cm
-                            trf = float(T.Tr)
-                            m1e = 0.0 * Tm.A + trf * Tm.C + 1.0 * Tm.E
-                            m1f = 0.0 * Tm.B + trf * Tm.D + 1.0 * Tm.F
-                            m1i = 0.0 * Tm.G + trf * Tm.H + 1.0 * Tm.I
-                            x = m1e * cm.A + m1f * cm.C + m1i * cm.E
-                            y = m1e * cm.B + m1f * cm.D + m1i * cm.F
-                            callback(s, 'glyph draw', page, (x, y), g)
-                            s.T.do_Tj(None, g)
-                callback(s, 'text end', page)
-
             elif tt == 'TL':
                 s.T.set_TL(tok.value[0].value)
             elif tt == 'Tm':
@@ -376,8 +354,6 @@ class Renderer(object):
                 s.T.set_Tw(tok.value[0].value)
             elif tt == 'Tz':
                 s.T.set_Tz(tok.value[0].value)
-            elif tt == 'Td':
-                s.T.do_Td(tok.value[0].value, tok.value[1].value)
             elif tt == 'TD':
                 s.T.do_TD(tok.value[0].value, tok.value[1].value)
             elif tt == 'Tstar':
@@ -387,6 +363,138 @@ class Renderer(object):
 
             else:
                 raise PdfError("Cannot render '%s' token yet" % tt)
+
+    def _show_text(self, s, operands):
+        """Tj/TJ: draw each string's glyphs straight into the page buffer
+        (reference 'glyph draw' / 'space draw' actions, __init__.py:
+        498-530, 590-611).
+
+        The font and its glyph dict are resolved once per operator, on
+        the first glyph drawn.  Each string's first glyph is looked up
+        before Tm is read, so a missing font, glyph or BT fails with the
+        reference's error.  Tm's E/F/I live in locals while a string
+        draws and one Mat is written back at its end: nothing else the
+        position and advance read changes within a string."""
+        T = s.T
+        txt = self.txt
+        spans = self.spans
+        get_glyph = self.fonts.get_glyph
+        f = glyphs = None
+        for subtok in operands:
+            st = subtok.type
+            if st == 'INT' or st == 'FLOAT':
+                w = subtok.value
+                T.do_Tj(w, None)
+                if abs(w) > 0.5 * self.widths['avg']:
+                    txt.append(' ')
+                continue
+            if st == 'HEXSTRING':
+                if f is None:
+                    f = self.get_font(T.Tf)
+                if type(f.Encoding) == str and f.Encoding.startswith('Identity'):
+                    chars = get_token_string(subtok, bytesize=2)
+                else:
+                    raise NotImplementedError(
+                        "Unknown encoding for HEXSTRING: '%s'" % f.Encoding)
+            else:
+                chars = get_token_string(subtok)
+            if not chars:
+                continue
+
+            if glyphs is None:
+                if f is None:
+                    f = self.get_font(T.Tf)
+                glyphs = self.fonts.glyphs_of(f)
+            cid = ord(chars[0])
+            if cid not in glyphs:
+                get_glyph(f, cid)
+
+            # Position before the advance, NB Tr-as-rise (reference
+            # __init__.py:521): (E, F) of Mat(Tfs*Tz,0,0,Tfs,0,Tr)*Tm*cm,
+            # with the reference multiply's per-term order (0.0*A + Tr*C
+            # + 1.0*E; the constant prefix is hoisted, 1.0*E is E).
+            Tm = T._Tm
+            A, B, C, D, G, H = Tm.A, Tm.B, Tm.C, Tm.D, Tm.G, Tm.H
+            E, F, I = Tm.E, Tm.F, Tm.I
+            cm = s.S.cm
+            cA, cB, cC, cD, cE, cF = cm.A, cm.B, cm.C, cm.D, cm.E, cm.F
+            trf = float(T.Tr)
+            pe = 0.0 * A + trf * C
+            pf = 0.0 * B + trf * D
+            pi = 0.0 * G + trf * H
+            # Advance (TextState.do_Tj, then Mat.translate_mul by (tx, 0.0))
+            Tfs, Tc, Tw, tz = T.Tfs, T.Tc, T.Tw, T.Tz / 100.0
+            zC, zD, zH = 0.0 * C, 0.0 * D, 0.0 * H
+
+            page_no = len(self.pages)
+            last_y = self.y
+            drawn = 0
+            try:
+                for ch in chars:
+                    cid = ord(ch)
+                    g = glyphs.get(cid)
+                    if g is None:
+                        g = get_glyph(f, cid)
+                    m1e = pe + E
+                    m1f = pf + F
+                    m1i = pi + I
+                    y = m1e * cB + m1f * cD + m1i * cF
+                    if y != last_y:
+                        txt.append('\n')
+                        last_y = y
+                    u = g.unicode
+                    txt.append(u)
+                    drawn += 1
+                    if spans is not None:
+                        spans.append((page_no, m1e * cA + m1f * cC + m1i * cE,
+                                      y, u, g.cid, g.width))
+                    tx = ((g.width - 0.0) / 1000.0 * Tfs + Tc + Tw) * tz
+                    E = tx * A + zC + E
+                    F = tx * B + zD + F
+                    I = tx * G + zH + I
+            finally:
+                self.y = last_y
+                self.n_spans += drawn
+            T.Tm = Mat(A, B, C, D, E, F, G, H, I)
+
+    def _set_width_stats(self, fontname):
+        """Tf: the (avg, min, max) width stats of the new font, which the
+        implied-space rule reads (reference 'change font' action,
+        __init__.py:566-589).  Fonts switched by Q or gs keep the stats
+        of the last Tf."""
+        f = self.get_font(fontname)
+        okey = f.oid.key()
+        cached = self.stats_by_font.get(okey)
+        if cached is not None:
+            self.widths = cached
+            return
+        shared = self.shared
+        # AFM-synthesized widths depend only on BaseFont → shared cache.
+        # Purity requires the SAME condition as ``pure`` in get_font_widths:
+        # a preset FirstChar/LastChar clips the synthesized window, so such
+        # fonts must not populate / read the shared cache (cross-document
+        # contamination of the avg width).
+        synth = (f.Widths is None and f.Subtype in ('TrueType', 'Type1')
+                 and f.FirstChar is None and f.LastChar is None)
+        if synth:
+            cached = shared.afm_width_stats.get(f.BaseFont)
+            if cached is not None:
+                get_font_widths(shared, f)   # still synthesize f.Widths
+                self.stats_by_font[okey] = cached
+                self.widths = cached
+                return
+        w = get_font_widths(shared, f)
+        if type(w) == dict:
+            w = [v[0] for v in list(w.values()) if v[0] != 0]
+        elif type(w) == list:
+            w = [v for v in w if v != 0]
+        else:
+            raise PdfError("Unrecognized widths object type: '%s'" % str(w))
+        st = {'avg': sum(w) / float(len(w)), 'min': min(w), 'max': max(w)}
+        self.stats_by_font[okey] = st
+        if synth:
+            shared.afm_width_stats[f.BaseFont] = st
+        self.widths = st
 
     def _apply_gs(self, page, s, gsname):
         """ExtGState application in Table-4.8 order with the reference's
@@ -451,78 +559,9 @@ def get_full_text(doc, shared, collect_spans=False):
     ``pages``: one string per successfully completed page (byte-equal to
     the reference's GetFullText return).
     """
-    rend = Renderer(doc, shared)
-    fulltxt = []
-    txt = []
-    state = {'y': -1.0, 'widths': None}
-    n_spans = [0]
-    page_errors = []
-    spans = [] if collect_spans else None
-    page_no = [0]
-    stats_by_font = {}   # per-turn: font oid key -> width-stats dict
-
-    def cb(s, action, page, *args):
-        if action == 'page exception':
-            page_errors.append("%s: %s" % (type(args[0]).__name__, args[0]))
-            return False
-        elif action == 'change font':
-            Tf = args[0]
-            f = rend.get_font(Tf)
-            okey = f.oid.key()
-            cached = stats_by_font.get(okey)
-            if cached is not None:
-                state['widths'] = cached
-                return
-            # AFM-synthesized widths depend only on BaseFont → shared cache.
-            # Purity requires the SAME condition get_font_widths uses
-            # (fonts.py:94): a preset FirstChar/LastChar clips the synthesized
-            # window, so such fonts must not populate / read the shared cache
-            # (cross-document contamination of state['widths']['avg']).
-            synth = (f.Widths is None and f.Subtype in ('TrueType', 'Type1')
-                     and f.FirstChar is None and f.LastChar is None)
-            if synth:
-                cached = shared.afm_width_stats.get(f.BaseFont)
-                if cached is not None:
-                    get_font_widths(shared, f)   # still synthesize f.Widths
-                    stats_by_font[okey] = cached
-                    state['widths'] = cached
-                    return
-            w = get_font_widths(shared, f)
-            if type(w) == dict:
-                w = [v[0] for v in list(w.values()) if v[0] != 0]
-                st = {'avg': sum(w) / float(len(w)), 'min': min(w), 'max': max(w)}
-            elif type(w) == list:
-                w = [v for v in w if v != 0]
-                st = {'avg': sum(w) / float(len(w)), 'min': min(w), 'max': max(w)}
-            else:
-                raise PdfError("Unrecognized widths object type: '%s'" % str(w))
-            stats_by_font[okey] = st
-            if synth:
-                shared.afm_width_stats[f.BaseFont] = st
-            state['widths'] = st
-        elif action == 'glyph draw':
-            x, y = args[0]
-            g = args[1]
-            if state['y'] != y:
-                txt.append('\n')
-                state['y'] = y
-            txt.append(g.unicode)
-            n_spans[0] += 1
-            if spans is not None:
-                spans.append((page_no[0], x, y, g.unicode, g.cid, g.width))
-        elif action == 'space draw':
-            w = args[0]
-            if abs(w) > 0.5 * state['widths']['avg']:
-                txt.append(' ')
-        elif action == 'page end':
-            fulltxt.append("".join(txt))
-            txt.clear()
-            page_no[0] += 1
-        else:
-            pass
-
-    rend.render_pages(cb)
-    return fulltxt, n_spans[0], page_errors, spans
+    rend = Renderer(doc, shared, collect_spans)
+    rend.render_pages()
+    return rend.pages, rend.n_spans, rend.page_errors, rend.spans
 
 
 def extract_turn(payload, shared, collect_spans=False):

@@ -86,9 +86,7 @@ def get_font_widths(shared, f):
         if f.Widths is None:
             # Pure function of BaseFont → cross-turn cache on the shared
             # per-process font state (fonts repeat heavily across turns)
-            cache = getattr(shared, 'afm_widths_synth', None)
-            if cache is None:
-                cache = shared.afm_widths_synth = {}
+            cache = shared.afm_widths_synth
             # Synthesis depends on pre-set FirstChar/LastChar — only the
             # fully-AFM-derived case (both None) is turn-invariant.
             pure = f.FirstChar is None and f.LastChar is None
@@ -165,18 +163,37 @@ class FontCache(object):
         self.diff_map = {}            # encoding oid key -> differences map
         self.type0_map = {}           # oid key -> _Type0Cache
 
-    def get_glyph(self, fontview, cid):
+    def glyphs_of(self, fontview):
+        """The {cid: Glyph} dict of a font: the renderer reads hits from it
+        directly and calls ``get_glyph`` only on a miss."""
         oid = fontview.oid.key()
         gm = self.glyph_map.get(oid)
-        if gm is not None:
-            g = gm.get(cid)
-            if g is not None:
-                return g
-        else:
-            gm = self.glyph_map[oid] = {}
+        if gm is None:
+            gm = self.glyph_map[oid] = self._new_glyph_dict(fontview)
             self.font_map[oid] = fontview
+        return gm
 
-        f = self.font_map[oid]
+    def _new_glyph_dict(self, f):
+        """A Type1 standard font with no /Encoding or a known named one
+        draws each glyph from AFM metrics and the encoding alone: a pure
+        function of (BaseFont, Encoding, cid) (``_glyph_type1``).  Such a
+        font gets the {cid: Glyph} dict that every document shares through
+        ``SharedFontState.type1_glyphs``.  The attributes are read in
+        ``_glyph_type1``'s order, so a bad font fails as it would there,
+        and a failed lookup stores nothing."""
+        if f.Subtype == 'Type1' and type(f.BaseFont) == str \
+                and f.BaseFont in self.shared.std_fonts:
+            enc = f.Encoding
+            if enc is None or _enc.is_encoding_name(enc):
+                return self.shared.type1_glyphs.setdefault((f.BaseFont, enc), {})
+        return {}
+
+    def get_glyph(self, fontview, cid):
+        gm = self.glyphs_of(fontview)
+        g = gm.get(cid)
+        if g is not None:
+            return g
+        f = self.font_map[fontview.oid.key()]
         if f.Subtype == 'Type0':
             g = self._glyph_type0(f, cid)
         elif f.Subtype == 'Type1':

@@ -55,16 +55,24 @@ class NeedStreamLengthError(Exception):
         self.tokens = tokens
 
 
-def _master(func_rules, literal_rules):
+def _master(func_rules, literal_rules, skip_ws=False):
     """Build one alternation regex in PLY order.
 
     ``func_rules``: list of (name, pattern) in definition order.
     ``literal_rules``: dict name -> literal regex pattern; sorted by
     decreasing pattern length (ties can't conflict: distinct literals).
+    ``skip_ws``: prefix an ungrouped ``[\t \r\n]*`` so one match skips
+    the whitespace before a token and lexes the token; the token spans
+    its own group.  No other rule can start with whitespace, so the
+    tokens are unchanged.  Trailing whitespace, or whitespace before an
+    unlexable character, backtracks into the WS rule, so a lex error
+    still names the bad character's position.
     """
     parts = ["(?P<%s>%s)" % (n, p) for n, p in func_rules]
     lits = sorted(literal_rules.items(), key=lambda kv: len(kv[1]), reverse=True)
     parts += ["(?P<%s>%s)" % (n, p) for n, p in lits]
+    if skip_ws:
+        return re.compile(r"[\t \r\n]*(?:%s)" % "|".join(parts))
     return re.compile("|".join(parts))
 
 
@@ -92,7 +100,7 @@ _COS_LITERALS = {
     'xref_free': r'f', 'xref_inuse': r'n', 'indirect': r'R',
 }
 
-_COS_RE = _master(_COS_FUNCS, _COS_LITERALS)
+_COS_RE = _master(_COS_FUNCS, _COS_LITERALS, skip_ws=True)
 
 # lastindex → group name (integer dispatch beats m.lastgroup's reverse
 # lookup in the per-token hot loop; every alternative is one plain group)
@@ -176,12 +184,10 @@ def scan_cos(data, pos=None, stoptoken=None, streamlength=None):
         if m is None:
             raise PdfLexError("Bad character ord='%d' at pos %d" % (ord(data[p]), p))
         gi = m.lastindex
-        p2 = m.end()
-        if gi == ws_idx:
-            p = p2
-            continue
-        start = p
+        start, p2 = m.span(gi)
         p = p2
+        if gi == ws_idx:
+            continue
         if gi == int_idx:
             append(tok := Tok('INT', int(data[start:p2]), start))
             if stoptoken is not None and tok.type == stoptoken:
@@ -264,7 +270,7 @@ _TEXT_LITERALS = {
     'Do': r'Do',
 }
 
-_TEXT_RE = _master(_TEXT_FUNCS, _TEXT_LITERALS)
+_TEXT_RE = _master(_TEXT_FUNCS, _TEXT_LITERALS, skip_ws=True)
 
 
 def scan_content(data):
@@ -283,25 +289,22 @@ def scan_content(data):
         if m is None:
             raise PdfLexError("Bad character ord='%d' at pos %d" % (ord(data[p]), p))
         typ = m.lastgroup
-        p2 = m.end()
+        start, p = m.span(typ)
         if typ == 'WS':
-            p = p2
             continue
-        start = p
-        p = p2
         if typ == 'INT':
-            tok = Tok('INT', int(m.group(0)), start)
+            tok = Tok('INT', int(data[start:p]), start)
         elif typ == 'FLOAT':
-            tok = Tok('FLOAT', float(m.group(0)), start)
+            tok = Tok('FLOAT', float(data[start:p]), start)
         elif typ == 'NAME':
-            tok = Tok('NAME', m.group(0)[1:], start)
+            tok = Tok('NAME', data[start + 1:p], start)
         elif typ == 'HEXSTRING':
-            tok = Tok('HEXSTRING', m.group(0).rstrip('>').lstrip('<'), start)
+            tok = Tok('HEXSTRING', data[start:p].rstrip('>').lstrip('<'), start)
         elif typ == 'LIT_START':
             val, p = _scan_literal_parity(data, p)
             tok = Tok('LIT', val, start)
         else:
-            tok = Tok(typ, m.group(0), start)
+            tok = Tok(typ, data[start:p], start)
         tokens.append(tok)
     return tokens
 

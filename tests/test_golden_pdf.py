@@ -56,8 +56,9 @@ def test_width_stat_cache_purity_across_documents():
     avg ≈ 700) must not poison the shared BaseFont-keyed width-stat cache
     used by pure synthesis (full Helvetica window, avg ≈ 510): the same
     TJ -300 kern inserts a space only under the full-window stats.  Both
-    orders must give order-independent, golden-equal output (fonts.py:94
-    purity condition, mirrored in extract.py's change-font callback)."""
+    orders must give order-independent, golden-equal output (the ``pure``
+    condition in fonts.get_font_widths, mirrored in
+    Renderer._set_width_stats)."""
     from gen_pdf import _Builder, _skeleton
     from engine.pdfcore.extract import SharedFontState
 
@@ -84,3 +85,37 @@ def test_width_stat_cache_purity_across_documents():
     shared = SharedFontState()
     assert extract_turn(full, shared)['text'] == '\nAB CD'
     assert extract_turn(clipped, shared)['text'] == '\nABCD'
+
+
+def test_type1_glyph_memo_purity_across_documents():
+    """Standard Type1 glyphs are shared across documents per (BaseFont,
+    Encoding): the same code must still draw each encoding's own glyph
+    (0x27 is quoteright in StandardEncoding, quotesingle in WinAnsi), and
+    an /Encoding dictionary must still fail as the reference's Type1 path
+    does.  Fresh state per document, then one shared state in both
+    orders, must give equal results."""
+    from gen_pdf import _Builder, _skeleton
+    from engine.pdfcore.extract import SharedFontState
+
+    def helvetica_doc(encoding):
+        b = _Builder()
+        _skeleton(b, [4])
+        b.add_stream(4, b"", b"BT /F1 12 Tf 72 720 Td [(A') -300 (B)] TJ ET")
+        b.add(5, b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica"
+                 + encoding + b" >>")
+        return b.build()
+
+    docs = [helvetica_doc(b""),
+            helvetica_doc(b" /Encoding /WinAnsiEncoding"),
+            helvetica_doc(b" /Encoding << /Differences [39 /quotesingle] >>")]
+    alone = [extract_turn(d, SharedFontState(), collect_spans=True) for d in docs]
+    assert [r['text'] for r in alone] == ['\nA\u2019 B', "\nA' B", '']
+    assert [r['n_spans'] for r in alone] == [3, 3, 0]
+    assert alone[2]['error'] == "TypeError: unhashable type: 'dict'"
+
+    for order in ([0, 1, 2], [2, 1, 0]):
+        shared = SharedFontState()
+        for i in order:
+            assert extract_turn(docs[i], shared, collect_spans=True) == alone[i]
+        assert set(shared.type1_glyphs) == {('Helvetica', None),
+                                            ('Helvetica', 'WinAnsiEncoding')}

@@ -352,3 +352,57 @@ def test_generated_pdf_extracts_what_it_draws(shared_fonts, seed):
     assert got['decode_ok'], got['error']
     assert (got['text'], got['n_spans'], got['n_pages']) == (
         text, n_spans, n_pages)
+
+
+# ------------------------------------------- T1-T2 render error surfaces
+
+def test_render_error_surfaces(shared_fonts):
+    """Operator sequences that fail (or nearly fail) mid-string: each must
+    surface the reference's error, in the reference's order, with the
+    glyphs drawn before it counted.  One page, /F1 = Type1 Helvetica."""
+    from gen_pdf import _Builder, _skeleton
+    from engine.pdfcore.extract import extract_turn
+
+    def run(content):
+        b = _Builder()
+        _skeleton(b, [4])
+        b.add_stream(4, b"", content)
+        b.add(5, b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>")
+        r = extract_turn(b.build(), shared_fonts, collect_spans=True)
+        return r['text'], r['n_spans'], r['decode_ok'], r['error'], r['spans']
+
+    cases = [
+        # an empty string draws nothing, so no font is needed
+        (b"BT 72 720 Td () Tj ET", ('', 0, True, '', [])),
+        (b"BT /F9 12 Tf 72 720 Td () Tj ET",
+         ('', 0, False, 'PdfError: Unrecognize font name (F9)', [])),
+        # no BT: the glyph resolves, then Tm is missing
+        (b"/F1 12 Tf (A) Tj",
+         ('', 0, False, "AttributeError: 'NoneType' object has no attribute 'A'", [])),
+        # no BT: the first glyph is looked up before Tm is read
+        (b"/F1 12 Tf (\\001) Tj",
+         ('', 0, False,
+          'PdfError: Unable to find character code 1 in encoding map for encoding None',
+          [])),
+        # no Tf: the font lookup fails before Tm is read
+        (b"(A) Tj", ('', 0, False, 'PdfError: Unrecognize font name (None)', [])),
+        # a kern with no font size fails in the advance
+        (b"BT 72 720 Td [-300 (A)] TJ ET",
+         ('', 0, False,
+          "TypeError: unsupported operand type(s) for *: 'float' and 'NoneType'", [])),
+        # Q restores Tm; the 24 pt string does not move B or C
+        (b"BT /F1 12 Tf 72 720 Td q /F1 24 Tf (A) Tj Q [(B) -300 (C)] TJ ET",
+         ('\nAB C', 3, True, '',
+          [(0, 72.0, 720.0, 'A', 65, 667.0), (0, 72.0, 720.0, 'B', 66, 667.0),
+           (0, 83.604, 720.0, 'C', 67, 722.0)])),
+        # the glyph drawn before the failing code is counted; the failed
+        # page's text never becomes a page
+        (b"BT /F1 12 Tf 72 720 Td (A\\001B) Tj ET",
+         ('', 1, False,
+          'PdfError: Unable to find character code 1 in encoding map for encoding None',
+          [(0, 72.0, 720.0, 'A', 65, 667.0)])),
+        (b"BT /F1 12 Tf 72 720 Td <4142> Tj ET",
+         ('', 0, False, "NotImplementedError: Unknown encoding for HEXSTRING: 'None'", [])),
+    ]
+    for content, want in cases:
+        assert run(content) == want, content
