@@ -186,8 +186,10 @@ class ExtractAndSpill(ExtractTurns):
 
     Instead of a Ray all-to-all (sort/groupby) after extraction, each
     task writes its output block straight to shared storage, sorted by
-    ``bucket`` with per-bucket-sized row groups so the per-bucket
-    compaction stage can prune row groups via parquet min/max stats.
+    ``bucket``.  Compaction reads a shard of at most
+    ``GRAFT_COMPACT_MAX_ROWS`` rows whole; the per-bucket-sized row
+    groups serve the larger shards, whose buckets are read one at a time
+    with row groups pruned via parquet min/max stats.
     Returns one tiny stat row per block — the object store never carries
     the shuffled payload, and there is no global barrier operator.
 

@@ -15,10 +15,13 @@ Dataflow (all Ray Data, streaming executor, no driver-side row loops):
     from_arrow(one block of bucket ids per shard)
       → map_batches(compact)                       # list and footer-scan
            the shard's spill files once (spill dir is sharded by
-           contiguous bucket range), then for each of its buckets in
-           turn: parquet predicate read (row-group pruning via bucket
-           min/max stats) → in-bucket (conv_id, turn_idx) sort → atomic
-           tmp+rename part file → one lineage row
+           contiguous bucket range); a shard of at most
+           GRAFT_COMPACT_MAX_ROWS rows is read once and sorted by
+           (bucket, conv_id, turn_idx), and each of its buckets is a
+           zero-copy slice (memory holds one shard); a larger shard is
+           read per bucket (predicate read, row-group pruning via bucket
+           min/max stats, in-bucket sort; memory holds one bucket); each
+           bucket → atomic tmp+rename part file → one lineage row
 
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
 shared filesystem, like Spark's shuffle files — so no Ray AllToAll
@@ -42,12 +45,13 @@ stage is per-bucket compaction, where a conversation's rows all land in
 one crc32 bucket: skew there is capped at the size of the single largest
 conversation.  If a bucket exceeds ``GRAFT_COMPACT_MAX_ROWS`` (a single
 conversation bigger than a healthy bucket, or many medium ones; read once
-by the driver),
-compaction switches to the IMPLEMENTED escape hatch ``_compact_chunked``:
-a narrow key-column probe, then sorted (conv_id, turn_idx) key-range
-windows streamed through one ParquetWriter — byte-identical output with
-per-task memory O(window), equivalent to splitting the spill key by
-``(conv_id, turn_idx // window)`` without touching the spill format.
+by the driver; the same bound decides whether a whole shard is read at
+once), compaction switches to the IMPLEMENTED escape hatch
+``_compact_chunked``: a narrow key-column probe, then sorted (conv_id,
+turn_idx) key-range windows streamed through one ParquetWriter —
+byte-identical output with per-task memory O(window), equivalent to
+splitting the spill key by ``(conv_id, turn_idx // window)`` without
+touching the spill format.
 """
 
 import math
@@ -173,12 +177,17 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
 def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                            max_rows=COMPACT_MAX_ROWS):
     """Stage B UDF: one call compacts one spill shard's buckets in turn —
-    the shard's file listing is made once per call, then per bucket a
-    predicate read with row-group pruning, in-bucket sort and atomic
-    publish (memory holds one bucket at a time)."""
+    the shard's file listing is made once per call.  A shard whose footer
+    row count is at most ``max_rows`` is read once and sorted by
+    (bucket, conv_id, turn_idx), and each bucket is a zero-copy slice of
+    it (memory holds one shard).  A larger shard is compacted per bucket:
+    a predicate read with row-group pruning and in-bucket sort, or
+    ``_compact_chunked`` for a bucket above ``max_rows`` (memory holds one
+    bucket).  Every bucket is published by atomic tmp+rename."""
 
     def compact(batch: pa.Table) -> pa.Table:
         import glob
+        import numpy as np
         import pyarrow.compute as pc
         import pyarrow.dataset as pads
         # 1-CPU task: pyarrow defaults BOTH pools to the machine core count
@@ -197,74 +206,85 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
         # Only the BUCKET'S OWN SHARD is listed — the whole point of the
         # sharded layout: footer scans are O(files/num_shards) per task.
         dsets = {}
+        held = {}      # the one shard whose sorted table this call holds
 
-        def shard_dset(bucket):
-            sdir = os.path.join(spill_dir, 'shard-%03d'
-                                % shard_of(bucket, num_buckets, num_shards))
+        def shard_dset(sdir):
             if sdir not in dsets:
                 files = sorted(glob.glob(os.path.join(sdir, 'spill-*.parquet')))
                 if files:
                     d = pads.dataset(files, format='parquet')
                     # metadata-only shard row count (footer num_rows, no
-                    # data read): gates the skew probe so ordinary shards
-                    # keep the single-read fast path
+                    # data read): chooses between one read per shard and
+                    # the per-bucket path
                     dsets[sdir] = (d, d.count_rows())
                 else:
                     dsets[sdir] = (None, 0)
             return dsets[sdir]
 
-        for bucket in batch.column('bucket').to_pylist():
-            t0 = time.perf_counter()
-            dset, shard_rows = shard_dset(bucket)
-            if dset is None:
-                out['bucket'].append(bucket)
-                out['rows'].append(0)
-                out['decode_failures'].append(0)
-                out['span_count'].append(0)
-                out['wall_s'].append(time.perf_counter() - t0)
-                out['file'].append('')
-                continue
-            # Skew escape hatch (the north rule's giant-conversation case).
-            # Whole SHARD under max_rows (metadata-only check, the common
-            # case): single-read in-memory sort, as always.  Otherwise
-            # probe the bucket's KEY columns (two narrow columns — cheap
-            # even when the payload column is huge) and, above max_rows,
-            # _compact_chunked streams sorted (conv_id, turn_idx) windows
-            # through one ParquetWriter: per-task memory O(max_rows), not
-            # O(largest conversation).
-            flt = pads.field('bucket') == bucket
-            chunked = False
-            if shard_rows > max_rows:
-                keys = dset.to_table(filter=flt,
-                                     columns=['conv_id', 'turn_idx'])
-                chunked = keys.num_rows > max_rows
-            fname = 'part-%05d.parquet' % bucket
-            tmp = os.path.join(out_dir, '_tmp-%s' % fname)
-            if chunked:
-                rows, failures, spans = _compact_chunked(
-                    dset, flt, keys, tmp, max_rows)
-                os.replace(tmp, os.path.join(out_dir, fname))
-            else:
-                tbl = dset.to_table(filter=flt)
-                ordered = tbl.sort_by([('conv_id', 'ascending'),
-                                       ('turn_idx', 'ascending')])
-                ordered = ordered.drop_columns(['bucket'])
-                rows = ordered.num_rows
-                if rows:
-                    pq.write_table(ordered, tmp)
-                    os.replace(tmp, os.path.join(out_dir, fname))
-                else:
-                    fname = ''
-                failures = pc.sum(pc.cast(
-                    pc.invert(ordered.column('decode_ok')),
-                    pa.int64())).as_py() or 0
-                spans = pc.sum(ordered.column('n_spans')).as_py() or 0
+        def sorted_shard(sdir, dset):
+            if sdir not in held:
+                held.clear()   # drop the previous shard before the next read
+                tbl = dset.to_table().sort_by([('bucket', 'ascending'),
+                                               ('conv_id', 'ascending'),
+                                               ('turn_idx', 'ascending')])
+                held[sdir] = (tbl, tbl.column('bucket').to_numpy())
+            return held[sdir]
+
+        def record(bucket, rows, failures, spans, t0, fname):
             out['bucket'].append(bucket)
             out['rows'].append(rows)
             out['decode_failures'].append(failures)
             out['span_count'].append(spans)
             out['wall_s'].append(time.perf_counter() - t0)
             out['file'].append(fname)
+
+        for bucket in batch.column('bucket').to_pylist():
+            t0 = time.perf_counter()
+            sdir = os.path.join(spill_dir, 'shard-%03d'
+                                % shard_of(bucket, num_buckets, num_shards))
+            dset, shard_rows = shard_dset(sdir)
+            if dset is None:
+                record(bucket, 0, 0, 0, t0, '')
+                continue
+            fname = 'part-%05d.parquet' % bucket
+            tmp = os.path.join(out_dir, '_tmp-%s' % fname)
+            if shard_rows <= max_rows:
+                # the common case: the whole shard fits, so it is read and
+                # sorted once and each bucket is a slice of it
+                tbl, keys = sorted_shard(sdir, dset)
+                lo = int(np.searchsorted(keys, bucket, 'left'))
+                hi = int(np.searchsorted(keys, bucket, 'right'))
+                ordered = tbl.slice(lo, hi - lo)
+            else:
+                # Skew escape hatch (the north rule's giant-conversation
+                # case): probe the bucket's KEY columns (two narrow columns
+                # — cheap even when the payload column is huge) and, above
+                # max_rows, _compact_chunked streams sorted (conv_id,
+                # turn_idx) windows through one ParquetWriter: per-task
+                # memory O(max_rows), not O(largest conversation).
+                flt = pads.field('bucket') == bucket
+                keys = dset.to_table(filter=flt,
+                                     columns=['conv_id', 'turn_idx'])
+                if keys.num_rows > max_rows:
+                    rows, failures, spans = _compact_chunked(
+                        dset, flt, keys, tmp, max_rows)
+                    os.replace(tmp, os.path.join(out_dir, fname))
+                    record(bucket, rows, failures, spans, t0, fname)
+                    continue
+                ordered = dset.to_table(filter=flt).sort_by(
+                    [('conv_id', 'ascending'), ('turn_idx', 'ascending')])
+            ordered = ordered.drop_columns(['bucket'])
+            rows = ordered.num_rows
+            if rows:
+                pq.write_table(ordered, tmp)
+                os.replace(tmp, os.path.join(out_dir, fname))
+            else:
+                fname = ''
+            failures = pc.sum(pc.cast(
+                pc.invert(ordered.column('decode_ok')),
+                pa.int64())).as_py() or 0
+            spans = pc.sum(ordered.column('n_spans')).as_py() or 0
+            record(bucket, rows, failures, spans, t0, fname)
         return pa.table({
             'bucket': pa.array(out['bucket'], pa.int32()),
             'rows': pa.array(out['rows'], pa.int64()),
@@ -304,6 +324,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             '%s holds buckets of num_buckets=%s, not %d; resume with the '
             'same num_buckets or rerun with --no-resume'
             % (out_dir, ', '.join(sorted(map(str, other))), num_buckets))
+    if len(done) == num_buckets:   # finished output: nothing to read
+        return _summary(done, [], out_dir, 0.0, 0.0, 0.0)
 
     t0 = time.perf_counter()
     job_id = uuid.uuid4().hex
@@ -359,11 +381,16 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     shutil.rmtree(spill_dir, ignore_errors=True)
     wall = time.perf_counter() - t0
 
+    return _summary(done, new_rows, out_dir, wall, stage_a_s, stage_b_s)
+
+
+def _summary(done, new_rows, out_dir, wall, stage_a_s, stage_b_s):
+    """The job summary from the resumed (``done``) and this run's
+    manifest rows."""
     all_rows = list(done.values()) + new_rows
-    total = sum(r['rows'] for r in all_rows)
     fresh = sum(r['rows'] for r in new_rows)
     return {
-        'rows_out': total,
+        'rows_out': sum(r['rows'] for r in all_rows),
         'rows_this_run': fresh,
         'decode_failures': sum(r['decode_failures'] for r in all_rows),
         'span_count': sum(r['span_count'] for r in all_rows),

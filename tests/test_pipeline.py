@@ -109,6 +109,27 @@ def test_resume_skips_done_and_rebuilds_missing(ray_session, extracted):
     assert rebuilt.equals(original[victim])
 
 
+def test_resume_of_finished_output_skips_stage_a(ray_session, extracted,
+                                                monkeypatch):
+    """A resume over an output whose every bucket is done returns the
+    summary from the manifest without reading the input or making a
+    spill dir."""
+    import ray.data
+    from engine.rayjob.pipeline import run_extraction
+    d, n, out, _ = extracted
+
+    def no_read(*args, **kwargs):
+        raise AssertionError('a finished output must not read its input')
+    monkeypatch.setattr(ray.data, 'read_parquet', no_read)
+    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+                             concurrency=2, resume=True)
+    assert summary['rows_out'] == n
+    assert summary['rows_this_run'] == 0
+    assert summary['buckets'] == 4 and summary['buckets_this_run'] == 0
+    assert summary['stage_a_s'] == summary['stage_b_s'] == 0
+    assert not glob.glob(os.path.join(out, '_spill-*'))
+
+
 def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
     """Bucket ids name different row sets under another num_buckets, so a
     resume with a changed count must raise instead of skipping buckets it
@@ -432,6 +453,78 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
     manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))
     want = sum(1 for b in batch.column('bucket').to_pylist() if b in (0, 1))
     assert sum(manifest.column('rows').to_pylist()) == want
+
+
+def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
+                                                         monkeypatch):
+    """A shard whose footer row count fits ``max_rows`` is read once and
+    sliced per bucket; a larger shard is read once per bucket.  Both give
+    the same manifest rows and byte-equal part files, and neither needs
+    the chunked path while every bucket fits."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    from engine.rayjob import pipeline
+    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
+
+    d = str(tmp_path / 'corpus')
+    generate_transcripts(d, n_convs=60, seed=19, rows_per_file=150,
+                         long_conv_frac=0.0)
+    spill = str(tmp_path / 'spill')
+    os.makedirs(spill)
+    stage = ExtractAndSpill(spill, 16, num_shards=2)
+    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
+        stage(assign_bucket(16)(pq.read_table(
+            f, columns=['conv_id', 'turn_idx', 'text'])))
+    shard_rows = [pads.dataset(sorted(glob.glob(os.path.join(
+        spill, 'shard-%03d' % s, 'spill-*.parquet')))).count_rows()
+        for s in (0, 1)]
+    bucket_rows = pads.dataset(spill).to_table(
+        columns=['bucket']).column('bucket').value_counts()
+    assert len(bucket_rows) == 16          # every bucket has rows
+    assert max(bucket_rows.field('counts').to_pylist()) < min(shard_rows)
+
+    reads = []
+    dataset = pads.dataset
+
+    class Counted(object):
+        def __init__(self, dset):
+            self._dset = dset
+
+        def to_table(self, **kwargs):
+            reads.append(kwargs)
+            return self._dset.to_table(**kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._dset, name)
+    monkeypatch.setattr(pads, 'dataset',
+                        lambda *a, **k: Counted(dataset(*a, **k)))
+
+    def no_chunked(*args):
+        raise AssertionError('every bucket fits max_rows')
+    monkeypatch.setattr(pipeline, '_compact_chunked', no_chunked)
+
+    def run(max_rows):
+        out = str(tmp_path / ('out-%d' % max_rows))
+        os.makedirs(out)
+        del reads[:]
+        compact = pipeline._make_bucket_compactor(spill, out, 16, 2, max_rows)
+        manifest = pa.concat_tables([
+            compact(pa.table({'bucket': pa.array(g, pa.int32())}))
+            for g in (range(8), range(8, 16))]).drop_columns(['wall_s'])
+        parts = {}
+        for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
+            with open(p, 'rb') as f:
+                parts[os.path.basename(p)] = f.read()
+        full = [kw for kw in reads if 'columns' not in kw]
+        return manifest, parts, full
+
+    whole, whole_parts, whole_reads = run(max(shard_rows))
+    per_bucket, bucket_parts, bucket_reads = run(min(shard_rows) - 1)
+    assert whole_reads == [{}, {}]         # one unfiltered read per shard
+    assert len(bucket_reads) == 16         # one predicate read per bucket
+    assert whole.equals(per_bucket)
+    assert len(whole_parts) == 16
+    assert whole_parts == bucket_parts
 
 
 def test_compactor_ignores_tmp_files(tmp_path):
