@@ -1,1 +1,2 @@
-"""Distributed layer: Ray Data pipelines over the pdfcore extraction kernel."""
+"""Distributed layer: Ray tasks and Ray Data pipelines over the pdfcore
+extraction kernel."""

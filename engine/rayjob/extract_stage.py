@@ -1,11 +1,13 @@
-"""Stage A extraction: plain Ray Data tasks over zero-copy Arrow batches.
+"""Extraction stages over zero-copy Arrow batches, run in plain tasks.
 
-``map_batches(run_stage)`` applies this worker process's stage instance
-(``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
-current job (``stage_for``).  The corpus-invariant font state (AFM
-metrics, encoding maps — SURVEY.md S3/F10/F11) is built once per process
-(``font_state``); the payload LRU lives in the stage instance, so it is
-per job and a job is never served another job's extraction.
+``run_stage`` (called per slice by ``run_extraction``'s Stage A tasks, and
+the ``map_batches`` function of ``build_*_dataset``) applies this worker
+process's stage instance (``ExtractTurns``, ``ExtractSpans`` or
+``ExtractAndSpill``) for the current job (``stage_for``).  The
+corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
+S3/F10/F11) is built once per process (``font_state``); the payload LRU
+lives in the stage instance, so it is per job and a job is never served
+another job's extraction.
 
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
@@ -49,7 +51,8 @@ def stage_for(cls, job_id, *args):
 
 
 def run_stage(batch, cls, job_id, *args):
-    """The ``map_batches`` function of every extraction stage."""
+    """Apply this process's ``cls(*args)`` for ``job_id`` to ``batch``:
+    the one entry point of every extraction stage."""
     return stage_for(cls, job_id, *args)(batch)
 
 
@@ -185,23 +188,23 @@ class ExtractAndSpill(ExtractTurns):
     """Extract + external-shuffle spill in one stage.
 
     Instead of a Ray all-to-all (sort/groupby) after extraction, each
-    task writes its output block straight to shared storage, sorted by
+    call writes its output batch straight to shared storage, sorted by
     ``bucket``.  Compaction reads a shard of at most
     ``GRAFT_COMPACT_MAX_ROWS`` rows whole; the per-bucket-sized row
     groups serve the larger shards, whose buckets are read one at a time
     with row groups pruned via parquet min/max stats.
-    Returns one tiny stat row per block — the object store never carries
+    Returns one tiny stat row per batch — the object store never carries
     the shuffled payload, and there is no global barrier operator.
 
     The spill dir is SHARDED by contiguous bucket range
-    (``shard-XXX/`` = buckets ``[s·B/S, (s+1)·B/S)``): each block writes
+    (``shard-XXX/`` = buckets ``[s·B/S, (s+1)·B/S)``): each batch writes
     one file per non-empty shard (cheap slices of the already-sorted
     table), and a compaction task lists/footer-scans ONLY its bucket's
     shard.  At 100 TB (~400k spill blocks) an unsharded dir makes every
     compact task scan 400k footers; with S shards it scans 400k/S.
     ``run_extraction`` derives S = isqrt(num_buckets) // 2: 4 at the
     default 64 buckets, 223–316 at 200–400k buckets, so footer-scan time
-    stays ≪ bucket read time while file count per block grows by ≤ S.
+    stays ≪ bucket read time while file count per batch grows by ≤ S.
     """
 
     def __init__(self, spill_dir, num_buckets, num_shards=1):

@@ -27,7 +27,8 @@ def main(argv=None):
     ap.add_argument('--num-buckets', type=int, default=64,
                     help='output partitions; size so each is a few hundred MB at scale')
     ap.add_argument('--batch-size', type=int, default=None,
-                    help='extraction batch size (default: one batch per block)')
+                    help='extraction batch size '
+                         '(default: one batch per work unit)')
     ap.add_argument('--concurrency', type=int, default=None,
                     help='max concurrent extraction tasks (default: cluster CPUs)')
     ap.add_argument('--no-resume', action='store_true', help='ignore existing manifest')
@@ -36,7 +37,10 @@ def main(argv=None):
     import ray
     owns_session = not ray.is_initialized()   # the driver may own it
     if owns_session:
-        ray.init()   # local or RAY_ADDRESS
+        # local or RAY_ADDRESS (an existing cluster ignores the flag);
+        # the dashboard costs ~0.6 s of start-up and a one-job run never
+        # looks at it
+        ray.init(include_dashboard=False)
 
     from .pipeline import run_extraction
     summary = run_extraction(args.input, args.output,

@@ -1,19 +1,23 @@
 """The flagship pipeline: transcripts → per-turn extraction → ordered,
 resumable, partitioned output (north star / north rule).
 
-Dataflow (all Ray Data, streaming executor, no driver-side row loops):
+Dataflow of the resumable sink ``run_extraction``: plain Ray Core tasks
+(``@ray.remote(num_cpus=1)``) that the driver submits and collects with
+``ray.wait`` (at most ``concurrency`` tasks in flight, or 2 × the cluster's
+CPUs by default), no driver-side row loops:
 
-  Stage A (map-only, streaming):
-    read_parquet(columns=conv_id,turn_idx,text)    # prune at the read
-      → map_batches(assign_bucket)                 # cheap crc32 bucketing
+  Stage A (one task per work unit):
+    plan_units(input)                              # from the footers: each
+           row group cut into even ranges of ≤ ceil(rows / (2 × cap))
+    → read unit (conv_id, turn_idx, text)          # streamed: no row past
+           the range's end is decoded
+      → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
-      → map_batches(run_stage, ExtractAndSpill)    # plain tasks, zero-copy;
-           each block is extracted, sorted by bucket, and SPILLED to
-           shared storage with per-bucket row groups; only tiny stat
-           rows flow downstream
-  Stage B (map-only, one task per spill shard):
-    from_arrow(one block of bucket ids per shard)
-      → map_batches(compact)                       # list and footer-scan
+      → run_stage(ExtractAndSpill)                 # each slice is extracted,
+           sorted by bucket, and SPILLED to shared storage with per-bucket
+           row groups; a task returns only its row count
+  Stage B (one task per spill shard):
+    compact(that shard's not-yet-done buckets)     # list and footer-scan
            the shard's spill files once (spill dir is sharded by
            contiguous bucket range); a shard of at most
            GRAFT_COMPACT_MAX_ROWS rows is read once and sorted by
@@ -21,13 +25,25 @@ Dataflow (all Ray Data, streaming executor, no driver-side row loops):
            zero-copy slice (memory holds one shard); a larger shard is
            read per bucket (predicate read, row-group pruning via bucket
            min/max stats, in-bucket sort; memory holds one bucket); each
-           bucket → atomic tmp+rename part file → one lineage row
+           bucket → atomic tmp+rename part file → one lineage row, which
+           the driver appends to the manifest as soon as the task returns
+
+Why Ray Core and not Ray Data: the sink uses a Dataset only as a map, and
+its shuffle is external (below), so Ray Data's executor bought nothing and
+cost a fixed ~2 s on a session's first job plus two resident actors
+(``_StatsActor`` and ``AutoscalingRequester``, ~290 MB together).  On
+plain tasks perfbench's seed-7 ``boilerplate`` went from ~5.4k to ~17.7k
+turns/s, ``setup_s`` from ~8.5 to ~5.1 s and peak RSS from ~1.19 to
+~0.75 GB (1 vCPU, Ray at 2 CPUs).  ``build_extract_dataset`` and
+``build_spans_dataset`` stay lazy Ray Datasets, because the driver contract
+returns them; they import ``ray.data`` when called, so importing this
+module does not load it.
 
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
 shared filesystem, like Spark's shuffle files — so no Ray AllToAll
 barrier operator sits between extraction and write, the object store
 never holds the shuffled payload, and both stages are embarrassingly
-parallel (Stage A per block, Stage B per spill shard).  Bucket keys
+parallel (Stage A per unit, Stage B per spill shard).  Bucket keys
 are uniform crc32 hashes: a single skewed conversation cannot skew a
 partition beyond its own size.  Stage B's width is ``num_shards`` =
 isqrt(num_buckets) // 2 (4 at 64 buckets, 223–316 at 200–400k), not
@@ -54,6 +70,7 @@ splitting the spill key by ``(conv_id, turn_idx // window)`` without
 touching the spill format.
 """
 
+import itertools
 import math
 import os
 import time
@@ -63,31 +80,34 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
 from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
-                            assign_bucket, make_done_filter, run_stage,
-                            shard_of)
+                            assign_bucket, make_done_filter,
+                            pin_arrow_threads, run_stage, shard_of)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
-           'default_concurrency']
+           'default_concurrency', 'plan_units']
 
 
 COMPACT_MAX_ROWS = 2000000
+COLUMNS = ['conv_id', 'turn_idx', 'text']
+READ_BUFFER = 1 << 20     # a Stage A task streams its range in 1 MiB reads
 
 
 def default_concurrency():
-    """Stage A task cap: the cluster's logical CPU count (None before
-    ``ray.init``: Ray Data then starts Ray and sizes the stage itself)."""
+    """The extraction task cap: the cluster's logical CPU count (None
+    before ``ray.init``: a Ray Data stage then sizes itself).
+    Without a ``concurrency``, ``run_extraction`` keeps at most twice this
+    many tasks in flight, one running and one queued per CPU."""
     if not ray.is_initialized():
         return None
     return max(1, int(ray.cluster_resources().get('CPU', 1)))
 
 
 def _extract(ds, batch_size, concurrency, cls, job_id, *args):
-    """Stage A extraction as plain tasks: ``run_stage`` applies this
-    worker process's ``cls(*args)`` for ``job_id`` to each batch."""
+    """A Ray Data extraction stage as plain tasks: ``run_stage`` applies
+    this worker process's ``cls(*args)`` for ``job_id`` to each batch."""
     if concurrency is None:
         concurrency = default_concurrency()
     return ds.map_batches(run_stage, fn_args=(cls, job_id) + args,
@@ -97,14 +117,115 @@ def _extract(ds, batch_size, concurrency, cls, job_id, *args):
 
 def build_extract_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
-    ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
+    import ray.data
+    ds = ray.data.read_parquet(input_path, columns=COLUMNS)
     return _extract(ds, batch_size, concurrency, ExtractTurns, uuid.uuid4().hex)
 
 
 def build_spans_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of positioned spans, one row per drawn glyph."""
-    ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
+    import ray.data
+    ds = ray.data.read_parquet(input_path, columns=COLUMNS)
     return _extract(ds, batch_size, concurrency, ExtractSpans, uuid.uuid4().hex)
+
+
+def plan_units(input_path, cap):
+    """Stage A work units of the Parquet input, from the file footers, and
+    the filesystem to read them with.  The files are those
+    ``pyarrow.dataset`` discovers: recursive, ``_``/``.`` prefixes
+    skipped, the set ``ray.data.read_parquet`` reads.  A unit is a row
+    range ``(path, row_group, start, stop)``: each row group is cut into
+    even contiguous ranges of at most ceil(total rows / (2 * cap)) rows
+    (3 files of 1,000 rows at cap 2 give 6 ranges of 500), so a small
+    input still spreads over the cluster, and a row group of no more rows
+    than that is one unit."""
+    import pyarrow.dataset as pads
+    dset = pads.dataset(input_path, format='parquet')
+    frags = list(dset.get_fragments())
+    metas = [f.metadata for f in frags]
+    step = max(1, -(-sum(m.num_rows for m in metas) // (2 * cap)))
+    units = []
+    for f, meta in zip(frags, metas):
+        for rg in range(meta.num_row_groups):
+            n = meta.row_group(rg).num_rows
+            k = -(-n // step)          # ranges of this row group, even sizes
+            units.extend((f.path, rg, n * i // k, n * (i + 1) // k)
+                         for i in range(k))
+    return dset.filesystem, units
+
+
+def _read_range(pf, rg, start, stop):
+    """Rows ``[start, stop)`` of row group ``rg``, read in batches of the
+    range's size: no row past ``stop`` is decoded, and memory holds at
+    most two such batches, not the whole row group."""
+    parts, at = [], 0
+    for batch in pf.iter_batches(batch_size=stop - start, row_groups=[rg],
+                                 columns=COLUMNS):
+        lo, hi = max(start - at, 0), min(stop - at, batch.num_rows)
+        if hi > lo:
+            parts.append(batch.slice(lo, hi - lo))
+        at += batch.num_rows
+        if at >= stop:
+            break
+    return pa.Table.from_batches(parts)
+
+
+def _extract_unit(fs, unit, prep, batch_size, job_id, *args):
+    """Stage A task: read one unit's columns, apply ``prep`` (the
+    driver-built bucketer, then the finished-bucket filter on resume), and
+    extract and spill each ``batch_size`` slice (the range whole when
+    None).  Returns the rows spilled."""
+    pin_arrow_threads()
+    path, rg, start, stop = unit
+    # a buffered stream, not a pre-buffered row group: the read and its
+    # decoding stop at ``stop``
+    with pq.ParquetFile(path, filesystem=fs, pre_buffer=False,
+                        buffer_size=READ_BUFFER) as pf:
+        tbl = _read_range(pf, rg, start, stop)
+    for fn in prep:
+        tbl = fn(tbl)
+    step = batch_size or max(1, tbl.num_rows)   # 0 rows: all done
+    rows = 0
+    for lo in range(0, tbl.num_rows, step):
+        stats = run_stage(tbl.slice(lo, step), ExtractAndSpill, job_id, *args)
+        rows += stats.column('rows')[0].as_py()
+    return rows
+
+
+def _compact_buckets(compact, buckets):
+    """Stage B task: one spill shard's listed buckets → part files; returns
+    their manifest rows as dicts (an Arrow table in a task result would
+    make the driver import ``ray.data`` to deserialise it)."""
+    table = pa.table({'bucket': pa.array(buckets, pa.int32())})
+    return compact(table).to_pylist()
+
+
+_extract_task = ray.remote(num_cpus=1)(_extract_unit)
+_compact_task = ray.remote(num_cpus=1)(_compact_buckets)
+
+
+def _run_tasks(submit, items, cap, on_result):
+    """Submit one task per item (``submit(item)`` returns its ref) with at
+    most ``cap`` in flight, and hand each result to ``on_result`` as
+    ``ray.wait`` returns it.  If a task (or ``on_result``) raises, the
+    tasks in flight are cancelled and waited for before the error is
+    re-raised, so no task writes after this returns."""
+    items = iter(items)
+    inflight = []
+    try:
+        while True:
+            for item in itertools.islice(items, cap - len(inflight)):
+                inflight.append(submit(item))
+            if not inflight:
+                return
+            ready, inflight = ray.wait(inflight, num_returns=1)
+            on_result(ray.get(ready[0]))
+    except BaseException:
+        for ref in inflight:
+            ray.cancel(ref)
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight))
+        raise
 
 
 def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
@@ -327,6 +448,13 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if len(done) == num_buckets:   # finished output: nothing to read
         return _summary(done, [], out_dir, 0.0, 0.0, 0.0)
 
+    if not ray.is_initialized():
+        ray.init()                 # local or RAY_ADDRESS
+    cap = concurrency or default_concurrency()
+    # A caller's ``concurrency`` bounds the tasks running at once.  The
+    # default (the cluster's CPUs) keeps one more task queued per CPU, so a
+    # CPU whose task ends starts the next without waiting on the driver.
+    inflight = concurrency or 2 * cap
     t0 = time.perf_counter()
     job_id = uuid.uuid4().hex
     spill_dir = os.path.join(out_dir, '_spill-%s' % job_id)
@@ -334,48 +462,43 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     # driver-side: env vars set after ray.init never reach the workers
     max_rows = int(os.environ.get('GRAFT_COMPACT_MAX_ROWS', COMPACT_MAX_ROWS))
 
-    # Stage A: map-only extract + external-shuffle spill
-    ds = ray.data.read_parquet(input_path, columns=['conv_id', 'turn_idx', 'text'])
-    ds = ds.map_batches(assign_bucket(num_buckets), batch_format='pyarrow',
-                        zero_copy_batch=True)
-    if done:
-        ds = ds.map_batches(make_done_filter(done.keys()), batch_format='pyarrow',
-                            zero_copy_batch=True)
+    # Stage A: map-only extract + external-shuffle spill.  The bucketer is
+    # built here and shipped once, so each task applies the same function.
     num_shards = max(1, math.isqrt(num_buckets) // 2)   # 4 at 64 buckets
-    stats = _extract(ds, batch_size, concurrency, ExtractAndSpill, job_id,
-                     spill_dir, num_buckets, num_shards)
-    extracted = sum(r['rows'] for r in stats.take_all())   # tiny stat rows
+    prep = [assign_bucket(num_buckets)]
+    if done:
+        prep.append(make_done_filter(done.keys()))
+    prep_ref = ray.put(prep)
+    fs, units = plan_units(input_path, cap)
+    extracted = []
+    _run_tasks(lambda unit: _extract_task.remote(
+                   fs, unit, prep_ref, batch_size, job_id, spill_dir,
+                   num_buckets, num_shards),
+               units, inflight, extracted.append)
     stage_a_s = time.perf_counter() - t0
 
     # Stage B: one compaction task per spill shard, over that shard's
-    # not-yet-done buckets: one block per non-empty shard group, in shard
-    # order.  Grouped, not split evenly, so a resume with gaps never
-    # mixes two shards in one block.  A task's manifest rows are appended
-    # as soon as it finishes, so a later shard's failure keeps the
-    # finished shards' buckets for the next run.
+    # not-yet-done buckets, in shard order.  Grouped, not split evenly, so
+    # a resume with gaps never mixes two shards in one task.  A task's
+    # manifest rows are appended as soon as it finishes, so a later
+    # shard's failure keeps the finished shards' buckets for the next run.
     new_rows = []
-    if extracted:
+    if sum(extracted):
         groups = {}
         for b in range(num_buckets):
             if b not in done:
                 groups.setdefault(shard_of(b, num_buckets, num_shards),
                                   []).append(b)
-        items = ray.data.from_arrow(
-            [pa.table({'bucket': pa.array(g, pa.int32())})
-             for g in groups.values()])
-        manifest_ds = items.map_batches(
-            _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
-                                   max_rows),
-            batch_format='pyarrow', batch_size=None)
-        # prefetch_batches=0: with prefetching, a finished block can stay
-        # unyielded until another task's failure ends the iteration.
-        for block in manifest_ds.iter_batches(batch_format='pyarrow',
-                                              batch_size=None,
-                                              prefetch_batches=0):
+        compact = ray.put(_make_bucket_compactor(
+            spill_dir, out_dir, num_buckets, num_shards, max_rows))
+
+        def record(manifest_rows):
             rows = [dict(r, num_buckets=num_buckets)   # one row per bucket
-                    for r in block.to_pylist()]
+                    for r in manifest_rows]
             checkpoint.append_manifest_rows(out_dir, rows)
             new_rows.extend(rows)
+        _run_tasks(lambda group: _compact_task.remote(compact, group),
+                   groups.values(), inflight, record)
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)

@@ -130,6 +130,71 @@ def test_resume_of_finished_output_skips_stage_a(ray_session, extracted,
     assert not glob.glob(os.path.join(out, '_spill-*'))
 
 
+def test_resume_of_finished_output_submits_no_task(ray_session, extracted,
+                                                  monkeypatch):
+    """A resume over a finished output lists no input fragment and submits
+    no Stage A or Stage B task: the summary comes from the manifest."""
+    import pyarrow.dataset as pads
+    from engine.rayjob import pipeline
+    d, n, out, _ = extracted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('a finished output must not list its input '
+                             'or submit a task')
+
+    class NoSubmit(object):
+        remote = staticmethod(refuse)
+    monkeypatch.setattr(pads, 'dataset', refuse)
+    monkeypatch.setattr(pipeline, '_extract_task', NoSubmit)
+    monkeypatch.setattr(pipeline, '_compact_task', NoSubmit)
+    summary = pipeline.run_extraction(d, out, num_buckets=4, batch_size=32,
+                                      concurrency=2, resume=True)
+    assert summary['rows_out'] == n
+    assert summary['rows_this_run'] == 0
+    assert summary['buckets'] == 4 and summary['buckets_this_run'] == 0
+    assert summary['stage_a_s'] == summary['stage_b_s'] == 0
+    assert not glob.glob(os.path.join(out, '_spill-*'))
+
+
+def test_resume_skips_units_of_done_buckets(ray_session, tmp_path):
+    """A resume at the default batch size (one batch per row group) whose
+    finished-bucket filter empties whole units skips them: one file per
+    conversation, every bucket but one done."""
+    import zlib
+    import pyarrow as pa
+    from engine.rayjob.pipeline import run_extraction
+    d = tmp_path / 'corpus'
+    d.mkdir()
+    names = ['conv-%d' % i for i in range(20)]
+    a = names[0]
+    b = next(c for c in names
+             if zlib.crc32(c.encode()) % 2 != zlib.crc32(a.encode()) % 2)
+    for conv in (a, b):
+        pq.write_table(pa.table({
+            'conv_id': pa.array([conv] * 5, pa.string()),
+            'turn_idx': pa.array(range(5), pa.int32()),
+            'text': pa.array(['not a pdf %d' % i for i in range(5)],
+                             pa.string()),
+        }), str(d / ('%s.parquet' % conv)))
+    out = str(tmp_path / 'out')
+    run_extraction(str(d), out, num_buckets=2, resume=False)
+    redo = zlib.crc32(b.encode()) % 2
+    mpath = checkpoint.manifest_path(out)
+    rows = [json.loads(l) for l in open(mpath)]
+    with open(mpath, 'w') as f:
+        for r in rows:
+            if r['bucket'] != redo:
+                f.write(json.dumps(r) + '\n')
+    part = os.path.join(out, 'part-%05d.parquet' % redo)
+    before = pq.read_table(part)
+    os.unlink(part)
+
+    summary = run_extraction(str(d), out, num_buckets=2, resume=True)
+    assert summary['buckets_this_run'] == 1
+    assert summary['rows_this_run'] == 5 and summary['rows_out'] == 10
+    assert pq.read_table(part).equals(before)
+
+
 def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
     """Bucket ids name different row sets under another num_buckets, so a
     resume with a changed count must raise instead of skipping buckets it
@@ -273,6 +338,86 @@ def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
     keys = [k for t in tables for k in zip(t.column('conv_id').to_pylist(),
                                            t.column('turn_idx').to_pylist())]
     assert len(keys) == len(set(keys)) == n
+
+
+def test_task_failure_cancels_and_waits_for_the_rest(ray_session, tmp_path):
+    """A task that raises makes the driver cancel the tasks still in
+    flight and wait for them to end before it re-raises, so no task of a
+    failed job writes after ``run_extraction`` has returned."""
+    import time
+    import ray
+    from engine.rayjob.pipeline import _run_tasks
+    mark = str(tmp_path / 'mark')
+
+    @ray.remote(num_cpus=1)
+    def task(kind):
+        if kind == 'fail':
+            deadline = time.monotonic() + 30     # until 'slow' has started
+            while not os.path.exists(mark) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            raise RuntimeError('injected task failure')
+        with open(mark, 'w') as f:
+            f.write('running')
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            with open(mark, 'w') as f:
+                f.write('ended')
+
+    results = []
+    t0 = time.monotonic()
+    with pytest.raises(Exception, match='injected task failure'):
+        _run_tasks(task.remote, ['slow', 'fail'], 2, results.append)
+    assert time.monotonic() - t0 < 30            # cancelled, not waited out
+    with open(mark) as f:
+        assert f.read() == 'ended'               # and over before the raise
+    assert results == []
+
+
+def test_concurrency_bounds_tasks_running_at_once(ray_session, tmp_path,
+                                                  monkeypatch):
+    """A ``concurrency`` below the cluster's CPUs bounds the tasks that run
+    at once in both stages: the session has 4 CPUs and the job asks for 1,
+    so no two Stage A or Stage B tasks overlap in time."""
+    import itertools
+    import time
+    import uuid
+    import ray
+    from engine.rayjob import pipeline
+    d = str(tmp_path / 'corpus')
+    n, n_files = generate_transcripts(d, n_convs=6, seed=7, rows_per_file=8)
+    assert n_files >= 2
+    log = str(tmp_path / 'log')
+    os.makedirs(log)
+
+    def spied(stage, fn):
+        @ray.remote(num_cpus=1)
+        def task(*args):
+            start = time.time()
+            time.sleep(0.3)               # long enough to overlap another
+            try:
+                return fn(*args)
+            finally:
+                with open(os.path.join(log, uuid.uuid4().hex), 'w') as f:
+                    json.dump([stage, start, time.time()], f)
+        return task
+    monkeypatch.setattr(pipeline, '_extract_task',
+                        spied('a', pipeline._extract_unit))
+    monkeypatch.setattr(pipeline, '_compact_task',
+                        spied('b', pipeline._compact_buckets))
+    summary = pipeline.run_extraction(d, str(tmp_path / 'out'),
+                                      num_buckets=16, concurrency=1,
+                                      resume=False)   # 2 spill shards
+    assert summary['rows_out'] == n
+    spans = [json.load(open(os.path.join(log, f))) for f in os.listdir(log)]
+    for stage, count in (('a', n_files), ('b', 2)):
+        events = sorted(e for s, start, end in spans if s == stage
+                        for e in ((start, 1), (end, -1)))
+        assert len(events) == 2 * count
+        running = list(itertools.accumulate(step for _, step in events))
+        assert max(running) == 1, (stage, events)
 
 
 def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
@@ -860,3 +1005,99 @@ print('rows_out', summary['rows_out'])
         pytest.fail('run_extraction at num_cpus=1 did not finish in 120 s')
     assert proc.returncode == 0, err[-2000:]
     assert 'rows_out' in out
+
+
+def test_stage_a_units_from_metadata(tmp_path):
+    """Stage A plans its work units on the driver from the footers, with no
+    Ray: each row group is cut into even row ranges of at most
+    ceil(rows / (2 * cap)) rows, reading the ranges gives every row once
+    and in order, and the file set is the one ``ray.data.read_parquet``
+    reads."""
+    import pyarrow as pa
+    from engine.rayjob.pipeline import (READ_BUFFER, _read_range,
+                                        plan_units)
+
+    def write(path, n, row_group_size=None):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(pa.table({
+            'conv_id': pa.array(['c%d' % i for i in range(n)], pa.string()),
+            'turn_idx': pa.array(range(n), pa.int32()),
+            'text': pa.array(['t%d' % i for i in range(n)], pa.string()),
+        }), path, row_group_size=row_group_size)
+
+    def files(root, units):
+        return sorted({os.path.relpath(u[0], root) for u in units})
+
+    def read(units):
+        parts = []
+        for path, rg, lo, hi in units:
+            with pq.ParquetFile(path, pre_buffer=False,
+                                buffer_size=READ_BUFFER) as pf:
+                parts.append(_read_range(pf, rg, lo, hi))
+        return pa.concat_tables(parts)
+
+    # one 800-row file with one row group at cap 2: 4 ranges, every row once
+    one = str(tmp_path / 'one')
+    write(os.path.join(one, 'a.parquet'), 800)
+    whole = pq.read_table(one, columns=['conv_id', 'turn_idx', 'text'])
+    _, units = plan_units(one, 2)
+    assert [u[1:] for u in units] == [(0, 0, 200), (0, 200, 400),
+                                      (0, 400, 600), (0, 600, 800)]
+    assert read(units).equals(whole)
+    # at cap 3, ranges of 133-134 rows that straddle the read batches
+    _, units = plan_units(one, 3)
+    assert len(units) == 6 and max(hi - lo for _, _, lo, hi in units) <= 134
+    assert read(units).equals(whole)
+
+    # row groups of 300, 300 and 200 rows at cap 2: the 200-row group, no
+    # larger than a range, is one unit
+    groups = str(tmp_path / 'groups')
+    write(os.path.join(groups, 'a.parquet'), 800, row_group_size=300)
+    _, units = plan_units(groups, 2)
+    assert [u[1:] for u in units] == [(0, 0, 150), (0, 150, 300),
+                                      (1, 0, 150), (1, 150, 300),
+                                      (2, 0, 200)]
+    assert read(units).equals(whole)
+
+    # nested dirs are read; '_' and '.' prefixes are skipped; '.pq' is kept
+    nested = str(tmp_path / 'nested')
+    for rel in ('a.parquet', 'sub/b.parquet', '_c.parquet', '.d.parquet',
+                'e.pq'):
+        write(os.path.join(nested, rel), 3)
+    _, units = plan_units(nested, 1)
+    assert files(nested, units) == ['a.parquet', 'e.pq', 'sub/b.parquet']
+
+
+def test_sink_never_loads_ray_data(tmp_path):
+    """The CLI's sink runs on Ray Core tasks: a one-job run writes every
+    row and never imports ``ray.data`` (its executor costs ~2 s of cold
+    start and two resident actors)."""
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = '''
+import json
+import sys
+from engine.rayjob.transcripts import generate_transcripts
+from engine.rayjob.main import main
+n, _ = generate_transcripts(sys.argv[1], n_convs=6, seed=7, rows_per_file=40)
+main(['--input', sys.argv[1], '--output', sys.argv[2], '--num-buckets', '4'])
+print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules}))
+'''
+    env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS='local')
+    proc = subprocess.Popen(
+        [sys.executable, '-c', code, str(tmp_path / 'corpus'),
+         str(tmp_path / 'out')], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, cwd=root, env=env,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)     # the job and its Ray processes
+        proc.communicate()
+        pytest.fail('a one-job CLI run did not finish in 300 s')
+    assert proc.returncode == 0, err[-2000:]
+    summary, probe = [json.loads(l) for l in out.strip().splitlines()[-2:]]
+    assert summary['rows_out'] == probe['n']
+    assert not probe['ray_data'], 'the sink imported ray.data'
