@@ -27,97 +27,79 @@ Cloned quirks (SURVEY.md §7.3):
 """
 
 from .cos import PdfError
-
-__all__ = ['PDFToken', 'postfix_to_prefix', 'tokenize_content',
-           'Mat', 'GraphicsState', 'TextState', 'StateStack']
-
 from .lexers import scan_content
 
-
-class PDFToken(object):
-    """Prefix-form operator token: ``value`` holds the operand tokens."""
-    __slots__ = ('type', 'value')
-
-    def __init__(self, type_, value):
-        self.type = type_
-        self.value = value
-
-    def __repr__(self):
-        return "{%s,%r}" % (self.type, self.value)
+__all__ = ['postfix_to_prefix', 'tokenize_content',
+           'Mat', 'GraphicsState', 'TextState', 'StateStack']
 
 
-_OPS0 = frozenset(('q', 'Q', 'h', 'S', 's', 'F', 'f', 'fstar', 'B', 'B*',
-                   'b', 'b*', 'n', 'W', 'Wstar', 'BT', 'ET', 'Tstar', 'EMC'))
-_OPS1 = frozenset(('w', 'J', 'j', 'M', 'ri', 'i', 'gs', 'CS', 'cs', 'G', 'g',
-                   'Do', 'Tc', 'Tw', 'Tz', 'TL', 'Tr', 'Ts', 'Tj', 'TstarTj',
-                   'MP', 'BMC'))
-_OPS2 = frozenset(('m', 'l', 'Tf', 'Td', 'TD', 'DP', 'BDC'))
-_OPS3 = frozenset(('RG', 'rg', 'TwTcTstarTj'))
-_OPS4 = frozenset(('v', 'y', 're', 'K', 'k'))
-_OPS6 = frozenset(('cm', 'c', 'Tm'))
+# operator → the fixed number of operands it takes
+_ARITY = {}
+for _n, _ops in ((0, ('q', 'Q', 'h', 'S', 's', 'F', 'f', 'fstar', 'B', 'B*',
+                      'b', 'b*', 'n', 'W', 'Wstar', 'BT', 'ET', 'Tstar', 'EMC')),
+                 (1, ('w', 'J', 'j', 'M', 'ri', 'i', 'gs', 'CS', 'cs', 'G', 'g',
+                      'Do', 'Tc', 'Tw', 'Tz', 'TL', 'Tr', 'Ts', 'Tj', 'TstarTj',
+                      'MP', 'BMC')),
+                 (2, ('m', 'l', 'Tf', 'Td', 'TD', 'DP', 'BDC')),
+                 (3, ('RG', 'rg', 'TwTcTstarTj')),
+                 (4, ('v', 'y', 're', 'K', 'k')),
+                 (6, ('cm', 'c', 'Tm'))):
+    for _op in _ops:
+        _ARITY[_op] = _n
 _OPERANDS = frozenset(('INT', 'FLOAT', 'ARR_START', 'ARR_END', 'DICT_START',
                        'DICT_END', 'NAME', 'LIT', 'HEXSTRING'))
 
 
 def postfix_to_prefix(tokens):
     """Fold operand tokens into their operator (reference
-    TokensPostfixToPrefix).  Returns {'tokens': [...], 'residual': [...]}."""
+    TokensPostfixToPrefix).  Returns {'tokens': [...], 'residual': [...]};
+    each prefix token is an ``(op, operands)`` tuple: a tuple of operand
+    tokens, or for a no-operand operator its own text."""
     ret = []
+    append = ret.append
     lastidx = -1
-    n = len(tokens)
-    for i in range(n):
-        t = tokens[i]
-        tt = t.type
+    i = -1
+    for t in tokens:
+        i += 1
+        tt = t[0]
+        if tt in _OPERANDS:
+            continue
+        k = _ARITY.get(tt)
 
-        if tt in _OPS0:
-            ret.append(PDFToken(tt, t.value))
+        if k == 0:
+            append((tt, t[1]))
             if lastidx != i - 1:
                 raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
             lastidx = i
 
-        elif tt in _OPS1:
-            ret.append(PDFToken(tt, (tokens[i - 1],)))
+        elif k == 1:
+            append((tt, (tokens[i - 1],)))
             if lastidx != i - 2:
                 raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
             lastidx = i
 
-        elif tt in _OPS2:
+        elif tt == 'BDC' and tokens[i - 1][0] == 'DICT_END':
             normal_check = True
-            if tt == 'BDC' and tokens[i - 1].type == 'DICT_END':
-                j = i - 1
-                while j > 0:
-                    if tokens[j].type == 'DICT_START':
-                        # NAME <<…>> BDC — collapse to (NAME, DICT)
-                        dict_tok = PDFToken('DICT', tokens[j + 1:i - 1])
-                        ret.append(PDFToken(tt, (tokens[j - 1], dict_tok)))
-                        if lastidx != j - 2:
-                            raise PdfError("Operator BDC skipped over operands")
-                        normal_check = False
-                        break
-                    j -= 1
-            else:
-                ret.append(PDFToken(tt, tuple(tokens[i - 2:i])))
+            j = i - 1
+            while j > 0:
+                if tokens[j][0] == 'DICT_START':
+                    # NAME <<…>> BDC — collapse to (NAME, DICT)
+                    dict_tok = ('DICT', tokens[j + 1:i - 1])
+                    append((tt, (tokens[j - 1], dict_tok)))
+                    if lastidx != j - 2:
+                        raise PdfError("Operator BDC skipped over operands")
+                    normal_check = False
+                    break
+                j -= 1
             if normal_check and lastidx != i - 3:
                 raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
             # the reference sets lastidx = i unconditionally here
             # (text.py:477), including after the BDC special case
             lastidx = i
 
-        elif tt in _OPS3:
-            ret.append(PDFToken(tt, tuple(tokens[i - 3:i])))
-            if lastidx != i - 4:
-                raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
-            lastidx = i
-
-        elif tt in _OPS4:
-            ret.append(PDFToken(tt, tuple(tokens[i - 4:i])))
-            if lastidx != i - 5:
-                raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
-            lastidx = i
-
-        elif tt in _OPS6:
-            ret.append(PDFToken(tt, tuple(tokens[i - 6:i])))
-            if lastidx != i - 7:
+        elif k is not None:
+            append((tt, tuple(tokens[i - k:i])))
+            if lastidx != i - k - 1:
                 raise PdfError("Operator %s at %d skipped over operands" % (tt, i))
             lastidx = i
 
@@ -125,8 +107,8 @@ def postfix_to_prefix(tokens):
             # one array operand: [ … ] TJ
             j = i - 1
             while j > 0:
-                if tokens[j].type == 'ARR_START':
-                    ret.append(PDFToken(tt, tuple(tokens[j + 1:i - 1])))
+                if tokens[j][0] == 'ARR_START':
+                    append((tt, tuple(tokens[j + 1:i - 1])))
                     break
                 j -= 1
             if lastidx != j - 1:
@@ -137,8 +119,8 @@ def postfix_to_prefix(tokens):
             # dash: [ … ] phase d
             j = i - 2
             while j > 0:
-                if tokens[j].type == 'ARR_START':
-                    ret.append(PDFToken(tt, (list(tokens[j + 1:i - 2]), tokens[i - 1])))
+                if tokens[j][0] == 'ARR_START':
+                    append((tt, (list(tokens[j + 1:i - 2]), tokens[i - 1])))
                     break
                 j -= 1
             if lastidx != j - 1:
@@ -148,12 +130,12 @@ def postfix_to_prefix(tokens):
         elif tt in ('SC', 'sc'):
             j = i - 1
             while j > 0:
-                if tokens[j].type in ('INT', 'FLOAT'):
+                if tokens[j][0] in ('INT', 'FLOAT'):
                     j -= 1
                 else:
                     j += 1
                     break
-            ret.append(PDFToken(tt, tuple(tokens[j:i])))
+            append((tt, tuple(tokens[j:i])))
             if lastidx != j - 1:
                 raise PdfError("Operator %s skipped over operands" % tt)
             lastidx = i
@@ -161,18 +143,15 @@ def postfix_to_prefix(tokens):
         elif tt in ('SCN', 'scn'):
             j = i - 1
             while j > 0:
-                if tokens[j].type in ('INT', 'FLOAT', 'LIT'):
+                if tokens[j][0] in ('INT', 'FLOAT', 'LIT'):
                     j -= 1
                 else:
                     j += 1
                     break
-            ret.append(PDFToken(tt, tuple(tokens[j:i])))
+            append((tt, tuple(tokens[j:i])))
             if lastidx != j - 1:
                 raise PdfError("Operator %s skipped over operands" % tt)
             lastidx = i
-
-        elif tt in _OPERANDS:
-            pass
 
         else:
             raise PdfError("Unrecognized token type '%s' at %d" % (tt, i))
@@ -224,6 +203,21 @@ class Mat(object):
     @staticmethod
     def identity():
         return Mat(1, 0, 0, 1, 0, 0)
+
+    @staticmethod
+    def of(a, b, c, d, e, f, g, h, i):
+        """A Mat of nine floats as they are (``Mat()`` converts each)."""
+        m = Mat.__new__(Mat)
+        m.A = a
+        m.B = b
+        m.C = c
+        m.D = d
+        m.E = e
+        m.F = f
+        m.G = g
+        m.H = h
+        m.I = i
+        return m
 
     def translate_mul(b, tx, ty):
         """``Mat(1,0,0,1,tx,ty) * b`` without the two allocations + nine
@@ -481,23 +475,22 @@ class GraphicsState(object):
 class StateStack(object):
     """q/Q stack (reference StateManager, state.py:57-105; I6).  ``q``
     copies the whole state including text state; ``Q`` cannot pop the
-    initial frame."""
+    initial frame.  ``S`` is the top state and ``T`` its text state."""
+    __slots__ = ('stack', 'S', 'T')
 
     def __init__(self):
-        self.stack = [GraphicsState()]
-
-    @property
-    def S(self):
-        return self.stack[-1]
-
-    @property
-    def T(self):
-        return self.stack[-1].text
+        self.S = GraphicsState()
+        self.T = self.S.text
+        self.stack = [self.S]
 
     def push(self):
-        self.stack.append(self.S.copy())
+        self.S = self.S.copy()
+        self.T = self.S.text
+        self.stack.append(self.S)
 
     def pop(self):
         if len(self.stack) == 1:
             raise PdfError("Cannot pop initial values of the stack")
         self.stack.pop()
+        self.S = self.stack[-1]
+        self.T = self.S.text

@@ -17,7 +17,6 @@ Value model: dict, list, int, float, str (names & literal strings),
 Hexstring, Ref, bool, None, StreamObj (dict + raw stream payload).
 """
 
-from .lexers import Tok, scan_cos, NeedStreamLengthError
 
 __all__ = ['Ref', 'Hexstring', 'StreamObj', 'PdfError', 'parse_values',
            'parse_object_body', 'parse_xref_table_tokens', 'parse_trailer_tokens']
@@ -89,35 +88,26 @@ class StreamObj(object):
 
 
 def _parse_one(toks, i, n):
-    t = toks[i]
-    tt = t.type
+    """Parse the value starting at ``toks[i]`` → (value, next index).
+    Tokens are ``(type, value, pos)`` tuples."""
+    tt, v, _ = toks[i]
+    if tt == 'NAME':
+        return v, i + 1
     if tt == 'INT':
-        if i + 2 < n and toks[i + 1].type == 'INT' and toks[i + 2].type == 'indirect':
-            return Ref(t.value, toks[i + 1].value), i + 3
-        return t.value, i + 1
-    if tt == 'FLOAT' or tt == 'NAME' or tt == 'LIT':
-        return t.value, i + 1
-    if tt == 'HEXSTRING':
-        return Hexstring(t.value), i + 1
-    if tt == 'true':
-        return True, i + 1
-    if tt == 'false':
-        return False, i + 1
-    if tt == 'NULL':
-        return None, i + 1
-    if tt == 'ARR_START':
-        arr = []
-        i += 1
-        while i < n and toks[i].type != 'ARR_END':
-            v, i = _parse_one(toks, i, n)
-            arr.append(v)
-        if i >= n:
-            raise PdfError("Did not find end of array")
-        return arr, i + 1
+        if i + 2 < n and toks[i + 1][0] == 'INT' and toks[i + 2][0] == 'indirect':
+            return Ref(v, toks[i + 1][1]), i + 3
+        return v, i + 1
     if tt == 'DICT_START':
         vals = []
         i += 1
-        while i < n and toks[i].type != 'DICT_END':
+        while i < n:
+            t = toks[i]
+            if t[0] == 'NAME':       # most dict entries: inline the scalar
+                vals.append(t[1])
+                i += 1
+                continue
+            if t[0] == 'DICT_END':
+                break
             v, i = _parse_one(toks, i, n)
             vals.append(v)
         if i >= n:
@@ -125,6 +115,25 @@ def _parse_one(toks, i, n):
         if len(vals) % 2 != 0:
             vals.append(None)  # odd-length padding (reference pdf.py:373-379)
         return dict(zip(vals[0::2], vals[1::2])), i + 1
+    if tt == 'FLOAT' or tt == 'LIT':
+        return v, i + 1
+    if tt == 'ARR_START':
+        arr = []
+        i += 1
+        while i < n and toks[i][0] != 'ARR_END':
+            v, i = _parse_one(toks, i, n)
+            arr.append(v)
+        if i >= n:
+            raise PdfError("Did not find end of array")
+        return arr, i + 1
+    if tt == 'HEXSTRING':
+        return Hexstring(v), i + 1
+    if tt == 'true':
+        return True, i + 1
+    if tt == 'false':
+        return False, i + 1
+    if tt == 'NULL':
+        return None, i + 1
     raise PdfError("Unknown token type '%s'" % tt)
 
 
@@ -146,24 +155,24 @@ def parse_object_body(toks):
     matching the reference's _ParseStream handler shape.  ``endstream``
     tokens are dropped, as in the consolidator's Stream pass.
     """
-    if len(toks) < 3 or toks[0].type != 'INT' or toks[1].type != 'INT' or toks[2].type != 'obj':
+    if len(toks) < 3 or toks[0][0] != 'INT' or toks[1][0] != 'INT' or toks[2][0] != 'obj':
         raise PdfError("Expected 'INT INT obj' at object start, got %s" %
-                       [t.type for t in toks[:3]])
-    objid = toks[0].value
-    gen = toks[1].value
-    body = [t for t in toks[3:] if t.type not in ('endstream',)]
-    if body and body[-1].type == 'endobj':
+                       [t[0] for t in toks[:3]])
+    objid = toks[0][1]
+    gen = toks[1][1]
+    body = [t for t in toks[3:] if t[0] != 'endstream']
+    if body and body[-1][0] == 'endobj':
         body = body[:-1]
     # Split out stream tokens: values ... 'stream' pairing with preceding dict
     vals = []
     i = 0
     n = len(body)
     while i < n:
-        if body[i].type == 'stream':
+        if body[i][0] == 'stream':
             if not vals or not isinstance(vals[-1], dict):
                 raise PdfError("stream token without preceding dictionary")
             d = vals.pop()
-            vals.append(StreamObj(d, body[i].value))
+            vals.append(StreamObj(d, body[i][1]))
             i += 1
         else:
             v, i = _parse_one(body, i, n)
@@ -180,26 +189,26 @@ def parse_xref_table_tokens(toks):
     tokens past the first subsection are ignored.  Returns a list of
     ``(objid, offset, generation, 'n'|'f')`` tuples.
     """
-    if not toks or toks[0].type != 'xref':
+    if not toks or toks[0][0] != 'xref':
         raise PdfError("Expected xref token")
-    if toks[1].type != 'INT' or toks[2].type != 'INT':
+    if toks[1][0] != 'INT' or toks[2][0] != 'INT':
         raise PdfError("Expected two INTs after xref start")
-    firstobj = toks[1].value
-    numobjs = toks[2].value
+    firstobj = toks[1][1]
+    numobjs = toks[2][1]
     rows = []
     base = 3
     for cnt in range(numobjs):
         i = base + cnt * 3
-        if toks[i].type != 'INT' or toks[i + 1].type != 'INT':
+        if toks[i][0] != 'INT' or toks[i + 1][0] != 'INT':
             raise PdfError("Expected INT INT for xref row %d" % cnt)
-        kind = toks[i + 2].type
+        kind = toks[i + 2][0]
         if kind == 'xref_inuse':
             flag = 'n'
         elif kind == 'xref_free':
             flag = 'f'
         else:
             raise PdfError("Expected xref_free or xref_inuse for row %d, found %s" % (cnt, kind))
-        rows.append((firstobj + cnt, toks[i].value, toks[i + 1].value, flag))
+        rows.append((firstobj + cnt, toks[i][1], toks[i + 1][1], flag))
     return rows
 
 
@@ -212,7 +221,7 @@ def parse_trailer_tokens(toks):
     """
     i = 0
     n = len(toks)
-    while i < n and toks[i].type != 'trailer':
+    while i < n and toks[i][0] != 'trailer':
         i += 1
     if i >= n:
         raise PdfError("Expected trailer token")
@@ -220,8 +229,8 @@ def parse_trailer_tokens(toks):
     d, i = _parse_one(toks, i, n)
     if not isinstance(d, dict):
         raise PdfError("Expected dictionary after trailer")
-    if i >= n or toks[i].type != 'xref_start':
+    if i >= n or toks[i][0] != 'xref_start':
         raise PdfError("Expected startxref after trailer dictionary")
-    if toks[i + 1].type != 'INT':
+    if toks[i + 1][0] != 'INT':
         raise PdfError("Expected INT after startxref")
-    return d, toks[i + 1].value
+    return d, toks[i + 1][1]

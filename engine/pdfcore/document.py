@@ -24,8 +24,9 @@ Deliberately cloned behaviors (see SURVEY.md §7.3 "clone the bug" items):
 """
 
 import re
+from bisect import bisect_left, bisect_right
 
-from .lexers import scan_cos, NeedStreamLengthError
+from .lexers import scan_cos
 from .cos import (Ref, Hexstring, StreamObj, PdfError, parse_values,
                   parse_object_body, parse_xref_table_tokens,
                   parse_trailer_tokens)
@@ -35,6 +36,8 @@ __all__ = ['PdfDocument', 'ResourceView', 'FontView', 'CIDFontView',
            'XObjectView']
 
 _LINE_SPLIT = re.compile(r'\r\n|\r|\n')
+_XREF_COUNTS = re.compile(r'([0-9]+) ([0-9]+)')
+_XREF_ROW = re.compile(r'[0-9]{10} [0-9]{5} [nf]')
 
 
 class _XrefCombo(object):
@@ -116,13 +119,13 @@ class PdfDocument(object):
             raise PdfError("Unable to find startxref reading backward")
         lines.reverse()
         toks = scan_cos("\r\n".join(lines))
-        if not toks or toks[0].type != 'xref_start':
+        if not toks or toks[0][0] != 'xref_start':
             raise PdfError("Expected xref_start token")
-        if toks[1].type != 'INT':
+        if toks[1][0] != 'INT':
             raise PdfError("Expected int token after startxref")
-        if toks[2].type != 'EOF':
+        if toks[2][0] != 'EOF':
             raise PdfError("Expected EOF token after startxref offset")
-        return toks[1].value
+        return toks[1][1]
 
     def _walk_xref_chain(self):
         offset = self._find_startxref()
@@ -142,8 +145,10 @@ class PdfDocument(object):
 
     def _parse_xref_at(self, offset):
         first_line, _ = _read_line(self.data, offset)
+        if first_line == 'xref':
+            return self._parse_xref_table(offset)
         toks = scan_cos(first_line)
-        if len(toks) == 3 and toks[0].type == 'INT' and toks[1].type == 'INT' and toks[2].type == 'obj':
+        if len(toks) == 3 and toks[0][0] == 'INT' and toks[1][0] == 'INT' and toks[2][0] == 'obj':
             return self._parse_xref_stream(offset)
         return self._parse_xref_table(offset)
 
@@ -171,8 +176,7 @@ class PdfDocument(object):
                 break
             lines.append(line.rstrip())
             pos = nxt
-        toks = scan_cos("\r\n".join(lines))
-        rows = parse_xref_table_tokens(toks)
+        rows = _xref_table_rows(lines)
         # Parse trailer from the 'trailer' line until %%EOF inclusive
         tlines = []
         tpos = pos
@@ -223,26 +227,23 @@ class PdfDocument(object):
     # -- object loading (R5, R6, P10) -----------------------------------
 
     def _scan_object_at(self, offset):
-        """Scan tokens for one object at ``offset`` with the two-phase
-        stream-length protocol (reference parser/__init__.py:365-414)."""
-        streamlength = None
-        while True:
-            try:
-                return scan_cos(self.data, pos=offset, stoptoken='endobj',
-                                streamlength=streamlength)
-            except NeedStreamLengthError as e:
-                toks = list(e.tokens)
-                # parse the dict lexed so far to find /Length
-                _objid, _gen, vals = parse_object_body(toks)
-                d = vals[0]
-                dlen = d['Length']
-                if isinstance(dlen, Ref):
-                    sub = self.get_object_values(dlen)
-                    streamlength = sub[0]
-                elif isinstance(dlen, int):
-                    streamlength = dlen
-                else:
-                    raise PdfError("Unknown type for stream length: %s" % (dlen,))
+        """Scan tokens for one object at ``offset``.  At a ``stream``
+        keyword the scan reads /Length from the dictionary it has lexed
+        and goes on, so the dictionary is lexed once (the reference scans
+        twice, parser/__init__.py:365-414; the tokens are the same)."""
+        return scan_cos(self.data, pos=offset, stoptoken='endobj',
+                        streamlength=self._stream_length)
+
+    def _stream_length(self, toks):
+        """/Length of the stream dictionary lexed so far in ``toks``."""
+        _objid, _gen, vals = parse_object_body(toks)
+        d = vals[0]
+        dlen = d['Length']
+        if isinstance(dlen, Ref):
+            return self.get_object_values(dlen)[0]
+        if isinstance(dlen, int):
+            return dlen
+        raise PdfError("Unknown type for stream length: %s" % (dlen,))
 
     def get_object_values(self, ref):
         """Load (with cache) the raw parsed values of an indirect object."""
@@ -429,6 +430,24 @@ class PdfDocument(object):
         return w
 
 
+def _xref_table_rows(lines):
+    """Rows of a plaintext xref table from its rstripped lines (``xref``
+    up to the ``trailer`` line).  A table of one well-formed subsection
+    (``xref``, ``first count``, then ``count`` rows of ``_XREF_ROW``) is
+    read straight from its lines; any other shape goes through the lexer
+    and ``parse_xref_table_tokens``, which read only the first subsection
+    and raise the reference's errors."""
+    if len(lines) >= 2 and lines[0] == 'xref':
+        m = _XREF_COUNTS.fullmatch(lines[1])
+        if m is not None:
+            first, count = int(m.group(1)), int(m.group(2))
+            body = lines[2:]
+            if len(body) == count and all(_XREF_ROW.fullmatch(r) for r in body):
+                return [(first + i, int(r[:10]), int(r[11:16]), r[17])
+                        for i, r in enumerate(body)]
+    return parse_xref_table_tokens(scan_cos("\r\n".join(lines)))
+
+
 def _xref_stream_rows(so):
     """Decode binary xref-stream rows (reference pdf.py:617-660; P9).
 
@@ -467,8 +486,9 @@ def _xref_stream_rows(so):
 
 class _ObjStmIndex(object):
     """Index into an /ObjStm payload (reference ObjectStreamTokenizer,
-    parser/__init__.py:1065-1127; SURVEY.md P10), with the O(n·m) token
-    slicing replaced by a single sorted walk over token positions."""
+    parser/__init__.py:1065-1127; SURVEY.md P10).  The reference filters
+    the whole token list once per object; tokens are sorted by position,
+    so each object's slice is found by bisecting the positions."""
 
     def __init__(self, so):
         self.so = so
@@ -482,7 +502,7 @@ class _ObjStmIndex(object):
         stream = self.so.stream
         toks = scan_cos(stream)
         n2 = self.N * 2
-        header = [toks[i].value for i in range(n2)]
+        header = [toks[i][1] for i in range(n2)]
         pairs = [(header[i], header[i + 1]) for i in range(0, n2, 2)]
         # (start, end) char ranges per object, end exclusive of next start
         bounds = []
@@ -493,9 +513,10 @@ class _ObjStmIndex(object):
             else:
                 end = len(stream) - 1 + self.First
             bounds.append((start, end))
+        positions = [t[2] for t in toks]
         self._objects = []
         for (start, end) in bounds:
-            sl = [t for t in toks if start <= t.pos <= end]
+            sl = toks[bisect_left(positions, start):bisect_right(positions, end)]
             self._objects.append(parse_values(sl))
 
     def get_object_values(self, index):

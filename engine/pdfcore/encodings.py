@@ -87,60 +87,60 @@ def build_cmap_mapper(txt):
     codes = []
     mapon = False
     for tok in toks:
-        if tok.type == 'beginbfchar':
+        if tok[0] == 'beginbfchar':
             mapon = True
             continue
-        if mapon and tok.type == 'endbfchar':
+        if mapon and tok[0] == 'endbfchar':
             for i in range(0, len(codes), 2):
                 mapdat[codes[i]] = chr(codes[i + 1])
             break
         if mapon:
-            if tok.type == 'CODE':
-                codes.append(tok.value)
+            if tok[0] == 'CODE':
+                codes.append(tok[1])
             else:
-                raise PdfError("Unrecognized token in bfchar: '%s'" % tok.type)
+                raise PdfError("Unrecognized token in bfchar: '%s'" % tok[0])
 
     # bfrange triples (CODE CODE CODE) — expands into the exact map
     codes = []
     mapon = False
     for tok in toks:
-        if tok.type == 'beginbfrange':
+        if tok[0] == 'beginbfrange':
             mapon = True
             continue
-        if mapon and tok.type == 'endbfrange':
+        if mapon and tok[0] == 'endbfrange':
             for i in range(0, len(codes), 3):
                 start, end, offset = codes[i], codes[i + 1], codes[i + 2]
                 for k in range(start, end + 1):
                     mapdat[k] = chr(offset + (k - start))
             break
         if mapon:
-            if tok.type == 'CODE':
-                codes.append(tok.value)
-            elif tok.type == 'ARR_START':
+            if tok[0] == 'CODE':
+                codes.append(tok[1])
+            elif tok[0] == 'ARR_START':
                 raise PdfError("Not setup to handle bf range arrays")
             else:
-                raise PdfError("Unrecognized token in bfrange: '%s'" % tok.type)
+                raise PdfError("Unrecognized token in bfrange: '%s'" % tok[0])
 
     # cidrange triples (CODE CODE INT) — kept as ranges
     ranges = []
     mapon = False
     for tok in toks:
-        if tok.type == 'begincidrange':
+        if tok[0] == 'begincidrange':
             mapon = True
             continue
-        if mapon and tok.type == 'endcidrange':
+        if mapon and tok[0] == 'endcidrange':
             for r in ranges:
                 rangedat.append(r)
             break
         if mapon:
-            if tok.type == 'CODE':
-                ranges.append(tok.value)
-            elif tok.type == 'INT':
+            if tok[0] == 'CODE':
+                ranges.append(tok[1])
+            elif tok[0] == 'INT':
                 e = ranges.pop()
                 s = ranges.pop()
-                ranges.append((s, e, tok.value))
+                ranges.append((s, e, tok[1]))
             else:
-                raise PdfError("Unrecognized token in cidrange: '%s'" % tok.type)
+                raise PdfError("Unrecognized token in cidrange: '%s'" % tok[0])
 
     def mapper(c):
         cc = ord(c) if isinstance(c, str) else c

@@ -35,7 +35,7 @@ from . import afm as _afm
 from . import encodings as _enc
 
 __all__ = ['SharedFontState', 'Renderer', 'extract_turn',
-           'split_literal', 'split_hex', 'get_token_string']
+           'split_literal', 'split_hex']
 
 # NB: the reference defines an RI_MAP (state.py:36-40, misspelling
 # 'Perceptual' as 'Perception') behind a validated property that its own
@@ -90,6 +90,8 @@ def split_literal(lit):
     the reference (``lis`` typo, __init__.py:697) — reachable via ``\\\\(``
     sequences — and raises accordingly; octal escapes take 1-3 digits; an
     escape at end-of-string raises IndexError."""
+    if '\\' not in lit:
+        return list(lit)
     ret = []
     imax = len(lit)
     i = 0
@@ -151,14 +153,6 @@ def split_hex(txt, bytesize):
                        % (len(txt), bytesize))
     step = bytesize * 2
     return [chr(int(txt[i:i + step], 16)) for i in range(0, len(txt), step)]
-
-
-def get_token_string(tok, bytesize=None):
-    if tok.type == 'LIT':
-        return split_literal(tok.value)
-    elif tok.type == 'HEXSTRING':
-        return split_hex(tok.value, bytesize)
-    raise PdfError("Unrecognized Tj token type: %s" % tok.type)
 
 
 # ---------------------------------------------------------------------------
@@ -235,134 +229,36 @@ class Renderer(object):
 
     def _render_tokens(self, page, toks, s):
         """The dispatch loop (reference __init__.py:344-543; I2).  Text
-        operators come first: they are most of every content stream."""
-        for tok in toks:
-            tt = tok.type
+        operators come first: they are most of every content stream.  The
+        others dispatch through ``_OPS``."""
+        show = self._show_text
+        ops_table = _OPS
+        for tt, ops in toks:
             if tt == 'Tj' or tt == 'TJ':
-                self._show_text(s, tok.value)
+                show(s, ops)
             elif tt == 'Td':
-                s.T.do_Td(tok.value[0].value, tok.value[1].value)
+                s.T.do_Td(ops[0][1], ops[1][1])
             elif tt == 'Tf':
                 T = s.T
-                T.Tf = tok.value[0].value
-                T.set_Tfs(tok.value[1].value)
+                T.Tf = ops[0][1]
+                T.set_Tfs(ops[1][1])
                 self._set_width_stats(T.Tf)
-            elif tt == 'BT':
-                s.T.text_begin()
-            elif tt == 'ET':
-                s.T.text_end()
-
-            elif tt == 'q':
-                s.push()
-            elif tt == 'Q':
-                s.pop()
-            elif tt == 'i':
-                s.S.flatness = bool(tok.value[0].value)
-            elif tt == 'd':
-                s.S.dashpattern = (tok.value[0], tok.value[1])
-            elif tt == 'j':
-                s.S.linejoin = tok.value[0].value
-            elif tt == 'J':
-                s.S.linecap = tok.value[0].value
-            elif tt == 'M':
-                s.S.miterlimit = tok.value[0].value
-            elif tt == 'ri':
-                # stray-attribute assignment, UNVALIDATED (cloned quirk:
-                # reference `s.S.ri = ...` never hits its renderingintent
-                # property, so the RI_MAP validation is dead code)
-                s.S.ri = tok.value[0].value
-            elif tt == 'w':
-                s.S.linewidth = tok.value[0].value
-            elif tt == 'gs':
-                self._apply_gs(page, s, tok.value[0].value)
-
-            elif tt == 'm':
-                s.S.do_m(*[v.value for v in tok.value])
-            elif tt == 'h':
-                s.S.do_h()
-            elif tt == 'l':
-                s.S.do_l(*[v.value for v in tok.value])
-            elif tt == 'c':
-                s.S.do_c(*[v.value for v in tok.value])
-            elif tt == 'v':
-                s.S.do_v(*[v.value for v in tok.value])
-            elif tt == 'y':
-                s.S.do_y(*[v.value for v in tok.value])
-            elif tt in ('Fstar', 'fstar', 'F', 'f', 'B', 'b', 'Bstar', 'bstar'):
-                pass
-            elif tt == 'S':
-                s.S.do_S()
-            elif tt == 's':
-                s.S.do_s()
-            elif tt == 'n':
-                s.S.do_n()
-            elif tt == 're':
-                s.S.do_re(*[v.value for v in tok.value])
-            elif tt in ('W', 'Wstar'):
-                pass
-
-            elif tt == 'Do':
-                recs = self.doc.page_resources(page)
-                xdict = recs.XObject
-                x = xdict[tok.value[0].value]
-                if isinstance(x, Ref):
-                    x = self.doc.get_xobject(x)
-                self.resources.append(x.Resources)
-                x_toks = tokenize_content(x.Stream)['tokens']
-                self._render_tokens(page, x_toks, s)
-                self.resources.pop()
-
-            elif tt == 'cs':
-                s.S.colorspace = (s.S.colorspace[0], tok.value[0].value)
-            elif tt == 'CS':
-                s.S.colorspace = (tok.value[0].value, s.S.colorspace[1])
-            elif tt == 'sc':
-                s.S.color = (s.S.color[0], tok.value[0].value)
-            elif tt == 'SC':
-                s.S.color = (tok.value[0].value, s.S.color[1])
-            elif tt == 'scn':
-                s.S.color = (s.S.color[0], tok.value[0].value)
-            elif tt == 'SCN':
-                s.S.color = (tok.value[0].value, s.S.color[1])
-            elif tt == 'G':
-                s.S.do_G(tok.value[0].value)
-            elif tt == 'g':
-                s.S.do_g(tok.value[0].value)
-            elif tt == 'RG':
-                s.S.do_RG(*[t.value for t in tok.value])
-            elif tt == 'rg':
-                s.S.do_rg(*[t.value for t in tok.value])
-            elif tt == 'K':
-                s.S.do_K(*[t.value for t in tok.value])
-            elif tt == 'k':
-                s.S.do_k(*[t.value for t in tok.value])
-
-            elif tt == 'cm':
-                s.S.cm = Mat(*[v.value for v in tok.value])
-
-            elif tt == 'Tc':
-                s.T.set_Tc(tok.value[0].value)
-            elif tt == 'TL':
-                s.T.set_TL(tok.value[0].value)
-            elif tt == 'Tm':
-                s.T.Tm = Mat(*[v.value for v in tok.value])
-            elif tt == 'Tr':
-                s.T.set_Tr(tok.value[0].value)
-            elif tt == 'Ts':
-                s.T.set_Ts(tok.value[0].value)
-            elif tt == 'Tw':
-                s.T.set_Tw(tok.value[0].value)
-            elif tt == 'Tz':
-                s.T.set_Tz(tok.value[0].value)
-            elif tt == 'TD':
-                s.T.do_TD(tok.value[0].value, tok.value[1].value)
-            elif tt == 'Tstar':
-                s.T.do_Tstar()
-            elif tt in ('BDC', 'EMC'):
-                pass
-
             else:
-                raise PdfError("Cannot render '%s' token yet" % tt)
+                op = ops_table.get(tt)
+                if op is None:
+                    raise PdfError("Cannot render '%s' token yet" % tt)
+                op(self, page, s, ops)
+
+    def _do_xobject(self, page, s, name):
+        recs = self.doc.page_resources(page)
+        xdict = recs.XObject
+        x = xdict[name]
+        if isinstance(x, Ref):
+            x = self.doc.get_xobject(x)
+        self.resources.append(x.Resources)
+        x_toks = tokenize_content(x.Stream)['tokens']
+        self._render_tokens(page, x_toks, s)
+        self.resources.pop()
 
     def _show_text(self, s, operands):
         """Tj/TJ: draw each string's glyphs straight into the page buffer
@@ -370,66 +266,75 @@ class Renderer(object):
         498-530, 590-611).
 
         The font and its glyph dict are resolved once per operator, on
-        the first glyph drawn.  Each string's first glyph is looked up
-        before Tm is read, so a missing font, glyph or BT fails with the
-        reference's error.  Tm's E/F/I live in locals while a string
-        draws and one Mat is written back at its end: nothing else the
-        position and advance read changes within a string."""
+        the first glyph drawn.  The first string that draws looks up its
+        first glyph before Tm is read, so a missing font, glyph or BT
+        fails with the reference's error.  From then on Tm's entries live
+        in locals, glyphs and kerns advance E/F/I there, and one Mat is
+        written back at the operator's end: nothing else the position and
+        advance read changes within an operator.  Kerns before the first
+        drawn string advance Tm through ``TextState.do_Tj``."""
         T = s.T
         txt = self.txt
         spans = self.spans
         get_glyph = self.fonts.get_glyph
-        f = glyphs = None
-        for subtok in operands:
-            st = subtok.type
-            if st == 'INT' or st == 'FLOAT':
-                w = subtok.value
-                T.do_Tj(w, None)
-                if abs(w) > 0.5 * self.widths['avg']:
-                    txt.append(' ')
-                continue
-            if st == 'HEXSTRING':
-                if f is None:
-                    f = self.get_font(T.Tf)
-                if type(f.Encoding) == str and f.Encoding.startswith('Identity'):
-                    chars = get_token_string(subtok, bytesize=2)
+        f = glyphs = Tm = None
+        last_y = self.y
+        drawn = 0
+        try:
+            for st, v, _ in operands:
+                if st == 'INT' or st == 'FLOAT':
+                    if Tm is None:
+                        T.do_Tj(v, None)
+                    else:
+                        # TextState.do_Tj's kern advance, then translate_mul
+                        tx = ((0.0 - v) / 1000.0 * Tfs) * tz
+                        E = tx * A + zC + E
+                        F = tx * B + zD + F
+                        I = tx * G + zH + I
+                    if abs(v) > 0.5 * self.widths['avg']:
+                        txt.append(' ')
+                    continue
+                if st == 'LIT':
+                    chars = v if '\\' not in v else split_literal(v)
+                elif st == 'HEXSTRING':
+                    if f is None:
+                        f = self.get_font(T.Tf)
+                    if type(f.Encoding) == str and f.Encoding.startswith('Identity'):
+                        chars = split_hex(v, 2)
+                    else:
+                        raise NotImplementedError(
+                            "Unknown encoding for HEXSTRING: '%s'" % f.Encoding)
                 else:
-                    raise NotImplementedError(
-                        "Unknown encoding for HEXSTRING: '%s'" % f.Encoding)
-            else:
-                chars = get_token_string(subtok)
-            if not chars:
-                continue
+                    raise PdfError("Unrecognized Tj token type: %s" % st)
+                if not chars:
+                    continue
 
-            if glyphs is None:
-                if f is None:
-                    f = self.get_font(T.Tf)
-                glyphs = self.fonts.glyphs_of(f)
-            cid = ord(chars[0])
-            if cid not in glyphs:
-                get_glyph(f, cid)
+                if Tm is None:
+                    if glyphs is None:
+                        if f is None:
+                            f = self.get_font(T.Tf)
+                        glyphs = self.fonts.glyphs_of(f)
+                    cid = ord(chars[0])
+                    if cid not in glyphs:
+                        get_glyph(f, cid)
+                    # Position before the advance, NB Tr-as-rise (reference
+                    # __init__.py:521): (E, F) of Mat(Tfs*Tz,0,0,Tfs,0,Tr)*Tm*cm,
+                    # with the reference multiply's per-term order (0.0*A +
+                    # Tr*C + 1.0*E; the constant prefix is hoisted, 1.0*E is E).
+                    Tm = T._Tm
+                    A, B, C, D, G, H = Tm.A, Tm.B, Tm.C, Tm.D, Tm.G, Tm.H
+                    E, F, I = Tm.E, Tm.F, Tm.I
+                    cm = s.S.cm
+                    cA, cB, cC, cD, cE, cF = cm.A, cm.B, cm.C, cm.D, cm.E, cm.F
+                    trf = float(T.Tr)
+                    pe = 0.0 * A + trf * C
+                    pf = 0.0 * B + trf * D
+                    pi = 0.0 * G + trf * H
+                    # Advance (TextState.do_Tj, then Mat.translate_mul by (tx, 0.0))
+                    Tfs, Tc, Tw, tz = T.Tfs, T.Tc, T.Tw, T.Tz / 100.0
+                    zC, zD, zH = 0.0 * C, 0.0 * D, 0.0 * H
+                    page_no = len(self.pages)
 
-            # Position before the advance, NB Tr-as-rise (reference
-            # __init__.py:521): (E, F) of Mat(Tfs*Tz,0,0,Tfs,0,Tr)*Tm*cm,
-            # with the reference multiply's per-term order (0.0*A + Tr*C
-            # + 1.0*E; the constant prefix is hoisted, 1.0*E is E).
-            Tm = T._Tm
-            A, B, C, D, G, H = Tm.A, Tm.B, Tm.C, Tm.D, Tm.G, Tm.H
-            E, F, I = Tm.E, Tm.F, Tm.I
-            cm = s.S.cm
-            cA, cB, cC, cD, cE, cF = cm.A, cm.B, cm.C, cm.D, cm.E, cm.F
-            trf = float(T.Tr)
-            pe = 0.0 * A + trf * C
-            pf = 0.0 * B + trf * D
-            pi = 0.0 * G + trf * H
-            # Advance (TextState.do_Tj, then Mat.translate_mul by (tx, 0.0))
-            Tfs, Tc, Tw, tz = T.Tfs, T.Tc, T.Tw, T.Tz / 100.0
-            zC, zD, zH = 0.0 * C, 0.0 * D, 0.0 * H
-
-            page_no = len(self.pages)
-            last_y = self.y
-            drawn = 0
-            try:
                 for ch in chars:
                     cid = ord(ch)
                     g = glyphs.get(cid)
@@ -452,10 +357,11 @@ class Renderer(object):
                     E = tx * A + zC + E
                     F = tx * B + zD + F
                     I = tx * G + zH + I
-            finally:
-                self.y = last_y
-                self.n_spans += drawn
-            T.Tm = Mat(A, B, C, D, E, F, G, H, I)
+        finally:
+            self.y = last_y
+            self.n_spans += drawn
+        if Tm is not None:
+            T._Tm = T._Tlm = Mat.of(A, B, C, D, E, F, G, H, I)
 
     def _set_width_stats(self, fontname):
         """Tf: the (avg, min, max) width stats of the new font, which the
@@ -548,6 +454,102 @@ class Renderer(object):
             s.S.alphasource = gs.AIS
         if gs.TK is not None:
             raise NotImplementedError("Graphics state setting (TK) text knockout flag not implemented yet")
+
+
+def _set_colorspace(i):
+    def op(r, page, s, ops):
+        cs = s.S.colorspace
+        s.S.colorspace = (ops[0][1], cs[1]) if i == 0 else (cs[0], ops[0][1])
+    return op
+
+
+def _set_color(i):
+    def op(r, page, s, ops):
+        c = s.S.color
+        s.S.color = (ops[0][1], c[1]) if i == 0 else (c[0], ops[0][1])
+    return op
+
+
+def _call(name):
+    """An operator that calls GraphicsState method ``name`` with the
+    operands' values."""
+    def op(r, page, s, ops):
+        getattr(s.S, name)(*[v[1] for v in ops])
+    return op
+
+
+def _call0(name):
+    """A no-operand operator (its operand slot holds its own text)."""
+    def op(r, page, s, ops):
+        getattr(s.S, name)()
+    return op
+
+
+def _set_attr(name, conv=None):
+    def op(r, page, s, ops):
+        v = ops[0][1]
+        setattr(s.S, name, conv(v) if conv else v)
+    return op
+
+
+def _text_set(name):
+    def op(r, page, s, ops):
+        getattr(s.T, name)(ops[0][1])
+    return op
+
+
+def _no_op(r, page, s, ops):
+    pass
+
+
+def _set_Tm(r, page, s, ops):
+    s.T.Tm = Mat(*[v[1] for v in ops])
+
+
+def _set_cm(r, page, s, ops):
+    s.S.cm = Mat(*[v[1] for v in ops])
+
+
+# The non-text operators of the dispatch loop (Tj, TJ, Td and Tf are
+# tested first in ``Renderer._render_tokens``); anything else raises.
+_OPS = {
+    'BT': lambda r, page, s, ops: s.T.text_begin(),
+    'ET': lambda r, page, s, ops: s.T.text_end(),
+    'q': lambda r, page, s, ops: s.push(),
+    'Q': lambda r, page, s, ops: s.pop(),
+    'i': _set_attr('flatness', bool),
+    'd': lambda r, page, s, ops: setattr(s.S, 'dashpattern', (ops[0], ops[1])),
+    'j': _set_attr('linejoin'),
+    'J': _set_attr('linecap'),
+    'M': _set_attr('miterlimit'),
+    # stray-attribute assignment, UNVALIDATED (cloned quirk: reference
+    # `s.S.ri = ...` never hits its renderingintent property, so the
+    # RI_MAP validation is dead code)
+    'ri': _set_attr('ri'),
+    'w': _set_attr('linewidth'),
+    'gs': lambda r, page, s, ops: r._apply_gs(page, s, ops[0][1]),
+    'm': _call('do_m'), 'l': _call('do_l'), 'c': _call('do_c'),
+    'v': _call('do_v'), 'y': _call('do_y'), 're': _call('do_re'),
+    'h': _call0('do_h'), 'S': _call0('do_S'), 's': _call0('do_s'),
+    'n': _call0('do_n'),
+    'Do': lambda r, page, s, ops: r._do_xobject(page, s, ops[0][1]),
+    'CS': _set_colorspace(0), 'cs': _set_colorspace(1),
+    'SC': _set_color(0), 'sc': _set_color(1),
+    'SCN': _set_color(0), 'scn': _set_color(1),
+    'G': _call('do_G'), 'g': _call('do_g'),
+    'RG': _call('do_RG'), 'rg': _call('do_rg'),
+    'K': _call('do_K'), 'k': _call('do_k'),
+    'cm': _set_cm,
+    'Tm': _set_Tm,
+    'Tc': _text_set('set_Tc'), 'TL': _text_set('set_TL'),
+    'Tr': _text_set('set_Tr'), 'Ts': _text_set('set_Ts'),
+    'Tw': _text_set('set_Tw'), 'Tz': _text_set('set_Tz'),
+    'TD': lambda r, page, s, ops: s.T.do_TD(ops[0][1], ops[1][1]),
+    'Tstar': lambda r, page, s, ops: s.T.do_Tstar(),
+}
+for _op in ('Fstar', 'fstar', 'F', 'f', 'B', 'b', 'Bstar', 'bstar',
+            'W', 'Wstar', 'BDC', 'EMC'):
+    _OPS[_op] = _no_op
 
 
 # ---------------------------------------------------------------------------

@@ -13,29 +13,24 @@ rules in order of decreasing pattern length; first alternative that matches
 wins (NOT overall longest match).  This ordering is what makes e.g.
 ``startxref`` win over ``xref`` and ``scn`` over ``sc`` over ``s``.
 
-All scanning is over latin-1-decoded ``str`` data; token ``pos`` is the
-index into that string (the reference's ``lexpos``), which the object-stream
-indexer relies on.
+All scanning is over latin-1-decoded ``str`` data.  A token is a plain
+``(type, value, pos)`` tuple; ``pos`` is the index into that string (the
+reference's ``lexpos``), which the object-stream indexer relies on.
+
+The COS and content scanners first lex a whole region with one
+``findall`` (``_scan_fast``), which makes no match object per token, and
+keep its tokens unless the region holds something the fast path cannot
+vouch for.  Then a ``match`` loop lexes token by token, dispatching on
+``m.lastindex`` (every alternative is one plain group); it also raises
+every lex error.
 """
 
 import re
 
 __all__ = [
-    'Tok', 'PdfLexError', 'NeedStreamLengthError',
+    'PdfLexError', 'NeedStreamLengthError',
     'scan_cos', 'scan_content', 'scan_cmap',
 ]
-
-
-class Tok(object):
-    __slots__ = ('type', 'value', 'pos')
-
-    def __init__(self, type_, value, pos):
-        self.type = type_
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return "Tok(%s,%r,%d)" % (self.type, self.value, self.pos)
 
 
 class PdfLexError(Exception):
@@ -45,9 +40,10 @@ class PdfLexError(Exception):
 class NeedStreamLengthError(Exception):
     """Hit a ``stream`` keyword without knowing /Length.
 
-    Carries the tokens seen so far so the caller can extract /Length from
-    the already-lexed dictionary and re-scan (two-phase protocol; reference
-    pypdfproc/parser/pdf.py:119-151).
+    Carries the tokens seen so far (reference pypdfproc/parser/pdf.py:
+    119-151, whose caller reads /Length from them and re-scans).  A caller
+    that can resolve /Length passes ``scan_cos`` a callable instead, and
+    the scan goes on without lexing the dictionary twice.
     """
 
     def __init__(self, message, tokens):
@@ -56,7 +52,7 @@ class NeedStreamLengthError(Exception):
 
 
 def _master(func_rules, literal_rules, skip_ws=False):
-    """Build one alternation regex in PLY order.
+    """Build one alternation regex in PLY order → (regex, group names).
 
     ``func_rules``: list of (name, pattern) in definition order.
     ``literal_rules``: dict name -> literal regex pattern; sorted by
@@ -67,13 +63,91 @@ def _master(func_rules, literal_rules, skip_ws=False):
     tokens are unchanged.  Trailing whitespace, or whitespace before an
     unlexable character, backtracks into the WS rule, so a lex error
     still names the bad character's position.
+    Every alternative is one plain group, so the scanners dispatch on
+    ``m.lastindex``; the returned list maps it to the rule's name.
     """
     parts = ["(?P<%s>%s)" % (n, p) for n, p in func_rules]
     lits = sorted(literal_rules.items(), key=lambda kv: len(kv[1]), reverse=True)
     parts += ["(?P<%s>%s)" % (n, p) for n, p in lits]
     if skip_ws:
-        return re.compile(r"[\t \r\n]*(?:%s)" % "|".join(parts))
-    return re.compile("|".join(parts))
+        regex = re.compile(r"[\t \r\n]*(?:%s)" % "|".join(parts))
+    else:
+        regex = re.compile("|".join(parts))
+    names = [None] * (len(regex.groupindex) + 1)
+    for n, i in regex.groupindex.items():
+        names[i] = n
+    return regex, names
+
+
+def _findall_master(func_rules, literal_rules):
+    """The fast path's regex: ``([\t \r\n]*)(token)``, the token's
+    alternatives in PLY order and no other group, so ``findall`` lexes a
+    whole region in one call and makes no match object per token.  A
+    literal string with no ``(``, ``)`` or ``\\`` inside is one token (the
+    balanced scan would end at its first ``)``); any other literal string
+    leaves a bare ``(`` token, on which the fast path gives up."""
+    parts = [p for n, p in func_rules]
+    for n, p in sorted(literal_rules.items(), key=lambda kv: len(kv[1]), reverse=True):
+        if n == 'LIT_START':
+            parts.append(r'\([^()\\]*\)')
+        parts.append(p)
+    return re.compile(r"([\t \r\n]*)(%s)" % "|".join(parts))
+
+
+def _keywords(literal_rules, *special):
+    """Keyword text → token type, for the fast path's literal rules other
+    than ``special`` ones."""
+    return {re.sub(r'\\(.)', r'\1', p): n for n, p in literal_rules.items()
+            if n not in special}
+
+
+_NUMBER_START = frozenset('0123456789+-.')
+_NO_DIGIT = frozenset(('.', '-.', '+.'))     # FLOAT tokens float() rejects
+
+
+def _scan_fast(regex, keywords, data, pos, end):
+    """Tokens of ``data[pos:end]`` lexed with one ``findall`` of a
+    ``_findall_master`` regex, or None when the fast path cannot vouch for
+    them: a character no rule matches (the tokens would skip it), a
+    literal string with parens or backslashes, a FLOAT with no digit (the
+    ``match`` loop raises), or a COS ``stream`` keyword before ``end``."""
+    tokens = []
+    append = tokens.append
+    p = pos
+    for ws, tok in regex.findall(data, pos, end):
+        p += len(ws)
+        start = p
+        p += len(tok)
+        c = tok[0]
+        if c in _NUMBER_START:
+            if '.' not in tok:
+                append(('INT', int(tok), start))
+            elif tok not in _NO_DIGIT:
+                append(('FLOAT', float(tok), start))
+            else:
+                return None
+            continue
+        typ = keywords.get(tok)
+        if typ is not None:
+            append((typ, tok, start))
+        elif c == '(':
+            if len(tok) == 1:
+                return None
+            append(('LIT', tok[1:-1], start))
+        elif c == '/':
+            append(('NAME', tok[1:], start))
+        elif c == '<':
+            append(('HEXSTRING', tok[1:-1], start))
+        elif tok == 'stream':
+            if p != end:
+                return None
+            append(('stream', tok, start))
+        elif c == '%':
+            if tok == '%%EOF':
+                append(('EOF', tok, start))
+            else:
+                append(('COMMENT', tok[1:], start))
+    return tokens if p == end else None
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +174,9 @@ _COS_LITERALS = {
     'xref_free': r'f', 'xref_inuse': r'n', 'indirect': r'R',
 }
 
-_COS_RE = _master(_COS_FUNCS, _COS_LITERALS, skip_ws=True)
-
-# lastindex → group name (integer dispatch beats m.lastgroup's reverse
-# lookup in the per-token hot loop; every alternative is one plain group)
-_COS_IDX = [None] * (len(_COS_RE.groupindex) + 1)
-for _n, _i in _COS_RE.groupindex.items():
-    _COS_IDX[_i] = _n
+_COS_RE, _COS_IDX = _master(_COS_FUNCS, _COS_LITERALS, skip_ws=True)
+_COS_FINDALL = _findall_master(_COS_FUNCS, _COS_LITERALS)
+_COS_KW = _keywords(_COS_LITERALS, 'LIT_START', 'stream')
 
 
 def _scan_literal_simple(data, pos):
@@ -115,7 +185,11 @@ def _scan_literal_simple(data, pos):
     Mirrors reference parser/pdf.py:173-196 (and cmap.py): a paren is
     escaped iff the immediately preceding char is a backslash (no parity
     counting).  Returns (value, newpos); value has \\( and \\) unescaped.
+    A literal with no ``(`` or ``\\`` before its first ``)`` ends there.
     """
+    end = data.find(')', pos)
+    if end >= 0 and data.find('(', pos, end) < 0 and data.find('\\', pos, end) < 0:
+        return data[pos:end], end + 1
     cnt = 1
     start = pos
     n = len(data)
@@ -135,8 +209,12 @@ def _scan_literal_simple(data, pos):
 def _scan_literal_parity(data, pos):
     """Balanced-paren literal scan with backslash-parity escape check.
 
-    Mirrors reference parser/text.py:294-333 (content streams only).
+    Mirrors reference parser/text.py:294-333 (content streams only).  A
+    literal with no ``(`` or ``\\`` before its first ``)`` ends there.
     """
+    end = data.find(')', pos)
+    if end >= 0 and data.find('(', pos, end) < 0 and data.find('\\', pos, end) < 0:
+        return data[pos:end], end + 1
     cnt = 1
     start = pos
     n = len(data)
@@ -160,77 +238,98 @@ def _scan_literal_parity(data, pos):
     return val.replace("\\(", "(").replace("\\)", ")"), pos
 
 
+_G = _COS_RE.groupindex
+_C_INT, _C_NAME, _C_WS = _G['INT'], _G['NAME'], _G['WS']
+_C_FLOAT, _C_HEX, _C_COMMENT = _G['FLOAT'], _G['HEXSTRING'], _G['COMMENT']
+_C_LIT, _C_STREAM = _G['LIT_START'], _G['stream']
+# stoptoken type → the group that lexes it
+_COS_STOP = dict(_G, LIT=_C_LIT)
+
+
 def scan_cos(data, pos=None, stoptoken=None, streamlength=None):
     """Tokenize COS text, mirroring reference TokenizeString (pdf.py:126-214).
 
     * ``stream`` keyword: skips one optional CR and one optional LF, yanks
-      ``streamlength`` chars as the token value, skips trailing CR/LF.  If
-      ``streamlength`` is None, raises NeedStreamLengthError carrying the
-      tokens seen so far.
+      ``streamlength`` chars as the token value, skips trailing CR/LF.
+      ``streamlength`` is an int, or a callable that gets the tokens seen
+      so far and returns the length.  If it is None, raises
+      NeedStreamLengthError carrying the tokens seen so far.
     * literal strings: balanced scan (naive escape check), parens unescaped.
     * whitespace and nothing else is dropped; unknown chars raise.
+    * the scan ends after the first token of type ``stoptoken``.
     """
-    tokens = []
     p = pos or 0
     n = len(data)
+    tokens = None
+    if stoptoken is None or stoptoken == 'endobj':
+        # Fast path up to the first ``stream`` or ``endobj`` text (or the
+        # end).  If the region's last token is that keyword, no token
+        # before it reaches past it, so the region's tokens are the
+        # scan's.  At ``stream`` the loop below goes on from the keyword.
+        end = n
+        for word in ('stream', stoptoken):
+            at = data.find(word, p) if word else -1
+            if 0 <= at and at + len(word) < end:
+                end = at + len(word)
+        tokens = _scan_fast(_COS_FINDALL, _COS_KW, data, p, end)
+        if tokens is not None:
+            last = tokens[-1][0] if tokens else None
+            if last == 'stream':
+                p = tokens.pop()[2]
+            elif end == n or last == stoptoken:
+                return tokens
+            else:
+                tokens = None
+    if tokens is None:
+        tokens = []
     match = _COS_RE.match
-    idxname = _COS_IDX
+    names = _COS_IDX
     append = tokens.append
-    ws_idx = _COS_RE.groupindex['WS']
-    int_idx = _COS_RE.groupindex['INT']
-    name_idx = _COS_RE.groupindex['NAME']
+    stop = _COS_STOP.get(stoptoken)
     while p < n:
         m = match(data, p)
         if m is None:
             raise PdfLexError("Bad character ord='%d' at pos %d" % (ord(data[p]), p))
         gi = m.lastindex
-        start, p2 = m.span(gi)
-        p = p2
-        if gi == ws_idx:
+        start, p = m.span(gi)
+        if gi == _C_INT:
+            append(('INT', int(data[start:p]), start))
+        elif gi == _C_NAME:
+            append(('NAME', data[start + 1:p], start))
+        elif gi == _C_WS:
             continue
-        if gi == int_idx:
-            append(tok := Tok('INT', int(data[start:p2]), start))
-            if stoptoken is not None and tok.type == stoptoken:
-                break
-            continue
-        if gi == name_idx:
-            append(tok := Tok('NAME', data[start + 1:p2], start))
-            if stoptoken is not None and tok.type == stoptoken:
-                break
-            continue
-        typ = idxname[gi]
-        if typ == 'FLOAT':
-            tok = Tok('FLOAT', float(data[start:p2]), start)
-        elif typ == 'HEXSTRING':
-            tok = Tok('HEXSTRING', data[start + 1:p2 - 1], start)
-        elif typ == 'COMMENT':
-            tok = Tok('COMMENT', data[start + 1:p2], start)
-        elif typ == 'LIT_START':
+        elif gi == _C_FLOAT:
+            append(('FLOAT', float(data[start:p]), start))
+        elif gi == _C_LIT:
             val, p = _scan_literal_simple(data, p)
-            tok = Tok('LIT', val, start)
-        elif typ == 'stream':
+            append(('LIT', val, start))
+        elif gi == _C_HEX:
+            append(('HEXSTRING', data[start + 1:p - 1], start))
+        elif gi == _C_COMMENT:
+            append(('COMMENT', data[start + 1:p], start))
+        elif gi == _C_STREAM:
             if streamlength is None:
                 raise NeedStreamLengthError(
                     "Ran into a stream without a stream length, cannot process stream",
                     tokens)
+            length = streamlength(tokens) if callable(streamlength) else streamlength
             # leading CR then LF skip (reference pdf.py:154-157)
             if data[p] == '\r':
                 p += 1
             if data[p] == '\n':
                 p += 1
-            sval = data[p:p + streamlength]
-            p += streamlength
+            sval = data[p:p + length]
+            p += length
             # trailing CR then LF skip (pdf.py:166-169); IndexError at EOF
             # mirrors the reference's behavior on truncated streams
             if data[p] == '\r':
                 p += 1
             if data[p] == '\n':
                 p += 1
-            tok = Tok('stream', sval, start)
+            append(('stream', sval, start))
         else:
-            tok = Tok(typ, data[start:p2], start)
-        append(tok)
-        if stoptoken is not None and tok.type == stoptoken:
+            append((names[gi], data[start:p], start))
+        if gi == stop:
             break
     return tokens
 
@@ -270,7 +369,12 @@ _TEXT_LITERALS = {
     'Do': r'Do',
 }
 
-_TEXT_RE = _master(_TEXT_FUNCS, _TEXT_LITERALS, skip_ws=True)
+_TEXT_RE, _TEXT_IDX = _master(_TEXT_FUNCS, _TEXT_LITERALS, skip_ws=True)
+_TEXT_FINDALL = _findall_master(_TEXT_FUNCS, _TEXT_LITERALS)
+_TEXT_KW = _keywords(_TEXT_LITERALS, 'LIT_START')
+_G = _TEXT_RE.groupindex
+_T_INT, _T_NAME, _T_WS = _G['INT'], _G['NAME'], _G['WS']
+_T_FLOAT, _T_HEX, _T_LIT = _G['FLOAT'], _G['HEXSTRING'], _G['LIT_START']
 
 
 def scan_content(data):
@@ -278,34 +382,39 @@ def scan_content(data):
 
     Literal strings use the backslash-parity escape check.  There is no
     COMMENT rule: a ``%`` in a content stream is a lex error, as in the
-    reference.
+    reference.  The ``findall`` fast path lexes most streams; the match
+    loop below takes the rest and raises the lex errors.
     """
+    tokens = _scan_fast(_TEXT_FINDALL, _TEXT_KW, data, 0, len(data))
+    if tokens is not None:
+        return tokens
     tokens = []
     p = 0
     n = len(data)
     match = _TEXT_RE.match
+    names = _TEXT_IDX
+    append = tokens.append
     while p < n:
         m = match(data, p)
         if m is None:
             raise PdfLexError("Bad character ord='%d' at pos %d" % (ord(data[p]), p))
-        typ = m.lastgroup
-        start, p = m.span(typ)
-        if typ == 'WS':
-            continue
-        if typ == 'INT':
-            tok = Tok('INT', int(data[start:p]), start)
-        elif typ == 'FLOAT':
-            tok = Tok('FLOAT', float(data[start:p]), start)
-        elif typ == 'NAME':
-            tok = Tok('NAME', data[start + 1:p], start)
-        elif typ == 'HEXSTRING':
-            tok = Tok('HEXSTRING', data[start:p].rstrip('>').lstrip('<'), start)
-        elif typ == 'LIT_START':
+        gi = m.lastindex
+        start, p = m.span(gi)
+        if gi == _T_INT:
+            append(('INT', int(data[start:p]), start))
+        elif gi == _T_LIT:
             val, p = _scan_literal_parity(data, p)
-            tok = Tok('LIT', val, start)
+            append(('LIT', val, start))
+        elif gi == _T_NAME:
+            append(('NAME', data[start + 1:p], start))
+        elif gi == _T_FLOAT:
+            append(('FLOAT', float(data[start:p]), start))
+        elif gi == _T_WS:
+            continue
+        elif gi == _T_HEX:
+            append(('HEXSTRING', data[start + 1:p - 1], start))
         else:
-            tok = Tok(typ, data[start:p], start)
-        tokens.append(tok)
+            append((names[gi], data[start:p], start))
     return tokens
 
 
@@ -337,7 +446,7 @@ _CMAP_LITERALS = {
     'endcidrange': r'endcidrange', 'endcodespacerange': r'endcodespacerange',
 }
 
-_CMAP_RE = _master(_CMAP_FUNCS, _CMAP_LITERALS)
+_CMAP_RE, _ = _master(_CMAP_FUNCS, _CMAP_LITERALS)
 
 
 def scan_cmap(data):
@@ -362,19 +471,19 @@ def scan_cmap(data):
         start = p
         p = p2
         if typ == 'INT':
-            tok = Tok('INT', int(m.group(0)), start)
+            tok = ('INT', int(m.group(0)), start)
         elif typ == 'FLOAT':
-            tok = Tok('FLOAT', float(m.group(0)), start)
+            tok = ('FLOAT', float(m.group(0)), start)
         elif typ == 'NAME':
-            tok = Tok('NAME', m.group(0)[1:], start)
+            tok = ('NAME', m.group(0)[1:], start)
         elif typ == 'CODE':
-            tok = Tok('CODE', int(m.group(0)[1:-1], 16), start)
+            tok = ('CODE', int(m.group(0)[1:-1], 16), start)
         elif typ == 'COMMENT':
-            tok = Tok('COMMENT', m.group(0)[1:], start)
+            tok = ('COMMENT', m.group(0)[1:], start)
         elif typ == 'LIT_START':
             val, p = _scan_literal_simple(data, p)
-            tok = Tok('LIT', val, start)
+            tok = ('LIT', val, start)
         else:
-            tok = Tok(typ, m.group(0), start)
+            tok = (typ, m.group(0), start)
         tokens.append(tok)
     return tokens

@@ -115,18 +115,25 @@ def _extract(ds, batch_size, concurrency, cls, job_id, *args):
                           concurrency=concurrency, zero_copy_batch=True)
 
 
+def _read_input(input_path):
+    """The input as a Ray Dataset over the files ``plan_units`` reads:
+    ``file_extensions=None`` keeps ``.pq`` and any other name, where a
+    later Ray's default (``['parquet']``) would drop them."""
+    import ray.data
+    return ray.data.read_parquet(input_path, columns=COLUMNS,
+                                 file_extensions=None)
+
+
 def build_extract_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
-    import ray.data
-    ds = ray.data.read_parquet(input_path, columns=COLUMNS)
-    return _extract(ds, batch_size, concurrency, ExtractTurns, uuid.uuid4().hex)
+    return _extract(_read_input(input_path), batch_size, concurrency,
+                    ExtractTurns, uuid.uuid4().hex)
 
 
 def build_spans_dataset(input_path, batch_size=64, concurrency=None):
     """Lazy Dataset of positioned spans, one row per drawn glyph."""
-    import ray.data
-    ds = ray.data.read_parquet(input_path, columns=COLUMNS)
-    return _extract(ds, batch_size, concurrency, ExtractSpans, uuid.uuid4().hex)
+    return _extract(_read_input(input_path), batch_size, concurrency,
+                    ExtractSpans, uuid.uuid4().hex)
 
 
 def plan_units(input_path, cap):

@@ -113,14 +113,15 @@ def test_resume_of_finished_output_skips_stage_a(ray_session, extracted,
                                                 monkeypatch):
     """A resume over an output whose every bucket is done returns the
     summary from the manifest without reading the input or making a
-    spill dir."""
-    import ray.data
+    spill dir.  ``pq.ParquetFile`` is the sink's only row reader; the
+    patch covers this process, and a Stage A task in a worker would
+    break the row and time assertions."""
     from engine.rayjob.pipeline import run_extraction
     d, n, out, _ = extracted
 
     def no_read(*args, **kwargs):
         raise AssertionError('a finished output must not read its input')
-    monkeypatch.setattr(ray.data, 'read_parquet', no_read)
+    monkeypatch.setattr(pq, 'ParquetFile', no_read)
     summary = run_extraction(d, out, num_buckets=4, batch_size=32,
                              concurrency=2, resume=True)
     assert summary['rows_out'] == n
@@ -1066,6 +1067,38 @@ def test_stage_a_units_from_metadata(tmp_path):
         write(os.path.join(nested, rel), 3)
     _, units = plan_units(nested, 1)
     assert files(nested, units) == ['a.parquet', 'e.pq', 'sub/b.parquet']
+
+
+def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path,
+                                               monkeypatch):
+    """``build_extract_dataset`` and ``build_spans_dataset`` read a
+    ``.pq`` file as the sink does, also under the ``file_extensions``
+    default Ray announces for ``read_parquet`` (``['parquet']``), which
+    the patch applies to any call that does not pass its own."""
+    import ray.data
+    from engine.rayjob.pipeline import (build_extract_dataset,
+                                        build_spans_dataset, run_extraction)
+    d = str(tmp_path / 'corpus')
+    n, files = generate_transcripts(d, n_convs=12, seed=7, rows_per_file=20)
+    assert files > 1
+    first = sorted(glob.glob(os.path.join(d, '*.parquet')))[0]
+    os.rename(first, first[:-len('.parquet')] + '.pq')
+
+    read = ray.data.read_parquet
+
+    def future_default(*args, **kwargs):
+        kwargs.setdefault('file_extensions', ['parquet'])
+        return read(*args, **kwargs)
+    monkeypatch.setattr(ray.data, 'read_parquet', future_default)
+
+    out = str(tmp_path / 'out')
+    summary = run_extraction(d, out, num_buckets=2, resume=False)
+    assert summary['rows_out'] == n
+    turns = build_extract_dataset(d).to_pandas()
+    assert len(turns) == summary['rows_out']
+    _, parts = _read_all(out)
+    glyphs = sum(sum(t.column('n_spans').to_pylist()) for t in parts)
+    assert build_spans_dataset(d).count() == glyphs > 0
 
 
 def test_sink_never_loads_ray_data(tmp_path):

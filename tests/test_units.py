@@ -22,22 +22,22 @@ from engine.pdfcore.cos import PdfError
 
 def test_cos_float_before_int():
     toks = scan_cos('3.14 42 .5 -7')
-    assert [(t.type, t.value) for t in toks] == [
+    assert [(t[0], t[1]) for t in toks] == [
         ('FLOAT', 3.14), ('INT', 42), ('FLOAT', 0.5), ('INT', -7)]
 
 
 def test_cos_longest_match_keywords():
     # startxref must not lex as 'start'+'xref'; endstream vs endobj
     toks = scan_cos('startxref xref trailer endstream endobj')
-    assert [t.type for t in toks] == ['xref_start', 'xref', 'trailer',
+    assert [t[0] for t in toks] == ['xref_start', 'xref', 'trailer',
                                       'endstream', 'endobj']
 
 
 def test_cos_name_and_hexstring():
     toks = scan_cos('/Name1 <48656C6C6F> (lit (nested) s)')
-    assert toks[0].type == 'NAME' and toks[0].value == 'Name1'
-    assert toks[1].type == 'HEXSTRING' and toks[1].value == '48656C6C6F'
-    assert toks[2].type == 'LIT' and toks[2].value == 'lit (nested) s'
+    assert toks[0][0] == 'NAME' and toks[0][1] == 'Name1'
+    assert toks[1][0] == 'HEXSTRING' and toks[1][1] == '48656C6C6F'
+    assert toks[2][0] == 'LIT' and toks[2][1] == 'lit (nested) s'
 
 
 def test_cos_stream_two_phase():
@@ -46,8 +46,8 @@ def test_cos_stream_two_phase():
         scan_cos(body)
     assert ei.value.tokens  # carries tokens seen so far
     toks = scan_cos(body, streamlength=5)
-    sv = [t for t in toks if t.type == 'stream']
-    assert sv[0].value == 'HELLO'
+    sv = [t for t in toks if t[0] == 'stream']
+    assert sv[0][1] == 'HELLO'
 
 
 def test_cos_bad_char_raises():
@@ -60,13 +60,13 @@ def test_cos_bad_char_raises():
 def test_content_longest_match_ops():
     # scn before sc before s; f* vs f; T* vs TJ/Tj
     toks = scan_content('scn sc s f* f T* BT ET')
-    assert [t.type for t in toks] == ['scn', 'sc', 's', 'fstar', 'f',
+    assert [t[0] for t in toks] == ['scn', 'sc', 's', 'fstar', 'f',
                                       'Tstar', 'BT', 'ET']
 
 
 def test_content_escaped_paren_parity():
     toks = scan_content(r'(a\(b) Tj')
-    assert toks[0].type == 'LIT' and toks[0].value == 'a(b'
+    assert toks[0][0] == 'LIT' and toks[0][1] == 'a(b'
 
 
 def test_content_percent_is_error():
@@ -82,16 +82,16 @@ def _prefix(src):
 
 def test_arity_families():
     toks = _prefix('q 1 0 0 1 5 5 cm BT /F1 12 Tf 1 2 Td (x) Tj ET Q')
-    assert [t.type for t in toks] == ['q', 'cm', 'BT', 'Tf', 'Td', 'Tj', 'ET', 'Q']
+    assert [t[0] for t in toks] == ['q', 'cm', 'BT', 'Tf', 'Td', 'Tj', 'ET', 'Q']
     cm = toks[1]
-    assert [v.value for v in cm.value] == [1, 0, 0, 1, 5, 5]
+    assert [v[1] for v in cm[1]] == [1, 0, 0, 1, 5, 5]
 
 
 def test_tj_array_and_dash():
     toks = _prefix('BT [(a) -120 (b)] TJ [2 1] 0 d ET')
-    assert [t.type for t in toks] == ['BT', 'TJ', 'd', 'ET']
+    assert [t[0] for t in toks] == ['BT', 'TJ', 'd', 'ET']
     tj = toks[1]
-    kinds = [t.type for t in tj.value]
+    kinds = [t[0] for t in tj[1]]
     assert kinds == ['LIT', 'INT', 'LIT']
 
 
@@ -105,8 +105,8 @@ def test_tj_at_index_zero_cloned_drop_bug():
 
 def test_variadic_scn():
     toks = _prefix('0.1 0.2 0.3 scn 1 sc')
-    assert toks[0].type == 'scn' and len(toks[0].value) == 3
-    assert toks[1].type == 'sc' and len(toks[1].value) == 1
+    assert toks[0][0] == 'scn' and len(toks[0][1]) == 3
+    assert toks[1][0] == 'sc' and len(toks[1][1]) == 1
 
 
 # --------------------------------------------------------- D1/D2 filters
@@ -403,6 +403,172 @@ def test_render_error_surfaces(shared_fonts):
           [(0, 72.0, 720.0, 'A', 65, 667.0)])),
         (b"BT /F1 12 Tf 72 720 Td <4142> Tj ET",
          ('', 0, False, "NotImplementedError: Unknown encoding for HEXSTRING: 'None'", [])),
+        # kerns before, between and after strings, with Tz, Tc, Tw and a
+        # scaled Tm: each advance lands where the next glyph draws
+        (b"BT /F1 12 Tf 50 Tz 2 Tc 1 Tw 0.5 0 0 2 72 720 Tm "
+         b"[(AB) -300 (C) 120.5 (D)] TJ (E) Tj ET",
+         ('\nAB CDE', 5, True, '',
+          [(0, 72.0, 720.0, 'A', 65, 667.0), (0, 74.751, 720.0, 'B', 66, 667.0),
+           (0, 78.40200000000002, 720.0, 'C', 67, 722.0),
+           (0, 80.9565, 720.0, 'D', 68, 722.0), (0, 83.8725, 720.0, 'E', 69, 667.0)])),
+        (b"BT /F1 12 Tf 72 720 Td [-300 (A) -300] TJ 0 0 Td [(B)] TJ ET",
+         (' \nA B', 2, True, '',
+          [(0, 75.6, 720.0, 'A', 65, 667.0), (0, 87.204, 720.0, 'B', 66, 667.0)])),
+        # a name in a TJ array fails after the glyphs before it are drawn
+        (b"BT /F1 12 Tf 72 720 Td [(A) 300 /N (B)] TJ ET",
+         ('', 1, False, 'PdfError: Unrecognized Tj token type: NAME',
+          [(0, 72.0, 720.0, 'A', 65, 667.0)])),
     ]
     for content, want in cases:
         assert run(content) == want, content
+
+
+# ------------------------------ R4-R6/P10 object loading: one scan per object
+
+def _xref_lines(text):
+    """Split an xref table as ``PdfDocument._parse_xref_table`` does: CR,
+    LF or CRLF line ends, each line rstripped, up to ``trailer``."""
+    from engine.pdfcore.document import _read_line
+    lines, pos = [], 0
+    while pos < len(text):
+        line, pos = _read_line(text, pos)
+        if line.startswith('trailer'):
+            break
+        lines.append(line.rstrip())
+    return lines
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return '%s: %s' % (type(e).__name__, e)
+
+
+def test_xref_table_fast_path_equals_general_path(monkeypatch):
+    """A well-formed one-subsection table is read straight from its lines;
+    every other shape goes through the lexer, which reads only the first
+    subsection.  Both give the same rows or the same error."""
+    from engine.pdfcore import document
+    from engine.pdfcore.cos import parse_xref_table_tokens
+
+    def general(lines):
+        return parse_xref_table_tokens(scan_cos("\r\n".join(lines)))
+
+    rows = ['0000000000 65535 f ', '0000000009 00000 n ', '0000000058 00000 n ']
+    well_formed = 'xref\n0 3\n' + '\n'.join(rows) + '\ntrailer\n'
+    tables = {
+        'well formed': well_formed,
+        'two subsections': well_formed.replace(
+            '\ntrailer', '\n7 2\n0000000100 00000 n \n0000000200 00001 n \ntrailer'),
+        'CR only': well_formed.replace('\n', '\r'),
+        'CRLF': well_formed.replace('\n', '\r\n'),
+        'trailing spaces': well_formed.replace(' n \n', ' n   \n'),
+        'short row': well_formed.replace('0000000009 00000 n', '0000000009 0000 n'),
+        'flag x': well_formed.replace('00000 n \n0000000058', '00000 x \n0000000058'),
+        'count above rows': well_formed.replace('0 3\n', '0 5\n'),
+        'count below rows': well_formed.replace('0 3\n', '0 2\n'),
+        'first object 4': well_formed.replace('0 3\n', '4 3\n'),
+    }
+    scans = []
+    monkeypatch.setattr(document, 'scan_cos',
+                        lambda *a, **k: scans.append(a) or scan_cos(*a, **k))
+    for name, text in tables.items():
+        lines = _xref_lines(text)
+        del scans[:]
+        got = _outcome(document._xref_table_rows, lines)
+        assert got == _outcome(general, lines), name
+        fast = name in ('well formed', 'CR only', 'CRLF', 'trailing spaces',
+                        'first object 4')
+        assert (scans == []) == fast, name
+    assert _outcome(document._xref_table_rows, _xref_lines(well_formed)) == [
+        (0, 0, 65535, 'f'), (1, 9, 0, 'n'), (2, 58, 0, 'n')]
+
+
+def _two_phase_scan(doc, offset):
+    """The reference's object scan (parser/__init__.py:365-414): lex to
+    ``stream``, read /Length from the tokens so far, lex again."""
+    from engine.pdfcore.cos import Ref, parse_object_body
+    try:
+        return scan_cos(doc.data, offset, 'endobj')
+    except NeedStreamLengthError as e:
+        length = parse_object_body(list(e.tokens))[2][0]['Length']
+        if isinstance(length, Ref):
+            length = doc.get_object_values(length)[0]
+        return scan_cos(doc.data, offset, 'endobj', length)
+
+
+def test_stream_object_lexes_its_dictionary_once(monkeypatch):
+    """A stream object's scan reads /Length from the dictionary it has
+    lexed and goes on: one ``scan_cos`` call per object, plus one for an
+    indirect /Length (the V05 shape).  The tokens, or the error of a
+    truncated stream, equal the reference's two-scan protocol's."""
+    from gen_pdf import build_variant
+    from engine.pdfcore import document
+
+    calls = []
+
+    def counting(data, pos=None, *args, **kwargs):
+        calls.append(pos)
+        return scan_cos(data, pos, *args, **kwargs)
+
+    for vid, want_calls in (('V01', 1), ('V05', 2)):
+        data = build_variant(vid).decode('latin-1')
+        off = document.PdfDocument(data).objmap[(4, 0)]
+        cut = data.index('endstream', off) - 3
+        for payload in (data, data[:cut]):
+            doc = document.PdfDocument(data)
+            doc.data = payload
+            want = _outcome(_two_phase_scan, doc, off)
+            doc = document.PdfDocument(data)
+            doc.data = payload
+            monkeypatch.setattr(document, 'scan_cos', counting)
+            del calls[:]
+            assert _outcome(doc._scan_object_at, off) == want, vid
+            monkeypatch.undo()
+            if payload is data:
+                assert len(calls) == want_calls and calls[0] == off, vid
+                assert want[-1][0] == 'endobj'
+            else:
+                assert isinstance(want, str), want     # the error
+
+
+def test_objstm_slices_equal_the_reference_filter():
+    """``_ObjStmIndex`` takes each object's tokens by bisecting token
+    positions; the reference filters the whole token list per object.
+    For a 300-object stream, with well-formed and with odd offsets (in
+    the middle of a number, or going backwards), the values are equal."""
+    from engine.pdfcore.cos import StreamObj, parse_values
+    from engine.pdfcore.document import _ObjStmIndex
+
+    bodies = []
+    for i in range(300):
+        bodies.append(('<< /Type /Obj%d /Kids [%d 0 R %d 0 R] /N %d.5 /S (s%d) >>'
+                       % (i, i + 1, i + 2, i, i), '[%d /A <0%X>]' % (i, i),
+                       '%d' % i, '(lit %d) true null' % i)[i % 4])
+
+    def stream(offsets):
+        header = ' '.join('%d %d' % (1000 + i, o) for i, o in enumerate(offsets)) + ' '
+        return header, len(header)
+
+    def reference(data, first, offsets):
+        toks = scan_cos(data)
+        out = []
+        for i, off in enumerate(offsets):
+            start = off + first
+            end = (offsets[i + 1] - 1 if i + 1 < len(offsets) else len(data) - 1) + first
+            out.append(parse_values([t for t in toks if start <= t[2] <= end]))
+        return out
+
+    payload, good = '', []
+    for b in bodies:
+        good.append(len(payload))
+        payload += b + ' '
+    odd = [o + (i % 40 == 10) for i, o in enumerate(good)]   # mid-number
+    odd[150], odd[151] = odd[151], odd[150]
+    for offsets in (good, odd):
+        header, first = stream(offsets)
+        data = header + payload
+        idx = _ObjStmIndex(StreamObj({'N': 300, 'First': first}, data))
+        got = [idx.get_object_values(i) for i in range(300)]
+        assert got == reference(data, first, offsets)
