@@ -8,7 +8,6 @@ partial pre-aggregation before any groupby shuffle):
 
 - textstats:   token counts, quality scoring, language-ID, fingerprints
 - dedup:       exact, n-gram Jaccard, MinHash+LSH, SimHash
-- similarity:  embedding near-dup pairs, brute-force ANN top-k, LSH ANN
 - relational:  broadcast joins / pre-aggregated groupbys / sessionize
 
 Every operator with SQL-expressible semantics has a DuckDB oracle in

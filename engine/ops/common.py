@@ -12,6 +12,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
+import ray
+
 __all__ = ['round_half_up', 'sf_from_dir', 'table_path',
            'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
            'hash63_keys', 'run_pairs',
@@ -158,3 +160,23 @@ def run_pairs(lens, upper=False):
     b_idx = np.repeat(np.repeat(starts, lens), per_elem) + pos
     keep = b_idx > a_idx if upper else a_idx != b_idx
     return a_idx[keep], b_idx[keep]
+
+
+_BCAST_CACHE = {}
+
+
+def _fetch_broadcast(ref):
+    """Per-worker-process cache of a ``ray.put`` broadcast value.
+
+    The broadcast stages here hold NO mutable state, so a plain TASK pool
+    (which fuses with the read and skips the ~2 s actor-pool spin-up) is
+    the right compute strategy — each worker fetches the object from its
+    node's plasma store once and reuses it across tasks.  Bounded: one
+    entry per live broadcast; dropped with the worker."""
+    hit = _BCAST_CACHE.get(ref)
+    if hit is None:
+        hit = _BCAST_CACHE[ref] = ray.get(ref)
+        if len(_BCAST_CACHE) > 8:                     # stale refs from past jobs
+            for k in list(_BCAST_CACHE)[:-4]:
+                del _BCAST_CACHE[k]
+    return hit

@@ -1,18 +1,13 @@
 """DuckDB oracle SQL builders for queries whose semantics are
-SQL-expressible but need generated constants (hash constants, the seeded
-LSH hyperplanes, trained IVF centroids).
+SQL-expressible but need generated constants (hash constants, t-digest
+estimates, the transcripts corpus path).
 
 Rules shared with the engine side:
 - rounding is always the half-up formula ``floor(x*10^d + 0.5)/10^d``;
 - k-gram hashes are ``md5_number_lower`` & 63-bit mask
   (= :func:`engine.ops.textstats._gram_hash`);
-- LSH planes come from the same ``np.random.RandomState(777)`` stream the
-  Ray stage uses, inlined as DOUBLE[] literals (%.17g round-trips float64
-  exactly);
-- IVF centroids are data-dependent: they are trained at oracle-build time
-  on the SAME bounded head sample (first ``max_train`` rows in file order)
-  the Ray pipeline trains on, from the sf dir the driver compares at
-  (``$GRAFT_ORACLE_SF_DIR``, default /root/testdata/sf0.01).
+- data-dependent constants are derived at oracle-build time from the sf
+  dir the driver compares at (``$GRAFT_ORACLE_SF_DIR``).
 """
 
 import os
@@ -78,116 +73,6 @@ FROM d a JOIN d b ON b.wmin = a.wmin AND b.doc_id > a.doc_id
 GROUP BY 1, 2
 HAVING count(*) >= {m}
 """.format(m=min_shared)
-
-
-def _dlist(vec):
-    return '[%s]::DOUBLE[]' % ', '.join('%.17g' % v for v in vec)
-
-
-def _bucket_expr(col, plane_lists):
-    terms = ['(CASE WHEN list_dot_product(%s, %s) > 0 THEN %d ELSE 0 END)'
-             % (col, pl, 1 << p) for p, pl in enumerate(plane_lists)]
-    return '(' + ' + '.join(terms) + ')::BIGINT'
-
-
-def lsh_oracle_sql(dim, n_queries=16, k=5):
-    """Full SQL re-derivation of ann_topk_lsh: the seeded hyperplanes are
-    data-independent, so they inline as literals; bucket bits are sign
-    tests of raw dot products (sign is normalization-invariant), probes =
-    own bucket + all 1-bit flips (xor in {0,1,2,4,8}), global top-k by
-    (cosine desc, nid asc)."""
-    from .similarity import _lsh_planes, _LSH_PLANES
-    planes = _lsh_planes(dim)                        # (dim, P)
-    plane_lists = [_dlist(planes[:, p]) for p in range(_LSH_PLANES)]
-    xor_ok = ', '.join(str(v) for v in
-                       [0] + [1 << p for p in range(_LSH_PLANES)])
-    return """
-WITH q AS (
-  SELECT vec_id AS qid, embedding::DOUBLE[] AS qe FROM embeddings
-  WHERE vec_id < {nq}
-), qb AS (
-  SELECT qid, qe, {qbucket} AS b FROM q
-), eb AS (
-  SELECT vec_id AS nid, embedding::DOUBLE[] AS ee, {ebucket} AS b
-  FROM embeddings
-), s AS (
-  SELECT qb.qid, eb.nid, list_cosine_similarity(qb.qe, eb.ee) AS sc
-  FROM qb JOIN eb ON xor(qb.b, eb.b) IN ({xor_ok}) AND eb.nid <> qb.qid
-), r AS (
-  SELECT qid, nid, sc,
-         row_number() OVER (PARTITION BY qid ORDER BY sc DESC, nid ASC)::BIGINT AS rank
-  FROM s
-)
-SELECT qid AS query_id, nid AS neighbor_id,
-       floor(sc * 10000 + 0.5) / 10000 AS score, rank
-FROM r WHERE rank <= {k}
-""".format(nq=n_queries, k=k, xor_ok=xor_ok,
-           qbucket=_bucket_expr('qe', plane_lists),
-           ebucket=_bucket_expr('ee', plane_lists))
-
-
-def _sample_matrix(path, max_train, raw=False):
-    """The ``max_train`` rows with the smallest md5(vec_id) sample key, in
-    (skey, vec_id) order — the pq twin of similarity._train_matrix's
-    distributed hash-order sample (same key function, same tie-break, so
-    the training matrix is row-for-row identical).  ``raw=True`` skips
-    normalization (the PQ tier trains on raw vectors)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    from .similarity import _batch_matrix, _raw_matrix, _sample_keys
-    tbl = pq.read_table(path, columns=['vec_id', 'embedding'])
-    keys = _sample_keys(tbl.column('vec_id').to_numpy(zero_copy_only=False))
-    tbl = tbl.append_column('skey', pa.array(keys, pa.int64()))
-    tbl = tbl.sort_by([('skey', 'ascending'),
-                       ('vec_id', 'ascending')]).slice(0, max_train)
-    return _raw_matrix(tbl) if raw else _batch_matrix(tbl)
-
-
-def ivf_oracle_sql(sf_dir=None, n_queries=16, k=5, nlist=16, nprobe=4,
-                   max_train=65536):
-    """Full SQL re-derivation of ann_topk_ivf.  The coarse quantizer is
-    data-dependent, so the oracle trains the SAME deterministic k-means on
-    the SAME bounded md5-keyed sample at build time and inlines the
-    centroids as literals — valid for the sf dir the driver compares at."""
-    from .similarity import _kmeans
-    sf_dir = sf_dir or _oracle_sf_dir()
-    path = os.path.join(sf_dir, 'embeddings.parquet')
-    _, train = _sample_matrix(path, max_train)
-    cent = _kmeans(train, nlist)
-    cent_rows = ',\n    '.join('(%d, %s)' % (ci, _dlist(cent[ci]))
-                               for ci in range(nlist))
-    return """
-WITH cent(ci, cv) AS (VALUES
-    {cent_rows}
-), q AS (
-  SELECT vec_id AS qid, embedding::DOUBLE[] AS qe FROM embeddings
-  WHERE vec_id < {nq}
-), e AS (
-  SELECT vec_id AS nid, embedding::DOUBLE[] AS ee FROM embeddings
-), easn AS (
-  SELECT nid, ee, ci AS cell FROM (
-    SELECT e.nid, e.ee, cent.ci,
-           row_number() OVER (PARTITION BY e.nid
-             ORDER BY list_cosine_similarity(e.ee, cent.cv) DESC, cent.ci ASC) AS rn
-    FROM e, cent) WHERE rn = 1
-), qpr AS (
-  SELECT qid, qe, ci FROM (
-    SELECT q.qid, q.qe, cent.ci,
-           row_number() OVER (PARTITION BY q.qid
-             ORDER BY list_cosine_similarity(q.qe, cent.cv) DESC, cent.ci ASC) AS rn
-    FROM q, cent) WHERE rn <= {nprobe}
-), s AS (
-  SELECT qpr.qid, easn.nid, list_cosine_similarity(qpr.qe, easn.ee) AS sc
-  FROM qpr JOIN easn ON easn.cell = qpr.ci AND easn.nid <> qpr.qid
-), r AS (
-  SELECT qid, nid, sc,
-         row_number() OVER (PARTITION BY qid ORDER BY sc DESC, nid ASC)::BIGINT AS rank
-  FROM s
-)
-SELECT qid AS query_id, nid AS neighbor_id,
-       floor(sc * 10000 + 0.5) / 10000 AS score, rank
-FROM r WHERE rank <= {k}
-""".format(cent_rows=cent_rows, nq=n_queries, k=k, nprobe=nprobe)
 
 
 def minhash_oracle_sql(threshold=0.8, k=3):
@@ -305,50 +190,6 @@ FROM r WHERE rn = 1
 """.format(corpus=corpus)
 
 
-def embedding_dim(sf_dir=None):
-    """Embedding dimensionality from the oracle sf dir's parquet (one
-    batch peeked; no full read)."""
-    import pyarrow.parquet as pq
-    sf_dir = sf_dir or _oracle_sf_dir()
-    path = os.path.join(sf_dir, 'embeddings.parquet')
-    pf = pq.ParquetFile(path)
-    b = next(pf.iter_batches(batch_size=1, columns=['embedding']))
-    return len(b.column('embedding')[0])
-
-
-def dup_lsh_oracle_sql(dim=None, threshold=0.42, n_bands=8, n_planes=4):
-    """Full SQL re-derivation of embedding_dup_lsh: the seeded band
-    hyperplanes inline as literals, candidate pairs = DISTINCT pairs
-    agreeing on all sign bits of at least one band, verified with exact
-    list_cosine_similarity ≥ threshold (same float math + half-up r4 as
-    the engine's matmul kernel)."""
-    from .similarity import _dup_lsh_planes
-    dim = dim or embedding_dim()
-    planes = _dup_lsh_planes(dim, n_bands, n_planes)     # (dim, B·P)
-    band_selects = []
-    for b in range(n_bands):
-        pls = [_dlist(planes[:, b * n_planes + p]) for p in range(n_planes)]
-        band_selects.append(
-            'SELECT vec_id, ee, %d AS band, %s AS bk FROM e'
-            % (b, _bucket_expr('ee', pls)))
-    bands_sql = '\n  UNION ALL '.join(band_selects)
-    return """
-WITH e AS (
-  SELECT vec_id, embedding::DOUBLE[] AS ee FROM embeddings
-), bands AS (
-  {bands_sql}
-), cand AS (
-  SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb
-  FROM bands a JOIN bands b
-    ON a.band = b.band AND a.bk = b.bk AND a.vec_id < b.vec_id
-)
-SELECT c.va AS vec_id_a, c.vb AS vec_id_b,
-       floor(list_cosine_similarity(ea.ee, eb.ee) * 10000 + 0.5) / 10000 AS cos
-FROM cand c JOIN e ea ON ea.vec_id = c.va JOIN e eb ON eb.vec_id = c.vb
-WHERE list_cosine_similarity(ea.ee, eb.ee) >= {threshold}
-""".format(bands_sql=bands_sql, threshold=repr(threshold))
-
-
 def tdigest_oracle_sql(sf_dir=None, k=2048, delta=64, qs=(0.5, 0.9, 0.99),
                        eps=0.05):
     """Oracle for :func:`engine.ops.relational.events_value_tdigest` —
@@ -435,69 +276,3 @@ FROM v JOIN br ON br.event_type = v.event_type
 """.format(qcols=', '.join(qcols), rows=',\n    '.join(rows),
            brackets=',\n       '.join(bracket_sql),
            ests=',\n       '.join(est_sql), k=k)
-
-
-def pq_oracle_sql(sf_dir=None, n_queries=16, k=5, max_train=65536):
-    """Full SQL re-derivation of ann_topk_pq.  The per-subspace codebooks
-    are data-dependent, so the oracle trains the SAME deterministic
-    k-means on the SAME bounded raw md5-keyed sample at build time and
-    inlines them as literals (ivf precedent).  Assignment parity: the
-    engine's ``c·c − 2·x·c`` argmin (ties → lowest code, _seq_dot
-    sequential folds) is exactly DuckDB's sequential
-    ``list_dot_product``; score parity: integer LUT sums — DuckDB's
-    BIGINT SUM and the engine's int64 adds are both exact."""
-    from .similarity import _PQ_K, _PQ_LUT_SCALE, _PQ_M, _pq_fit
-    sf_dir = sf_dir or _oracle_sf_dir()
-    path = os.path.join(sf_dir, 'embeddings.parquet')
-    _, train = _sample_matrix(path, max_train, raw=True)
-    books = _pq_fit(train, _PQ_M, _PQ_K)
-    dsub = train.shape[1] // _PQ_M
-    book_rows = ',\n  '.join(
-        '(%d, %d, %s)' % (s, j, _dlist(books[s][j]))
-        for s in range(_PQ_M) for j in range(len(books[s])))
-    sub_cases = ' '.join(
-        'WHEN %d THEN ee[%d:%d]' % (s, s * dsub + 1, (s + 1) * dsub)
-        for s in range(_PQ_M))
-    qsub_cases = ' '.join(
-        'WHEN %d THEN qe[%d:%d]' % (s, s * dsub + 1, (s + 1) * dsub)
-        for s in range(_PQ_M))
-    return """
-WITH book(s, j, cv) AS (VALUES
-  {book_rows}
-), e AS (
-  SELECT vec_id AS nid, embedding::DOUBLE[] AS ee FROM embeddings
-), sub AS (
-  SELECT nid, s, CASE s {sub_cases} END AS sv
-  FROM e, (SELECT DISTINCT s FROM book) b
-), asn AS (
-  SELECT nid, s, j AS code FROM (
-    SELECT sub.nid, sub.s, book.j,
-           row_number() OVER (PARTITION BY sub.nid, sub.s
-             ORDER BY list_dot_product(book.cv, book.cv)
-                      - 2 * list_dot_product(sub.sv, book.cv) ASC,
-                      book.j ASC) AS rn
-    FROM sub JOIN book ON book.s = sub.s) WHERE rn = 1
-), q AS (
-  SELECT vec_id AS qid, embedding::DOUBLE[] AS qe FROM embeddings
-  WHERE vec_id < {nq}
-), lut AS (
-  SELECT q.qid, book.s, book.j,
-         CAST(floor(list_dot_product(CASE book.s {qsub_cases} END, book.cv)
-                    * {scale} + 0.5) AS BIGINT) AS v
-  FROM q, book
-), sc AS (
-  SELECT lut.qid, asn.nid, SUM(lut.v)::BIGINT AS score_int
-  FROM asn JOIN lut ON lut.s = asn.s AND lut.j = asn.code
-  WHERE asn.nid <> lut.qid
-  GROUP BY lut.qid, asn.nid
-), r AS (
-  SELECT qid, nid, score_int,
-         row_number() OVER (PARTITION BY qid
-                            ORDER BY score_int DESC, nid ASC)::BIGINT AS rank
-  FROM sc
-)
-SELECT qid AS query_id, nid AS neighbor_id, score_int, rank
-FROM r WHERE rank <= {k}
-""".format(book_rows=book_rows, sub_cases=sub_cases,
-           qsub_cases=qsub_cases, nq=n_queries,
-           scale=_PQ_LUT_SCALE, k=k)

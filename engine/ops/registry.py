@@ -31,8 +31,7 @@ def _dedup_payloads(sf_dir: str) -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from engine.ops import (dedup, quality, relational, similarity, sketches,
-                            textstats)
+    from engine.ops import dedup, relational, sketches, textstats
 
     return {
         'events_funnel_windowed': relational.events_funnel_windowed,
@@ -40,26 +39,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'events_dau_wau': relational.events_dau_wau,
         'daily_revenue_running': relational.daily_revenue_running,
         'events_anomaly_days': relational.events_anomaly_days,
-        'embedding_norm_stats': similarity.embedding_norm_stats,
         'lang_fertility': textstats.lang_fertility,
         'events_late_arrivals': relational.events_late_arrivals,
         'doc_surprisal': textstats.doc_surprisal,
         'session_durations': relational.session_durations,
         'purchase_view_lag': relational.purchase_view_lag,
-        'embedding_project2d': similarity.embedding_project2d,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
         'events_type_drift': relational.events_type_drift,
         'dedup_normalized': dedup.dedup_normalized,
         'vocab_coverage': textstats.vocab_coverage,
         'source_token_drift': textstats.source_token_drift,
-        'embedding_kmeans': similarity.embedding_kmeans,
         'doc_ttr': textstats.doc_ttr,
         'events_hourly_profile': relational.events_hourly_profile,
         'source_dup_rate': dedup.source_dup_rate,
-        'fk_integrity_audit': quality.fk_integrity_audit,
-        'table_profile': quality.table_profile,
-        'embedding_label_centroids': similarity.embedding_label_centroids,
-        'embedding_label_outliers': similarity.embedding_label_outliers,
         'user_event_pivot': relational.user_event_pivot,
         'events_user_rolling': relational.events_user_rolling,
         'customer_order_counts': relational.customer_order_counts,
@@ -91,9 +83,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'token_cooccur_topk': textstats.token_cooccur_topk,
         'source_token_topk': textstats.source_token_topk,
         'user_decay_score': relational.user_decay_score,
-        'ann_topk_pq': similarity.ann_topk_pq,
         'events_user_gini': relational.events_user_gini,
-        'embedding_norms': similarity.embedding_norms,
         'minhash_near_dup': dedup.minhash_near_dup,
         'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
@@ -114,13 +104,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'ngram_containment_pairs': dedup.ngram_containment_pairs,
         'simhash_near_dup': dedup.simhash_near_dup,
         'shared_span_pairs': dedup.shared_span_pairs,
-        # similarity search
-        'embedding_dup_pairs': similarity.embedding_dup_pairs,
-        'embedding_dup_pairs_blocked': similarity.embedding_dup_pairs_blocked,
-        'embedding_dup_lsh': similarity.embedding_dup_lsh,
-        'ann_topk': similarity.ann_topk,
-        'ann_topk_lsh': similarity.ann_topk_lsh,
-        'ann_topk_ivf': similarity.ann_topk_ivf,
         # relational / plan-op layer
         'q1_pricing': relational.q1_pricing,
         'top_orders_revenue': relational.top_orders_revenue,
@@ -148,8 +131,8 @@ def oracle_sql() -> dict[str, str]:
 
     from engine.ops import sketches
     generated = {
-        # generated oracles (hash constants / plane literals / trained
-        # centroids) — see engine/ops/oracles.py for the parity rules
+        # generated oracles (hash constants / sampled estimates) — see
+        # engine/ops/oracles.py for the parity rules
         'distinct_users_kmv': sketches.kmv_oracle_sql(),
         'distinct_users_hll': sketches.hll_oracle_sql(),
         'fingerprint_winnow': oracles.winnow_oracle_sql(),
@@ -158,10 +141,10 @@ def oracle_sql() -> dict[str, str]:
         'shared_span_pairs': oracles.shared_span_oracle_sql(),
         'events_value_tdigest': oracles.tdigest_oracle_sql(),
     }
-    # Data-dependent oracles (trained centroids/codebooks, corpus-derived
-    # constants) are generated with PER-ORACLE isolation: one failing
-    # generator drops only ITS entry to rows-only and logs loudly,
-    # instead of one failure stripping the whole generated batch.
+    # Data-dependent oracles (corpus-derived constants) are generated
+    # with PER-ORACLE isolation: one failing generator drops only ITS
+    # entry to rows-only and logs loudly, instead of one failure
+    # stripping the whole generated batch.
     import logging
     _olog = logging.getLogger('graft.oracles')
 
@@ -173,19 +156,9 @@ def oracle_sql() -> dict[str, str]:
                           'falls back to a rows-only check', name,
                           exc_info=True)
 
-    _gen('ann_topk_lsh', lambda: oracles.lsh_oracle_sql(oracles.embedding_dim()))
-    from engine.ops.similarity import project2d_oracle_sql
-    _gen('embedding_project2d',
-         lambda: project2d_oracle_sql(oracles.embedding_dim()))
-    _gen('ann_topk_ivf', oracles.ivf_oracle_sql)
-    _gen('ann_topk_pq', oracles.pq_oracle_sql)
-    _gen('embedding_dup_lsh', oracles.dup_lsh_oracle_sql)
     _gen('dedup_exact_payloads', oracles.payload_dedup_oracle_sql)
     from engine.ops import relational as _relational_mod
-    from engine.ops import similarity as _similarity
-    generated['embedding_norms'] = _similarity.EMBEDDING_NORMS_SQL
     generated['events_anomaly_days'] = _relational_mod.EVENTS_ANOMALY_SQL
-    generated['embedding_norm_stats'] = _similarity.EMBEDDING_NORM_STATS_SQL
     generated['events_late_arrivals'] = _relational_mod.EVENTS_LATE_SQL
     from engine.ops import textstats as _textstats
     generated['token_heavy_hitters'] = _textstats.heavy_hitters_oracle_sql()
@@ -204,15 +177,6 @@ def oracle_sql() -> dict[str, str]:
     generated['source_dup_rate'] = _dedup_mod.SOURCE_DUP_RATE_SQL
     generated['events_hourly_profile'] = \
         _relational_mod.EVENTS_HOURLY_PROFILE_SQL
-    from engine.ops import quality as _quality_mod
-    generated['fk_integrity_audit'] = _quality_mod.FK_INTEGRITY_SQL
-    generated['table_profile'] = _quality_mod.TABLE_PROFILE_SQL
-    from engine.ops import similarity as _similarity_mod
-    _gen('embedding_label_centroids',
-         _similarity_mod.label_centroids_oracle_sql)
-    _gen('embedding_label_outliers',
-         _similarity_mod.label_outliers_oracle_sql)
-    generated['embedding_kmeans'] = _similarity_mod.kmeans_oracle_sql()
     generated['token_postings'] = _textstats.postings_oracle_sql()
     generated['token_cooccur_topk'] = _textstats.cooccur_oracle_sql()
     generated['source_token_topk'] = _textstats.source_topk_oracle_sql()
@@ -585,38 +549,6 @@ FROM g a JOIN g b ON a.lang = b.lang AND a.doc_id < b.doc_id
 WHERE len(a.s) > 0 AND len(b.s) > 0
   AND len(list_intersect(a.s, b.s))::DOUBLE
       / len(list_distinct(list_concat(a.s, b.s))) >= 0.8
-""",
-        'embedding_dup_pairs': """
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b,
-       floor(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
-             * 10000 + 0.5) / 10000 AS cos
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= 0.42
-""",
-        # exact-equivalent by construction (same pairs, same float math),
-        # so the blocked variant shares the all-pairs oracle verbatim
-        'embedding_dup_pairs_blocked': """
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b,
-       floor(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
-             * 10000 + 0.5) / 10000 AS cos
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= 0.42
-""",
-        'ann_topk': """
-WITH q AS (
-  SELECT vec_id AS qid, embedding::DOUBLE[] AS qe FROM embeddings WHERE vec_id < 16
-), s AS (
-  SELECT q.qid, e.vec_id AS nid,
-         list_cosine_similarity(q.qe, e.embedding::DOUBLE[]) AS sc
-  FROM q, embeddings e WHERE e.vec_id <> q.qid
-), r AS (
-  SELECT qid, nid, sc,
-         row_number() OVER (PARTITION BY qid ORDER BY sc DESC, nid ASC)::BIGINT AS rank
-  FROM s
-)
-SELECT qid AS query_id, nid AS neighbor_id,
-       floor(sc * 10000 + 0.5) / 10000 AS score, rank
-FROM r WHERE rank <= 5
 """,
         'q1_pricing': """
 SELECT l_returnflag, l_linestatus,

@@ -350,7 +350,7 @@ def doc_tfidf_topk(sf_dir, k=3, num_buckets=64):
     ref = ray.put((df_map, n_docs))
 
     def score(batch: pa.Table) -> pa.Table:
-        from .similarity import _fetch_broadcast
+        from .common import _fetch_broadcast
         df_map_l, n = _fetch_broadcast(ref)
         tf = _explode_tokens(batch).group_by(['doc_id', 'token']) \
             .aggregate([([], 'count_all')])
@@ -410,7 +410,7 @@ def bigram_pmi_topk(sf_dir, topk=50, min_support=5, num_buckets=64):
          sort of ≤ blocks·topk candidate rows."""
     import ray
     from .relational import rank_in_sorted_key
-    from .similarity import _fetch_broadcast
+    from .common import _fetch_broadcast
 
     nb = num_buckets
 

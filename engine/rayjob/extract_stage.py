@@ -247,13 +247,7 @@ class ExtractAndSpill(ExtractTurns):
             tmp = fname + '.tmp'
             pq.write_table(part, tmp, row_group_size=rg)
             os.replace(tmp, fname)
-        import pyarrow.compute as pc
-        failures = pc.sum(pc.cast(pc.invert(ordered.column('decode_ok')),
-                                  pa.int64())).as_py() or 0
-        return pa.table({
-            'rows': pa.array([ordered.num_rows], pa.int64()),
-            'decode_failures': pa.array([failures], pa.int64()),
-        })
+        return pa.table({'rows': pa.array([ordered.num_rows], pa.int64())})
 
 
 def assign_bucket(num_buckets):

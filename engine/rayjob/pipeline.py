@@ -430,8 +430,9 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
 
     Resume refuses an output written with another ``num_buckets``: its
     bucket ids name different row sets, so skipping them would drop rows.
-    A ``num_buckets`` that is not an int >= 1 raises before anything is
-    written.
+    A ``num_buckets`` that is not an int >= 1, or a ``batch_size`` or
+    ``concurrency`` that is neither None nor an int >= 1, raises before
+    anything is written (a negative ``batch_size`` would extract nothing).
     """
     import glob
     import shutil
@@ -439,6 +440,11 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if not isinstance(num_buckets, int) or num_buckets < 1:
         raise ValueError('num_buckets must be an int >= 1, got %r'
                          % (num_buckets,))
+    for name, value in (('batch_size', batch_size),
+                        ('concurrency', concurrency)):
+        if value is not None and (not isinstance(value, int) or value < 1):
+            raise ValueError('%s must be None or an int >= 1, got %r'
+                             % (name, value))
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
         checkpoint.reset_output(out_dir)

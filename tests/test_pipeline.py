@@ -233,14 +233,18 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
 
 
 def test_run_extraction_rejects_bad_bucket_count(corpus, tmp_path):
-    """A bucket count below 1 raises a ValueError naming num_buckets
-    before any work: no Ray task runs and no spill dir is left behind."""
+    """A bucket count below 1, or a batch size or concurrency that is
+    neither None nor an int >= 1, raises a ValueError naming the
+    parameter before any work: no Ray task runs and no spill dir is left
+    behind (a negative batch size would extract nothing)."""
     from engine.rayjob.pipeline import run_extraction
     d, _ = corpus
-    for bad in (0, -4):
-        out = str(tmp_path / str(bad))
-        with pytest.raises(ValueError, match='num_buckets'):
-            run_extraction(d, out, num_buckets=bad, resume=False)
+    cases = [('num_buckets', 0), ('num_buckets', -4), ('batch_size', -5),
+             ('batch_size', 0), ('concurrency', -1), ('concurrency', 0)]
+    for i, (name, bad) in enumerate(cases):
+        out = str(tmp_path / str(i))
+        with pytest.raises(ValueError, match=name):
+            run_extraction(d, out, resume=False, **{name: bad})
         assert glob.glob(os.path.join(out, '_spill-*')) == []
 
 
