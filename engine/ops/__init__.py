@@ -7,7 +7,6 @@ Ray-Data-first (map_batches over zero-copy Arrow, broadcast small sides,
 partial pre-aggregation before any groupby shuffle):
 
 - textstats:   token counts, quality scoring, language-ID, fingerprints
-- dedup:       exact, n-gram Jaccard, MinHash+LSH, SimHash
 - relational:  broadcast joins / pre-aggregated groupbys / sessionize
 
 Every operator with SQL-expressible semantics has a DuckDB oracle in

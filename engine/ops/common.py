@@ -14,7 +14,7 @@ import pyarrow as pa
 
 import ray
 
-__all__ = ['round_half_up', 'sf_from_dir', 'table_path',
+__all__ = ['round_half_up', 'table_path',
            'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
            'hash63_keys', 'run_pairs',
            'concat_tables_or_empty']
@@ -48,9 +48,9 @@ def hash63_keys(ids):
     """63-bit md5 key per integer id — the ORACLE-SHARED hashing
     convention (= DuckDB ``md5_number_lower(v::VARCHAR) & (2^63 - 1)``:
     last 8 digest bytes little-endian, 63-bit mask).  The SINGLE home
-    for the convention: the oracle parity of the IVF training sample
-    and the KMV and HLL sketches hangs on this exact byte rule, so it
-    must not fork per module."""
+    for the convention: the oracle parity of the md5 doc partitions in
+    ``textstats.token_heavy_hitters`` hangs on this exact byte rule, so
+    it must not fork per module."""
     import hashlib
     return np.fromiter(
         (int.from_bytes(hashlib.md5(str(int(v)).encode()).digest()[8:16],
@@ -65,12 +65,6 @@ def round_half_up(x, digits):
     return np.floor(np.asarray(x, dtype=np.float64) * scale + 0.5) / scale
 
 
-def sf_from_dir(sf_dir):
-    """'/root/testdata/sf0.01' → '0.01' (used to key synthesized corpora)."""
-    base = os.path.basename(os.path.normpath(sf_dir))
-    return base[2:] if base.startswith('sf') else base
-
-
 def table_path(sf_dir, name):
     return os.path.join(sf_dir, name + '.parquet')
 
@@ -78,7 +72,7 @@ def table_path(sf_dir, name):
 _TARGET_READ_BLOCK_BYTES = 32 << 20
 
 
-def read_table(sf_dir, name, columns=None, min_blocks=None):
+def read_table(sf_dir, name, columns=None):
     """Distributed read of a fact table with BYTE-SIZED blocks.
 
     Ray's default read parallelism targets ~2×cpus blocks regardless of
@@ -89,17 +83,10 @@ def read_table(sf_dir, name, columns=None, min_blocks=None):
     by bytes (≈32 MB of file, ≈100–200 MB decoded) is the scale-correct
     rule: at 100 TB it yields ~3M blocks (≫ any cluster width, streaming
     executor backpressures), at test scale it yields a handful, and
-    exchange task counts track DATA, not the host's cpu count.
-
-    ``min_blocks``: floor for reads feeding a COMPUTE-heavy stage (e.g.
-    minhash shingling), where fewer blocks than the actor pool would
-    leave workers idle — pass the pool width; exchange-bound relational
-    reads omit it."""
+    exchange task counts track DATA, not the host's cpu count."""
     path = table_path(sf_dir, name)
     try:
         blocks = max(1, os.path.getsize(path) // _TARGET_READ_BLOCK_BYTES)
-        if min_blocks:
-            blocks = max(blocks, min_blocks)
     except OSError:
         blocks = None
     import ray.data

@@ -19,19 +19,8 @@ from typing import Any
 _Q1_CUTOFF = "TIMESTAMP '1998-09-02 00:00:00'"
 
 
-def _transcripts_dir(sf_dir: str) -> str:
-    from engine.ops.common import sf_from_dir
-    from engine.rayjob.transcripts import ensure_corpus
-    return ensure_corpus(sf_from_dir(sf_dir))
-
-
-def _dedup_payloads(sf_dir: str) -> Any:
-    from engine.ops.dedup import dedup_exact_payloads
-    return dedup_exact_payloads(_transcripts_dir(sf_dir))
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    from engine.ops import dedup, relational, sketches, textstats
+    from engine.ops import relational, textstats
 
     return {
         'events_funnel_windowed': relational.events_funnel_windowed,
@@ -46,12 +35,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'purchase_view_lag': relational.purchase_view_lag,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
         'events_type_drift': relational.events_type_drift,
-        'dedup_normalized': dedup.dedup_normalized,
         'vocab_coverage': textstats.vocab_coverage,
         'source_token_drift': textstats.source_token_drift,
         'doc_ttr': textstats.doc_ttr,
         'events_hourly_profile': relational.events_hourly_profile,
-        'source_dup_rate': dedup.source_dup_rate,
         'user_event_pivot': relational.user_event_pivot,
         'events_user_rolling': relational.events_user_rolling,
         'customer_order_counts': relational.customer_order_counts,
@@ -71,9 +58,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'user_event_paths': relational.user_event_paths,
         'orders_price_percentile': relational.orders_price_percentile,
         'daily_activity': relational.daily_activity,
-        'distinct_users_kmv': sketches.distinct_users_kmv,
-        'events_value_tdigest': relational.events_value_tdigest,
-        'distinct_users_hll': sketches.distinct_users_hll,
         'token_heavy_hitters': textstats.token_heavy_hitters,
         'token_postings': textstats.token_postings,
         'events_windowed_distinct_users':
@@ -84,7 +68,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'source_token_topk': textstats.source_token_topk,
         'user_decay_score': relational.user_decay_score,
         'events_user_gini': relational.events_user_gini,
-        'minhash_near_dup': dedup.minhash_near_dup,
         'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
         'doc_token_stats': textstats.doc_token_stats,
@@ -97,13 +80,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'doc_tfidf_topk': textstats.doc_tfidf_topk,
         'doc_scrub': textstats.doc_scrub,
         'bigram_pmi_topk': textstats.bigram_pmi_topk,
-        # dedup
-        'dedup_exact': dedup.dedup_exact,
-        'dedup_exact_payloads': _dedup_payloads,      # rows-only (transcripts)
-        'ngram_jaccard_pairs': dedup.ngram_jaccard_pairs,
-        'ngram_containment_pairs': dedup.ngram_containment_pairs,
-        'simhash_near_dup': dedup.simhash_near_dup,
-        'shared_span_pairs': dedup.shared_span_pairs,
         # relational / plan-op layer
         'q1_pricing': relational.q1_pricing,
         'top_orders_revenue': relational.top_orders_revenue,
@@ -129,34 +105,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 def oracle_sql() -> dict[str, str]:
     from engine.ops import oracles
 
-    from engine.ops import sketches
     generated = {
-        # generated oracles (hash constants / sampled estimates) — see
-        # engine/ops/oracles.py for the parity rules
-        'distinct_users_kmv': sketches.kmv_oracle_sql(),
-        'distinct_users_hll': sketches.hll_oracle_sql(),
+        # generated oracles (hash constants) — see engine/ops/oracles.py
         'fingerprint_winnow': oracles.winnow_oracle_sql(),
-        'minhash_near_dup': oracles.minhash_oracle_sql(),
-        'simhash_near_dup': oracles.simhash_oracle_sql(),
-        'shared_span_pairs': oracles.shared_span_oracle_sql(),
-        'events_value_tdigest': oracles.tdigest_oracle_sql(),
     }
-    # Data-dependent oracles (corpus-derived constants) are generated
-    # with PER-ORACLE isolation: one failing generator drops only ITS
-    # entry to rows-only and logs loudly, instead of one failure
-    # stripping the whole generated batch.
-    import logging
-    _olog = logging.getLogger('graft.oracles')
-
-    def _gen(name, fn):
-        try:
-            generated[name] = fn()
-        except Exception:
-            _olog.warning('oracle generator for %r failed; the query '
-                          'falls back to a rows-only check', name,
-                          exc_info=True)
-
-    _gen('dedup_exact_payloads', oracles.payload_dedup_oracle_sql)
     from engine.ops import relational as _relational_mod
     generated['events_anomaly_days'] = _relational_mod.EVENTS_ANOMALY_SQL
     generated['events_late_arrivals'] = _relational_mod.EVENTS_LATE_SQL
@@ -168,13 +120,10 @@ def oracle_sql() -> dict[str, str]:
     generated['purchase_view_lag'] = _relational_mod.PURCHASE_VIEW_LAG_SQL
     generated['customer_ltv_deciles'] = _relational_mod.LTV_DECILES_SQL
     generated['events_type_drift'] = _relational_mod.EVENTS_TYPE_DRIFT_SQL
-    from engine.ops import dedup as _dedup_mod
-    generated['dedup_normalized'] = _dedup_mod.DEDUP_NORMALIZED_SQL
     generated['vocab_coverage'] = _textstats.vocab_coverage_oracle_sql()
     generated['source_token_drift'] = _textstats.SOURCE_TOKEN_DRIFT_SQL
     generated['doc_ttr'] = _textstats.DOC_TTR_SQL
     generated['doc_length_outliers'] = _textstats.DOC_LENGTH_OUTLIERS_SQL
-    generated['source_dup_rate'] = _dedup_mod.SOURCE_DUP_RATE_SQL
     generated['events_hourly_profile'] = \
         _relational_mod.EVENTS_HOURLY_PROFILE_SQL
     generated['token_postings'] = _textstats.postings_oracle_sql()
@@ -512,43 +461,6 @@ WITH t AS (
   FROM g
 )
 SELECT token, n_occurrences, rank FROM r WHERE rank <= 100
-""",
-        'dedup_exact': """
-SELECT min(doc_id) AS doc_id, count(*)::BIGINT AS n_copies
-FROM documents GROUP BY md5(text)
-""",
-        'ngram_containment_pairs': r"""
-WITH toks AS (
-  SELECT doc_id, lang, regexp_extract_all(text, '\S+') AS tk FROM documents
-), g AS (
-  SELECT doc_id, lang,
-         list_distinct(list_transform(generate_series(1, greatest(len(tk) - 2, 0)),
-                                      i -> array_to_string(tk[i:i+2], ' '))) AS s
-  FROM toks
-)
-SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-       floor(len(list_intersect(a.s, b.s))::DOUBLE / len(a.s)
-             * 1000000 + 0.5) / 1000000 AS containment
-FROM g a JOIN g b ON a.lang = b.lang AND a.doc_id <> b.doc_id
-WHERE len(a.s) > 0 AND len(b.s) > 0
-  AND len(list_intersect(a.s, b.s))::DOUBLE / len(a.s) >= 0.5
-""",
-        'ngram_jaccard_pairs': r"""
-WITH toks AS (
-  SELECT doc_id, lang, regexp_extract_all(text, '\S+') AS tk FROM documents
-), g AS (
-  SELECT doc_id, lang,
-         list_distinct(list_transform(generate_series(1, greatest(len(tk) - 2, 0)),
-                                      i -> array_to_string(tk[i:i+2], ' '))) AS s
-  FROM toks
-)
-SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-       floor(len(list_intersect(a.s, b.s))::DOUBLE
-             / len(list_distinct(list_concat(a.s, b.s))) * 1000000 + 0.5) / 1000000 AS jac
-FROM g a JOIN g b ON a.lang = b.lang AND a.doc_id < b.doc_id
-WHERE len(a.s) > 0 AND len(b.s) > 0
-  AND len(list_intersect(a.s, b.s))::DOUBLE
-      / len(list_distinct(list_concat(a.s, b.s))) >= 0.8
 """,
         'q1_pricing': """
 SELECT l_returnflag, l_linestatus,

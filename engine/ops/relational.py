@@ -50,7 +50,7 @@ __all__ = ['q1_pricing', 'top_orders_revenue', 'customers_per_region',
            'events_value_deciles', 'events_hour_value_corr',
            'events_debounced', 'user_event_paths',
            'orders_price_percentile', 'daily_activity',
-           'events_value_tdigest', 'events_windowed_distinct_users',
+           'events_windowed_distinct_users',
            'events_value_mad_outliers', 'orders_cohort_retention',
            'events_anomaly_days', 'events_late_arrivals',
            'session_durations', 'purchase_view_lag',
@@ -145,7 +145,7 @@ def top_orders_revenue(sf_dir, segment='BUILDING', topk=10, num_buckets=64):
          rows union with (o_custkey, o_orderkey) rows and ONE bucketed
          groupby co-partitions them — a local ``is_in`` semi-filter
          emits the qualifying orderkeys (co-partition pattern, cf.
-         dedup.minhash_near_dup / events_asof_orders);
+         events_asof_orders);
       2. lineitem is partial-aggregated per (block, orderkey) — the
          combiner — so the second exchange moves combiner rows, never
          raw lineitems; the qualifying orderkeys ride the same bucketed
@@ -418,16 +418,13 @@ def events_windowed(sf_dir):
 
 def events_windowed_distinct_users(sf_dir):
     """Tumbling 1-day window per event type with an EXACT distinct-user
-    count — the exact tier beside the O(m)-state approximate tier
-    (:func:`~engine.ops.sketches.distinct_users_hll`): exact
-    count-distinct inherently exchanges one row per distinct
+    count.  Exact count-distinct inherently exchanges one row per distinct
     (type, window, user) per block — the per-block Arrow group_by
     combiner collapses raw events to that floor (carrying the event
     multiplicity alongside, so ``n_events`` rides the same exchange),
     and the per-group fold is a C++ distinct + two column folds.  At
     100 TB, windows bound the per-group distinct state (a day's users,
-    not the corpus's); if even that overflows, the HLL tier is the
-    documented fallback."""
+    not the corpus's)."""
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.floor_temporal(batch.column('ts'), unit='day')
         t = pa.table({'event_type': batch.column('event_type'),
@@ -813,8 +810,9 @@ def events_value_quantiles(sf_dir, qs=(0.5, 0.9, 0.99)):
     for CONTINUOUS values the distinct-value histogram is O(rows) and a
     group's histogram must fit a worker — exact quantiles fundamentally
     need the group's value multiset.  For heavy continuous data at 100 TB
-    use the mergeable-sketch tier (:func:`events_value_tdigest`) or a
-    sort-based global-index pass; this operator is the exact tier."""
+    use the histogram tier (:func:`events_value_hist_quantiles`) over a
+    known range or a sort-based global-index pass; this operator is the
+    exact tier."""
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(['event_type', 'value']) \
                  .aggregate([([], 'count_all')])
@@ -862,8 +860,7 @@ def events_value_mad_outliers(sf_dir):
     each block folds to (type, value, cnt) rows, each group resolves
     median, then MAD, from the merged distinct-value histogram (two
     weighted searchsorted passes over distinct values).  O(distinct
-    values) group state; for heavy continuous data the tdigest tier is
-    the documented fallback."""
+    values) group state."""
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(['event_type', 'value']) \
                  .aggregate([([], 'count_all')])
@@ -1292,9 +1289,7 @@ def events_value_hist_quantiles(sf_dir, width=0.5, qs=(0.5, 0.9, 0.99)):
     quantile to its bin's UPPER edge ``(bin+1)·width`` — deterministic,
     error < ``width``, and state is O(value range / width) per group
     regardless of row count, so a 100 TB group costs the same exchange as
-    a 1 GB one.  (For unknown value ranges use the mergeable rank-sketch
-    tier — :func:`events_value_tdigest`; this fixed-universe tier is
-    exact-error over a known range.)"""
+    a 1 GB one.  The error bound needs a known value range."""
     def partial(batch: pa.Table) -> pa.Table:
         b = np.floor(batch.column('value').to_numpy(
             zero_copy_only=False) / width).astype(np.int64)
@@ -1324,98 +1319,6 @@ def events_value_hist_quantiles(sf_dir, width=0.5, qs=(0.5, 0.9, 0.99)):
     return (ds.map_batches(partial, batch_format='pyarrow',
                            zero_copy_batch=True)
               .groupby('event_type').map_groups(final, batch_format='pyarrow'))
-
-
-def events_value_tdigest(sf_dir, k=2048, delta=64, qs=(0.5, 0.9, 0.99)):
-    """APPROXIMATE per-group quantiles for CONTINUOUS, UNBOUNDED-range
-    values — the mergeable-sketch tier beside the exact tier
-    (:func:`events_value_quantiles`, O(distinct values) state) and the
-    fixed-universe histogram tier (:func:`events_value_hist_quantiles`,
-    needs a known range).  Two bounded-state mechanisms compose:
-
-      1. an order-independent md5-bottom-k VALUE SAMPLE per group (the
-         KMV/IVF convention — ``hash63_keys(event_id)``, keep the k
-         smallest per (block, type), merge to the global k smallest per
-         type): the mergeable exchange state, ≤ k rows per (block,
-         type), invariant to partitioning / file order;
-      2. a canonical :class:`~engine.ops.sketches.TDigest` built from
-         the sorted sample resolves the quantiles (delta centroids).
-
-    Determinism is why the digest is built once from the canonical
-    sample rather than by merging per-block digests: TDigest.merge is
-    commutative but merge-TREE-dependent in the last ulp, while this
-    composition is bit-reproducible under any partitioning — so the
-    generated DuckDB oracle can re-derive the identical sample in SQL,
-    inline the digest estimates, and assert the BRACKETING INVARIANT
-    (each estimate lies between the exact values at ranks (q∓eps)·n,
-    computed independently by DuckDB) — see
-    ``oracles.tdigest_oracle_sql``.  Rank error budget: sampling
-    ~1/sqrt(k) (k=2048 → ~0.011 sd) + digest ~2pi·q(1-q)/delta
-    (property-tested ≤ 0.005 at delta=64), well inside the oracle's
-    eps=0.05 bracket.
-
-    100 TB shape: exchange moves ≤ k sample rows + 1 count row per
-    (block, type); the per-group final sorts k floats and runs one
-    O(k) digest pass — state is O(k + delta) per group regardless of
-    group size.  (For a pure digest-merge pipeline — O(delta) state,
-    estimates valid within the error bound but not bit-stable across
-    merge trees — use TDigest.merge directly.)"""
-    from .common import hash63_keys
-    from .sketches import TDigest
-
-    def partial(batch: pa.Table) -> pa.Table:
-        types = batch.column('event_type').to_numpy(zero_copy_only=False)
-        hk = hash63_keys(batch.column('event_id').to_numpy(
-            zero_copy_only=False))
-        vals = batch.column('value').to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-        # bottom-k per type by (hk, value) — value tiebreak keeps the
-        # k-cut deterministic even under (astronomically unlikely) md5
-        # collisions, matching the oracle's ORDER BY hk, value
-        order = np.lexsort((vals, hk, types))
-        rank = rank_in_sorted_key(types[order])
-        keep = order[rank <= k]
-        sample = pa.table({
-            'event_type': pa.array(types[keep], pa.string()),
-            'hk': pa.array(hk[keep], pa.int64()),
-            'value': pa.array(vals[keep], pa.float64()),
-            'cnt': pa.array(np.zeros(len(keep), np.int64), pa.int64()),
-        })
-        g = pa.table({'event_type': batch.column('event_type')}) \
-              .group_by('event_type').aggregate([([], 'count_all')])
-        counts = pa.table({
-            'event_type': g.column('event_type'),
-            'hk': pa.nulls(g.num_rows, pa.int64()),
-            'value': pa.nulls(g.num_rows, pa.float64()),
-            'cnt': g.column('count_all').cast(pa.int64()),
-        })
-        return pa.concat_tables([sample, counts])
-
-    def final(group: pa.Table) -> pa.Table:
-        cnt = group.column('cnt').to_numpy(zero_copy_only=False)
-        n = int(cnt.sum())
-        is_sample = cnt == 0
-        hk = group.column('hk').to_numpy(zero_copy_only=False)[is_sample]
-        vals = group.column('value').to_numpy(
-            zero_copy_only=False)[is_sample].astype(np.float64)
-        order = np.lexsort((vals, hk))[:k]
-        sample = np.sort(vals[order])
-        dig = TDigest.from_sorted(sample, delta)
-        cols = {'event_type': group.column('event_type').slice(0, 1)}
-        for q in qs:
-            cols['p%02d_est' % int(round(q * 100))] = pa.array(
-                round_half_up([dig.quantile(q)], 6), pa.float64())
-        cols['n_events'] = pa.array([n], pa.int64())
-        cols['n_sample'] = pa.array([len(sample)], pa.int64())
-        cols['n_centroids'] = pa.array([int(dig.means.size)], pa.int64())
-        return pa.table(cols)
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['event_id', 'event_type', 'value'])
-    return (ds.map_batches(partial, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('event_type').map_groups(final,
-                                                batch_format='pyarrow'))
 
 
 _EVENT_TYPES = ('click', 'error', 'purchase', 'signup', 'view')
@@ -2073,7 +1976,7 @@ def events_value_deciles(sf_dir, n_bins=10):
     quantile tier folds the stream to one row per distinct value per
     block; the driver resolves the 9 edges from the merged histogram
     (same scale contract as events_value_quantiles — continuous data at
-    100 TB uses the sketch tier) and the second pass assigns bins with
+    100 TB needs the histogram tier) and the second pass assigns bins with
     one vectorized searchsorted, shuffle-free.  ``decile`` = 1 + number
     of edges strictly below the value — identical to the oracle's CASE
     ladder."""
@@ -2500,9 +2403,7 @@ def events_user_gini(sf_dir, num_buckets=64):
     power-of-two user bucket → per-bucket exact count fold → ONE
     re-exchange by type whose payload is one row per (type, user) —
     the audit's state is the distinct-user count, the same contract as
-    exact windowed distinct; for unbounded user sets the HLL tier
-    estimates n_users and top-share comes from token_heavy_hitters'
-    bounded summary instead."""
+    exact windowed distinct."""
     nb = num_buckets
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2693,8 +2594,7 @@ def events_dau_wau(sf_dir, window_days=7, num_buckets=64):
     globally); buckets emit (day, dau, wau) partial rows and the driver
     folds ≤ buckets × days tiny cells.  stickiness = dau/wau, one exact
     int64→float64 division.  State per bucket is bounded by
-    users × active-days — the same contract as exact windowed distinct;
-    the HLL tier is the unbounded fallback."""
+    users × active-days — the same contract as exact windowed distinct."""
     nb = num_buckets
     w = int(window_days)
 

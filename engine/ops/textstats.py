@@ -1178,8 +1178,8 @@ def doc_surprisal(sf_dir, num_buckets=64):
     (⌊log2⌋+1 of the inverse frequency) — rare tokens score high,
     stopwords low — chosen so the WHOLE statistic is integer arithmetic:
     no log(), no float sum, and the oracle recomputes it exactly with
-    ``length(bin(total // c))`` (the HLL bit-length parity rule,
-    sketches.py).  avg_bits is one division of int64-exact operands,
+    ``length(bin(total // c))`` (DuckDB's bit-length equals Python's
+    ``int.bit_length``).  avg_bits is one division of int64-exact operands,
     half-up r6.
 
     Scale shape: per-block (doc, token, multiplicity) combiner →

@@ -1,9 +1,10 @@
 """Extraction stages over zero-copy Arrow batches, run in plain tasks.
 
-``run_stage`` (called per slice by ``run_extraction``'s Stage A tasks, and
-the ``map_batches`` function of ``build_*_dataset``) applies this worker
-process's stage instance (``ExtractTurns``, ``ExtractSpans`` or
-``ExtractAndSpill``) for the current job (``stage_for``).  The
+``stage_for`` gives this worker process's stage instance
+(``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
+current job: ``run_extraction``'s Stage A tasks call its
+``ExtractAndSpill`` per slice, and ``run_stage`` is the ``map_batches``
+function of ``build_*_dataset``.  The
 corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
 S3/F10/F11) is built once per process (``font_state``); the payload LRU
 lives in the stage instance, so it is per job and a job is never served
@@ -213,7 +214,10 @@ class ExtractAndSpill(ExtractTurns):
         self.num_buckets = num_buckets
         self.num_shards = num_shards
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, slice_key) -> pa.Table:
+        """Extract and spill ``batch``; ``slice_key`` names the slice of
+        the input it is (the sink passes ``(path, row_group, start, stop,
+        offset)``) and must have a stable ``repr``."""
         import hashlib
         import os
         import numpy as np
@@ -222,16 +226,14 @@ class ExtractAndSpill(ExtractTurns):
         ordered = out.sort_by([('bucket', 'ascending'),
                                ('conv_id', 'ascending'),
                                ('turn_idx', 'ascending')])
-        # Deterministic spill name = content hash of the batch's row keys:
-        # a Ray-retried task OVERWRITES its own prior (possibly published)
-        # spill files via os.replace instead of duplicating rows under a
-        # fresh random name.  (conv_id, turn_idx) is unique per row, so
-        # disjoint batches can never collide; the same batch always has
-        # the same non-empty shard set, so no orphan from the first try.
-        key = hashlib.md5()
-        key.update('\x00'.join(ordered.column('conv_id').to_pylist()).encode('utf-8'))
-        key.update(ordered.column('turn_idx').to_numpy(zero_copy_only=False).tobytes())
-        digest = key.hexdigest()
+        # Deterministic spill name = hash of the slice's place in the
+        # input: a Ray-retried task OVERWRITES its own prior (possibly
+        # published) spill files via os.replace instead of duplicating rows
+        # under a fresh random name, and the same slice always has the same
+        # non-empty shard set, so no orphan from the first try.  Distinct
+        # slices never collide, even when two input files hold the same
+        # rows.
+        digest = hashlib.md5(repr(slice_key).encode('utf-8')).hexdigest()
         buckets_per_shard = max(1, self.num_buckets // self.num_shards)
         shards = shard_of(
             ordered.column('bucket').to_numpy(zero_copy_only=False).astype(np.int64),

@@ -13,9 +13,10 @@ CPUs by default), no driver-side row loops:
            the range's end is decoded
       → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
-      → run_stage(ExtractAndSpill)                 # each slice is extracted,
+      → ExtractAndSpill                            # each slice is extracted,
            sorted by bucket, and SPILLED to shared storage with per-bucket
-           row groups; a task returns only its row count
+           row groups, in files named after (unit, slice offset); a task
+           returns only its row count
   Stage B (one task per spill shard):
     compact(that shard's not-yet-done buckets)     # list and footer-scan
            the shard's spill files once (spill dir is sharded by
@@ -83,7 +84,8 @@ import ray
 
 from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
                             assign_bucket, make_done_filter,
-                            pin_arrow_threads, run_stage, shard_of)
+                            pin_arrow_threads, run_stage, shard_of,
+                            stage_for)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
@@ -194,7 +196,10 @@ def _extract_unit(fs, unit, prep, batch_size, job_id, *args):
     step = batch_size or max(1, tbl.num_rows)   # 0 rows: all done
     rows = 0
     for lo in range(0, tbl.num_rows, step):
-        stats = run_stage(tbl.slice(lo, step), ExtractAndSpill, job_id, *args)
+        # the spill file is named after the unit and offset, so a retry
+        # overwrites it and distinct slices never share a name
+        stats = stage_for(ExtractAndSpill, job_id, *args)(
+            tbl.slice(lo, step), (path, rg, start, stop, lo))
         rows += stats.column('rows')[0].as_py()
     return rows
 

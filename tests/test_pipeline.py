@@ -541,9 +541,9 @@ def test_install_staged_replaces_stale_partial(tmp_path):
 def test_spill_retry_overwrites_not_duplicates(tmp_path):
     """A Ray-retried ExtractAndSpill task re-executes __call__ on the SAME
     batch after a possibly-successful earlier publish.  The deterministic
-    content-hash spill name must make the retry overwrite its own file —
-    never add a second copy of the rows (ADVICE r1: uuid4 names duplicated
-    rows in the final output on retry)."""
+    spill name (from the slice's place in the input) must make the retry
+    overwrite its own file — never add a second copy of the rows (ADVICE
+    r1: uuid4 names duplicated rows in the final output on retry)."""
     from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
 
     d = str(tmp_path / 'corpus')
@@ -555,16 +555,42 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
     spill = str(tmp_path / 'spill')
     os.makedirs(spill)
     stage = ExtractAndSpill(spill, 4)
-    out1 = stage(batch)
-    out2 = stage(batch)                 # the retry
+    key = (src, 0, 0, batch.num_rows, 0)
+    out1 = stage(batch, key)
+    out2 = stage(batch, key)            # the retry
     files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet'))
     assert len(files) == 1              # overwritten, not duplicated
     assert pq.read_table(files[0]).num_rows == batch.num_rows
     assert out1.column('rows')[0].as_py() == out2.column('rows')[0].as_py()
 
     # a DIFFERENT batch must land in a different file
-    stage(batch.slice(0, 10))
+    stage(batch.slice(0, 10), (src, 0, 0, 10, 0))
     assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet'))) == 2
+
+
+def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path):
+    """A file copied under a second name doubles the input, and the sink
+    must write both copies: each key as many times as
+    ``build_extract_dataset`` gives it.  Spill files named after the rows'
+    keys gave both files' units the same name, so the second replaced the
+    first and the job returned 51 of 102 rows without an error."""
+    import collections
+    from engine.rayjob.pipeline import build_extract_dataset, run_extraction
+
+    d = str(tmp_path / 'corpus')
+    n, files = generate_transcripts(d, n_convs=8, seed=17)
+    assert files == 1
+    src = glob.glob(os.path.join(d, '*.parquet'))[0]
+    shutil.copy(src, os.path.join(d, 'copy.parquet'))
+    out = str(tmp_path / 'out')
+    summary = run_extraction(d, out, num_buckets=8, resume=False)
+    assert summary['rows_out'] == 2 * n
+    _, parts = _read_all(out)
+    sink = collections.Counter(
+        k for t in parts for k in zip(t.column('conv_id').to_pylist(),
+                                      t.column('turn_idx').to_pylist()))
+    turns = build_extract_dataset(d).to_pandas()
+    assert sink == collections.Counter(zip(turns.conv_id, turns.turn_idx))
 
 
 def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
@@ -587,7 +613,7 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
     os.makedirs(spill)
     os.makedirs(out)
     stage = ExtractAndSpill(spill, 4, num_shards=2)
-    stage(batch)
+    stage(batch, (src, 0, 0, batch.num_rows, 0))
 
     # every shard file holds only its own bucket range
     for f in glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet')):
@@ -624,7 +650,7 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     stage = ExtractAndSpill(spill, 16, num_shards=2)
     for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
         stage(assign_bucket(16)(pq.read_table(
-            f, columns=['conv_id', 'turn_idx', 'text'])))
+            f, columns=['conv_id', 'turn_idx', 'text'])), f)
     shard_rows = [pads.dataset(sorted(glob.glob(os.path.join(
         spill, 'shard-%03d' % s, 'spill-*.parquet')))).count_rows()
         for s in (0, 1)]
@@ -831,7 +857,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     stage = ExtractAndSpill(spill, 4, num_shards=4)
     for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
         stage(assign_bucket(4)(pq.read_table(
-            f, columns=['conv_id', 'turn_idx', 'text'])))
+            f, columns=['conv_id', 'turn_idx', 'text'])), f)
     chunked = []
     run_chunked = pipeline._compact_chunked
 

@@ -79,24 +79,6 @@ print('initialized:', ray.is_initialized())
     assert 'initialized: True' in r.stdout
 
 
-def test_inspector_cli(tmp_path):
-    """python -m engine.inspect over a fixture PDF: all modes run."""
-    import subprocess
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from gen_pdf import build_variant
-    pdf = tmp_path / 'v20.pdf'
-    pdf.write_bytes(build_variant('V20'))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    for args, expect in [([], 'pages: 3'), (['--pages'], 'page 3:'),
-                         (['--ls'], 'offset'), (['--cat', '3'], 'Contents'),
-                         (['--text'], 'Times page')]:
-        r = subprocess.run([sys.executable, '-m', 'engine.inspect',
-                            str(pdf)] + args,
-                           capture_output=True, text=True, timeout=120, cwd=root)
-        assert r.returncode == 0, r.stderr[-500:]
-        assert expect in r.stdout
-
-
 def test_entry_module_does_not_init_ray():
     """Driver contract: importing __ray_entry__ must not start a Ray session.
 
