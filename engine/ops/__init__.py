@@ -6,7 +6,8 @@ operations a large-scale training-data pipeline needs, each expressed
 Ray-Data-first (map_batches over zero-copy Arrow, broadcast small sides,
 partial pre-aggregation before any groupby shuffle):
 
-- textstats:   token counts, quality scoring, language-ID, fingerprints
+- textstats:   token counts, quality scoring, language-ID, md5 fingerprints,
+               stopword scrubbing (six map-only queries)
 - relational:  broadcast joins / pre-aggregated groupbys / sessionize
 
 Every operator with SQL-expressible semantics has a DuckDB oracle in

@@ -12,23 +12,9 @@ import os
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 __all__ = ['round_half_up', 'table_path',
            'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
-           'hash63_keys', 'run_pairs',
-           'concat_tables_or_empty']
-
-
-def concat_tables_or_empty(parts, schema):
-    """``pa.concat_tables`` that tolerates an all-empty part list
-    (plain ``concat_tables([])`` raises ValueError): returns an empty
-    table of ``schema``.  Driver-side folds of per-bucket partials hit
-    the empty case on degenerate inputs — a corpus with zero tool
-    turns, a graph with zero edges — and must degrade to an empty
-    result of the documented schema, not a crash."""
-    parts = [t for t in parts if t.num_rows]
-    return pa.concat_tables(parts) if parts else schema.empty_table()
+           'hash63_keys']
 
 
 def pool(frac=0.75, floor=2):
@@ -45,12 +31,10 @@ def pool(frac=0.75, floor=2):
 
 
 def hash63_keys(ids):
-    """63-bit md5 key per integer id — the ORACLE-SHARED hashing
-    convention (= DuckDB ``md5_number_lower(v::VARCHAR) & (2^63 - 1)``:
-    last 8 digest bytes little-endian, 63-bit mask).  The SINGLE home
-    for the convention: the oracle parity of the md5 doc partitions in
-    ``textstats.token_heavy_hitters`` hangs on this exact byte rule, so
-    it must not fork per module."""
+    """63-bit md5 key per integer id: last 8 digest bytes little-endian,
+    63-bit mask (DuckDB spells it ``md5_number_lower(v::VARCHAR) &
+    (2^63 - 1)``).  The key-bucket exchanges in ``relational`` pick their
+    bucket with it, so the rule lives here once."""
     import hashlib
     return np.fromiter(
         (int.from_bytes(hashlib.md5(str(int(v)).encode()).digest()[8:16],
@@ -119,51 +103,3 @@ class BroadcastLookup:
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # pragma: no cover
         raise NotImplementedError
-
-
-def run_pairs(lens, upper=False):
-    """Global index pairs for ALL within-run pairs of a run-length-encoded
-    sorted array — fully vectorized (no per-run Python loop; the per-run
-    meshgrid loop this replaces was the pairgen hot path at 150k+ runs).
-
-    Given runs of sizes ``lens`` over a lexsorted array, returns
-    ``(a_idx, b_idx)`` global element indices: every ordered pair of
-    DISTINCT elements within each run (``upper=False``, l·(l−1) per
-    run), or every unordered pair ``a_idx < b_idx`` (``upper=True``,
-    l·(l−1)/2 per run).  Output size is Σ l² — the caller's documented
-    skew contract (a giant run expands quadratically)."""
-    lens = np.asarray(lens, dtype=np.int64)
-    n = int(lens.sum())
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    per_elem = np.repeat(lens, lens)          # partner count per element
-    total = int(per_elem.sum())
-    if total == 0:
-        z = np.empty(0, np.int64)
-        return z, z
-    a_idx = np.repeat(np.arange(n, dtype=np.int64), per_elem)
-    csum = np.cumsum(per_elem)
-    pos = np.arange(total, dtype=np.int64) \
-        - np.repeat(csum - per_elem, per_elem)
-    b_idx = np.repeat(np.repeat(starts, lens), per_elem) + pos
-    keep = b_idx > a_idx if upper else a_idx != b_idx
-    return a_idx[keep], b_idx[keep]
-
-
-_BCAST_CACHE = {}
-
-
-def _fetch_broadcast(ref):
-    """Per-worker-process cache of a ``ray.put`` broadcast value.
-
-    The broadcast stages here hold NO mutable state, so a plain TASK pool
-    (which fuses with the read and skips the ~2 s actor-pool spin-up) is
-    the right compute strategy — each worker fetches the object from its
-    node's plasma store once and reuses it across tasks.  Bounded: one
-    entry per live broadcast; dropped with the worker."""
-    hit = _BCAST_CACHE.get(ref)
-    if hit is None:
-        hit = _BCAST_CACHE[ref] = ray.get(ref)
-        if len(_BCAST_CACHE) > 8:                     # stale refs from past jobs
-            for k in list(_BCAST_CACHE)[:-4]:
-                del _BCAST_CACHE[k]
-    return hit

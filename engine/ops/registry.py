@@ -24,20 +24,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     return {
         'events_funnel_windowed': relational.events_funnel_windowed,
-        'lang_confusion': textstats.lang_confusion,
         'events_dau_wau': relational.events_dau_wau,
         'daily_revenue_running': relational.daily_revenue_running,
         'events_anomaly_days': relational.events_anomaly_days,
-        'lang_fertility': textstats.lang_fertility,
         'events_late_arrivals': relational.events_late_arrivals,
-        'doc_surprisal': textstats.doc_surprisal,
         'session_durations': relational.session_durations,
         'purchase_view_lag': relational.purchase_view_lag,
         'customer_ltv_deciles': relational.customer_ltv_deciles,
         'events_type_drift': relational.events_type_drift,
-        'vocab_coverage': textstats.vocab_coverage,
-        'source_token_drift': textstats.source_token_drift,
-        'doc_ttr': textstats.doc_ttr,
         'events_hourly_profile': relational.events_hourly_profile,
         'user_event_pivot': relational.user_event_pivot,
         'events_user_rolling': relational.events_user_rolling,
@@ -48,8 +42,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'events_funnel': relational.events_funnel,
         'users_view_and_purchase': relational.users_view_and_purchase,
         'users_purchase_not_view': relational.users_purchase_not_view,
-        'doc_repetition': textstats.doc_repetition,
-        'doc_chunks': textstats.doc_chunks,
         'events_time_rolling': relational.events_time_rolling,
         'events_value_zscore': relational.events_value_zscore,
         'events_value_deciles': relational.events_value_deciles,
@@ -58,28 +50,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         'user_event_paths': relational.user_event_paths,
         'orders_price_percentile': relational.orders_price_percentile,
         'daily_activity': relational.daily_activity,
-        'token_heavy_hitters': textstats.token_heavy_hitters,
-        'token_postings': textstats.token_postings,
         'events_windowed_distinct_users':
             relational.events_windowed_distinct_users,
         'events_value_mad_outliers': relational.events_value_mad_outliers,
         'orders_cohort_retention': relational.orders_cohort_retention,
-        'token_cooccur_topk': textstats.token_cooccur_topk,
-        'source_token_topk': textstats.source_token_topk,
         'user_decay_score': relational.user_decay_score,
         'events_user_gini': relational.events_user_gini,
-        'doc_length_outliers': textstats.doc_length_outliers,
         # text analysis
         'doc_token_stats': textstats.doc_token_stats,
         'doc_token_bpe': textstats.doc_token_bpe,
         'doc_quality': textstats.doc_quality,
         'lang_id': textstats.lang_id,
         'fingerprint_md5': textstats.fingerprint_md5,
-        'fingerprint_winnow': textstats.fingerprint_winnow,
-        'token_frequencies': textstats.token_frequencies,
-        'doc_tfidf_topk': textstats.doc_tfidf_topk,
         'doc_scrub': textstats.doc_scrub,
-        'bigram_pmi_topk': textstats.bigram_pmi_topk,
         # relational / plan-op layer
         'q1_pricing': relational.q1_pricing,
         'top_orders_revenue': relational.top_orders_revenue,
@@ -103,32 +86,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from engine.ops import oracles
-
-    generated = {
-        # generated oracles (hash constants) — see engine/ops/oracles.py
-        'fingerprint_winnow': oracles.winnow_oracle_sql(),
-    }
+    generated = {}
     from engine.ops import relational as _relational_mod
     generated['events_anomaly_days'] = _relational_mod.EVENTS_ANOMALY_SQL
     generated['events_late_arrivals'] = _relational_mod.EVENTS_LATE_SQL
-    from engine.ops import textstats as _textstats
-    generated['token_heavy_hitters'] = _textstats.heavy_hitters_oracle_sql()
-    generated['lang_fertility'] = _textstats.LANG_FERTILITY_SQL
-    generated['doc_surprisal'] = _textstats.DOC_SURPRISAL_SQL
     generated['session_durations'] = _relational_mod.SESSION_DURATIONS_SQL
     generated['purchase_view_lag'] = _relational_mod.PURCHASE_VIEW_LAG_SQL
     generated['customer_ltv_deciles'] = _relational_mod.LTV_DECILES_SQL
     generated['events_type_drift'] = _relational_mod.EVENTS_TYPE_DRIFT_SQL
-    generated['vocab_coverage'] = _textstats.vocab_coverage_oracle_sql()
-    generated['source_token_drift'] = _textstats.SOURCE_TOKEN_DRIFT_SQL
-    generated['doc_ttr'] = _textstats.DOC_TTR_SQL
-    generated['doc_length_outliers'] = _textstats.DOC_LENGTH_OUTLIERS_SQL
     generated['events_hourly_profile'] = \
         _relational_mod.EVENTS_HOURLY_PROFILE_SQL
-    generated['token_postings'] = _textstats.postings_oracle_sql()
-    generated['token_cooccur_topk'] = _textstats.cooccur_oracle_sql()
-    generated['source_token_topk'] = _textstats.source_topk_oracle_sql()
     generated['events_windowed_distinct_users'] = """
 SELECT event_type, date_trunc('day', ts) AS window_start,
        count(*)::BIGINT AS n_events,
@@ -141,7 +108,6 @@ FROM events GROUP BY event_type, date_trunc('day', ts)
     generated['events_user_gini'] = _relational.USER_GINI_SQL
     generated['events_funnel_windowed'] = \
         _relational.funnel_windowed_oracle_sql()
-    generated['lang_confusion'] = _textstats.lang_confusion_oracle_sql()
     generated['events_dau_wau'] = _relational.DAU_WAU_SQL
     generated['daily_revenue_running'] = _relational.REVENUE_RUNNING_SQL
     generated['orders_cohort_retention'] = _relational.COHORT_RETENTION_SQL
@@ -236,31 +202,6 @@ SELECT user_id FROM events WHERE event_type = 'purchase' AND value >= 95.0
 SELECT user_id FROM events WHERE event_type = 'purchase' AND value >= 95.0
 EXCEPT
 SELECT user_id FROM events WHERE event_type = 'view' AND value >= 95.0
-""",
-        'doc_repetition': """
-WITH w AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents
-), c AS (
-  SELECT doc_id, word, count(*)::BIGINT AS cnt FROM w GROUP BY doc_id, word
-)
-SELECT doc_id,
-       sum(cnt)::BIGINT AS n_words,
-       count(*)::BIGINT AS n_distinct,
-       max(cnt)::BIGINT AS top_cnt,
-       floor((1.0 - count(*)::DOUBLE / sum(cnt)) * 1000000 + 0.5) / 1000000
-         AS dup_frac
-FROM c GROUP BY doc_id
-""",
-        'doc_chunks': """
-WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM documents),
-     s AS (SELECT doc_id, toks,
-                  unnest(generate_series(0, greatest(len(toks) - 1, 0), 25))
-                    AS start
-           FROM t)
-SELECT doc_id, (start // 25)::BIGINT AS chunk_idx,
-       least(50, len(toks) - start)::BIGINT AS n_tokens,
-       array_to_string(toks[start + 1 : start + 50], ' ') AS chunk_text
-FROM s
 """,
         'events_time_rolling': """
 WITH e AS (SELECT event_id, user_id, ts,
@@ -450,18 +391,6 @@ WITH s AS (
 SELECT doc_id, pred_lang, lang, (pred_lang = lang) AS is_match FROM p
 """,
         'fingerprint_md5': "SELECT doc_id, md5(text) AS fp FROM documents",
-        'token_frequencies': r"""
-WITH t AS (
-  SELECT unnest(regexp_extract_all(text, '\S+')) AS token FROM documents
-), g AS (
-  SELECT token, count(*)::BIGINT AS n_occurrences FROM t GROUP BY token
-), r AS (
-  SELECT token, n_occurrences,
-         row_number() OVER (ORDER BY n_occurrences DESC, token ASC)::BIGINT AS rank
-  FROM g
-)
-SELECT token, n_occurrences, rank FROM r WHERE rank <= 100
-""",
         'q1_pricing': """
 SELECT l_returnflag, l_linestatus,
        floor(sum(l_quantity) * 100 + 0.5) / 100 AS sum_qty,
@@ -588,59 +517,6 @@ WHERE c.c_mktsegment = 'BUILDING'
 GROUP BY l.l_orderkey, o.o_orderdate, o.o_orderpriority
 ORDER BY sum(l.l_extendedprice * (1 - l.l_discount)) DESC, l.l_orderkey ASC
 LIMIT 10
-""",
-        'doc_tfidf_topk': r"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS token FROM documents
-), tf AS (
-  SELECT doc_id, token, count(*)::DOUBLE AS tf FROM tok GROUP BY doc_id, token
-), df AS (
-  SELECT token, count(DISTINCT doc_id)::DOUBLE AS df FROM tok GROUP BY token
-), n AS (
-  SELECT count(*)::DOUBLE AS n FROM documents
-), s AS (
-  SELECT tf.doc_id, tf.token, ln(n.n / df.df) * tf.tf AS score
-  FROM tf, df, n WHERE tf.token = df.token
-), r AS (
-  SELECT doc_id, token, score,
-         row_number() OVER (PARTITION BY doc_id
-                            ORDER BY score DESC, token ASC)::BIGINT AS rank
-  FROM s
-)
-SELECT doc_id, token,
-       floor(score * 1000000 + 0.5) / 1000000 AS score, rank
-FROM r WHERE rank <= 3
-""",
-        'bigram_pmi_topk': r"""
-WITH toks AS (
-  SELECT regexp_extract_all(text, '\S+') AS tk FROM documents
-), bi AS (
-  SELECT unnest(list_transform(generate_series(1, greatest(len(tk) - 1, 0)),
-                               i -> tk[i] || ' ' || tk[i+1])) AS bg
-  FROM toks
-), uni AS (
-  SELECT unnest(tk) AS t FROM toks
-), uc AS (
-  SELECT t, count(*)::BIGINT AS c FROM uni GROUP BY t
-), bc AS (
-  SELECT bg, count(*)::BIGINT AS c FROM bi GROUP BY bg
-), n AS (
-  SELECT (SELECT count(*) FROM uni)::DOUBLE AS nu,
-         (SELECT count(*) FROM bi)::DOUBLE AS nb
-), s AS (
-  SELECT bg, bc.c AS c,
-         ln((bc.c::DOUBLE * n.nu) * n.nu / ((n.nb * a.c) * b.c)) AS pmi
-  FROM bc, n, uc a, uc b
-  WHERE a.t = split_part(bg, ' ', 1) AND b.t = split_part(bg, ' ', 2)
-    AND bc.c >= 5
-), r AS (
-  SELECT bg, c, pmi,
-         row_number() OVER (ORDER BY pmi DESC, bg ASC)::BIGINT AS rank
-  FROM s
-)
-SELECT bg AS bigram, c AS n_occurrences,
-       floor(pmi * 1000000 + 0.5) / 1000000 AS pmi, rank
-FROM r WHERE rank <= 50
 """,
     }
     return generated | static

@@ -61,14 +61,6 @@ def test_query_matches_oracle(ray_session, oracle_con, name):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_winnow_deterministic():
-    from engine.ops.textstats import winnow_fingerprints
-    a = winnow_fingerprints('the quick brown fox jumps over the lazy dog')
-    b = winnow_fingerprints('the quick brown fox jumps over the lazy dog')
-    assert a == b and len(a) > 0
-    assert winnow_fingerprints('abc', k=5) == set()
-
-
 def test_grouped_topk_rank_contract(ray_session):
     """top_orders_per_customer: every customer has ranks 1..min(k, n_orders)
     with prices non-increasing along rank."""
@@ -223,80 +215,6 @@ def test_time_rolling_matches_bruteforce(ray_session, tmp_path):
         assert got.loc[i, 'win_cents'] == cents[m].sum()
 
 
-def test_doc_chunks_matches_reference(ray_session, tmp_path):
-    """doc_chunks vs a plain-Python reference on crafted lengths: below
-    one chunk, exactly one chunk, boundary multiples, long docs."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    from engine.ops.textstats import doc_chunks
-    docs = ['w',                                    # 1 token
-            ' '.join('t%d' % i for i in range(50)),   # full chunk + its stride-25 overlap tail
-            ' '.join('t%d' % i for i in range(51)),   # one overflow token
-            ' '.join('t%d' % i for i in range(75)),   # stride boundary
-            ' '.join('t%d' % i for i in range(137))]  # ragged tail
-    tbl = pa.table({
-        'doc_id': pa.array(range(len(docs)), pa.int64()),
-        'text': pa.array(docs, pa.string()),
-        'lang': pa.array(['en'] * len(docs), pa.string()),
-        'source': pa.array(['src0'] * len(docs), pa.string()),
-        'n_chars': pa.array([len(d) for d in docs], pa.int64()),
-    })
-    pq.write_table(tbl, os.path.join(str(tmp_path), 'documents.parquet'))
-    got = doc_chunks(str(tmp_path)).to_pandas() \
-        .sort_values(['doc_id', 'chunk_idx']).reset_index(drop=True)
-    exp = []
-    for did, text in enumerate(docs):
-        toks = text.split(' ')
-        for ci, start in enumerate(range(0, max(len(toks), 1), 25)):
-            if start >= len(toks):
-                break
-            seg = toks[start:start + 50]
-            exp.append((did, ci, len(seg), ' '.join(seg)))
-    assert len(got) == len(exp)
-    for row, (did, ci, nt, txt) in zip(got.itertuples(index=False), exp):
-        assert (row.doc_id, row.chunk_idx, row.n_tokens,
-                row.chunk_text) == (did, ci, nt, txt)
-
-
-def test_heavy_hitters_bounds_and_exact_mode(ray_session):
-    """The partition-top-c bound must bracket the true counts, and with
-    capacity ≥ vocabulary the bound collapses to the exact counts (the
-    ``exact`` flag certifies it)."""
-    import duckdb
-    from engine.ops import textstats
-    hh = textstats.token_heavy_hitters(SF_DIR).to_pandas()
-    con = duckdb.connect()
-    exact = con.execute(r"""
-        SELECT token, count(*) AS n FROM (
-          SELECT unnest(regexp_extract_all(text, '\S+')) AS token
-          FROM read_parquet('%s/documents.parquet')
-        ) GROUP BY token
-    """ % SF_DIR).fetchdf().set_index('token')['n']
-    con.close()
-    assert len(hh)
-    for _, row in hh.iterrows():
-        assert row.est_lower <= exact[row.token] <= row.est_upper
-        if row.exact:
-            assert row.est_lower == exact[row.token]
-    # capacity ≥ vocab ⇒ every bound collapses and counts are exact
-    wide = textstats.token_heavy_hitters(SF_DIR, capacity=10_000).to_pandas()
-    assert wide['exact'].all()
-    for _, row in wide.iterrows():
-        assert row.est_lower == exact[row.token]
-
-
-def test_postings_cap_and_df(ray_session):
-    """Posting lists are ascending, capped at ``cap``, and consistent
-    with the exact document frequency."""
-    from engine.ops import textstats
-    post = textstats.token_postings(SF_DIR, cap=7).to_pandas()
-    assert len(post)
-    for _, row in post.iterrows():
-        ids = [int(x) for x in row.postings.split(',')]
-        assert ids == sorted(ids)
-        assert len(ids) == min(row.df, 7)
-
-
 def test_cohort_retention_invariants(ray_session):
     """Month-0 cell of every cohort is the cohort itself (retention 1.0),
     and no later cell exceeds the cohort size."""
@@ -307,37 +225,6 @@ def test_cohort_retention_invariants(ray_session):
     assert (base.retention == 1.0).all()
     assert (df.n_customers <= df.cohort_size).all()
     assert (df.months_since >= 0).all()
-
-
-def test_cooccur_apriori_invariant(ray_session, oracle_con):
-    """A pair's support can never exceed either member's document
-    frequency (the invariant the a-priori prune relies on)."""
-    con, _ = oracle_con
-    from engine.ops import textstats
-    pairs = textstats.token_cooccur_topk(SF_DIR).to_pandas()
-    df = con.execute("""
-        SELECT token, count(*) AS df FROM (
-          SELECT DISTINCT doc_id,
-                 unnest(regexp_extract_all(text, '\\S+')) AS token
-          FROM read_parquet('%s/documents.parquet')) GROUP BY token
-    """ % SF_DIR).fetchdf().set_index('token')['df']
-    assert len(pairs) > 0
-    for row in pairs.itertuples():
-        assert row.support <= df[row.token_a]
-        assert row.support <= df[row.token_b]
-        assert row.token_a < row.token_b
-    assert (pairs.support >= textstats.COOCCUR_MIN_SUPPORT).all()
-
-
-def test_source_topk_shares(ray_session):
-    """Per-source shares are positive, ≤ 1, and each source emits at most
-    k rows ordered by count."""
-    from engine.ops import textstats
-    t = textstats.source_token_topk(SF_DIR).to_pandas()
-    assert ((t.pct > 0) & (t.pct <= 1.0)).all()
-    for _, g in t.groupby('source'):
-        assert len(g) <= textstats.SOURCE_TOPK
-        assert g.cnt.is_monotonic_decreasing or len(g) == 1
 
 
 def test_decay_score_halving(ray_session):
@@ -387,32 +274,6 @@ def test_windowed_funnel_bounded_by_unbounded(ray_session):
     assert (wf.conversion == wf.n_users / float(n1)).all()
 
 
-def test_run_pairs_matches_bruteforce():
-    """common.run_pairs against a nested-loop reference on random run
-    layouts (both directed and upper-triangle modes)."""
-    import numpy as np
-    from engine.ops.common import run_pairs
-    rng = np.random.RandomState(7)
-    for _ in range(25):
-        lens = rng.randint(0, 6, size=rng.randint(0, 8))
-        expect_d, expect_u = set(), set()
-        off = 0
-        for l in lens:
-            for i in range(l):
-                for j in range(l):
-                    if i != j:
-                        expect_d.add((off + i, off + j))
-                    if i < j:
-                        expect_u.add((off + i, off + j))
-            off += l
-        a, b = run_pairs(lens)
-        assert set(zip(a.tolist(), b.tolist())) == expect_d
-        assert len(a) == len(expect_d)
-        a, b = run_pairs(lens, upper=True)
-        assert set(zip(a.tolist(), b.tolist())) == expect_u
-        assert len(a) == len(expect_u)
-
-
 def test_late_arrivals_true_branch(ray_session, tmp_path):
     """The sf tables' ts is monotone in event_id (0 late rows), so the
     oracle check never exercises the late path — this fixture scrambles
@@ -442,22 +303,3 @@ def test_late_arrivals_true_branch(ray_session, tmp_path):
     a = _canon(got)
     b = _canon(want)
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
-def test_weighted_median_matches_numpy():
-    """Histogram (weighted) median must equal numpy's interpolated median
-    of the expanded multiset — DuckDB ``median``/``mad`` semantics."""
-    import numpy as np
-
-    from engine.ops.textstats import _weighted_median
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        vals = np.unique(rng.integers(0, 40, size=rng.integers(1, 12)))
-        cnts = rng.integers(1, 5, size=len(vals))
-        expanded = np.repeat(vals, cnts)
-        assert _weighted_median(vals, cnts) == float(np.median(expanded))
-        med = float(np.median(expanded))
-        dev = np.abs(vals.astype(float) - med)
-        order = np.argsort(dev, kind='stable')
-        mad = _weighted_median(dev[order], cnts[order])
-        assert mad == float(np.median(np.abs(expanded - med)))

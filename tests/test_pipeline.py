@@ -345,6 +345,35 @@ def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
     assert len(keys) == len(set(keys)) == n
 
 
+def test_manifest_rows_name_published_parts(ray_session, corpus, tmp_path,
+                                            monkeypatch):
+    """Publish order: a bucket's part file is renamed into place before
+    its manifest row is appended, so every row that names a file names a
+    complete one (no ``_tmp-`` twin left), and each bucket is recorded
+    exactly once by the driver."""
+    from engine.rayjob import pipeline
+    d, n = corpus
+    out = str(tmp_path / 'out')
+    append = checkpoint.append_manifest_rows
+    seen = []
+
+    def checked(out_dir, rows):
+        for r in rows:
+            if r['file']:
+                assert os.path.exists(os.path.join(out_dir, r['file'])), r
+                assert not os.path.exists(
+                    os.path.join(out_dir, '_tmp-' + r['file'])), r
+            seen.append(r['bucket'])
+        append(out_dir, rows)
+    monkeypatch.setattr(checkpoint, 'append_manifest_rows', checked)
+
+    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+                                      concurrency=2, resume=False)
+    assert sorted(seen) == list(range(16))
+    assert summary['rows_out'] == n
+    assert not glob.glob(os.path.join(out, '_spill-*'))
+
+
 def test_task_failure_cancels_and_waits_for_the_rest(ray_session, tmp_path):
     """A task that raises makes the driver cancel the tasks still in
     flight and wait for them to end before it re-raises, so no task of a
