@@ -12,9 +12,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
-__all__ = ['round_half_up', 'table_path',
-           'read_small_table', 'read_table', 'BroadcastLookup', 'pool',
-           'hash63_keys']
+__all__ = ['round_half_up', 'table_path', 'read_table', 'BroadcastLookup',
+           'pool']
 
 
 def pool(frac=0.75, floor=2):
@@ -28,18 +27,6 @@ def pool(frac=0.75, floor=2):
     except Exception:
         cpus = 4
     return (1, max(floor, int(cpus * frac)))
-
-
-def hash63_keys(ids):
-    """63-bit md5 key per integer id: last 8 digest bytes little-endian,
-    63-bit mask (DuckDB spells it ``md5_number_lower(v::VARCHAR) &
-    (2^63 - 1)``).  The key-bucket exchanges in ``relational`` pick their
-    bucket with it, so the rule lives here once."""
-    import hashlib
-    return np.fromiter(
-        (int.from_bytes(hashlib.md5(str(int(v)).encode()).digest()[8:16],
-                        'little') & 0x7FFFFFFFFFFFFFFF for v in ids),
-        dtype=np.int64, count=len(ids))
 
 
 def round_half_up(x, digits):
@@ -63,7 +50,7 @@ def read_table(sf_dir, name, columns=None):
     input size, so a 10 MB table splits into 64 near-empty blocks — and
     every downstream sort/groupby exchange then pays per-BLOCK task
     overhead (~200 scheduled sort subtasks per exchange; measured 7.4 s →
-    0.8 s on top_orders_revenue at sf0.1 by fixing this).  Sizing blocks
+    0.8 s on a three-table join at sf0.1 by fixing this).  Sizing blocks
     by bytes (≈32 MB of file, ≈100–200 MB decoded) is the scale-correct
     rule: at 100 TB it yields ~3M blocks (≫ any cluster width, streaming
     executor backpressures), at test scale it yields a handful, and
@@ -76,13 +63,6 @@ def read_table(sf_dir, name, columns=None):
     import ray.data
     return ray.data.read_parquet(path, columns=columns,
                                  override_num_blocks=blocks)
-
-
-def read_small_table(sf_dir, name, columns=None):
-    """Driver-side read of a dimension table (region/nation/etc.) that is
-    small by schema design — the broadcast side of a broadcast join."""
-    import pyarrow.parquet as pq
-    return pq.read_table(table_path(sf_dir, name), columns=columns)
 
 
 class BroadcastLookup:

@@ -1,28 +1,24 @@
-"""Relational pipelines over the TPC-H-ish tables — the §2.9 plan-op layer.
+"""Pipelines over the synthetic ``events`` table — the §2.9 plan-op layer.
 
 Patterns demonstrated (each is the 100 TB-shape of the operation):
 
 - *Pre-aggregated groupby*: every aggregate does a PARTIAL Arrow
   ``Table.group_by`` inside map_batches first, so the all-to-all groupby
   shuffle moves one combiner row per (key, block), never raw rows.
-- *Broadcast join*: TRUE dimension tables (region/nation — small by
-  schema) are read driver-side, turned into flat lookup dicts, ``ray.put``
-  ONCE, and fetched once per actor.  Fact-sized sides (customer, orders)
-  are NEVER read driver-side: they ride the *bucketed co-partition*
-  pattern — union the sides into one null-padded schema, ONE
-  ``groupby(key & (nb-1))`` exchange, vectorized C++/numpy resolution per
-  bucket (top_orders_revenue, events_asof_orders, events_range_orders).
-  Grouping on the RAW key would pay ~50µs of map_groups Python+Arrow tax
-  per key — billions of groups at corpus scale.
+- *Bucketed exchange*: per-user logic groups on ``key & (nb-1)``, ONE
+  exchange, with vectorized numpy resolution per bucket.  Grouping on the
+  RAW key would pay ~50µs of map_groups Python+Arrow tax per key —
+  billions of groups at corpus scale.
+- *Broadcast of a small fold*: a low-cardinality result (per-type
+  moments, a per-bucket prefix) is ``ray.put`` ONCE and shared by every
+  worker that reads it (``common.BroadcastLookup`` fetches it once per
+  actor).
 - *Predicate/column pruning at the read* (``columns=``), and read blocks
   sized by BYTES (common.read_table) so exchange task counts track data.
-- *Sessionize / as-of / range join*: ordered per-key logic resolved for a
-  whole bucket at once (lexsort + break vectors / forward-fill /
-  prefix-count differences).
+- *Sessionize*: ordered per-key logic resolved for a whole bucket at once
+  (lexsort + break vectors / forward-fill).
 - *Windowed aggregates*: tumbling and sliding window keys DERIVED in the
   map stage; shuffles move combiner rows only.
-- *Top-k*: partial per-block (and per-bucket) top-k before the tiny
-  global sort.
 """
 
 import numpy as np
@@ -32,30 +28,22 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .common import (BroadcastLookup, round_half_up,
-                     read_small_table, read_table, pool, hash63_keys)
+from .common import BroadcastLookup, round_half_up, read_table, pool
 
-__all__ = ['q1_pricing', 'top_orders_revenue', 'customers_per_region',
-           'supplier_balance_by_nation', 'events_by_type', 'events_sessionize',
-           'events_windowed', 'events_windowed_sliding', 'events_asof_orders',
-           'events_range_orders', 'top_parts', 'customers_inactive',
-           'top_orders_per_customer', 'events_value_quantiles',
-           'shipping_priority', 'events_user_running', 'events_props_stats',
+__all__ = ['events_by_type', 'events_sessionize', 'events_windowed',
+           'events_windowed_sliding', 'events_value_quantiles',
+           'events_user_running', 'events_props_stats',
            'events_value_hist_quantiles', 'user_event_pivot',
-           'events_user_rolling', 'customer_order_counts',
-           'events_latest_per_user', 'returnflag_priority_counts',
-           'events_rollup', 'events_funnel',
-           'users_view_and_purchase', 'users_purchase_not_view',
-           'events_time_rolling', 'events_value_zscore',
-           'events_value_deciles', 'events_hour_value_corr',
-           'events_debounced', 'user_event_paths',
-           'orders_price_percentile', 'daily_activity',
-           'events_windowed_distinct_users',
-           'events_value_mad_outliers', 'orders_cohort_retention',
-           'events_anomaly_days', 'events_late_arrivals',
-           'session_durations', 'purchase_view_lag',
-           'customer_ltv_deciles', 'events_type_drift',
-           'events_hourly_profile']
+           'events_user_rolling', 'events_latest_per_user', 'events_rollup',
+           'events_funnel', 'users_view_and_purchase',
+           'users_purchase_not_view', 'events_time_rolling',
+           'events_value_zscore', 'events_value_deciles',
+           'events_hour_value_corr', 'events_debounced', 'user_event_paths',
+           'events_windowed_distinct_users', 'events_value_mad_outliers',
+           'events_anomaly_days', 'events_late_arrivals', 'session_durations',
+           'purchase_view_lag', 'events_type_drift', 'events_hourly_profile',
+           'user_decay_score', 'events_user_gini', 'events_funnel_windowed',
+           'events_dau_wau']
 
 
 def rank_in_sorted_key(keys_sorted):
@@ -74,245 +62,6 @@ def rank_in_sorted_key(keys_sorted):
     starts = np.where(new, idx, 0)
     np.maximum.accumulate(starts, out=starts)
     return idx - starts + 1
-
-Q1_CUTOFF = '1998-09-02'
-
-
-def q1_pricing(sf_dir):
-    """TPC-H Q1-shaped pricing summary over lineitem (filter → partial
-    group_by combiner → global groupby → finalize with shared rounding)."""
-    cutoff = pa.scalar(np.datetime64(Q1_CUTOFF + 'T00:00:00', 'us'),
-                       pa.timestamp('us'))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.less_equal(batch.column('l_shipdate'), cutoff))
-        disc_price = pc.multiply(batch.column('l_extendedprice'),
-                                 pc.subtract(pa.scalar(1.0), batch.column('l_discount')))
-        t = pa.table({
-            'l_returnflag': batch.column('l_returnflag'),
-            'l_linestatus': batch.column('l_linestatus'),
-            'qty': batch.column('l_quantity'),
-            'base': batch.column('l_extendedprice'),
-            'disc': disc_price,
-        })
-        g = t.group_by(['l_returnflag', 'l_linestatus']).aggregate(
-            [('qty', 'sum'), ('base', 'sum'), ('disc', 'sum'), ('qty', 'count')])
-        return g.rename_columns(['l_returnflag', 'l_linestatus',
-                                 'qty_sum', 'base_sum', 'disc_sum', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        qty = pc.sum(group.column('qty_sum')).as_py() or 0.0
-        base = pc.sum(group.column('base_sum')).as_py() or 0.0
-        disc = pc.sum(group.column('disc_sum')).as_py() or 0.0
-        cnt = pc.sum(group.column('cnt')).as_py() or 0
-        return pa.table({
-            'l_returnflag': group.column('l_returnflag').slice(0, 1),
-            'l_linestatus': group.column('l_linestatus').slice(0, 1),
-            'sum_qty': pa.array(round_half_up([qty], 2), pa.float64()),
-            'sum_base_price': pa.array(round_half_up([base], 2), pa.float64()),
-            'sum_disc_price': pa.array(round_half_up([disc], 2), pa.float64()),
-            'avg_qty': pa.array(round_half_up([qty / cnt if cnt else 0.0], 6),
-                                pa.float64()),
-            'count_order': pa.array([cnt], pa.int64()),
-        })
-
-    ds = read_table(
-        sf_dir, 'lineitem',
-        columns=['l_returnflag', 'l_linestatus', 'l_quantity',
-                 'l_extendedprice', 'l_discount', 'l_shipdate'])
-    return (ds.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-              .groupby(['l_returnflag', 'l_linestatus'])
-              .map_groups(final, batch_format='pyarrow'))
-
-
-_SEMI_EMPTY = pa.table({'o_orderkey': pa.array([], pa.int64()),
-                        'obucket': pa.array([], pa.int64())})
-
-_TOPK_EMPTY = pa.table({'o_orderkey': pa.array([], pa.int64()),
-                        'rev_raw': pa.array([], pa.float64())})
-
-
-def top_orders_revenue(sf_dir, segment='BUILDING', topk=10, num_buckets=64):
-    """Revenue of the top-k orders from one customer segment — NO
-    driver-side fact reads (customer and orders both grow with sf), and
-    no per-key map_groups tax (~50µs of Python+Arrow per group would be
-    paid once per ORDER): every exchange is hash-BUCKETED
-    (key & (num_buckets-1)) and per-bucket work is C++ (is_in semi
-    filter, Arrow group_by, sort).  ``num_buckets`` scales with the
-    cluster, not the data.
-
-      1. customer is filtered DISTRIBUTED to segment custkeys; the key
-         rows union with (o_custkey, o_orderkey) rows and ONE bucketed
-         groupby co-partitions them — a local ``is_in`` semi-filter
-         emits the qualifying orderkeys (co-partition pattern, cf.
-         events_asof_orders);
-      2. lineitem is partial-aggregated per (block, orderkey) — the
-         combiner — so the second exchange moves combiner rows, never
-         raw lineitems; the qualifying orderkeys ride the same bucketed
-         exchange (rev_sum=null marks a key row);
-      3. per bucket: Arrow group_by folds partials to per-order revenue,
-         the semi-filter applies, and a PER-BUCKET top-k (rev desc,
-         orderkey asc — the global ordering restricted to the bucket,
-         so bucket-local top-k is a superset of the global winners in
-         that bucket) caps the final sort at num_buckets × k rows.
-    """
-    nb = num_buckets
-    cust = read_table(sf_dir, 'customer',
-                                 columns=['c_custkey', 'c_mktsegment'])
-
-    def seg_keys(batch: pa.Table) -> pa.Table:
-        keys = batch.filter(pc.equal(batch.column('c_mktsegment'),
-                                     segment)).column('c_custkey')
-        return pa.table({
-            'key': keys,
-            'o_orderkey': pa.nulls(len(keys), pa.int64()),
-            'bucket': pa.array(keys.to_numpy() & (nb - 1), pa.int64()),
-        })
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'key': batch.column('o_custkey'),
-            'o_orderkey': batch.column('o_orderkey'),
-            'bucket': pa.array(batch.column('o_custkey').to_numpy() & (nb - 1),
-                               pa.int64()),
-        })
-
-    def semi_orders(group: pa.Table) -> pa.Table:
-        is_key = pc.is_null(group.column('o_orderkey'))
-        keyset = group.filter(is_key).column('key')
-        hits = group.filter(pc.invert(is_key))
-        hits = hits.filter(pc.is_in(hits.column('key'), value_set=keyset))
-        if hits.num_rows == 0:
-            return _SEMI_EMPTY
-        ok = hits.column('o_orderkey')
-        return pa.table({'o_orderkey': ok,
-                         'obucket': pa.array(ok.to_numpy() & (nb - 1),
-                                             pa.int64())})
-
-    custkeys = cust.map_batches(seg_keys, batch_format='pyarrow',
-                                zero_copy_batch=True)
-    orders = read_table(sf_dir, 'orders',
-                                   columns=['o_orderkey', 'o_custkey'])
-    orders_f = custkeys.union(
-        orders.map_batches(order_rows, batch_format='pyarrow',
-                           zero_copy_batch=True)
-    ).groupby('bucket').map_groups(semi_orders, batch_format='pyarrow')
-
-    def key_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({'o_orderkey': batch.column('o_orderkey'),
-                         'rev_sum': pa.nulls(batch.num_rows, pa.float64()),
-                         'obucket': batch.column('obucket')})
-
-    def partial(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(batch.column('l_extendedprice'),
-                          pc.subtract(pa.scalar(1.0), batch.column('l_discount')))
-        t = pa.table({'o_orderkey': batch.column('l_orderkey'), 'rev': rev})
-        g = t.group_by('o_orderkey').aggregate([('rev', 'sum')])
-        g = g.rename_columns(['o_orderkey', 'rev_sum'])
-        return g.append_column(
-            'obucket', pa.array(g.column('o_orderkey').to_numpy() & (nb - 1),
-                                pa.int64()))
-
-    def bucket_topk(group: pa.Table) -> pa.Table:
-        is_key = pc.is_null(group.column('rev_sum'))
-        keyset = group.filter(is_key).column('o_orderkey')
-        parts = group.filter(pc.invert(is_key))
-        parts = parts.filter(pc.is_in(parts.column('o_orderkey'),
-                                      value_set=keyset))
-        if parts.num_rows == 0:
-            return _TOPK_EMPTY
-        per_order = parts.group_by('o_orderkey').aggregate([('rev_sum', 'sum')])
-        per_order = per_order.rename_columns(['o_orderkey', 'rev_raw'])
-        top = per_order.sort_by([('rev_raw', 'descending'),
-                                 ('o_orderkey', 'ascending')]).slice(0, topk)
-        return top.select(['o_orderkey', 'rev_raw'])
-
-    li = read_table(sf_dir, 'lineitem',
-                               columns=['l_orderkey', 'l_extendedprice', 'l_discount'])
-    per_bucket = orders_f.map_batches(key_rows, batch_format='pyarrow',
-                                      zero_copy_batch=True).union(
-        li.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-    ).groupby('obucket').map_groups(bucket_topk, batch_format='pyarrow')
-    top = per_bucket.sort(['rev_raw', 'o_orderkey'],
-                          descending=[True, False]).limit(topk)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'o_orderkey': batch.column('o_orderkey'),
-            'revenue': pa.array(round_half_up(
-                batch.column('rev_raw').to_numpy(zero_copy_only=False), 2),
-                pa.float64()),
-        })
-    return top.map_batches(finish, batch_format='pyarrow')
-
-
-class _MapThroughDims(BroadcastLookup):
-    """Broadcast hash join: nationkey → region name lookup inside the batch."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lut = self.state
-        names = [lut[k] for k in batch.column('c_nationkey').to_pylist()]
-        t = pa.table({'r_name': pa.array(names, pa.string())})
-        g = t.group_by('r_name').aggregate([([], 'count_all')])
-        return g.rename_columns(['r_name', 'cnt'])
-
-
-def customers_per_region(sf_dir):
-    """customer ⋈ nation ⋈ region rollup via one composed broadcast dict."""
-    nation = read_small_table(sf_dir, 'nation', ['n_nationkey', 'n_regionkey'])
-    region = read_small_table(sf_dir, 'region', ['r_regionkey', 'r_name'])
-    rmap = dict(zip(region.column('r_regionkey').to_pylist(),
-                    region.column('r_name').to_pylist()))
-    nmap = {n: rmap[r] for n, r in zip(nation.column('n_nationkey').to_pylist(),
-                                       nation.column('n_regionkey').to_pylist())}
-    ref = ray.put(nmap)
-
-    def final(group: pa.Table) -> pa.Table:
-        return pa.table({
-            'r_name': group.column('r_name').slice(0, 1),
-            'n_customers': pa.array([pc.sum(group.column('cnt')).as_py() or 0],
-                                    pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'customer',
-                               columns=['c_nationkey'])
-    return (ds.map_batches(_MapThroughDims, fn_constructor_args=(ref,),
-                           batch_format='pyarrow', concurrency=pool(),
-                           zero_copy_batch=True)
-              .groupby('r_name').map_groups(final, batch_format='pyarrow'))
-
-
-class _NationName(BroadcastLookup):
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        names = [self.state[k] for k in batch.column('s_nationkey').to_pylist()]
-        t = pa.table({'n_name': pa.array(names, pa.string()),
-                      'bal': batch.column('s_acctbal')})
-        g = t.group_by('n_name').aggregate([('bal', 'sum'), ('bal', 'count')])
-        return g.rename_columns(['n_name', 'bal_sum', 'cnt'])
-
-
-def supplier_balance_by_nation(sf_dir):
-    """supplier ⋈ nation: account-balance rollup per nation name."""
-    nation = read_small_table(sf_dir, 'nation', ['n_nationkey', 'n_name'])
-    nmap = dict(zip(nation.column('n_nationkey').to_pylist(),
-                    nation.column('n_name').to_pylist()))
-    ref = ray.put(nmap)
-
-    def final(group: pa.Table) -> pa.Table:
-        bal = pc.sum(group.column('bal_sum')).as_py() or 0.0
-        cnt = pc.sum(group.column('cnt')).as_py() or 0
-        return pa.table({
-            'n_name': group.column('n_name').slice(0, 1),
-            'total_acctbal': pa.array(round_half_up([bal], 2), pa.float64()),
-            'n_suppliers': pa.array([cnt], pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'supplier',
-                               columns=['s_nationkey', 's_acctbal'])
-    return (ds.map_batches(_NationName, fn_constructor_args=(ref,),
-                           batch_format='pyarrow', concurrency=pool(),
-                           zero_copy_batch=True)
-              .groupby('n_name').map_groups(final, batch_format='pyarrow'))
 
 
 def events_by_type(sf_dir):
@@ -503,302 +252,6 @@ def events_windowed_sliding(sf_dir, size_days=3, slide_days=1):
               .map_groups(final, batch_format='pyarrow'))
 
 
-def events_asof_orders(sf_dir, num_buckets=64):
-    """As-of join: each event matched to the latest order date of the same
-    customer at-or-before the event time (events.user_id = orders.o_custkey,
-    o_orderdate <= ts).
-
-    Both sides are FACT tables, so neither may be read driver-side or
-    broadcast.  Shape: map each side onto a unified (key, event_id, time)
-    schema, ``union`` the two streams, and co-partition with ONE BUCKETED
-    ``groupby(key & (nb-1)).map_groups`` — grouping on the raw key would
-    pay the ~50µs map_groups tax per CUSTOMER (billions of groups at
-    corpus scale).  Each bucket resolves ALL its customers in one
-    vectorized pass: lexsort by (key, time, is_event — orders first at
-    equal time, making the match inclusive), forward-fill the index of
-    the last order row with ``np.maximum.accumulate``, then null out
-    fills whose key differs (an event whose customer has no earlier order
-    picks up a previous customer's fill; key rows are contiguous under
-    the sort, so a cross-key fill can only happen when the customer has
-    no own earlier order — exactly the rows that must be null).  Skew is
-    bounded by the busiest single bucket; a hot key would take the salted
-    two-phase variant (split events by salt, replicate that key's orders).
-    """
-    nb = num_buckets
-
-    def ev_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column('user_id')
-        return pa.table({
-            'key': keys,
-            'event_id': batch.column('event_id'),
-            'time': batch.column('ts').cast(pa.int64()),
-            'bucket': pa.array(
-                keys.to_numpy(zero_copy_only=False) & (nb - 1), pa.int64()),
-        })
-
-    def ord_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column('o_custkey')
-        return pa.table({
-            'key': keys,
-            'event_id': pa.nulls(batch.num_rows, pa.int64()),
-            'time': batch.column('o_orderdate').cast(pa.int64()),
-            'bucket': pa.array(
-                keys.to_numpy(zero_copy_only=False) & (nb - 1), pa.int64()),
-        })
-
-    def asof(group: pa.Table) -> pa.Table:
-        key = group.column('key').to_numpy(zero_copy_only=False)
-        eid = pc.fill_null(group.column('event_id'), -1) \
-            .to_numpy(zero_copy_only=False)
-        time = group.column('time').to_numpy(zero_copy_only=False)
-        is_event = eid >= 0
-        order = np.lexsort((is_event, time, key))
-        k2, t2, ev2 = key[order], time[order], is_event[order]
-        fill = np.maximum.accumulate(
-            np.where(~ev2, np.arange(len(k2)), -1))
-        pos = np.nonzero(ev2)[0]
-        li = fill[pos]
-        ok = (li >= 0) & (k2[np.maximum(li, 0)] == k2[pos])
-        odate = pa.array(t2[np.maximum(li, 0)], pa.int64(), mask=~ok)
-        return pa.table({
-            'event_id': pa.array(eid[order][pos], pa.int64()),
-            'user_id': pa.array(k2[pos], pa.int64()),
-            'asof_orderdate': odate.cast(pa.timestamp('us')),
-        })
-
-    events = read_table(sf_dir, 'events',
-                        columns=['event_id', 'user_id', 'ts'])
-    orders = read_table(sf_dir, 'orders',
-                        columns=['o_custkey', 'o_orderdate'])
-    both = events.map_batches(ev_side, batch_format='pyarrow',
-                              zero_copy_batch=True) \
-        .union(orders.map_batches(ord_side, batch_format='pyarrow',
-                                  zero_copy_batch=True))
-    return both.groupby('bucket').map_groups(asof, batch_format='pyarrow')
-
-
-def events_range_orders(sf_dir, window_days=7, num_buckets=64):
-    """Range join: per order, the number of same-customer events with
-    ``o_orderdate <= ts < o_orderdate + window_days`` (events.user_id =
-    orders.o_custkey).
-
-    Both sides are facts; same bucketed co-partition shape as the as-of
-    join, with counts derived by PREFIX-COUNT DIFFERENCES so the whole
-    bucket resolves in one vectorized pass and no per-key state exists:
-    union the event rows with TWO probe rows per order (window start,
-    window end), lexsort by (key, time, is_event — probes before events
-    at equal time, making the start inclusive and the end exclusive),
-    take the exclusive running count of event rows, and subtract the two
-    probe positions' counts.  Both probes of an order share its key, so
-    every row between them belongs to the same key and the global prefix
-    count needs no per-key reset."""
-    nb = num_buckets
-    win_us = window_days * _DAY_US
-
-    def ev_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column('user_id')
-        n = batch.num_rows
-        return pa.table({
-            'key': keys,
-            'time': batch.column('ts').cast(pa.int64()),
-            'o_orderkey': pa.nulls(n, pa.int64()),
-            'probe_hi': pa.nulls(n, pa.int64()),
-            'bucket': pa.array(
-                keys.to_numpy(zero_copy_only=False) & (nb - 1), pa.int64()),
-        })
-
-    def ord_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column('o_custkey')
-        t0 = batch.column('o_orderdate').cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        b = keys.to_numpy(zero_copy_only=False) & (nb - 1)
-        lo = pa.table({
-            'key': keys, 'time': pa.array(t0, pa.int64()),
-            'o_orderkey': batch.column('o_orderkey'),
-            'probe_hi': pa.array(np.zeros(len(t0), np.int64), pa.int64()),
-            'bucket': pa.array(b, pa.int64()),
-        })
-        hi = pa.table({
-            'key': keys, 'time': pa.array(t0 + win_us, pa.int64()),
-            'o_orderkey': batch.column('o_orderkey'),
-            'probe_hi': pa.array(np.ones(len(t0), np.int64), pa.int64()),
-            'bucket': pa.array(b, pa.int64()),
-        })
-        return pa.concat_tables([lo, hi])
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        key = group.column('key').to_numpy(zero_copy_only=False)
-        time = group.column('time').to_numpy(zero_copy_only=False)
-        okey = pc.fill_null(group.column('o_orderkey'), -1) \
-            .to_numpy(zero_copy_only=False)
-        hi = pc.fill_null(group.column('probe_hi'), 0) \
-            .to_numpy(zero_copy_only=False)
-        is_event = okey < 0
-        order = np.lexsort((is_event, time, key))
-        ev2 = is_event[order]
-        # exclusive running count of event rows at each position
-        cum = np.cumsum(ev2) - ev2
-        pos = np.nonzero(~ev2)[0]
-        ok2, hi2 = okey[order][pos], hi[order][pos]
-        counts = cum[pos]
-        po = np.lexsort((hi2, ok2))          # (order, lo, hi) triples
-        ok3 = ok2[po].reshape(-1, 2)[:, 0]
-        c = counts[po].reshape(-1, 2)
-        return pa.table({
-            'o_orderkey': pa.array(ok3, pa.int64()),
-            'o_custkey': pa.array(key[order][pos][po].reshape(-1, 2)[:, 0],
-                                  pa.int64()),
-            'n_events': pa.array(c[:, 1] - c[:, 0], pa.int64()),
-        })
-
-    events = read_table(sf_dir, 'events', columns=['user_id', 'ts'])
-    orders = read_table(sf_dir, 'orders',
-                        columns=['o_orderkey', 'o_custkey', 'o_orderdate'])
-    both = events.map_batches(ev_side, batch_format='pyarrow',
-                              zero_copy_batch=True) \
-        .union(orders.map_batches(ord_side, batch_format='pyarrow',
-                                  zero_copy_batch=True))
-    return both.groupby('bucket').map_groups(count_bucket,
-                                             batch_format='pyarrow')
-
-
-def top_parts(sf_dir, topk=10):
-    """Top-k parts by retail price: per-block partial top-k, global tiny sort."""
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([('p_retailprice', 'descending'),
-                              ('p_partkey', 'ascending')]).slice(0, topk)
-
-    ds = read_table(sf_dir, 'part',
-                               columns=['p_partkey', 'p_name', 'p_retailprice'])
-    return (ds.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-              .sort(['p_retailprice', 'p_partkey'], descending=[True, False])
-              .limit(topk))
-
-
-_ANTI_EMPTY = pa.table({'c_mktsegment': pa.array([], pa.string()),
-                        'cnt': pa.array([], pa.int64())})
-
-
-def customers_inactive(sf_dir, since='1998-01-01', num_buckets=64):
-    """ANTI-JOIN: customers with NO order since ``since``, counted per
-    market segment.  Both sides are fact tables, so the shape is the
-    bucketed co-partition anti-join:
-
-      1. orders is filtered distributed (o_orderdate >= since) and
-         reduced to DISTINCT custkeys per block (the combiner — the
-         exchange moves one row per active customer per block, never raw
-         orders);
-      2. customer rows (custkey, segment) union with the key rows and ONE
-         ``groupby(custkey & (nb-1))`` co-partitions them;
-      3. per bucket: a C++ ``is_in`` INVERTED semi-filter keeps customers
-         absent from the key set, partial-counted per segment;
-      4. a tiny final groupby folds the per-bucket segment counts.
-
-    Skew: bounded by the busiest custkey bucket (keys are near-uniform —
-    custkey is a surrogate).  At 100 TB nothing is broadcast and nothing
-    is read driver-side."""
-    nb = num_buckets
-    cutoff = pa.scalar(np.datetime64(since + 'T00:00:00', 'us'),
-                       pa.timestamp('us'))
-
-    def active_keys(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.greater_equal(batch.column('o_orderdate'),
-                                             cutoff))
-        g = keep.select(['o_custkey']).group_by('o_custkey').aggregate([])
-        keys = g.column('o_custkey')
-        return pa.table({
-            'key': keys,
-            'c_mktsegment': pa.nulls(g.num_rows, pa.string()),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        keys = batch.column('c_custkey')
-        return pa.table({
-            'key': keys,
-            'c_mktsegment': batch.column('c_mktsegment'),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def anti(group: pa.Table) -> pa.Table:
-        is_key = pc.is_null(group.column('c_mktsegment'))
-        keyset = group.filter(is_key).column('key')
-        cust = group.filter(pc.invert(is_key))
-        miss = cust.filter(pc.invert(pc.is_in(cust.column('key'),
-                                              value_set=keyset)))
-        if miss.num_rows == 0:
-            return _ANTI_EMPTY
-        g = miss.select(['c_mktsegment']).group_by('c_mktsegment') \
-                .aggregate([([], 'count_all')])
-        return g.rename_columns(['c_mktsegment', 'cnt'])
-
-    orders = read_table(sf_dir, 'orders', columns=['o_custkey', 'o_orderdate'])
-    cust = read_table(sf_dir, 'customer',
-                      columns=['c_custkey', 'c_mktsegment'])
-    both = orders.map_batches(active_keys, batch_format='pyarrow',
-                              zero_copy_batch=True) \
-        .union(cust.map_batches(cust_rows, batch_format='pyarrow',
-                                zero_copy_batch=True))
-    cand = both.groupby('bucket').map_groups(anti, batch_format='pyarrow')
-    # ≤ num_buckets × n_segments partial rows: finish driver-side (concat
-    # onto the schema'd empty base so an all-empty result keeps its columns
-    # — Ray drops empty blocks through a groupby)
-    parts = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables([_ANTI_EMPTY] + parts, promote_options='none')
-    g = tbl.group_by('c_mktsegment').aggregate([('cnt', 'sum')])
-    return pa.table({
-        'c_mktsegment': g.column('c_mktsegment'),
-        'n_customers': g.column('cnt_sum').cast(pa.int64()),
-    })
-
-
-def top_orders_per_customer(sf_dir, k=3, num_buckets=64):
-    """GROUPED TOP-K: each customer's ``k`` highest-value orders
-    (o_totalprice desc, o_orderkey asc).
-
-    Two-tier: a per-block PARTIAL top-k per custkey (lexsort + vectorized
-    run-rank, C++ throughout — a block's rank-≤k rows are a superset of
-    that block's contribution to the global answer) caps the exchange at
-    k rows per (customer, block); then one bucketed groupby
-    (custkey & (nb-1)) and the identical rank kernel per bucket emits the
-    final rank column.  Grouping on the raw custkey would pay the ~50µs
-    map_groups tax per customer — billions of groups at corpus scale."""
-    nb = num_buckets
-
-    def topk_rows(batch: pa.Table, with_bucket) -> pa.Table:
-        cust = batch.column('o_custkey').to_numpy(zero_copy_only=False)
-        okey = batch.column('o_orderkey').to_numpy(zero_copy_only=False)
-        price = batch.column('o_totalprice').to_numpy(zero_copy_only=False)
-        order = np.lexsort((okey, -price, cust))
-        rank = rank_in_sorted_key(cust[order])
-        keep = order[rank <= k]
-        out = pa.table({
-            'o_custkey': pa.array(cust[keep], pa.int64()),
-            'o_orderkey': pa.array(okey[keep], pa.int64()),
-            'o_totalprice': pa.array(price[keep], pa.float64()),
-            'rank': pa.array(rank[rank <= k], pa.int64()),
-        })
-        if with_bucket:
-            out = out.append_column(
-                'bucket', pa.array(cust[keep] & (nb - 1), pa.int64()))
-        return out
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return topk_rows(batch, with_bucket=True)
-
-    def bucket_final(group: pa.Table) -> pa.Table:
-        return topk_rows(group, with_bucket=False)
-
-    ds = read_table(sf_dir, 'orders',
-                    columns=['o_custkey', 'o_orderkey', 'o_totalprice'])
-    return ds.map_batches(partial, batch_format='pyarrow',
-                          zero_copy_batch=True) \
-             .groupby('bucket').map_groups(bucket_final,
-                                           batch_format='pyarrow')
-
-
 def events_value_quantiles(sf_dir, qs=(0.5, 0.9, 0.99)):
     """EXACT per-group discrete quantiles (percentile_disc semantics: the
     value at 1-based sorted position ceil(q·n)) of event value per type.
@@ -926,264 +379,6 @@ SELECT m.event_type, m.med AS median, m.mad,
        m.n AS n_events
 FROM mad m
 """.format(k=repr(_MAD_K))
-
-
-def orders_cohort_retention(sf_dir, num_buckets=64):
-    """Cohort retention analysis: customers are cohorted by the month of
-    their FIRST order; for every (cohort_month, months_since) cell,
-    count the distinct cohort customers who ordered in that month and
-    the retention ratio vs the cohort size — the standard
-    user-retention matrix, expressed with ONE bucketed exchange.
-
-    Scale shape: per block — distinct (custkey, order_month) via Arrow
-    group_by (the exchange floor for exact cohorting; months bound the
-    per-customer row count); md5-bucketed custkey exchange; per
-    bucket — first-month per customer and the (cohort, month) distinct-
-    customer counts are both resolved vectorized (a customer lives in
-    exactly ONE bucket, so per-bucket counts sum globally without
-    double-counting); the driver folds the tiny cohort-matrix partials
-    (months² rows per bucket).  months_since and the month label are
-    derived from an integer month number (year·12 + month−1) — no
-    timestamp arithmetic parity risk with the oracle."""
-    nb = num_buckets
-
-    def partial(batch: pa.Table) -> pa.Table:
-        y = pc.year(batch.column('o_orderdate')).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        mo = pc.month(batch.column('o_orderdate')).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        t = pa.table({
-            'custkey': batch.column('o_custkey'),
-            'month_num': pa.array(y * 12 + (mo - 1), pa.int64()),
-        })
-        g = t.group_by(['custkey', 'month_num']).aggregate([])
-        ck = g.column('custkey').to_numpy(zero_copy_only=False)
-        return g.append_column(
-            'bucket', pa.array(hash63_keys(ck) & (nb - 1), pa.int64()))
-
-    def fold(group: pa.Table) -> pa.Table:
-        g = group.group_by(['custkey', 'month_num']).aggregate([])
-        ck = g.column('custkey').to_numpy(zero_copy_only=False)
-        mn = g.column('month_num').to_numpy(zero_copy_only=False)
-        order = np.lexsort((mn, ck))
-        ck, mn = ck[order], mn[order]
-        starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
-        run_id = np.cumsum(np.r_[False, ck[1:] != ck[:-1]])
-        cohort = mn[starts][run_id]          # per-customer first month
-        cells = pa.table({
-            'cohort_num': pa.array(cohort, pa.int64()),
-            'month_num': pa.array(mn, pa.int64()),
-        }).group_by(['cohort_num', 'month_num']) \
-          .aggregate([([], 'count_all')])
-        return cells.rename_columns(['cohort_num', 'month_num', 'n_cust'])
-
-    cells = read_table(sf_dir, 'orders',
-                       columns=['o_custkey', 'o_orderdate']) \
-        .map_batches(partial, batch_format='pyarrow', zero_copy_batch=True) \
-        .groupby('bucket').map_groups(fold, batch_format='pyarrow')
-    # ≤ buckets × months² partial cells: tiny by construction, finish
-    # driver-side — full refs, no fixed take_batch cap that could
-    # silently truncate a long-history table
-    tbl = pa.concat_tables(ray.get(cells.to_arrow_refs()))
-    g = tbl.group_by(['cohort_num', 'month_num']) \
-           .aggregate([('n_cust', 'sum')])
-    coh = g.column('cohort_num').to_numpy(zero_copy_only=False)
-    mon = g.column('month_num').to_numpy(zero_copy_only=False)
-    n = g.column('n_cust_sum').to_numpy(zero_copy_only=False)
-    # cohort size = the months_since-0 cell of each cohort
-    base = {int(c): int(v) for c, m, v in zip(coh, mon, n) if c == m}
-    size = np.array([base[int(c)] for c in coh], np.int64)
-    label = ['%04d-%02d' % (c // 12, c % 12 + 1) for c in coh]
-    out = pa.table({
-        'cohort_month': pa.array(label, pa.string()),
-        'months_since': pa.array(mon - coh, pa.int64()),
-        'n_customers': pa.array(n, pa.int64()),
-        'cohort_size': pa.array(size, pa.int64()),
-        'retention': pa.array(
-            round_half_up(n.astype(np.float64) / size.astype(np.float64), 6),
-            pa.float64()),
-    })
-    return out.sort_by([('cohort_month', 'ascending'),
-                        ('months_since', 'ascending')])
-
-
-COHORT_RETENTION_SQL = """
-WITH om AS (
-  SELECT DISTINCT o_custkey,
-         (year(o_orderdate) * 12 + month(o_orderdate) - 1)::BIGINT
-           AS month_num
-  FROM orders
-), fm AS (
-  SELECT o_custkey, min(month_num) AS cohort_num FROM om GROUP BY o_custkey
-), c AS (
-  SELECT f.cohort_num, o.month_num, count(*)::BIGINT AS n_customers
-  FROM om o JOIN fm f USING (o_custkey)
-  GROUP BY f.cohort_num, o.month_num
-), s AS (
-  SELECT cohort_num, n_customers AS cohort_size
-  FROM c WHERE cohort_num = month_num
-)
-SELECT printf('%04d-%02d', (c.cohort_num // 12)::INT,
-              (c.cohort_num % 12 + 1)::INT) AS cohort_month,
-       (c.month_num - c.cohort_num) AS months_since,
-       c.n_customers, s.cohort_size,
-       floor(c.n_customers::DOUBLE / s.cohort_size::DOUBLE * 1000000 + 0.5)
-         / 1000000 AS retention
-FROM c JOIN s USING (cohort_num)
-"""
-
-
-_Q3_SEMI_EMPTY = pa.table({'o_orderkey': pa.array([], pa.int64()),
-                           'o_orderdate': pa.array([], pa.timestamp('us')),
-                           'o_orderpriority': pa.array([], pa.string()),
-                           'obucket': pa.array([], pa.int64())})
-
-_Q3_EMPTY = pa.table({'o_orderkey': pa.array([], pa.int64()),
-                      'rev_raw': pa.array([], pa.float64()),
-                      'o_orderdate': pa.array([], pa.timestamp('us')),
-                      'o_orderpriority': pa.array([], pa.string())})
-
-
-def shipping_priority(sf_dir, segment='BUILDING', cutoff='1997-06-30',
-                      topk=10, num_buckets=64):
-    """TPC-H Q3-shaped shipping priority: top-k orders by revenue among a
-    segment's orders placed before ``cutoff`` with lineitems shipped after
-    it — a THREE-WAY fact join (customer ⋈ orders ⋈ lineitem) built from
-    two chained bucketed co-partitions, no broadcast, no driver read:
-
-      1. segment custkeys ∪ date-filtered orders → bucket(custkey) →
-         per-bucket ``is_in`` semi-filter emits qualifying orders
-         CARRYING their payload columns (o_orderdate, o_orderpriority);
-      2. shipdate-filtered lineitem partial-aggregates revenue per
-         (block, orderkey) — the combiner — and rides bucket(orderkey)
-         together with the qualifying order rows (rev_sum=null marks an
-         order row);
-      3. per bucket: C++ group_by folds revenue, a hash join attaches the
-         order payload, a per-bucket top-k caps the global sort at
-         num_buckets × k rows.
-
-    NOTE: stages 1-2 deliberately mirror top_orders_revenue's bucketed
-    semi-join scaffolding (extended with carried payload columns) — a fix
-    to the co-partition pattern there must be applied here too."""
-    nb = num_buckets
-    cut = pa.scalar(np.datetime64(cutoff + 'T00:00:00', 'us'),
-                    pa.timestamp('us'))
-
-    def seg_keys(batch: pa.Table) -> pa.Table:
-        keys = batch.filter(pc.equal(batch.column('c_mktsegment'),
-                                     segment)).column('c_custkey')
-        n = len(keys)
-        return pa.table({
-            'key': keys,
-            'o_orderkey': pa.nulls(n, pa.int64()),
-            'o_orderdate': pa.nulls(n, pa.timestamp('us')),
-            'o_orderpriority': pa.nulls(n, pa.string()),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.less(batch.column('o_orderdate'), cut))
-        keys = keep.column('o_custkey')
-        return pa.table({
-            'key': keys,
-            'o_orderkey': keep.column('o_orderkey'),
-            'o_orderdate': keep.column('o_orderdate'),
-            'o_orderpriority': keep.column('o_orderpriority'),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def semi_orders(group: pa.Table) -> pa.Table:
-        is_key = pc.is_null(group.column('o_orderkey'))
-        keyset = group.filter(is_key).column('key')
-        hits = group.filter(pc.invert(is_key))
-        hits = hits.filter(pc.is_in(hits.column('key'), value_set=keyset))
-        if hits.num_rows == 0:
-            return _Q3_SEMI_EMPTY
-        ok = hits.column('o_orderkey')
-        return pa.table({
-            'o_orderkey': ok,
-            'o_orderdate': hits.column('o_orderdate'),
-            'o_orderpriority': hits.column('o_orderpriority'),
-            'obucket': pa.array(ok.to_numpy(zero_copy_only=False) & (nb - 1),
-                                pa.int64()),
-        })
-
-    def order_payload(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'o_orderkey': batch.column('o_orderkey'),
-            'rev_sum': pa.nulls(batch.num_rows, pa.float64()),
-            'o_orderdate': batch.column('o_orderdate'),
-            'o_orderpriority': batch.column('o_orderpriority'),
-            'obucket': batch.column('obucket'),
-        })
-
-    def li_partial(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.greater(batch.column('l_shipdate'), cut))
-        rev = pc.multiply(keep.column('l_extendedprice'),
-                          pc.subtract(pa.scalar(1.0), keep.column('l_discount')))
-        t = pa.table({'o_orderkey': keep.column('l_orderkey'), 'rev': rev})
-        g = t.group_by('o_orderkey').aggregate([('rev', 'sum')])
-        g = g.rename_columns(['o_orderkey', 'rev_sum'])
-        n = g.num_rows
-        return pa.table({
-            'o_orderkey': g.column('o_orderkey'),
-            'rev_sum': g.column('rev_sum'),
-            'o_orderdate': pa.nulls(n, pa.timestamp('us')),
-            'o_orderpriority': pa.nulls(n, pa.string()),
-            'obucket': pa.array(
-                g.column('o_orderkey').to_numpy(zero_copy_only=False) & (nb - 1),
-                pa.int64()),
-        })
-
-    def bucket_topk(group: pa.Table) -> pa.Table:
-        is_order = pc.is_null(group.column('rev_sum'))
-        orders_t = group.filter(is_order) \
-            .select(['o_orderkey', 'o_orderdate', 'o_orderpriority'])
-        parts = group.filter(pc.invert(is_order)) \
-            .select(['o_orderkey', 'rev_sum'])
-        if orders_t.num_rows == 0 or parts.num_rows == 0:
-            return _Q3_EMPTY
-        per_order = parts.group_by('o_orderkey').aggregate([('rev_sum', 'sum')])
-        per_order = per_order.rename_columns(['o_orderkey', 'rev_raw'])
-        j = per_order.join(orders_t, keys='o_orderkey', join_type='inner')
-        top = j.sort_by([('rev_raw', 'descending'),
-                         ('o_orderkey', 'ascending')]).slice(0, topk)
-        return top.select(['o_orderkey', 'rev_raw', 'o_orderdate',
-                           'o_orderpriority'])
-
-    cust = read_table(sf_dir, 'customer', columns=['c_custkey', 'c_mktsegment'])
-    orders = read_table(sf_dir, 'orders',
-                        columns=['o_orderkey', 'o_custkey', 'o_orderdate',
-                                 'o_orderpriority'])
-    qualified = cust.map_batches(seg_keys, batch_format='pyarrow',
-                                 zero_copy_batch=True) \
-        .union(orders.map_batches(order_rows, batch_format='pyarrow',
-                                  zero_copy_batch=True)) \
-        .groupby('bucket').map_groups(semi_orders, batch_format='pyarrow')
-
-    li = read_table(sf_dir, 'lineitem',
-                    columns=['l_orderkey', 'l_extendedprice', 'l_discount',
-                             'l_shipdate'])
-    per_bucket = qualified.map_batches(order_payload, batch_format='pyarrow',
-                                       zero_copy_batch=True) \
-        .union(li.map_batches(li_partial, batch_format='pyarrow',
-                              zero_copy_batch=True)) \
-        .groupby('obucket').map_groups(bucket_topk, batch_format='pyarrow')
-    top = per_bucket.sort(['rev_raw', 'o_orderkey'],
-                          descending=[True, False]).limit(topk)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'o_orderkey': batch.column('o_orderkey'),
-            'revenue': pa.array(round_half_up(
-                batch.column('rev_raw').to_numpy(zero_copy_only=False), 2),
-                pa.float64()),
-            'o_orderdate': batch.column('o_orderdate'),
-            'o_orderpriority': batch.column('o_orderpriority'),
-        })
-    return top.map_batches(finish, batch_format='pyarrow')
 
 
 def events_user_running(sf_dir, num_buckets=64):
@@ -1421,76 +616,6 @@ def events_user_rolling(sf_dir, frame=3, num_buckets=64):
               .groupby('bucket').map_groups(rolling, batch_format='pyarrow'))
 
 
-def customer_order_counts(sf_dir, num_buckets=64):
-    """LEFT OUTER fact-fact join with null-fill: every customer with
-    their order count and total spend — INCLUDING customers with no
-    orders (n_orders = 0) — the outer-join companion to the inner/semi/
-    anti co-partitions above.
-
-    Shape: customers ride the bucketed exchange as marker rows (cnt
-    null); orders partial-aggregate per (block, custkey) — the combiner —
-    and ride the same exchange; each bucket folds order partials in C++
-    and LEFT joins them onto its customer rows, coalescing absent
-    matches to zero.  Spend is carried in integer CENTS so the two-tier
-    fold is exact (float totals would differ from the oracle's one-pass
-    sum by association order)."""
-    nb = num_buckets
-
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        keys = batch.column('c_custkey')
-        n = len(keys)
-        return pa.table({
-            'c_custkey': keys,
-            'cnt': pa.nulls(n, pa.int64()),
-            'cents': pa.nulls(n, pa.int64()),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def order_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(batch.column('o_totalprice').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({'c_custkey': batch.column('o_custkey'),
-                      'cents': pa.array(cents, pa.int64())})
-        g = t.group_by('c_custkey').aggregate(
-            [('cents', 'sum'), ('cents', 'count')])
-        g = g.rename_columns(['c_custkey', 'cents', 'cnt'])
-        return pa.table({
-            'c_custkey': g.column('c_custkey'),
-            'cnt': g.column('cnt').cast(pa.int64()),
-            'cents': g.column('cents'),
-            'bucket': pa.array(
-                g.column('c_custkey').to_numpy(zero_copy_only=False) & (nb - 1),
-                pa.int64()),
-        })
-
-    def outer_bucket(group: pa.Table) -> pa.Table:
-        is_cust = pc.is_null(group.column('cnt'))
-        cust = group.filter(is_cust).select(['c_custkey'])
-        parts = group.filter(pc.invert(is_cust)) \
-                     .select(['c_custkey', 'cnt', 'cents'])
-        folded = parts.group_by('c_custkey').aggregate(
-            [('cnt', 'sum'), ('cents', 'sum')])
-        folded = folded.rename_columns(['c_custkey', 'cnt', 'cents'])
-        j = cust.join(folded, keys='c_custkey', join_type='left outer')
-        cnt = pc.coalesce(j.column('cnt'), pa.scalar(0, pa.int64()))
-        cents = pc.coalesce(j.column('cents'), pa.scalar(0, pa.int64()))
-        return pa.table({
-            'c_custkey': j.column('c_custkey'),
-            'n_orders': cnt.cast(pa.int64()),
-            'spend_cents': cents.cast(pa.int64()),
-        })
-
-    cust = read_table(sf_dir, 'customer', columns=['c_custkey'])
-    orders = read_table(sf_dir, 'orders',
-                        columns=['o_custkey', 'o_totalprice'])
-    return cust.map_batches(cust_rows, batch_format='pyarrow',
-                            zero_copy_batch=True) \
-        .union(orders.map_batches(order_partial, batch_format='pyarrow',
-                                  zero_copy_batch=True)) \
-        .groupby('bucket').map_groups(outer_bucket, batch_format='pyarrow')
-
-
 def events_latest_per_user(sf_dir, num_buckets=64):
     """LATEST-RECORD COMPACTION (the CDC / upsert shape): collapse the
     event stream to each user's single most recent event (max ts,
@@ -1531,96 +656,6 @@ def events_latest_per_user(sf_dir, num_buckets=64):
                           zero_copy_batch=True) \
              .groupby('bucket').map_groups(bucket_final,
                                            batch_format='pyarrow')
-
-
-_HIGH_PRIORITIES = ('1-URGENT', '2-HIGH')
-
-_PRIO_EMPTY = pa.table({'l_returnflag': pa.array([], pa.string()),
-                        'n_high': pa.array([], pa.int64()),
-                        'n_low': pa.array([], pa.int64())})
-
-
-def returnflag_priority_counts(sf_dir, num_buckets=64):
-    """CONDITIONAL AGGREGATION over a fact-fact join (TPC-H Q12 shape,
-    adapted to this schema's columns): per lineitem return flag, how many
-    line items belong to high-priority orders vs low.
-
-    Shape: orders contribute ONE (orderkey, is_high) row each (orderkey
-    is the primary key — no distinct pass needed); lineitem
-    partial-aggregates per (block, orderkey, returnflag) so the exchange
-    moves combiner rows; one bucketed ``orderkey & (nb-1)`` co-partition;
-    each bucket resolves is_high with a C++ hash join and folds the CASE
-    counts; the ≤ buckets × flags partials finish driver-side."""
-    nb = num_buckets
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        keys = batch.column('o_orderkey')
-        is_high = pc.is_in(batch.column('o_orderpriority'),
-                           value_set=pa.array(_HIGH_PRIORITIES))
-        return pa.table({
-            'key': keys,
-            'is_high': is_high,
-            'l_returnflag': pa.nulls(len(keys), pa.string()),
-            'cnt': pa.nulls(len(keys), pa.int64()),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def line_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(['l_orderkey', 'l_returnflag']) \
-                 .group_by(['l_orderkey', 'l_returnflag']) \
-                 .aggregate([([], 'count_all')])
-        g = g.rename_columns(['key', 'l_returnflag', 'cnt'])
-        keys = g.column('key')
-        return pa.table({
-            'key': keys,
-            'is_high': pa.nulls(g.num_rows, pa.bool_()),
-            'l_returnflag': g.column('l_returnflag'),
-            'cnt': g.column('cnt').cast(pa.int64()),
-            'bucket': pa.array(keys.to_numpy(zero_copy_only=False) & (nb - 1),
-                               pa.int64()),
-        })
-
-    def bucket_fold(group: pa.Table) -> pa.Table:
-        is_order = pc.is_null(group.column('l_returnflag'))
-        orders = group.filter(is_order).select(['key', 'is_high'])
-        lines = group.filter(pc.invert(is_order)) \
-                     .select(['key', 'l_returnflag', 'cnt'])
-        if lines.num_rows == 0 or orders.num_rows == 0:
-            return _PRIO_EMPTY
-        j = lines.join(orders, keys='key', join_type='inner')
-        hi = pc.if_else(j.column('is_high'), j.column('cnt'),
-                        pa.scalar(0, pa.int64()))
-        lo = pc.if_else(j.column('is_high'), pa.scalar(0, pa.int64()),
-                        j.column('cnt'))
-        t = pa.table({'l_returnflag': j.column('l_returnflag'),
-                      'n_high': hi, 'n_low': lo})
-        g = t.group_by('l_returnflag').aggregate(
-            [('n_high', 'sum'), ('n_low', 'sum')])
-        return pa.table({
-            'l_returnflag': g.column('l_returnflag'),
-            'n_high': g.column('n_high_sum').cast(pa.int64()),
-            'n_low': g.column('n_low_sum').cast(pa.int64()),
-        })
-
-    orders = read_table(sf_dir, 'orders',
-                        columns=['o_orderkey', 'o_orderpriority'])
-    lines = read_table(sf_dir, 'lineitem',
-                       columns=['l_orderkey', 'l_returnflag'])
-    cand = orders.map_batches(order_rows, batch_format='pyarrow',
-                              zero_copy_batch=True) \
-        .union(lines.map_batches(line_partial, batch_format='pyarrow',
-                                 zero_copy_batch=True)) \
-        .groupby('bucket').map_groups(bucket_fold, batch_format='pyarrow')
-    parts = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables([_PRIO_EMPTY] + parts, promote_options='none')
-    g = tbl.group_by('l_returnflag').aggregate(
-        [('n_high', 'sum'), ('n_low', 'sum')])
-    return pa.table({
-        'l_returnflag': g.column('l_returnflag'),
-        'n_high': g.column('n_high_sum').cast(pa.int64()),
-        'n_low': g.column('n_low_sum').cast(pa.int64()),
-    })
 
 
 def events_rollup(sf_dir):
@@ -2166,128 +1201,6 @@ def user_event_paths(sf_dir, max_steps=10, num_buckets=64):
                                             batch_format='pyarrow'))
 
 
-def orders_price_percentile(sf_dir):
-    """PER-GROUP PERCENT_RANK without co-locating the groups: each
-    order's price percentile within its priority class.  SQL
-    percent_rank needs every partition ordered — the classic hot-key
-    window (5 priorities → 5 giant partitions at scale).  Here the
-    partition never co-locates: a (priority, cents, cnt) distinct-value
-    histogram folds combiner-first to the driver (same distinct-value
-    contract as the exact-quantile tier), the per-priority cumulative
-    table broadcasts, and a second shuffle-free map pass assigns
-    ``(rows strictly below) / (n - 1)`` — the exact percent_rank
-    definition, ties sharing a rank."""
-
-    def hist(batch: pa.Table) -> pa.Table:
-        cents = np.floor(batch.column('o_totalprice').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({'prio': batch.column('o_orderpriority'),
-                      'cents': pa.array(cents, pa.int64()),
-                      'cnt': pa.array(np.ones(len(cents), np.int64))})
-        g = t.group_by(['prio', 'cents']).aggregate([('cnt', 'sum')])
-        return g.rename_columns(['prio', 'cents', 'cnt'])
-
-    ds = read_table(sf_dir, 'orders',
-                    columns=['o_orderpriority', 'o_totalprice'])
-    parts = [t for t in ray.get(
-        ds.map_batches(hist, batch_format='pyarrow',
-                       zero_copy_batch=True).to_arrow_refs()) if t.num_rows]
-    state = {}
-    if parts:
-        h = pa.concat_tables(parts, promote_options='none') \
-              .group_by(['prio', 'cents']).aggregate([('cnt', 'sum')])
-        pr = h.column('prio').to_numpy(zero_copy_only=False)
-        ce = h.column('cents').to_numpy(zero_copy_only=False)
-        cn = h.column('cnt_sum').to_numpy(zero_copy_only=False)
-        for p in np.unique(pr):
-            m = pr == p
-            order = np.argsort(ce[m], kind='mergesort')
-            vals, cnts = ce[m][order], cn[m][order]
-            below = np.concatenate(([0], np.cumsum(cnts)))[:-1]
-            state[p] = (vals, below, int(cnts.sum()))
-    state_ref = ray.put(state)
-
-    class Assign(BroadcastLookup):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cents = np.floor(batch.column('o_totalprice').to_numpy(
-                zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-            prio = batch.column('o_orderpriority').to_numpy(
-                zero_copy_only=False)
-            out = np.zeros(len(cents), np.float64)
-            for p, (vals, below, n) in self.state.items():
-                m = prio == p
-                if not m.any() or n <= 1:
-                    continue
-                idx = np.searchsorted(vals, cents[m], side='left')
-                out[m] = below[idx] / float(n - 1)
-            return pa.table({
-                'o_orderkey': batch.column('o_orderkey'),
-                'o_orderpriority': batch.column('o_orderpriority'),
-                'pr': pa.array(round_half_up(out, 6), pa.float64()),
-            })
-
-    facts = read_table(sf_dir, 'orders',
-                       columns=['o_orderkey', 'o_orderpriority',
-                                'o_totalprice'])
-    return facts.map_batches(Assign, fn_constructor_args=(state_ref,),
-                             concurrency=pool(), batch_format='pyarrow',
-                             zero_copy_batch=True)
-
-
-_DAY_US = 86_400_000_000
-
-
-def daily_activity(sf_dir):
-    """FULL OUTER join of two fact streams on a computed key: orders per
-    day ⟗ events per day — days with orders but no events (and vice
-    versa) both survive with zero-fill.  Completes the join-type family
-    (inner/semi/anti/left-outer/as-of/range are elsewhere).
-
-    Both sides fold combiner-first to one row per (day, block); the
-    day-keyed union is tiny (≤ distinct days), so the final fold is one
-    small groupby — no raw fact row ever shuffles."""
-
-    def day_counts(ts_col, counting_orders):
-        """ONE combiner for both sides: count rows per day in the named
-        timestamp column, zero-fill the other side's counter AFTER the
-        aggregate (never group-sum a constant-zero column)."""
-        def fn(batch: pa.Table) -> pa.Table:
-            ts = batch.column(ts_col).cast(pa.int64()) \
-                      .to_numpy(zero_copy_only=False)
-            day = (ts // _DAY_US) * _DAY_US
-            t = pa.table({'day': pa.array(day, pa.int64()),
-                          'cnt': pa.array(np.ones(len(day), np.int64))})
-            g = t.group_by('day').aggregate([('cnt', 'sum')])
-            cnt = g.column('cnt_sum').cast(pa.int64())
-            zero = pa.array(np.zeros(g.num_rows, np.int64))
-            return pa.table({
-                'day': g.column('day'),
-                'n_orders': cnt if counting_orders else zero,
-                'n_events': zero if counting_orders else cnt,
-            })
-        return fn
-
-    order_days = day_counts('o_orderdate', counting_orders=True)
-    event_days = day_counts('ts', counting_orders=False)
-
-    def fold(group: pa.Table) -> pa.Table:
-        g = group.group_by('day').aggregate([('n_orders', 'sum'),
-                                             ('n_events', 'sum')])
-        return pa.table({
-            'day': g.column('day').cast(pa.timestamp('us')),
-            'n_orders': g.column('n_orders_sum').cast(pa.int64()),
-            'n_events': g.column('n_events_sum').cast(pa.int64()),
-        })
-
-    orders = read_table(sf_dir, 'orders', columns=['o_orderdate'])
-    events = read_table(sf_dir, 'events', columns=['ts'])
-    return orders.map_batches(order_days, batch_format='pyarrow',
-                              zero_copy_batch=True) \
-        .union(events.map_batches(event_days, batch_format='pyarrow',
-                                  zero_copy_batch=True)) \
-        .groupby('day').map_groups(fold, batch_format='pyarrow')
-
-
 # ---------------------------------------------------------------------------
 # Exponential time-decay engagement score (exact binary fixed point)
 
@@ -2661,72 +1574,6 @@ FROM dau JOIN wau ON wau.d = dau.d
 """.format(us_day=_US_PER_DAY, wm1=6)
 
 
-# ---------------------------------------------------------------------------
-# Cumulative revenue share (running total over the day series)
-
-
-def daily_revenue_running(sf_dir):
-    """Per-day order revenue with RUNNING cumulative total and share of
-    the grand total — the pacing/backfill-progress report shape.
-
-    Scale shape: aggregate-then-enrich (the zscore/deciles contract):
-    each block folds to ≤ distinct-day (day, cents, n) combiner rows,
-    the driver folds ≤ blocks × days tiny rows and runs one vectorized
-    cumsum — a running total over an aggregated series is inherently
-    sequential in its (small) day dimension, never in the fact rows.
-    Cents are the shared floor(x·100 + 0.5) convention; share = one
-    exact division per row."""
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch.column('o_orderdate').cast(pa.int64()).to_numpy() \
-            // _US_PER_DAY
-        cents = np.floor(batch.column('o_totalprice').to_numpy() * 100
-                         + 0.5).astype(np.int64)
-        g = pa.table({'d': pa.array(day, pa.int64()),
-                      'c': pa.array(cents, pa.int64())}) \
-              .group_by('d').aggregate([('c', 'sum'), ([], 'count_all')])
-        return g.rename_columns(['d', 'c', 'n'])
-
-    cand = read_table(sf_dir, 'orders',
-                      columns=['o_orderdate', 'o_totalprice']) \
-        .map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-    parts = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables(parts).combine_chunks()
-    g = tbl.group_by('d').aggregate([('c', 'sum'), ('n', 'sum')])
-    d = g.column('d').to_numpy(zero_copy_only=False)
-    c = g.column('c_sum').to_numpy(zero_copy_only=False).astype(np.int64)
-    n = g.column('n_sum').to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(d)
-    d, c, n = d[order], c[order], n[order]
-    cum = np.cumsum(c)
-    total = np.float64(cum[-1]) if len(cum) else np.float64(1)
-    return pa.table({
-        'day_num': pa.array(d, pa.int64()),
-        'n_orders': pa.array(n, pa.int64()),
-        'rev_cents': pa.array(c, pa.int64()),
-        'cum_cents': pa.array(cum, pa.int64()),
-        'share': pa.array(cum.astype(np.float64) / total, pa.float64()),
-    })
-
-
-REVENUE_RUNNING_SQL = """
-WITH d AS (
-  SELECT epoch_us(o_orderdate) // {us_day} AS day_num,
-         count(*)::BIGINT AS n_orders,
-         SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-           AS rev_cents
-  FROM orders GROUP BY 1
-), c AS (
-  SELECT day_num, n_orders, rev_cents,
-         SUM(rev_cents) OVER (ORDER BY day_num)::BIGINT AS cum_cents
-  FROM d
-)
-SELECT day_num, n_orders, rev_cents, cum_cents,
-       CAST(cum_cents AS DOUBLE)
-         / CAST((SELECT sum(rev_cents) FROM d) AS DOUBLE) AS share
-FROM c
-""".format(us_day=_US_PER_DAY)
-
-
 def events_anomaly_days(sf_dir, z=2):
     """ANOMALOUS-DAY detection per event_type: flag days whose event
     count deviates from the type's mean daily count by more than ``z``
@@ -3056,120 +1903,6 @@ SELECT p.event_id, p.user_id, p.ts_us,
                   WHERE v.user_id = p.user_id
                     AND v.ts_us < p.ts_us) AS lag_us
 FROM p
-"""
-
-
-def customer_ltv_deciles(sf_dir, n_tiles=10, vrange=1 << 20,
-                         num_buckets=64, max_vbuckets=1 << 20):
-    """DISTRIBUTED RANK / NTILE — per customer: lifetime order value
-    (cents), global rank under (ltv, custkey) order, and decile — the
-    LTV-segmentation table behind tiered sampling and pricing analyses,
-    and the repo's third ordered-prefix-scan instance with a VALUE-range
-    key (cents // vrange) instead of a dense id range: a global
-    row_number() a groupby cannot express.
-
-    Three steps: (1) per-customer cents fold (custkey-bucketed
-    combiner), materialized once; (2) per-value-bucket COUNTS → driver
-    exclusive scan (state bounded by value range / vrange, loudly
-    guarded); (3) per-value-bucket finalize: lexsort (cents, custkey),
-    rank = offset + position, decile = rank·n_tiles // n.  All integer;
-    ties are broken by custkey on both sides, so the rank is unique and
-    deterministic."""
-    nb = num_buckets
-
-    def order_partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(batch.column('o_totalprice').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({'custkey': batch.column('o_custkey'),
-                      'cents': pa.array(cents, pa.int64())})
-        g = t.group_by('custkey').aggregate([('cents', 'sum')])
-        g = g.rename_columns(['custkey', 'cents'])
-        ck = g.column('custkey').to_numpy(zero_copy_only=False)
-        return g.append_column('bucket', pa.array(hash63_keys(ck) & (nb - 1),
-                                                  pa.int64()))
-
-    def ltv_fold(group: pa.Table) -> pa.Table:
-        g = group.group_by('custkey').aggregate([('cents', 'sum')])
-        g = g.rename_columns(['custkey', 'ltv_cents'])
-        vb = g.column('ltv_cents').to_numpy(zero_copy_only=False) // vrange
-        return pa.table({
-            'custkey': g.column('custkey').cast(pa.int64()),
-            'ltv_cents': g.column('ltv_cents').cast(pa.int64()),
-            'vbucket': pa.array(vb, pa.int64()),
-        })
-
-    ltv = read_table(sf_dir, 'orders',
-                     columns=['o_custkey', 'o_totalprice']) \
-        .map_batches(order_partial, batch_format='pyarrow',
-                     zero_copy_batch=True) \
-        .groupby('bucket').map_groups(ltv_fold, batch_format='pyarrow') \
-        .materialize()
-
-    def vcounts(batch: pa.Table) -> pa.Table:
-        g = batch.select(['vbucket']).group_by('vbucket') \
-                 .aggregate([([], 'count_all')])
-        return g.rename_columns(['vbucket', 'cnt'])
-
-    parts = [t for t in ray.get(
-        ltv.map_batches(vcounts, batch_format='pyarrow')
-           .groupby('vbucket')
-           .map_groups(lambda g: g.group_by('vbucket')
-                       .aggregate([('cnt', 'sum')])
-                       .rename_columns(['vbucket', 'cnt']),
-                       batch_format='pyarrow')
-           .to_arrow_refs()) if t.num_rows]
-    totals = pa.concat_tables(parts) if parts else \
-        pa.table({'vbucket': pa.array([], pa.int64()),
-                  'cnt': pa.array([], pa.int64())})
-    if totals.num_rows > max_vbuckets:
-        raise RuntimeError(
-            'customer_ltv_deciles: %d value buckets exceeds '
-            'max_vbuckets=%d; raise vrange' % (totals.num_rows,
-                                               max_vbuckets))
-    vb = totals.column('vbucket').to_numpy(zero_copy_only=False)
-    cn = totals.column('cnt').to_numpy(zero_copy_only=False)
-    order = np.argsort(vb, kind='stable')
-    vb, cn = vb[order], cn[order]
-    offs, acc = [], 0
-    for c in cn:
-        offs.append(acc)
-        acc += int(c)
-    n = acc
-    offsets_ref = ray.put({int(b): o for b, o in zip(vb, offs)})
-
-    def finalize(group: pa.Table) -> pa.Table:
-        ck = group.column('custkey').to_numpy(zero_copy_only=False)
-        lv = group.column('ltv_cents').to_numpy(zero_copy_only=False)
-        order = np.lexsort((ck, lv))
-        ck, lv = ck[order], lv[order]
-        off = ray.get(offsets_ref)[int(lv[0]) // vrange] if len(ck) else 0
-        rank = off + np.arange(len(ck), dtype=np.int64)   # 0-based
-        return pa.table({
-            'o_custkey': pa.array(ck, pa.int64()),
-            'ltv_cents': pa.array(lv, pa.int64()),
-            'rank': pa.array(rank + 1, pa.int64()),       # 1-based out
-            'decile': pa.array(rank * n_tiles // n, pa.int64()),
-        })
-
-    return ltv.groupby('vbucket').map_groups(finalize,
-                                             batch_format='pyarrow')
-
-
-LTV_DECILES_SQL = """
-WITH l AS (
-  SELECT o_custkey,
-         sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT
-           AS ltv_cents
-  FROM orders GROUP BY o_custkey
-), r AS (
-  SELECT o_custkey, ltv_cents,
-         row_number() OVER (ORDER BY ltv_cents, o_custkey)::BIGINT AS rank,
-         count(*) OVER ()::BIGINT AS n
-  FROM l
-)
-SELECT o_custkey, ltv_cents, rank,
-       ((rank - 1) * 10 // n)::BIGINT AS decile
-FROM r
 """
 
 

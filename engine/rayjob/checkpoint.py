@@ -5,7 +5,8 @@ names (``part-{bucket:05d}.parquet``), written tmp-then-rename, plus a
 ``_MANIFEST.jsonl`` with one lineage row per finished bucket:
 
     {"bucket": int, "rows": int, "decode_failures": int,
-     "span_count": int, "wall_s": float, "file": str, "num_buckets": int}
+     "span_count": int, "wall_s": float, "file": str, "num_buckets": int,
+     "input": str}
 
 The manifest rows of a Stage B task are appended as soon as that task
 finishes, after its part files are published, so a row always names a
@@ -14,13 +15,24 @@ On resume, buckets present in the manifest are filtered out BEFORE the
 expensive extraction stage, so a restarted job only pays for unfinished
 partitions; ``run_extraction`` refuses rows of another ``num_buckets``.
 Never one giant file; every bucket is independently retryable.
+
+Every row also pins the input it was built from: ``input`` is
+``input_fingerprint`` of the listed input files, a sha256 over their
+sorted (relative path, size) pairs.  A resume whose listing gives another
+fingerprint (a file added, removed, renamed or resized), or over rows
+with no ``input`` (written by an older version), raises instead of mixing
+old and new rows.  Names and sizes cost no footer read, so a finished
+output is checked without reading its input.  A file rewritten in place
+with the same size is not detected.  The pin is a field of every row, not
+a header record, so every row stays one finished bucket.
 """
 
+import hashlib
 import json
 import os
 
 __all__ = ['manifest_path', 'load_done_buckets', 'append_manifest_rows',
-           'reset_output']
+           'input_fingerprint', 'reset_output']
 
 MANIFEST_NAME = '_MANIFEST.jsonl'
 
@@ -62,6 +74,13 @@ def load_done_buckets(out_dir):
         if os.path.exists(fpath):
             done[row['bucket']] = row
     return done
+
+
+def input_fingerprint(files):
+    """sha256 over the sorted (relative path, size) pairs of ``files``,
+    the ``(path, relative path, size)`` triples ``list_input`` gives."""
+    pairs = sorted([rel, size] for _, rel, size in files)
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
 
 
 def append_manifest_rows(out_dir, rows):

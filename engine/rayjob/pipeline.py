@@ -7,6 +7,8 @@ Dataflow of the resumable sink ``run_extraction``: plain Ray Core tasks
 CPUs by default), no driver-side row loops:
 
   Stage A (one task per work unit):
+    list_input(input)                              # names and sizes, once:
+           the manifest's input fingerprint and Stage A's file set
     plan_units(input)                              # from the footers: each
            row group cut into even ranges of ≤ ceil(rows / (2 × cap))
     → read unit (conv_id, turn_idx, text)          # streamed: no row past
@@ -89,7 +91,7 @@ from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
-           'default_concurrency', 'plan_units']
+           'default_concurrency', 'list_input', 'plan_units']
 
 
 COMPACT_MAX_ROWS = 2000000
@@ -138,18 +140,47 @@ def build_spans_dataset(input_path, batch_size=64, concurrency=None):
                     ExtractSpans, uuid.uuid4().hex)
 
 
-def plan_units(input_path, cap):
+def list_input(input_path):
+    """The Parquet input's files, listed once: ``(filesystem, files)``
+    with ``files`` a list of ``(path, relative path, size)`` sorted by
+    path.  The rules are ``pyarrow.dataset``'s, so the set is the one
+    ``ray.data.read_parquet`` reads with ``file_extensions=None``: a
+    directory is walked recursively, a file under a path part that starts
+    with ``_`` or ``.`` is skipped, and any extension is kept; a file path
+    is that one file.  Names and sizes only: no footer is read."""
+    import pyarrow.fs as pafs
+    if '://' in input_path:
+        fs, root = pafs.FileSystem.from_uri(input_path)
+    else:
+        fs, root = pafs.LocalFileSystem(), input_path
+    prefix = root.rstrip('/') + '/'
+    info = fs.get_file_info(root)
+    if info.type == pafs.FileType.File:
+        return fs, [(info.path, info.base_name, info.size)]
+    if info.type != pafs.FileType.Directory:
+        raise FileNotFoundError(input_path)
+    files = []
+    for f in fs.get_file_info(pafs.FileSelector(root, recursive=True)):
+        rel = f.path[len(prefix):]
+        if f.is_file and not any(part.startswith(('_', '.'))
+                                 for part in rel.split('/')):
+            files.append((f.path, rel, f.size))
+    return fs, sorted(files)
+
+
+def plan_units(input_path, cap, listing=None):
     """Stage A work units of the Parquet input, from the file footers, and
-    the filesystem to read them with.  The files are those
-    ``pyarrow.dataset`` discovers: recursive, ``_``/``.`` prefixes
-    skipped, the set ``ray.data.read_parquet`` reads.  A unit is a row
+    the filesystem to read them with.  The files are ``listing``, or
+    ``list_input(input_path)`` when it is None.  A unit is a row
     range ``(path, row_group, start, stop)``: each row group is cut into
     even contiguous ranges of at most ceil(total rows / (2 * cap)) rows
     (3 files of 1,000 rows at cap 2 give 6 ranges of 500), so a small
     input still spreads over the cluster, and a row group of no more rows
     than that is one unit."""
     import pyarrow.dataset as pads
-    dset = pads.dataset(input_path, format='parquet')
+    fs, files = listing or list_input(input_path)
+    dset = pads.dataset([path for path, _, _ in files], filesystem=fs,
+                        format='parquet')
     frags = list(dset.get_fragments())
     metas = [f.metadata for f in frags]
     step = max(1, -(-sum(m.num_rows for m in metas) // (2 * cap)))
@@ -160,7 +191,7 @@ def plan_units(input_path, cap):
             k = -(-n // step)          # ranges of this row group, even sizes
             units.extend((f.path, rg, n * i // k, n * (i + 1) // k)
                          for i in range(k))
-    return dset.filesystem, units
+    return fs, units
 
 
 def _read_range(pf, rg, start, stop):
@@ -435,6 +466,10 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
 
     Resume refuses an output written with another ``num_buckets``: its
     bucket ids name different row sets, so skipping them would drop rows.
+    It also refuses an output written from other input files (or by a
+    version that did not record them; see ``checkpoint``): keeping its
+    buckets would mix old and new rows.  The input is listed once, before
+    anything is written, and Stage A reads exactly the listed files.
     A ``num_buckets`` that is not an int >= 1, or a ``batch_size`` or
     ``concurrency`` that is neither None nor an int >= 1, raises before
     anything is written (a negative ``batch_size`` would extract nothing).
@@ -450,6 +485,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
         if value is not None and (not isinstance(value, int) or value < 1):
             raise ValueError('%s must be None or an int >= 1, got %r'
                              % (name, value))
+    listing = list_input(input_path)
+    fingerprint = checkpoint.input_fingerprint(listing[1])
     os.makedirs(out_dir, exist_ok=True)
     if not resume:
         checkpoint.reset_output(out_dir)
@@ -463,6 +500,11 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             '%s holds buckets of num_buckets=%s, not %d; resume with the '
             'same num_buckets or rerun with --no-resume'
             % (out_dir, ', '.join(sorted(map(str, other))), num_buckets))
+    if {r.get('input') for r in done.values()} - {fingerprint}:
+        raise ValueError(
+            '%s holds buckets of other input files than %s (or of a version '
+            'that did not record its input); rerun with --no-resume'
+            % (out_dir, input_path))
     if len(done) == num_buckets:   # finished output: nothing to read
         return _summary(done, [], out_dir, 0.0, 0.0, 0.0)
 
@@ -487,7 +529,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if done:
         prep.append(make_done_filter(done.keys()))
     prep_ref = ray.put(prep)
-    fs, units = plan_units(input_path, cap)
+    fs, units = plan_units(input_path, cap, listing)
     extracted = []
     _run_tasks(lambda unit: _extract_task.remote(
                    fs, unit, prep_ref, batch_size, job_id, spill_dir,
@@ -511,8 +553,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
             spill_dir, out_dir, num_buckets, num_shards, max_rows))
 
         def record(manifest_rows):
-            rows = [dict(r, num_buckets=num_buckets)   # one row per bucket
-                    for r in manifest_rows]
+            rows = [dict(r, num_buckets=num_buckets,   # one row per bucket
+                         input=fingerprint) for r in manifest_rows]
             checkpoint.append_manifest_rows(out_dir, rows)
             new_rows.extend(rows)
         _run_tasks(lambda group: _compact_task.remote(compact, group),

@@ -1,4 +1,5 @@
-"""Tests for the training-data ops layer (engine/ops/*).
+"""Tests for the training-data ops layer (engine/ops/*), whose queries all
+read the synthetic ``events`` table.
 
 Strategy (SURVEY.md §5.3 level 4): every registered query is checked
 value-for-value against its DuckDB oracle (the exact comparison the
@@ -22,11 +23,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def oracle_con():
     from engine.ops import registry
     con = duckdb.connect()
-    for t in ['region', 'nation', 'customer', 'supplier', 'part', 'orders',
-              'lineitem', 'events', 'documents']:
-        p = os.path.join(SF_DIR, t + '.parquet')
-        if os.path.exists(p):
-            con.execute("CREATE VIEW %s AS SELECT * FROM read_parquet('%s')" % (t, p))
+    con.execute("CREATE VIEW events AS SELECT * FROM read_parquet('%s')"
+                % os.path.join(SF_DIR, 'events.parquet'))
     return con, registry
 
 
@@ -59,22 +57,6 @@ def test_query_matches_oracle(ray_session, oracle_con, name):
     assert len(ray_df) == len(sql_df)
     a, b = _canon(ray_df), _canon(sql_df)
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
-def test_grouped_topk_rank_contract(ray_session):
-    """top_orders_per_customer: every customer has ranks 1..min(k, n_orders)
-    with prices non-increasing along rank."""
-    import collections
-    from engine.ops.relational import top_orders_per_customer
-    rows = top_orders_per_customer(SF_DIR).take_all()
-    by_cust = collections.defaultdict(list)
-    for r in rows:
-        by_cust[r['o_custkey']].append(r)
-    for cust, rs in by_cust.items():
-        rs.sort(key=lambda r: r['rank'])
-        assert [r['rank'] for r in rs] == list(range(1, len(rs) + 1))
-        prices = [r['o_totalprice'] for r in rs]
-        assert all(a >= b for a, b in zip(prices, prices[1:]))
 
 
 def test_user_running_window_contract(ray_session):
@@ -213,18 +195,6 @@ def test_time_rolling_matches_bruteforce(ray_session, tmp_path):
         m = (uid == uid[i]) & (ts >= ts[i] - HOUR) & (ts <= ts[i])
         assert got.loc[i, 'n_win'] == m.sum()
         assert got.loc[i, 'win_cents'] == cents[m].sum()
-
-
-def test_cohort_retention_invariants(ray_session):
-    """Month-0 cell of every cohort is the cohort itself (retention 1.0),
-    and no later cell exceeds the cohort size."""
-    from engine.ops import relational
-    df = relational.orders_cohort_retention(SF_DIR).to_pandas()
-    base = df[df.months_since == 0]
-    assert (base.n_customers == base.cohort_size).all()
-    assert (base.retention == 1.0).all()
-    assert (df.n_customers <= df.cohort_size).all()
-    assert (df.months_since >= 0).all()
 
 
 def test_decay_score_halving(ray_session):

@@ -232,6 +232,69 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
         run_extraction(d, out, num_buckets=4, resume=True)
 
 
+@pytest.mark.parametrize('change', ['added', 'resized', 'unrecorded'])
+def test_resume_refuses_changed_input(ray_session, corpus, tmp_path,
+                                      monkeypatch, change):
+    """A resume raises, naming --no-resume, before any task is submitted,
+    after a file is added to the input (here over a finished output),
+    after a file's size changes (over a partial one), or over manifest
+    rows with no ``input`` (written by a version that did not record it):
+    keeping the buckets could mix old and new rows.  The original input,
+    at another path, still resumes and redoes only the missing bucket."""
+    from engine.rayjob import pipeline
+    src, n = corpus
+    d = str(tmp_path / 'corpus')
+    shutil.copytree(src, d)
+    out = str(tmp_path / 'out')
+    pipeline.run_extraction(d, out, num_buckets=4, batch_size=32,
+                            concurrency=2, resume=False)
+    mpath = checkpoint.manifest_path(out)
+    rows = [json.loads(l) for l in open(mpath)]
+
+    def drop_bucket_0():
+        with open(mpath, 'w') as f:
+            for r in rows:
+                if r['bucket'] != 0:
+                    f.write(json.dumps(r) + '\n')
+                elif r['file']:
+                    os.unlink(os.path.join(out, r['file']))
+
+    path = os.path.join(d, sorted(os.listdir(d))[0])
+    if change == 'added':
+        os.makedirs(os.path.join(d, 'sub'))
+        shutil.copy(path, os.path.join(d, 'sub', 'copy.parquet'))
+    elif change == 'resized':
+        drop_bucket_0()
+        size = os.path.getsize(path)
+        table = pq.read_table(path)
+        pq.write_table(table.slice(0, table.num_rows - 1), path)
+        assert os.path.getsize(path) != size
+    else:
+        with open(mpath, 'w') as f:
+            for r in rows:
+                f.write(json.dumps({k: v for k, v in r.items()
+                                    if k != 'input'}) + '\n')
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('no task may be submitted')
+
+    class NoSubmit(object):
+        remote = staticmethod(refuse)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, '_extract_task', NoSubmit)
+        m.setattr(pipeline, '_compact_task', NoSubmit)
+        with pytest.raises(ValueError, match='--no-resume'):
+            pipeline.run_extraction(d, out, num_buckets=4, resume=True)
+    assert not glob.glob(os.path.join(out, '_spill-*'))
+
+    if change != 'resized':
+        drop_bucket_0()
+    summary = pipeline.run_extraction(src, out, num_buckets=4, batch_size=32,
+                                      concurrency=2, resume=True)
+    assert summary['buckets_this_run'] == 1
+    assert summary['rows_out'] == n
+
+
 def test_run_extraction_rejects_bad_bucket_count(corpus, tmp_path):
     """A bucket count below 1, or a batch size or concurrency that is
     neither None nor an int >= 1, raises a ValueError naming the
