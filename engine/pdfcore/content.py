@@ -26,10 +26,12 @@ Cloned quirks (SURVEY.md §7.3):
 * ``do_Tstar`` passes +TL (reference state.py:415-416).
 """
 
-from .cos import PdfError
-from .lexers import scan_content
+import re
 
-__all__ = ['postfix_to_prefix', 'tokenize_content',
+from .cos import PdfError, SMALL_INTS, number
+from .lexers import scan_content, _TEXT_KW, _NUMBER_START
+
+__all__ = ['postfix_to_prefix', 'tokenize_content', 'content_ops',
            'Mat', 'GraphicsState', 'TextState', 'StateStack']
 
 
@@ -165,6 +167,93 @@ def tokenize_content(txt):
     return postfix_to_prefix(scan_content(txt))
 
 
+# A literal string with no paren or backslash inside: the lexer's own
+# one-token form.  Any other literal leaves a paren in the code around it.
+_LITERAL = re.compile(r'\(([^()\\]*)\)')
+# A character outside those literals on which the split fast path gives
+# up: a ')' or backslash, '%' (a lex error), '<' or '>' (hex strings and
+# dictionaries), whitespace that str.split knows and the lexer does not,
+# or anything past latin-1.
+_UNSPLITTABLE = re.compile(r'[)\\%<>\x0b\x0c\x1c-\x1f\x85\xa0\u0100-\U0010ffff]')
+_ARR_START = ('ARR_START', '[', None)
+_ARR_END = ('ARR_END', ']', None)
+# keyword text → (operator, fixed operand count or None)
+_KEYWORD_OPS = {text: (tt, _ARITY.get(tt)) for text, tt in _TEXT_KW.items()}
+_SMALL_INT_TOKENS = {text: ('INT', v, None) for text, v in SMALL_INTS.items()}
+
+
+def content_ops(txt):
+    """The prefix operators of a content program, equal to
+    ``tokenize_content(txt)['tokens']`` except that operand tokens made by
+    the fast path carry no position (None; the renderer reads none).
+
+    The fast path lexes and assembles in one pass: it cuts out the
+    ``_LITERAL`` strings, splits the rest at whitespace once ``/``, ``[``
+    and ``]`` are spaced, and folds the pieces into operators.  No other
+    token holds a delimiter, so each piece is one token where the lexer
+    reads it as one.  It gives up (and ``tokenize_content`` runs, raising
+    every error) on any other paren, a character of ``_UNSPLITTABLE``, a
+    ``/`` that starts no name, a piece that is not one number, name or
+    keyword, an operator without exactly its operands, ``d``,
+    ``SC``/``sc``, ``SCN``/``scn``, and a TJ array that is not plain or is
+    the first operator (the reference drops that one)."""
+    ops = _content_ops_fast(txt)
+    return ops if ops is not None else tokenize_content(txt)['tokens']
+
+
+def _content_ops_fast(txt):
+    parts = _LITERAL.split(txt)
+    lits = parts[1::2]
+    code = ' ( '.join(parts[0::2])      # '(' marks where each literal was
+    if code.count('(') != len(lits) or _UNSPLITTABLE.search(code):
+        return None
+    toks = code.replace('/', ' /').replace('[', ' [ ').replace(']', ' ] ').split()
+    if '/' in toks:
+        return None
+    out = []
+    append = out.append
+    pending = []
+    push = pending.append
+    next_lit = iter(lits).__next__
+    for tok in toks:
+        t = _SMALL_INT_TOKENS.get(tok)
+        if t is not None:
+            push(t)
+            continue
+        c = tok[0]
+        if c == '(':
+            push(('LIT', next_lit(), None))
+        elif c in _NUMBER_START:
+            v = number(tok)
+            if v is None:
+                return None
+            push(('INT' if type(v) is int else 'FLOAT', v, None))
+        elif c == '/':
+            push(('NAME', tok[1:], None))
+        elif tok == '[':
+            push(_ARR_START)
+        elif tok == ']':
+            push(_ARR_END)
+        else:
+            tt, k = _KEYWORD_OPS.get(tok, (None, None))
+            if k is not None:
+                if len(pending) != k:
+                    return None
+                append((tt, tuple(pending) if k else tok))
+            elif tt == 'TJ':
+                if (not out or len(pending) < 2 or pending[0] is not _ARR_START
+                        or pending[-1] is not _ARR_END):
+                    return None
+                items = pending[1:-1]
+                if _ARR_START in items or _ARR_END in items:
+                    return None
+                append((tt, tuple(items)))
+            else:
+                return None
+            pending.clear()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Matrix algebra (reference parser/state.py:422-483; I8)
 
@@ -242,6 +331,10 @@ class Mat(object):
         return "[%.2f %.2f; %.2f %.2f; %.2f %.2f]" % (self.A, self.B, self.C, self.D, self.E, self.F)
 
 
+# Mat instances are never mutated in place, so one identity serves all.
+_IDENTITY = Mat.identity()
+
+
 # ---------------------------------------------------------------------------
 # Graphics + text state (reference parser/state.py:57-416; I4-I7, I9)
 
@@ -300,15 +393,14 @@ class TextState(object):
         self.Tz = float(v)
 
     def text_begin(self):
-        self._Tm = Mat.identity()
-        self._Tlm = Mat.identity()
+        self._Tm = self._Tlm = _IDENTITY
 
     def text_end(self):
         self._Tm = None
         self._Tlm = None
 
     def do_Td(self, x, y):
-        self.Tm = self.Tlm = self._Tlm.translate_mul(float(x), float(y))
+        self._Tm = self._Tlm = self._Tlm.translate_mul(float(x), float(y))
 
     def do_TD(self, x, y):
         self.set_TL(-y)
@@ -325,7 +417,7 @@ class TextState(object):
             tx = ((0.0 - w) / 1000.0 * self.Tfs) * (self.Tz / 100.0)
         else:
             tx = ((glyph.width - 0.0) / 1000.0 * self.Tfs + self.Tc + self.Tw) * (self.Tz / 100.0)
-        self.Tm = self._Tm.translate_mul(tx, 0.0)
+        self._Tm = self._Tlm = self._Tm.translate_mul(tx, 0.0)
 
     def copy(self):
         t = TextState.__new__(TextState)
@@ -353,7 +445,7 @@ class GraphicsState(object):
                  'smoothness', 'startpos', 'path')
 
     def __init__(self):
-        self.cm = Mat.identity()
+        self.cm = _IDENTITY
         self.text = TextState()
         self.colorspace = (0, 0)        # (stroking, non-stroking) DeviceGray
         self.color = (None, None)

@@ -15,11 +15,23 @@ directly.  Semantics preserved:
 
 Value model: dict, list, int, float, str (names & literal strings),
 Hexstring, Ref, bool, None, StreamObj (dict + raw stream payload).
+
+``parse_object_at`` and ``parse_trailer_text`` are one-pass fast paths:
+they split the text at whitespace once its delimiters are spaced and fold
+the pieces straight into values, with a list stack for ``<<`` and ``[``,
+and make no token tuples.  On any shape they cannot vouch for they return
+None, and the caller takes the token path (``scan_cos`` + the parsers
+below), which raises every error.
 """
 
+import re
+
+from .lexers import _NUMBER_START
 
 __all__ = ['Ref', 'Hexstring', 'StreamObj', 'PdfError', 'parse_values',
-           'parse_object_body', 'parse_xref_table_tokens', 'parse_trailer_tokens']
+           'parse_object_body', 'parse_object_rest', 'parse_xref_table_tokens',
+           'parse_trailer_tokens', 'split_tokens', 'number', 'fold_tokens',
+           'parse_object_at', 'parse_trailer_text']
 
 
 class PdfError(Exception):
@@ -158,13 +170,18 @@ def parse_object_body(toks):
     if len(toks) < 3 or toks[0][0] != 'INT' or toks[1][0] != 'INT' or toks[2][0] != 'obj':
         raise PdfError("Expected 'INT INT obj' at object start, got %s" %
                        [t[0] for t in toks[:3]])
-    objid = toks[0][1]
-    gen = toks[1][1]
-    body = [t for t in toks[3:] if t[0] != 'endstream']
+    return toks[0][1], toks[1][1], parse_object_rest(toks, 3, [])
+
+
+def parse_object_rest(toks, i, vals):
+    """Parse the object tokens ``toks[i:]`` onto ``vals`` and return it.
+    ``vals`` holds the values of ``toks[3:i]``: none, or those of a
+    ``parse_object_body`` call on ``toks[:i]`` that ended before a
+    ``stream`` token, which is then not parsed again."""
+    body = [t for t in toks[i:] if t[0] != 'endstream']
     if body and body[-1][0] == 'endobj':
         body = body[:-1]
     # Split out stream tokens: values ... 'stream' pairing with preceding dict
-    vals = []
     i = 0
     n = len(body)
     while i < n:
@@ -177,7 +194,7 @@ def parse_object_body(toks):
         else:
             v, i = _parse_one(body, i, n)
             vals.append(v)
-    return objid, gen, vals
+    return vals
 
 
 def parse_xref_table_tokens(toks):
@@ -234,3 +251,174 @@ def parse_trailer_tokens(toks):
     if toks[i + 1][0] != 'INT':
         raise PdfError("Expected INT after startxref")
     return d, toks[i + 1][1]
+
+
+# ---------------------------------------------------------------------------
+# One-pass fast paths: split at whitespace, fold into values
+
+# A character on which splitting at whitespace could give other tokens
+# than the lexer: a paren or % (literal strings and comments), whitespace
+# that str.split knows and the lexer does not, or anything past latin-1.
+_UNSPLITTABLE = re.compile(r'[()%\x0b\x0c\x1c-\x1f\x85\xa0\u0100-\U0010ffff]')
+
+
+def split_tokens(data, pos, end):
+    """The COS tokens of ``data[pos:end]`` as strings, or None where the
+    split could differ from the lexer's tokens.
+
+    Outside literal strings and comments no token holds a delimiter, so
+    once ``/``, ``[``, ``]``, ``<<`` and ``>>`` are spaced, every token is
+    one whitespace-separated piece.  A region with a character of
+    ``_UNSPLITTABLE``, a ``<`` or ``>`` outside a pair (a hex string) or a
+    ``/`` that starts no name is refused.  ``fold_tokens`` refuses any
+    piece that is not one token as the lexer reads it."""
+    if _UNSPLITTABLE.search(data, pos, end):
+        return None
+    text = data[pos:end]
+    if text.count('<') != 2 * text.count('<<') or text.count('>') != 2 * text.count('>>'):
+        return None
+    toks = text.replace('/', ' /').replace('[', ' [ ').replace(']', ' ] ') \
+        .replace('<<', ' << ').replace('>>', ' >> ').split()
+    return None if '/' in toks else toks
+
+
+# int() of a token costs as much as the rest of its fold; the small ones,
+# most of the numbers in objects and content streams, are looked up.
+SMALL_INTS = {str(i): i for i in range(-999, 1000)}
+
+
+def number(tok):
+    """The INT or FLOAT value of a token that starts with a sign, digit
+    or dot, or None if the lexer would not read it as one number (a FLOAT
+    with no digit is the lexer's error)."""
+    body = tok[1:] if tok[0] in '+-' else tok
+    if body.isdecimal():
+        return int(tok)
+    a, dot, b = body.partition('.')
+    if dot and (a or b) and (not a or a.isdecimal()) and (not b or b.isdecimal()):
+        return float(tok)
+    return None
+
+
+def fold_tokens(toks):
+    """Values of ``split_tokens`` pieces, equal to ``parse_values`` of the
+    lexer's tokens, or None when the fold cannot vouch for them: a piece
+    that is not a name, number, bracket, ``true``/``false``/``null`` or
+    an ``R`` after ``INT INT``; an unbalanced bracket; or a dictionary key
+    that cannot be hashed."""
+    top = []
+    push = top.append
+    stack = []          # (enclosing list, closing token) per open bracket
+    for tok in toks:
+        c = tok[0]
+        if c == '/':
+            push(tok[1:])
+        elif (v := SMALL_INTS.get(tok)) is not None:
+            push(v)
+        elif tok == 'R':
+            # Only INT tokens make int values, and any other token since
+            # would have left another value last, so two ints last here
+            # mean the two tokens before were INT INT.
+            if len(top) < 2 or type(top[-1]) is not int or type(top[-2]) is not int:
+                return None
+            gen = top.pop()
+            top[-1] = Ref(top[-1], gen)
+        elif tok == '<<' or tok == '[':
+            stack.append((top, '>>' if tok == '<<' else ']'))
+            top = []
+            push = top.append
+        elif tok == '>>' or tok == ']':
+            if not stack or stack[-1][1] != tok:
+                return None
+            inner = top
+            top = stack.pop()[0]
+            push = top.append
+            if tok == '>>':
+                if len(inner) % 2:
+                    inner.append(None)  # odd-length padding, as _parse_one
+                pairs = iter(inner)
+                try:
+                    inner = dict(zip(pairs, pairs))
+                except TypeError:
+                    return None
+            push(inner)
+        elif c in _NUMBER_START:
+            v = number(tok)
+            if v is None:
+                return None
+            push(v)
+        elif tok == 'true':
+            push(True)
+        elif tok == 'false':
+            push(False)
+        elif tok == 'null':
+            push(None)
+        else:
+            return None
+    return None if stack else top
+
+
+def parse_object_at(data, pos, stream_length):
+    """The values of the object at ``data[pos]``, as ``parse_object_body``
+    gives them for ``scan_cos(data, pos, 'endobj', streamlength)``, or
+    None when this fast path cannot vouch for it.
+
+    It takes ``INT INT obj``, values, then ``endobj``; or one dictionary
+    then ``stream``, the payload and ``[endstream] endobj``.
+    ``stream_length(values)`` gets the values before ``stream`` and
+    returns /Length; an error it raises is the token path's error too,
+    which reaches the same call with the same values."""
+    e = data.find('endobj', pos)
+    if e < 0:
+        return None
+    s = data.find('stream', pos, e)
+    end = s + 6 if s >= 0 else e + 6
+    toks = split_tokens(data, pos, end)
+    if (toks is None or len(toks) < 4 or toks[2] != 'obj'
+            or not toks[0].isdecimal() or not toks[1].isdecimal()):
+        return None
+    vals = fold_tokens(toks[3:-1])
+    if vals is None:
+        return None
+    last = toks[-1]
+    if last == 'endobj':
+        return vals
+    if last != 'stream' or len(vals) != 1 or type(vals[0]) is not dict:
+        return None
+    length = stream_length(vals)
+    # The payload and its CR/LF skips, as ``scan_cos``; anything that
+    # would index past the end is left to it.
+    n = len(data)
+    p = end + (end < n and data[end] == '\r')
+    if p >= n:
+        return None
+    p += data[p] == '\n'
+    if type(length) is not int or length < 0 or p + length >= n:
+        return None
+    raw = data[p:p + length]
+    p += length
+    p += data[p] == '\r'
+    if p >= n:
+        return None
+    p += data[p] == '\n'
+    e = data.find('endobj', p)
+    if e < 0 or _UNSPLITTABLE.search(data, p, e) \
+            or data[p:e].split() not in (['endstream'], []):
+        return None
+    return [StreamObj(vals[0], raw)]
+
+
+def parse_trailer_text(text):
+    """``(trailer dict, startxref offset)`` of ``trailer <<…>> startxref
+    INT %%EOF``, as ``parse_trailer_tokens(scan_cos(text))`` gives, or
+    None for any other shape."""
+    if not text.endswith('%%EOF'):
+        return None
+    toks = split_tokens(text, 0, len(text) - 5)
+    if (toks is None or len(toks) < 4 or toks[0] != 'trailer'
+            or toks[-2] != 'startxref' or not toks[-1].isdecimal()):
+        return None
+    vals = fold_tokens(toks[1:-2])
+    if vals is None or len(vals) != 1 or type(vals[0]) is not dict:
+        return None
+    return vals[0], int(toks[-1])

@@ -28,8 +28,9 @@ from bisect import bisect_left, bisect_right
 
 from .lexers import scan_cos
 from .cos import (Ref, Hexstring, StreamObj, PdfError, parse_values,
-                  parse_object_body, parse_xref_table_tokens,
-                  parse_trailer_tokens)
+                  parse_object_body, parse_object_rest, parse_object_at,
+                  parse_xref_table_tokens, parse_trailer_tokens,
+                  parse_trailer_text)
 
 __all__ = ['PdfDocument', 'ResourceView', 'FontView', 'CIDFontView',
            'FontEncodingView', 'FontDescriptorView', 'GraphicsStateView',
@@ -37,7 +38,11 @@ __all__ = ['PdfDocument', 'ResourceView', 'FontView', 'CIDFontView',
 
 _LINE_SPLIT = re.compile(r'\r\n|\r|\n')
 _XREF_COUNTS = re.compile(r'([0-9]+) ([0-9]+)')
-_XREF_ROW = re.compile(r'[0-9]{10} [0-9]{5} [nf]')
+_XREF_ROWS = re.compile(r'(?:[0-9]{10} [0-9]{5} [nf]\n)*')
+# The last line that rstrips to 'startxref', then only whitespace, the
+# offset and %%EOF: the shape whose lines lex to exactly those tokens.
+_STARTXREF = re.compile(
+    r'startxref[\t ]*(?:\r\n|\r|\n)[\t\r\n ]*([0-9]+)[\t\r\n ]*%%EOF[\t\r\n ]*')
 
 
 class _XrefCombo(object):
@@ -106,7 +111,14 @@ class PdfDocument(object):
 
     def _find_startxref(self):
         """Reverse line scan from EOF until a line rstrips to 'startxref'
-        (reference parser/__init__.py:81-108)."""
+        (reference parser/__init__.py:81-108).  The usual tail is matched
+        in one step from the last 'startxref'."""
+        data = self.data
+        i = data.rfind('startxref')
+        if i == 0 or i > 0 and data[i - 1] in '\r\n':
+            m = _STARTXREF.fullmatch(data, i)
+            if m is not None:
+                return int(m.group(1))
         lines = []
         found = False
         for line, _ in _iter_lines_rev(self.data, len(self.data)):
@@ -153,9 +165,7 @@ class PdfDocument(object):
         return self._parse_xref_table(offset)
 
     def _parse_xref_stream(self, offset):
-        toks = self._scan_object_at(offset)
-        _objid, _gen, vals = parse_object_body(toks)
-        so = vals[0]
+        so = self._object_at(offset)[0]
         if not isinstance(so, StreamObj):
             raise PdfError("xref stream object did not contain a stream")
         rows = _xref_stream_rows(so)
@@ -164,6 +174,10 @@ class PdfDocument(object):
         return combo, nxt
 
     def _parse_xref_table(self, offset):
+        fast = _xref_table_fast(self.data, offset)
+        if fast is not None:
+            rows, (tdict, sx_offset) = fast
+            return _XrefCombo('table', rows, tdict), tdict.get('Prev', sx_offset)
         # Collect lines until one starting with 'trailer' (not inclusive)
         pos = offset
         lines = []
@@ -226,26 +240,46 @@ class PdfDocument(object):
 
     # -- object loading (R5, R6, P10) -----------------------------------
 
-    def _scan_object_at(self, offset):
-        """Scan tokens for one object at ``offset``.  At a ``stream``
-        keyword the scan reads /Length from the dictionary it has lexed
-        and goes on, so the dictionary is lexed once (the reference scans
-        twice, parser/__init__.py:365-414; the tokens are the same)."""
-        return scan_cos(self.data, pos=offset, stoptoken='endobj',
-                        streamlength=self._stream_length)
+    def _object_at(self, offset, fast=True):
+        """Values of the object at ``offset``: the one-pass parse, or the
+        token path where that gives up (or ``fast`` is False)."""
+        if fast:
+            vals = parse_object_at(self.data, offset, self._stream_length)
+            if vals is not None:
+                return vals
+        head = []
+        toks = self._scan_object_at(offset, head)
+        if head:
+            return parse_object_rest(toks, head[0], head[1])
+        return parse_object_body(toks)[2]
 
-    def _stream_length(self, toks):
-        """/Length of the stream dictionary lexed so far in ``toks``."""
-        _objid, _gen, vals = parse_object_body(toks)
+    def _scan_object_at(self, offset, head=None):
+        """Scan tokens for one object at ``offset`` (the token path).  At a
+        ``stream`` keyword the scan parses the dictionary it has lexed,
+        reads /Length from it and goes on, so the dictionary is lexed once
+        (the reference scans twice, parser/__init__.py:365-414; the tokens
+        are the same).  If ``head`` is a list it gets the token count and
+        values of that parse, so the caller does not parse them again.
+        An indirect /Length loads through the token path too."""
+        def length(toks):
+            vals = parse_object_body(toks)[2]
+            if head is not None:
+                head[:] = [len(toks), vals]
+            return self._stream_length(vals, fast=False)
+        return scan_cos(self.data, pos=offset, stoptoken='endobj',
+                        streamlength=length)
+
+    def _stream_length(self, vals, fast=True):
+        """/Length of the stream dictionary ``vals[0]``."""
         d = vals[0]
         dlen = d['Length']
         if isinstance(dlen, Ref):
-            return self.get_object_values(dlen)[0]
+            return self.get_object_values(dlen, fast)[0]
         if isinstance(dlen, int):
             return dlen
         raise PdfError("Unknown type for stream length: %s" % (dlen,))
 
-    def get_object_values(self, ref):
+    def get_object_values(self, ref, fast=True):
         """Load (with cache) the raw parsed values of an indirect object."""
         k = ref.key() if isinstance(ref, Ref) else tuple(ref)
         if k in self.cache:
@@ -254,8 +288,7 @@ class PdfDocument(object):
             raise PdfError("Object %d (generation %d) not found in file" % k)
         offset = self.objmap[k]
         if isinstance(offset, int):
-            toks = self._scan_object_at(offset)
-            _objid, _gen, vals = parse_object_body(toks)
+            vals = self._object_at(offset, fast)
         else:
             stream_ref, idx = offset
             stm = self._get_objstm(stream_ref)
@@ -430,21 +463,59 @@ class PdfDocument(object):
         return w
 
 
+def _split_lines(text):
+    """``text`` split at CR, LF and CRLF as ``_read_line`` reads it."""
+    return text.replace('\r\n', '\n').replace('\r', '\n').split('\n')
+
+
+def _xref_table_fast(data, offset):
+    """(rows, (trailer dict, startxref offset)) of the plaintext xref
+    section at ``offset``, read with ``find`` and ``split`` where
+    ``_parse_xref_table``'s line loop reads line by line, or None.
+
+    The section runs up to the first line that starts with ``trailer``,
+    and the trailer up to the first line that rstrips to ``%%EOF``: the
+    first occurrences of those words, when each starts a line (else an
+    earlier or later line may be the one).  The rows go through
+    ``_xref_table_rows`` and the trailer through ``parse_trailer_text``,
+    each with the rstripped lines the loop gives, which end in ``%%EOF``
+    only if that line rstrips to it; any other shape returns None."""
+    t = data.find('trailer', offset)
+    if t <= offset or data[t - 1] not in '\r\n':
+        return None
+    eof = data.find('%%EOF', t)
+    if eof < 0 or data[eof - 1] not in '\r\n':
+        return None
+    cr, lf = data.find('\r', eof), data.find('\n', eof)
+    end = min(cr, lf) if cr >= 0 and lf >= 0 else max(cr, lf)
+    if end < 0:
+        end = len(data)
+    trailer = parse_trailer_text(
+        '\r\n'.join([ln.rstrip() for ln in _split_lines(data[t:end])]))
+    if trailer is None:
+        return None
+    lines = [ln.rstrip() for ln in _split_lines(data[offset:t])]
+    lines.pop()       # the empty text after the line end before 'trailer'
+    return _xref_table_rows(lines), trailer
+
+
 def _xref_table_rows(lines):
     """Rows of a plaintext xref table from its rstripped lines (``xref``
     up to the ``trailer`` line).  A table of one well-formed subsection
-    (``xref``, ``first count``, then ``count`` rows of ``_XREF_ROW``) is
-    read straight from its lines; any other shape goes through the lexer
-    and ``parse_xref_table_tokens``, which read only the first subsection
-    and raise the reference's errors."""
+    (``xref``, ``first count``, then ``count`` rows of ``_XREF_ROWS``) is
+    read straight from its lines, matched as one text; any other shape
+    goes through the lexer and ``parse_xref_table_tokens``, which read
+    only the first subsection and raise the reference's errors."""
     if len(lines) >= 2 and lines[0] == 'xref':
         m = _XREF_COUNTS.fullmatch(lines[1])
         if m is not None:
             first, count = int(m.group(1)), int(m.group(2))
-            body = lines[2:]
-            if len(body) == count and all(_XREF_ROW.fullmatch(r) for r in body):
-                return [(first + i, int(r[:10]), int(r[11:16]), r[17])
-                        for i, r in enumerate(body)]
+            if len(lines) - 2 == count:
+                body = '\n'.join(lines[2:] + [''])
+                if _XREF_ROWS.fullmatch(body):
+                    f = body.split()      # offset, generation, flag per row
+                    return list(zip(range(first, first + count), map(int, f[0::3]),
+                                    map(int, f[1::3]), f[2::3]))
     return parse_xref_table_tokens(scan_cos("\r\n".join(lines)))
 
 

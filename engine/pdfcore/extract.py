@@ -26,10 +26,14 @@ are reported in the result dict (decode_ok=False + error).
 """
 
 import os
+from functools import reduce
+from itertools import repeat
+from math import copysign
+from operator import add, mul
 
 from .cos import PdfError, Ref
 from .document import PdfDocument, ResourceView
-from .content import Mat, StateStack, tokenize_content
+from .content import Mat, StateStack, content_ops
 from .fonts import FontCache, get_font_widths
 from . import afm as _afm
 from . import encodings as _enc
@@ -57,7 +61,7 @@ class SharedFontState(object):
       font whose /Widths are synthesized from its AFM (``get_font_widths``);
     * ``afm_width_stats``: BaseFont → the width-stats dict of such a font
       (``Renderer._set_width_stats``);
-    * ``type1_glyphs``: (BaseFont, Encoding) → {cid: Glyph} of a Type1
+    * ``type1_glyphs``: (BaseFont, Encoding) → GlyphDict of a Type1
       standard font with no /Encoding or a named one; each document's
       ``FontCache`` uses it as that font's glyph dict.
     """
@@ -177,10 +181,33 @@ class Renderer(object):
         self.spans = [] if collect_spans else None
         self.widths = None      # width stats of the font set by the last Tf
         self.stats_by_font = {}  # font oid key -> width stats
+        self.page_fonts = {}    # font name -> font, while the stack is unchanged
 
     # -- resource-stack font lookup (reference PDF.GetFont, :128-158) ----
 
+    def push_resources(self, recs):
+        self.resources.append(recs)
+        self.page_fonts.clear()
+
+    def pop_resources(self):
+        self.resources.pop()
+        self.page_fonts.clear()
+
     def get_font(self, fontname):
+        """The font ``fontname`` names on the resource stack.  A found font
+        is kept in ``page_fonts`` until the stack is pushed or popped; a
+        lookup that fails is not kept, so it raises on every call."""
+        memo = type(fontname) is str
+        if memo:
+            f = self.page_fonts.get(fontname)
+            if f is not None:
+                return f
+        f = self._find_font(fontname)
+        if memo:
+            self.page_fonts[fontname] = f
+        return f
+
+    def _find_font(self, fontname):
         for recs in self.resources:
             if not isinstance(recs, ResourceView):
                 # reference: attribute error on raw Dictionary / None
@@ -219,13 +246,13 @@ class Renderer(object):
 
     def render_page(self, page):
         ct = self.doc.page_content_text(page)
-        self.resources.append(self.doc.page_resources(page))
+        self.push_resources(self.doc.page_resources(page))
         s = StateStack()
-        toks = tokenize_content(ct)['tokens']
+        toks = content_ops(ct)
         self._render_tokens(page, toks, s)
         self.pages.append("".join(self.txt))
         self.txt.clear()
-        self.resources.pop()
+        self.pop_resources()
 
     def _render_tokens(self, page, toks, s):
         """The dispatch loop (reference __init__.py:344-543; I2).  Text
@@ -255,10 +282,10 @@ class Renderer(object):
         x = xdict[name]
         if isinstance(x, Ref):
             x = self.doc.get_xobject(x)
-        self.resources.append(x.Resources)
-        x_toks = tokenize_content(x.Stream)['tokens']
+        self.push_resources(x.Resources)
+        x_toks = content_ops(x.Stream)
         self._render_tokens(page, x_toks, s)
-        self.resources.pop()
+        self.pop_resources()
 
     def _show_text(self, s, operands):
         """Tj/TJ: draw each string's glyphs straight into the page buffer
@@ -272,17 +299,35 @@ class Renderer(object):
         in locals, glyphs and kerns advance E/F/I there, and one Mat is
         written back at the operator's end: nothing else the position and
         advance read changes within an operator.  Kerns before the first
-        drawn string advance Tm through ``TextState.do_Tj``."""
+        drawn string advance Tm through ``TextState.do_Tj``.
+
+        Without spans, a string is drawn whole when ``flat`` holds and
+        every code of the string has a one-character glyph in the font's
+        GlyphDict (its ``advance`` lookup raises no KeyError).  ``flat``:
+        Tm's B and G and cm's B are zero, the rise term of x (``pe``) is
+        zero, neither F nor I is -0.0, Tc and Tw are zero, Tz is 100, Tm's
+        A is 1, its C finite and Tfs > 0.  Then each glyph's advance is exactly Tfs ×
+        its ``advance`` entry, which is never -0.0 (the other terms add a
+        zero to a nonzero product, or to +0.0, or multiply by 1), so
+        C-level ``map`` and ``reduce`` add the advances to E in the loop's
+        order.  And no glyph moves F, I or y: F and I only gain zeros, and
+        y's E term is a zero while E stays finite, which the string's
+        final E shows, as a non-finite E never turns finite again.  So one
+        finite y is checked and the text goes in one step, one buffer item
+        per glyph as the loop appends.  Any other string takes the glyph
+        loop."""
         T = s.T
         txt = self.txt
         spans = self.spans
-        get_glyph = self.fonts.get_glyph
-        f = glyphs = Tm = None
+        f = glyphs = Tm = space_at = None
+        flat = False
         last_y = self.y
         drawn = 0
         try:
             for st, v, _ in operands:
-                if st == 'INT' or st == 'FLOAT':
+                if st == 'LIT':
+                    chars = v if '\\' not in v else split_literal(v)
+                elif st == 'INT' or st == 'FLOAT':
                     if Tm is None:
                         T.do_Tj(v, None)
                     else:
@@ -291,11 +336,11 @@ class Renderer(object):
                         E = tx * A + zC + E
                         F = tx * B + zD + F
                         I = tx * G + zH + I
-                    if abs(v) > 0.5 * self.widths['avg']:
+                    if space_at is None:    # widths change only at a Tf
+                        space_at = 0.5 * self.widths['avg']
+                    if abs(v) > space_at:
                         txt.append(' ')
                     continue
-                if st == 'LIT':
-                    chars = v if '\\' not in v else split_literal(v)
                 elif st == 'HEXSTRING':
                     if f is None:
                         f = self.get_font(T.Tf)
@@ -316,7 +361,7 @@ class Renderer(object):
                         glyphs = self.fonts.glyphs_of(f)
                     cid = ord(chars[0])
                     if cid not in glyphs:
-                        get_glyph(f, cid)
+                        self.fonts.get_glyph(f, cid)
                     # Position before the advance, NB Tr-as-rise (reference
                     # __init__.py:521): (E, F) of Mat(Tfs*Tz,0,0,Tfs,0,Tr)*Tm*cm,
                     # with the reference multiply's per-term order (0.0*A +
@@ -334,12 +379,37 @@ class Renderer(object):
                     Tfs, Tc, Tw, tz = T.Tfs, T.Tc, T.Tw, T.Tz / 100.0
                     zC, zD, zH = 0.0 * C, 0.0 * D, 0.0 * H
                     page_no = len(self.pages)
+                    flat = (spans is None and B == 0 and G == 0 and cB == 0
+                            and pe == 0 and zD == 0 and zH == 0
+                            and (F != 0 or copysign(1.0, F) > 0)
+                            and (I != 0 or copysign(1.0, I) > 0)
+                            and Tc == 0 and Tw == 0 and tz == 1.0 and A == 1.0
+                            and zC == 0 and type(Tfs) is float and Tfs > 0)
+                    if flat:
+                        text_of, advance = glyphs.text, glyphs.advance
+
+                if flat:
+                    text = chars if type(chars) is str else ''.join(chars)
+                    try:        # a KeyError: a code without a glyph here
+                        E1 = reduce(add, map(mul, map(advance.__getitem__, text),
+                                             repeat(Tfs)), E)
+                    except KeyError:
+                        E1 = None
+                    y = (pe + E) * cB + (pf + F) * cD + (pi + I) * cF
+                    if E1 is not None and E1 - E1 == 0.0 and y - y == 0.0:
+                        if y != last_y:
+                            txt.append('\n')
+                            last_y = y
+                        txt.extend(text.translate(text_of))
+                        drawn += len(text)
+                        E = E1
+                        continue
 
                 for ch in chars:
                     cid = ord(ch)
                     g = glyphs.get(cid)
                     if g is None:
-                        g = get_glyph(f, cid)
+                        g = self.fonts.get_glyph(f, cid)
                     m1e = pe + E
                     m1f = pf + F
                     m1i = pi + I

@@ -20,10 +20,12 @@ Re-derivation of the reference's FontCache / Type0FontCache
   (cloned verbatim per SURVEY.md §7.3).
 """
 
+from math import copysign
+
 from .cos import PdfError, Ref
 from . import encodings as _enc
 
-__all__ = ['Glyph', 'FontCache', 'cid_width_array_to_map',
+__all__ = ['Glyph', 'GlyphDict', 'FontCache', 'cid_width_array_to_map',
            'differences_array_to_map', 'get_font_widths']
 
 
@@ -37,6 +39,30 @@ class Glyph(object):
 
     def __repr__(self):
         return "<Glyph cid=%d unicode='%s' width=%d>" % (self.cid, self.unicode, self.width or 0)
+
+
+class GlyphDict(dict):
+    """{cid: Glyph} of one font, plus two views of its glyphs whose
+    unicode is one character, which the renderer's string-at-a-time text
+    path reads: ``text`` (cid → unicode, a ``str.translate`` table) and
+    ``advance`` (chr(cid) → (width - 0.0) / 1000.0, the first step of the
+    glyph advance).  Both have the same codes.  ``add`` fills all three;
+    an entry, once added, never changes.  A glyph of width -0.0 stays out
+    of the views, so no ``advance`` entry is -0.0."""
+    __slots__ = ('text', 'advance')
+
+    def __init__(self):
+        dict.__init__(self)
+        self.text = {}
+        self.advance = {}
+
+    def add(self, cid, g):
+        self[cid] = g
+        u = g.unicode
+        w = g.width
+        if type(u) is str and len(u) == 1 and (w != 0 or copysign(1.0, w) > 0):
+            self.text[cid] = u
+            self.advance[chr(cid)] = (w - 0.0) / 1000.0
 
 
 def cid_width_array_to_map(arr):
@@ -159,12 +185,12 @@ class FontCache(object):
         self.doc = doc
         self.shared = shared          # SharedFontState (AFMs, encodings)
         self.font_map = {}            # oid key -> FontView
-        self.glyph_map = {}           # oid key -> {cid: Glyph}
+        self.glyph_map = {}           # oid key -> GlyphDict
         self.diff_map = {}            # encoding oid key -> differences map
         self.type0_map = {}           # oid key -> _Type0Cache
 
     def glyphs_of(self, fontview):
-        """The {cid: Glyph} dict of a font: the renderer reads hits from it
+        """The GlyphDict of a font: the renderer reads hits from it
         directly and calls ``get_glyph`` only on a miss."""
         oid = fontview.oid.key()
         gm = self.glyph_map.get(oid)
@@ -177,7 +203,7 @@ class FontCache(object):
         """A Type1 standard font with no /Encoding or a known named one
         draws each glyph from AFM metrics and the encoding alone: a pure
         function of (BaseFont, Encoding, cid) (``_glyph_type1``).  Such a
-        font gets the {cid: Glyph} dict that every document shares through
+        font gets the GlyphDict that every document shares through
         ``SharedFontState.type1_glyphs``.  The attributes are read in
         ``_glyph_type1``'s order, so a bad font fails as it would there,
         and a failed lookup stores nothing."""
@@ -185,8 +211,12 @@ class FontCache(object):
                 and f.BaseFont in self.shared.std_fonts:
             enc = f.Encoding
             if enc is None or _enc.is_encoding_name(enc):
-                return self.shared.type1_glyphs.setdefault((f.BaseFont, enc), {})
-        return {}
+                shared = self.shared.type1_glyphs
+                gm = shared.get((f.BaseFont, enc))
+                if gm is None:
+                    gm = shared[(f.BaseFont, enc)] = GlyphDict()
+                return gm
+        return GlyphDict()
 
     def get_glyph(self, fontview, cid):
         gm = self.glyphs_of(fontview)
@@ -206,7 +236,7 @@ class FontCache(object):
             raise PdfError("Unrecognized font encoding type '%s' for cid=%s"
                            % (f.Encoding, cid))
         # Cache under the ORIGINAL cid (WinAnsi bullet may change g.cid)
-        gm[cid] = g
+        gm.add(cid, g)
         return g
 
     def _glyph_type1(self, f, cid):

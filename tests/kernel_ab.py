@@ -8,13 +8,19 @@ process, then:
 * ``check``: runs ``extract_turn`` with and without spans on every payload
   of both kernels and compares ``repr`` of the results, so text, pages,
   counts, error strings and every span float's repr (including the sign
-  of a zero) must match.  Payloads: the seed-7 (800) and seed-11 (400)
-  ``unique_docs`` documents, the 25 golden variants, and ``--fuzz``
-  documents mutated from those (byte edits, inserted and deleted spans,
-  truncation, xref-table and content-stream edits).  It also runs
+  of a zero) must match; it also compares this checkout's text, pages,
+  counts and errors without spans (the string-at-a-time path) with its
+  own with spans (the glyph loop).  Payloads: the seed-7 (800) and
+  seed-11 (400) ``unique_docs`` documents, the 25 golden variants, and
+  ``--fuzz`` documents mutated from those (byte edits, inserted and
+  deleted spans, truncation, xref-table and content-stream edits) or
+  built as text programs of random operators (rotated and skewed Tm and
+  cm, signed zeros, Tc/Tw/Tz/Tr, kerns, missing codes).  It also runs
   ``--fuzz`` random strings of keywords, numbers and noise through every
-  lexer of both kernels (equal tokens, or equal error type and message).
-  Exits 1 if anything differs.
+  lexer of both kernels (equal tokens, or equal error type and message),
+  and through this checkout's one-pass object and content parsers, which
+  must equal its token paths wherever they vouch for a string.  Exits 1
+  if anything differs.
 * ``time``: times ``extract_turn`` over the ``unique_docs`` documents of
   ``--seed`` (``--docs`` of them), one ``SharedFontState`` per kernel,
   both warmed once, then ``--pairs`` pairs alternating which side runs
@@ -41,7 +47,7 @@ _ROOT = os.path.dirname(_HERE)
 sys.path[:0] = [_ROOT, _HERE]
 
 from perfbench.corpus import _unique_rows  # noqa: E402
-from gen_pdf import build_variant, variant_ids  # noqa: E402
+from gen_pdf import _Builder, _skeleton, build_variant, variant_ids  # noqa: E402
 
 
 def load_kernel(root, name):
@@ -77,6 +83,19 @@ _SNIPPETS = ['(', ')', '\\', '\\(', '\\)', '\\\\', '\\0', '\\12', '<<', '>>',
              ' 2 0 0 2 9 9 Tm', ' /P <</MCID 0>> BDC', ' EMC', ' 0.5 sc',
              ' /CS0 cs', ' 1 2 SCN', ' 1 i', ' 0 J', ' 0 j', ' 4 M', ' /R ri',
              '\r\n', '\r', '\n', ' ']
+# Text-state snippets for built text programs: both sides of the string
+# path's guard (rotated, sheared or skewed Tm and cm, signed zeros, rise,
+# spacing, scaling, sizes and kerns that overflow, codes without a
+# glyph).  The INT -0 reads as 0; -0.0 is the FLOAT that keeps its sign.
+_TEXT_SNIPPETS = [' 0 1 -1 0 9 9 Tm', ' 0 1 -1 0 0 0 cm', ' 1 0 0 1 -0 -0 Tm',
+                  ' 1 0 0 1 -0.0 -0.0 Tm', ' 1 -0.0 0 1 0 -0.0 Tm', ' 2 0 0.5 1 72 700 Tm',
+                  ' 1 0.5 0 1 72 700 Tm', ' 1 0.5 0 1 0 0 cm', ' 1 0 0 1 0.5 -0.5 cm',
+                  ' 1 0 0 1 72 700 Tm', ' 2 0 0 2 -0.0 0 cm', ' 1 Tc', ' -1 Tc', ' 2 Tw',
+                  ' 0 Tw', ' 50 Tz', ' 100 Tz', ' 2 Tr', ' 0 Tr', ' /F1 12 Tf', ' /F1 -9 Tf',
+                  ' /F1 0 Tf', ' /F1 -0.0 Tf', ' /F1 ' + '9' * 400 + '.0 Tf', ' 0 -14 Td',
+                  ' T*', ' 14 TL', ' q', ' Q', ' (Ab c) Tj', " (it's) Tj", ' (\\001x) Tj',
+                  ' [(A) -300 (B)] TJ', ' [(A) -' + '9' * 400 + '.0 (B)] TJ',
+                  ' [-0.0 (C) 0 (D)] TJ', ' () Tj']
 
 
 def _snippet(rng):
@@ -90,7 +109,7 @@ def fuzz_doc(rng, base):
     offset, so the document still parses and the content lexer and
     renderer see the damage."""
     n = len(base)
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:                                   # scattered byte edits
         b = list(base)
         for _ in range(rng.randint(1, 4)):
@@ -104,6 +123,14 @@ def fuzz_doc(rng, base):
         return base[:p] + base[p + rng.randint(1, 12):]
     if kind == 3:                                   # truncate
         return base[:rng.randrange(n)]
+    if kind == 7:                                   # a built text program
+        prog = ' BT /F1 12 Tf 72 720 Td' + ''.join(
+            rng.choice(_TEXT_SNIPPETS) for _ in range(rng.randint(1, 12))) + ' ET'
+        b = _Builder()
+        _skeleton(b, [4])
+        b.add_stream(4, b'', prog.encode('latin-1'))
+        b.add(5, b'<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>')
+        return b.build().decode('latin-1')
     if kind == 4:                                   # xref-table edits
         x = base.rfind('xref')
         if x < 0:
@@ -165,16 +192,55 @@ def _lex(scan, text, *args):
         return '%s: %s' % (type(e).__name__, e)
 
 
+def _lex_texts(n):
+    rng = random.Random('kernel-ab-lex')
+    for _ in range(n):
+        yield ''.join(rng.choice(_LEX_WORDS) if rng.random() < 0.6
+                      else rng.choice(' \r\n') for _ in range(rng.randint(1, 40)))
+
+
+def _ops(fn, text):
+    """Prefix operators of ``fn(text)`` without token positions, or the
+    error."""
+    try:
+        ops = fn(text)
+    except Exception as e:
+        return '%s: %s' % (type(e).__name__, e)
+    if isinstance(ops, dict):
+        ops = ops['tokens']
+    return [(op, a if isinstance(a, str) else
+             [t[:2] if isinstance(t, tuple) else t for t in a]) for op, a in ops]
+
+
+def fast_path_check(change, n):
+    """The same random strings through this checkout's one-pass parsers:
+    ``content_ops`` equals ``tokenize_content`` but for positions, and
+    ``fold_tokens(split_tokens(...))``, where not None, equals
+    ``parse_values(scan_cos(...))``."""
+    pkg = change.__name__.rsplit('.', 1)[0]
+    lexers, cos, content = (sys.modules[pkg + m] for m in ('.lexers', '.cos', '.content'))
+    bad = 0
+    for text in _lex_texts(n):
+        a = _ops(content.tokenize_content, text)
+        b = _ops(content.content_ops, text)
+        toks = cos.split_tokens(text, 0, len(text))
+        vals = None if toks is None else cos.fold_tokens(toks)
+        if vals is not None:
+            want = repr(cos.parse_values(lexers.scan_cos(text)))
+        if a != b or (vals is not None and repr(vals) != want):
+            bad += 1
+            if bad <= 5:
+                print('DIFF fast path on %r' % (text,))
+    return bad
+
+
 def lexer_check(parent, change, n):
     """Random strings of keywords, numbers and noise through each lexer
     of both kernels: equal tokens, or equal error type and message."""
     lp = sys.modules[parent.__name__.rsplit('.', 1)[0] + '.lexers']
     lc = sys.modules[change.__name__.rsplit('.', 1)[0] + '.lexers']
-    rng = random.Random('kernel-ab-lex')
     bad = 0
-    for _ in range(n):
-        text = ''.join(rng.choice(_LEX_WORDS) if rng.random() < 0.6
-                       else rng.choice(' \r\n') for _ in range(rng.randint(1, 40)))
+    for text in _lex_texts(n):
         runs = [('scan_content', ()), ('scan_cmap', ()), ('scan_cos', ()),
                 ('scan_cos', (0, 'endobj', 3)), ('scan_cos', (0, 'INT', 3)),
                 ('scan_cos', (0, 'LIT', 3)), ('scan_cos', (0, 'stream', 3))]
@@ -190,18 +256,27 @@ def lexer_check(parent, change, n):
 
 
 def check(parent, change, payloads):
+    """(parent/change differences, this checkout's text-path/span-path
+    differences) over ``payloads``."""
     sa, sb = parent.SharedFontState(), change.SharedFontState()
-    bad = 0
+    bad = paths = 0
+    keys = ('text', 'pages', 'n_spans', 'decode_ok', 'error')
     for i, p in enumerate(payloads):
+        got = {}
         for spans in (False, True):
+            got[spans] = change.extract_turn(p, sb, collect_spans=spans)
             a = repr(parent.extract_turn(p, sa, collect_spans=spans))
-            b = repr(change.extract_turn(p, sb, collect_spans=spans))
+            b = repr(got[spans])
             if a != b:
                 bad += 1
                 if bad <= 5:
                     print('DIFF payload %d spans=%s\n  parent %s\n  change %s'
                           % (i, spans, a[:300], b[:300]))
-    return bad
+        if [got[False][k] for k in keys] != [got[True][k] for k in keys]:
+            paths += 1
+            if paths <= 5:
+                print('DIFF payload %d text path vs span path' % i)
+    return bad, paths
 
 
 def time_pairs(parent, change, payloads, pairs):
@@ -255,10 +330,14 @@ def main(argv=None):
     sets['fuzzed'] = fuzz_docs(args.fuzz, seeds)
     failed = lexer_check(parent, change, args.fuzz)
     print('%-15s %5d strings, %d differ' % ('lexers', args.fuzz, failed))
+    bad = fast_path_check(change, args.fuzz)
+    print('%-15s %5d strings, %d differ' % ('fast parsers', args.fuzz, bad))
+    failed += bad
     for name, payloads in sets.items():
-        bad = check(parent, change, payloads)
+        bad, paths = check(parent, change, payloads)
         print('%-15s %5d documents, %d differ' % (name, len(payloads), bad))
-        failed += bad
+        print('%-15s %5d documents, %d differ' % ('  text path', len(payloads), paths))
+        failed += bad + paths
     return 1 if failed else 0
 
 

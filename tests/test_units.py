@@ -2,6 +2,7 @@
 row family, pinning the reference quirks the goldens exercise only in
 aggregate.  Pure pdfcore: no Ray, no oracle."""
 
+import re
 import zlib
 
 import pytest
@@ -423,6 +424,219 @@ def test_render_error_surfaces(shared_fonts):
         assert run(content) == want, content
 
 
+# ------------------------------ T1-T2 the string-at-a-time text path
+
+_HUGE = b'9' * 400 + b'.0'      # a FLOAT that reads as inf
+
+# Content streams of a one-page document with /F1 Helvetica and /F2 a
+# TrueType font whose 'A' is -0.0 wide: the render-error cases above,
+# then strings the renderer's string path must refuse (a rotated or
+# sheared Tm or cm, a skewed Tm with a rise, a -0.0 F, a -0.0 size at a
+# -0.0 E, a rise that overflows x mid-string, sizes and kerns that
+# overflow, a code with no glyph after drawn ones, a -0.0 width at a
+# -0.0 E, nonzero Tc, Tw or Tz, a Tm that scales x) and ones it takes
+# (with a rise, after kerns).  A signed zero must be the FLOAT -0.0: the
+# INT -0 reads as 0.
+_TEXT_PATH_CONTENTS = [
+    b"BT 72 720 Td () Tj ET",
+    b"BT /F9 12 Tf 72 720 Td () Tj ET",
+    b"/F1 12 Tf (A) Tj",
+    b"/F1 12 Tf (\\001) Tj",
+    b"(A) Tj",
+    b"BT 72 720 Td [-300 (A)] TJ ET",
+    b"BT /F1 12 Tf 72 720 Td q /F1 24 Tf (A) Tj Q [(B) -300 (C)] TJ ET",
+    b"BT /F1 12 Tf 72 720 Td (A\\001B) Tj ET",
+    b"BT /F1 12 Tf 72 720 Td <4142> Tj ET",
+    b"BT /F1 12 Tf 50 Tz 2 Tc 1 Tw 0.5 0 0 2 72 720 Tm "
+    b"[(AB) -300 (C) 120.5 (D)] TJ (E) Tj ET",
+    b"BT /F1 12 Tf 72 720 Td [-300 (A) -300] TJ 0 0 Td [(B)] TJ ET",
+    b"BT /F1 12 Tf 72 720 Td [(A) 300 /N (B)] TJ ET",
+    b"BT /F1 12 Tf 0 1 -1 0 72 720 Tm (ABC) Tj [(D) -300 (EF)] TJ ET",
+    b"BT /F1 12 Tf 1 0.5 0 1 72 720 Tm (ABC) Tj ET",
+    b"BT /F1 12 Tf 50 Tz 72 720 Td (AB) Tj ET",
+    b"BT /F1 12 Tf 2 0 0 1 72 720 Tm (AB) Tj ET",
+    b"0 1 -1 0 300 300 cm BT /F1 12 Tf 72 720 Td (ABC) Tj (DE) Tj ET",
+    b"BT /F1 12 Tf 1 0 0.5 1 72 720 Tm 2 Tr (AB) Tj ET",
+    b"BT /F1 12 Tf 2 Tr 72 720 Td (AB) Tj ET",
+    b"BT /F1 12 Tf 2 Tc 3 Tw 150 Tz 72 720 Td (A B) Tj [(CD) -300 (E)] TJ ET",
+    b"BT /F1 12 Tf -2 Tc 72 720 Td (AB) Tj ET",
+    b"BT /F1 12 Tf 1 0 0 1 -0.0 -0.0 Tm (AB) Tj (C) Tj 1 -0.0 0 1 0 0 Tm (D) Tj ET",
+    b"BT /F1 12 Tf 1 -0.0 0 1 72 -0.0 Tm [(A) -0.0 (B)] TJ ET",
+    b"BT /F1 12 Tf 1 0 0 1 72 -0.0 Tm (AB) Tj ET",
+    b"BT /F1 -0.0 Tf 1 0 0 1 -0.0 720 Tm (AB) Tj ET",
+    b"BT /F1 -12 Tf 72 720 Td (AB) Tj ET",
+    b"BT /F1 0 Tf 72 720 Td (AB) Tj ET",
+    b"BT /F1 1" + b"0" * 305 + b".0 Tf 1 0 5" + b"0" * 307 + b".0 1 79" + b"0" * 306
+    + b".0 720 Tm 2 Tr (ABCDEFGHIJKLMNOP) Tj ET",
+    b"BT /F1 " + _HUGE + b" Tf 72 720 Td (AB) Tj (C) Tj ET",
+    b"BT /F1 12 Tf 72 720 Td [(A) -" + _HUGE + b" (BC)] TJ (D) Tj ET",
+    b"BT /F1 12 Tf " + _HUGE + b" 720 Td (AB) Tj ET",
+    b"BT /F1 12 Tf 72 720 Td [(AB) -300 (C\\001D)] TJ ET",
+    b"BT /F2 12 Tf 72 720 Td (BAB) Tj (BB) Tj ET",
+    b"BT /F2 12 Tf 1 0 0 1 -0.0 720 Tm (A) Tj ET",
+    b"BT /F1 12 Tf 72 720 Td (A\\(B) Tj <41> Tj ET",
+    b"BT /F1 12 Tf 72 720 Td (Hello, world) Tj 0 -14 Td (it's) Tj "
+    b"T* [(x) 20 (y) -900 (z)] TJ ET",
+]
+
+
+def _text_path_doc(content):
+    from gen_pdf import _Builder, _skeleton
+    b = _Builder()
+    _skeleton(b, [4], resources=b"<< /Font << /F1 5 0 R /F2 6 0 R >> >>")
+    b.add_stream(4, b"", content)
+    b.add(5, b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>")
+    b.add(6, b"<< /Type /Font /Subtype /TrueType /BaseFont /Zero /FirstChar 65"
+             b" /LastChar 66 /Widths [-0.0 500] /Encoding /WinAnsiEncoding >>")
+    return b.build()
+
+
+def test_text_path_equals_span_path(shared_fonts):
+    """Without spans the renderer draws a whole string at a time where it
+    can; with spans it always takes the glyph loop.  Both must give the
+    same text, pages, glyph count and error: on every golden variant
+    (whose text and glyph count they must also match) and on every
+    ``_TEXT_PATH_CONTENTS`` document."""
+    import glob
+    import json
+    import os
+    from gen_pdf import build_variant
+    from engine.pdfcore.extract import extract_turn
+
+    keys = ('text', 'pages', 'n_spans', 'decode_ok', 'error')
+
+    def both(pdf):
+        fast = extract_turn(pdf, shared_fonts)
+        full = extract_turn(pdf, shared_fonts, collect_spans=True)
+        assert {k: fast[k] for k in keys} == {k: full[k] for k in keys}
+        return fast
+
+    goldens = sorted(glob.glob(os.path.join(
+        os.path.dirname(__file__), 'golden', 'pdf_text', '*.json')))
+    assert len(goldens) == 25
+    for path in goldens:
+        with open(path) as f:
+            g = json.load(f)
+        r = both(build_variant(g['variant']))
+        assert r['text'] == ''.join(g['pages'] or []), g['variant']
+        assert r['n_spans'] == len(g['events'] or []), g['variant']
+        if not g['corrupt']:
+            assert r['pages'] == g['pages'], g['variant']
+    for content in _TEXT_PATH_CONTENTS:
+        both(_text_path_doc(content))
+
+
+def _render_state(content, shared):
+    """Render one ``_text_path_doc`` page without spans up to its last
+    operator (a final ET is dropped, so Tm survives) → (page buffer items,
+    glyph count, last y, Tm's nine entries in hex, error)."""
+    from engine.pdfcore.content import StateStack, content_ops
+    from engine.pdfcore.document import PdfDocument
+    from engine.pdfcore.extract import Renderer
+
+    if content.endswith(b' ET'):
+        content = content[:-3]
+    doc = PdfDocument(_text_path_doc(content))
+    page = doc.dfs_pages()[0]
+    r = Renderer(doc, shared)
+    r.push_resources(doc.page_resources(page))
+    s = StateStack()
+    err = None
+    try:
+        r._render_tokens(page, content_ops(doc.page_content_text(page)), s)
+    except Exception as e:
+        err = '%s: %s' % (type(e).__name__, e)
+    Tm = s.T._Tm
+    mat = None if Tm is None else [float.hex(getattr(Tm, k)) for k in 'ABCDEFGHI']
+    return list(r.txt), r.n_spans, float.hex(r.y), mat, err
+
+
+def test_string_path_equals_glyph_loop(monkeypatch):
+    """The string path leaves the page buffer item for item, the glyph
+    count, the last y and every bit of Tm (signed zeros too) as the glyph
+    loop does.  With GlyphDict's text views left empty every string takes
+    the loop; both runs must be equal, and the first must have drawn
+    strings whole (``reduce`` summed their advances)."""
+    from engine.pdfcore import extract, fonts
+    from engine.pdfcore.extract import SharedFontState
+
+    plain = []
+    real_reduce = extract.reduce
+
+    def counting_reduce(*args):
+        plain.append(real_reduce(*args))
+        return plain[-1]
+
+    monkeypatch.setattr(extract, 'reduce', counting_reduce)
+    shared = SharedFontState()
+    fast = [_render_state(c, shared) for c in _TEXT_PATH_CONTENTS]
+    assert len(plain) > 10
+    monkeypatch.setattr(fonts.GlyphDict, 'add', dict.__setitem__)
+    del plain[:]
+    shared = SharedFontState()      # glyph dicts with empty views
+    loop = [_render_state(c, shared) for c in _TEXT_PATH_CONTENTS]
+    assert plain == []
+    for content, a, b in zip(_TEXT_PATH_CONTENTS, fast, loop):
+        assert a == b, content
+
+
+def test_font_memo_follows_the_resource_stack(monkeypatch):
+    """``Renderer.get_font`` keeps the fonts it found until the resource
+    stack is pushed or popped.  /F1 is Helvetica (' draws as U+2019) on
+    page 1 and Helvetica with /WinAnsiEncoding (' draws as ') on page 2,
+    and a form XObject on page 1 has its own /F1; a page that fails
+    leaves its resources on the stack; a page with no /Font finds /F1
+    only while its XObject's frame is pushed, and looks up a font that
+    an ExtGState names by a list (unhashable, so never kept).  Every
+    result equals the one of a renderer that walks the stack on every
+    lookup."""
+    from gen_pdf import _Builder
+    from engine.pdfcore.extract import Renderer, SharedFontState, extract_turn
+
+    def build(pages, objects):
+        """pages: (resources, content) per page; objects: num → body,
+        or (dictionary part, data) for a stream."""
+        b = _Builder()
+        kids = range(3, 3 + len(pages))
+        b.add(1, b"<< /Type /Catalog /Pages 2 0 R >>")
+        b.add(2, b"<< /Type /Pages /Kids [%s] /Count %d >>"
+              % (b" ".join(b"%d 0 R" % k for k in kids), len(pages)))
+        for k, (resources, content) in zip(kids, pages):
+            b.add(k, b"<< /Type /Page /Parent 2 0 R /Resources %s /Contents %d 0 R >>"
+                  % (resources, k + 20))
+            b.add_stream(k + 20, b"", content)
+        for num, body in objects.items():
+            if isinstance(body, tuple):
+                b.add_stream(num, *body)
+            else:
+                b.add(num, body)
+        return b.build()
+
+    helvetica = b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>"
+    winansi = helvetica[:-3] + b" /Encoding /WinAnsiEncoding >>"
+    form = (b"/Type /XObject /Subtype /Form /Resources 13 0 R",
+            b"BT /F1 12 Tf 72 680 Td (D') Tj ET")
+    page1 = b"BT /F1 12 Tf 72 720 Td (A') Tj ET /X1 Do BT /F1 12 Tf 72 700 Td (B') Tj "
+    pages = [(b"<< /Font << /F1 10 0 R >> /XObject << /X1 12 0 R >> >>", page1 + b"(b') Tj ET"),
+             (b"<< /Font << /F1 11 0 R >> >>", b"BT /F1 12 Tf 72 720 Td (C') Tj ET")]
+    fonts = {10: helvetica, 11: winansi, 12: form, 13: b"<< /Font << /F1 11 0 R >> >>"}
+    failing = [(pages[0][0], page1 + b"/F9 12 Tf (b') Tj ET"), pages[1]]
+    xobject_only = [(b"<< /XObject << /X1 12 0 R >> >>",
+                     b"/X1 Do BT /F1 12 Tf 72 700 Td (B) Tj ET")]
+    list_name = [(b"<< /ExtGState << /G1 7 0 R >> >>", b"BT /G1 gs 72 700 Td (B) Tj ET")]
+    pdfs = [build(pages, fonts), build(failing, fonts), build(xobject_only, fonts),
+            build(list_name, {7: b"<< /Font [[1] 12] >>"})]
+
+    shared = SharedFontState()
+    memo = [extract_turn(pdf, shared) for pdf in pdfs]
+    assert memo[0]['pages'] == ['\nA\u2019\nD\u2019\nB\u2019b\u2019', "\nC'"]
+    assert memo[1]['pages'] == ['\nA\u2019\nD\u2019\nB\u2019\nC\u2019']
+    assert memo[2]['pages'] == [] and memo[2]['error'] == "PdfError: Unable to find font 'F1'"
+    assert memo[3]['error'] == "PdfError: Unable to find font '[1]'"
+    monkeypatch.setattr(Renderer, 'get_font', Renderer._find_font)
+    assert [extract_turn(pdf, shared) for pdf in pdfs] == memo
+
+
 # ------------------------------ R4-R6/P10 object loading: one scan per object
 
 def _xref_lines(text):
@@ -531,6 +745,257 @@ def test_stream_object_lexes_its_dictionary_once(monkeypatch):
                 assert want[-1][0] == 'endobj'
             else:
                 assert isinstance(want, str), want     # the error
+
+
+def test_object_load_parses_each_dictionary_once(monkeypatch):
+    """Each object load parses its tokens once.  On the token path a
+    stream object's dictionary, parsed to read /Length, is not parsed
+    again: one ``parse_object_body`` call per load, where there were two
+    per stream object.  On the fast path ``parse_object_at`` makes no
+    ``parse_object_body`` call at all, so the calls count the loads it
+    refused.  Both paths give the same values."""
+    from gen_pdf import build_variant, variant_ids
+    from engine.pdfcore import document
+
+    calls = {'load': 0, 'body': 0, 'fast': 0, 'fast_ok': 0}
+    real_body = document.parse_object_body
+    real_fast = document.parse_object_at
+    real_load = document.PdfDocument._object_at
+
+    def body(toks):
+        calls['body'] += 1
+        return real_body(toks)
+
+    def fast(*args):
+        calls['fast'] += 1
+        vals = real_fast(*args)
+        calls['fast_ok'] += vals is not None
+        return vals
+
+    def load(self, offset, fast=True):
+        calls['load'] += 1
+        return real_load(self, offset, fast)
+
+    def values(data):
+        try:
+            doc = document.PdfDocument(data)
+        except Exception as e:
+            return repr(e)
+        out = []
+        for k in sorted(doc.objmap):
+            try:
+                out.append(repr(doc.get_object_values(k)))
+            except Exception as e:
+                out.append(repr(e))
+        return out
+
+    docs = [build_variant(v).decode('latin-1') for v in variant_ids()]
+    monkeypatch.setattr(document, 'parse_object_body', body)
+    monkeypatch.setattr(document.PdfDocument, '_object_at', load)
+    monkeypatch.setattr(document, 'parse_object_at', lambda *a: None)
+    token_path = [values(d) for d in docs]
+    assert calls['body'] == calls['load'] == 143, calls
+
+    monkeypatch.setattr(document, 'parse_object_at', fast)
+    calls.update(load=0, body=0)
+    assert [values(d) for d in docs] == token_path
+    assert calls['fast'] == calls['load'] == 143, calls
+    assert calls['body'] == calls['load'] - calls['fast_ok'] == 4, calls
+
+
+def test_split_fold_equals_the_token_parse():
+    """``split_tokens`` + ``fold_tokens`` on random strings of COS words,
+    numbers, brackets and noise: wherever they vouch for the values they
+    equal ``parse_values(scan_cos(...))``, and on well-formed objects they
+    vouch.  ``parse_trailer_text`` likewise equals the token parse."""
+    import random
+    from engine.pdfcore.cos import (fold_tokens, parse_trailer_text,
+                                    parse_trailer_tokens, parse_values,
+                                    split_tokens)
+
+    words = ['/Type', '/Font', '/A/B', '/\xe9', '<<', '>>', '[', ']', '[1', '2]',
+             '0', '12', '-3', '+4', '007', '1.5', '-.5', '5.', '2 0 R', '1 2 3 R',
+             'true', 'false', 'null', '12345678901234567890']
+    noise = ['/', '<<<', '>', '<41>', '/A<B>', '/A>', '.', '-', '1.2.3', 'R', '1 R',
+             'nullx', 'obj', 'endobj', 'f', 'n', '(s)', ')', '%c', '\x0c', '\xa0', '\x00',
+             '#', '1e5']
+    rng = random.Random('fold')
+    vouched = 0
+    for _ in range(3000):
+        text = ''.join(rng.choice(noise if rng.random() < 0.1 else words)
+                       + rng.choice(['', ' ', '\n', '\r\n', '\t'])
+                       for _ in range(rng.randint(1, 12)))
+        toks = split_tokens(text, 0, len(text))
+        got = None if toks is None else fold_tokens(toks)
+        if got is None:
+            continue
+        vouched += 1
+        assert repr(got) == repr(parse_values(scan_cos(text))), text
+    assert vouched > 500
+    for text in ['<< /Type /Page /Kids [3 0 R 4 0 R] /N -2 /F 1.5 /B true >>',
+                 '<< /A << /B [1 [2] null] >> /C 7 0 R >>', '[/A/B[0 0 612 792]]']:
+        assert repr(fold_tokens(split_tokens(text, 0, len(text)))) == \
+            repr(parse_values(scan_cos(text)))
+    for trailer in ['trailer\r\n<< /Size 7 /Root 1 0 R >>\r\nstartxref\r\n628\r\n%%EOF',
+                    'trailer << /Size 7 /Prev 99 /Root 1 0 R >> startxref 628 %%EOF',
+                    'trailer\r\n<</Size 7>>\r\nstartxref\r\n628%%EOF']:
+        assert parse_trailer_text(trailer) == parse_trailer_tokens(scan_cos(trailer))
+    for odd in ['trailer << /ID [<41>] >> startxref 628 %%EOF',
+                'trailer << /A (x) >> startxref 628 %%EOF',
+                'trailer << >> startxref 628 % c\r\n%%EOF',
+                'trailer [1] startxref 628 %%EOF', 'trailer << >> startxref %%EOF']:
+        assert parse_trailer_text(odd) is None, odd
+
+
+def test_object_at_fast_path_equals_token_path():
+    """``PdfDocument._object_at`` on hand-made objects: the one-pass parse
+    gives the token path's values or error, and vouches exactly for the
+    shapes it takes (a direct or indirect /Length, CR/LF around the
+    payload, an ``endstream`` or not); it refuses the rest."""
+    from engine.pdfcore import cos, document
+
+    objects = {
+        b'<< /Length 5 >>\nstream\nabcde\nendstream\nendobj': True,
+        b'<< /Length 5 >>stream\r\nabcde\r\nendstream endobj': True,
+        b'<< /Length 5 >>\nstream\nabcdeendstreamendobj': True,
+        b'<< /Length 5 >>\nstream\nabcde\nendobj': True,
+        b'<< /Length 9 0 R /Filter /FlateDecode >>\nstream\nabcde\nendstream\nendobj': True,
+        b'<< /Type /Page /Kids [3 0 R 4 0 R] /Box [0 0 612 792] /D << /X null >> >>\nendobj': True,
+        b'\nendobj': True,
+        b'1 2 3 R true false -4 +5 .5 endobj': True,
+        b'<< /Length 5 >>\nstream\nabcde\nendstream /X endobj': False,
+        b'<< /Length 5 >>\nstream\nabcde\nendstream x endobj': False,
+        b'<< /Length 500 >>\nstream\nabcde\nendstream\nendobj': False,
+        b'<< /Length 2 >>\nstream\nabcde\nendstream\nendobj': False,
+        b'<< /Length -1 >>\nstream\nabcde\nendstream\nendobj': False,
+        b'<< /Length true >>\nstream\nabcde\nendstream\nendobj': False,
+        b'<< /Size 5 >>\nstream\nabcde\nendstream\nendobj': False,
+        b'5 << /Length 5 >>\nstream\nabcde\nendstream\nendobj': False,
+        b'<< /streamX 1 >> endobj': False,
+        b'<< /A (x) >> endobj': False,
+        b'<< /A <41> >> endobj': False,
+        b'<< /A 1 R >> endobj': False,
+        b'<< /A [1 >> endobj': False,
+        b'<< [1] 2 >> endobj': False,
+        b'% c\n<< >> endobj': False,
+    }
+    for body, vouched in objects.items():
+        for head in (b'7 0 obj ', b'+7 0 obj ', b'7 0 '):
+            data = (head + body + b'\n9 0 obj 5 endobj\n').decode('latin-1')
+            doc = document.PdfDocument.__new__(document.PdfDocument)
+            doc.data = data
+            doc.cache = {}
+            doc.objmap = {(9, 0): data.index('9 0 obj')}
+            fast = _outcome(doc._object_at, 0)
+            took = isinstance(_outcome(cos.parse_object_at, data, 0, doc._stream_length),
+                              list)
+            doc.cache = {}
+            assert repr(fast) == repr(_outcome(doc._object_at, 0, False)), data
+            assert took == (vouched and head == b'7 0 obj '), data
+
+
+def test_content_ops_equal_tokenize_content():
+    """``content_ops`` on random content programs of operators, numbers,
+    names, literals, arrays and noise: equal to ``tokenize_content`` but
+    for token positions, or the same error, and the fast path vouches for
+    most well-formed ones.  Every content keyword lexes as one token, as
+    the fast path assumes."""
+    import random
+    from engine.pdfcore import content
+    from engine.pdfcore.lexers import _TEXT_KW
+
+    def outcome(fn, text):
+        try:
+            ops = fn(text)
+        except Exception as e:
+            return '%s: %s' % (type(e).__name__, e)
+        if isinstance(ops, dict):
+            ops = ops['tokens']
+        return [(op, a if isinstance(a, str) else
+                 [t[:2] if isinstance(t, tuple) else t for t in a]) for op, a in ops]
+
+    for kw, typ in _TEXT_KW.items():
+        assert scan_content(kw) == [(typ, kw, 0)], kw
+    words = ['BT', 'ET', '/F1 12 Tf', '1 2 Td', '(ab c) Tj', '[(a) -300 (b)] TJ',
+             '[(a)] TJ', '[] TJ', '0 -16 Td', "(x) '", '1 2 (x) "', 'T*',
+             '1 0 0 1 5 5 Tm', '0 1 -1 0 0 0 cm', 'q', 'Q', '2 Tc', '-.5 Tw',
+             '50 Tz', '2 Tr', '1 g', '/P /M BDC', 'EMC', '/X1 Do']
+    noise = ['0.5 sc', '[1 2] 0 d', '(a(b)c) Tj', '(a\\)b) Tj', '<41> Tj', '%c',
+             ')', '(', '[', ']', '/', '7', '-', '1.2.3', 'TjT*', '\x0c', '\xa0',
+             'Tj', 'TJ']
+    rng = random.Random('content-ops')
+    vouched = 0
+    for _ in range(3000):
+        text = ' '.join(rng.choice(noise if rng.random() < 0.1 else words)
+                        for _ in range(rng.randint(1, 10)))
+        want = outcome(content.tokenize_content, text)
+        assert outcome(content.content_ops, text) == want, text
+        vouched += content._content_ops_fast(text) is not None
+    assert vouched > 500
+
+
+def test_xref_section_fast_path_equals_line_loop(monkeypatch):
+    """``_xref_table_fast`` reads an xref section and its trailer with
+    ``find`` and ``split``; ``_parse_xref_table``'s line loop reads them
+    line by line.  For LF, CR and CRLF line ends, trailing spaces, a
+    /Prev trailer and odd shapes both give the same rows, trailer and
+    next offset, or the same error; the fast path takes the plain ones.
+    ``_find_startxref``'s one-step match equals its reverse line scan."""
+    from engine.pdfcore import document
+
+    rows = ['0000000000 65535 f ', '0000000009 00000 n ', '0000000058 00000 n ']
+    base = ('%PDF-1.4\nxref\n0 3\n' + '\n'.join(rows) +
+            '\ntrailer\n<< /Size 3 /Root 1 0 R >>\nstartxref\n9\n%%EOF\n')
+    sections = {
+        'LF': base,
+        'CR': base.replace('\n', '\r'),
+        'CRLF': base.replace('\n', '\r\n'),
+        'trailing spaces': base.replace(' n \n', ' n   \n').replace('R >>\n', 'R >>  \n'),
+        'prev': base.replace('/Root 1 0 R', '/Root 1 0 R /Prev 500'),
+        'one-line trailer': base.replace('>>\nstartxref\n9\n', '>> startxref 9\n'),
+        'EOF not a line': base.replace('>>\nstartxref\n9\n', '>> startxref 9 '),
+        'EOF then junk': base.replace('%%EOF\n', '%%EOF junk\n%%EOF\n'),
+        'EOF mid-line': base.replace('%%EOF', 'x %%EOF'),
+        'EOF after offset': base.replace('9\n%%EOF', '9 %%EOF'),
+        'trailer mid-line': base.replace('\ntrailer', ' trailer'),
+        'no EOF': base.replace('%%EOF', ''),
+        'hex ID': base.replace('/Root 1 0 R', '/Root 1 0 R /ID [<41> <42>]'),
+        'comment': base.replace('startxref', '% note\nstartxref'),
+        'two subsections': base.replace('\ntrailer', '\n7 1\n0000000100 00000 n \ntrailer'),
+        'count 0': '%PDF-1.4\nxref\n0 0\ntrailer\n<< /Size 0 >>\nstartxref\n9\n%%EOF\n',
+    }
+    fast_ones = ('LF', 'CR', 'CRLF', 'trailing spaces', 'prev', 'one-line trailer',
+                 'two subsections', 'count 0')
+
+    def parse(data):
+        doc = document.PdfDocument.__new__(document.PdfDocument)
+        doc.data = data
+        try:
+            combo, nxt = doc._parse_xref_table(9)
+        except Exception as e:
+            return '%s: %s' % (type(e).__name__, e)
+        return combo.rows, combo.dict, nxt
+
+    real_fast = document._xref_table_fast
+    for name, data in sections.items():
+        got = parse(data)
+        took = real_fast(data, 9) is not None
+        monkeypatch.setattr(document, '_xref_table_fast', lambda *a: None)
+        assert got == parse(data), name
+        monkeypatch.undo()
+        assert took == (name in fast_ones), name
+
+    tails = ['startxref\n628\n%%EOF\n', 'startxref\r\n628\r\n%%EOF', 'startxref  \r628 %%EOF \n',
+             'startxref 628\n%%EOF\n', 'startxref\n628\n%%EOF junk\n', 'startxref\n+628\n%%EOF\n',
+             'startxref\n628\n', 'xstartxref\n628\n%%EOF\n', 'startxref\n\x0c628\n%%EOF\n']
+    for tail in tails:
+        for data in (tail, '%PDF-1.4\n' + tail, 'startxref\n1\n%%EOF\n' + tail):
+            doc = document.PdfDocument.__new__(document.PdfDocument)
+            doc.data = data
+            got = _outcome(doc._find_startxref)
+            monkeypatch.setattr(document, '_STARTXREF', re.compile('(?!)'))
+            assert got == _outcome(doc._find_startxref), data
+            monkeypatch.undo()
 
 
 def test_objstm_slices_equal_the_reference_filter():
