@@ -406,6 +406,12 @@ class PdfDocument(object):
 
     # -- typed views ------------------------------------------------------
 
+    def drop_views(self):
+        """Forget the cached typed views.  Each view points back at this
+        document, so while they are cached the document sits in a
+        reference cycle and only the cyclic GC can free it."""
+        self._wrappers.clear()
+
     def get_font(self, ref):
         k = ref.key()
         w = self._wrappers.get(k)

@@ -632,7 +632,10 @@ def get_full_text(doc, shared, collect_spans=False):
     the reference's GetFullText return).
     """
     rend = Renderer(doc, shared, collect_spans)
-    rend.render_pages()
+    try:
+        rend.render_pages()
+    finally:
+        doc.drop_views()      # refcounting then frees the document
     return rend.pages, rend.n_spans, rend.page_errors, rend.spans
 
 

@@ -190,22 +190,23 @@ class ExtractAndSpill(ExtractTurns):
 
     Instead of a Ray all-to-all (sort/groupby) after extraction, each
     call writes its output batch straight to shared storage, sorted by
-    ``bucket``.  Compaction reads a shard of at most
-    ``GRAFT_COMPACT_MAX_ROWS`` rows whole; the per-bucket-sized row
-    groups serve the larger shards, whose buckets are read one at a time
-    with row groups pruned via parquet min/max stats.
+    ``bucket``, as an uncompressed Arrow IPC file: the spill lives for one
+    job and is read back only by this job's compaction, which
+    memory-maps it, so it needs no Parquet encoding, statistics or footer.
+    Rows stay contiguous per bucket in every file, so compaction finds a
+    bucket's rows with a binary search of the file's ``bucket`` column.
     Returns one tiny stat row per batch — the object store never carries
     the shuffled payload, and there is no global barrier operator.
 
     The spill dir is SHARDED by contiguous bucket range
     (``shard-XXX/`` = buckets ``[s·B/S, (s+1)·B/S)``): each batch writes
     one file per non-empty shard (cheap slices of the already-sorted
-    table), and a compaction task lists/footer-scans ONLY its bucket's
-    shard.  At 100 TB (~400k spill blocks) an unsharded dir makes every
-    compact task scan 400k footers; with S shards it scans 400k/S.
+    table), and a compaction task lists and maps ONLY its bucket's shard.
+    At 100 TB (~400k spill blocks) an unsharded dir makes every compact
+    task open 400k files; with S shards it opens 400k/S.
     ``run_extraction`` derives S = isqrt(num_buckets) // 2: 4 at the
-    default 64 buckets, 223–316 at 200–400k buckets, so footer-scan time
-    stays ≪ bucket read time while file count per batch grows by ≤ S.
+    default 64 buckets, 223–316 at 200–400k buckets, so file count per
+    batch grows by ≤ S.
     """
 
     def __init__(self, spill_dir, num_buckets, num_shards=1):
@@ -221,7 +222,6 @@ class ExtractAndSpill(ExtractTurns):
         import hashlib
         import os
         import numpy as np
-        import pyarrow.parquet as pq
         out = super().__call__(batch)
         ordered = out.sort_by([('bucket', 'ascending'),
                                ('conv_id', 'ascending'),
@@ -234,7 +234,6 @@ class ExtractAndSpill(ExtractTurns):
         # slices never collide, even when two input files hold the same
         # rows.
         digest = hashlib.md5(repr(slice_key).encode('utf-8')).hexdigest()
-        buckets_per_shard = max(1, self.num_buckets // self.num_shards)
         shards = shard_of(
             ordered.column('bucket').to_numpy(zero_copy_only=False).astype(np.int64),
             self.num_buckets, self.num_shards)
@@ -242,12 +241,12 @@ class ExtractAndSpill(ExtractTurns):
         bounds = np.append(starts, len(shards))
         for i, s in enumerate(present):                # zero-copy slices of
             part = ordered.slice(bounds[i], bounds[i + 1] - bounds[i])
-            rg = max(32, part.num_rows // buckets_per_shard)
             sdir = os.path.join(self.spill_dir, 'shard-%03d' % s)
             os.makedirs(sdir, exist_ok=True)
-            fname = os.path.join(sdir, 'spill-%s.parquet' % digest)
+            fname = os.path.join(sdir, 'spill-%s.arrow' % digest)
             tmp = fname + '.tmp'
-            pq.write_table(part, tmp, row_group_size=rg)
+            with pa.ipc.new_file(tmp, part.schema) as writer:
+                writer.write_table(part)
             os.replace(tmp, fname)
         return pa.table({'rows': pa.array([ordered.num_rows], pa.int64())})
 

@@ -16,20 +16,20 @@ CPUs by default), no driver-side row loops:
       → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
       → ExtractAndSpill                            # each slice is extracted,
-           sorted by bucket, and SPILLED to shared storage with per-bucket
-           row groups, in files named after (unit, slice offset); a task
-           returns only its row count
+           sorted by bucket, and SPILLED to shared storage as an
+           uncompressed Arrow IPC file named after (unit, slice offset);
+           a task returns only its row count
   Stage B (one task per spill shard):
-    compact(that shard's not-yet-done buckets)     # list and footer-scan
+    compact(that shard's not-yet-done buckets)     # list and memory-map
            the shard's spill files once (spill dir is sharded by
-           contiguous bucket range); a shard of at most
-           GRAFT_COMPACT_MAX_ROWS rows is read once and sorted by
-           (bucket, conv_id, turn_idx), and each of its buckets is a
-           zero-copy slice (memory holds one shard); a larger shard is
-           read per bucket (predicate read, row-group pruning via bucket
-           min/max stats, in-bucket sort; memory holds one bucket); each
-           bucket → atomic tmp+rename part file → one lineage row, which
-           the driver appends to the manifest as soon as the task returns
+           contiguous bucket range); bucket row counts are binary
+           searches of each file's bucket column; runs of contiguous
+           buckets of at most GRAFT_COMPACT_MAX_ROWS rows are sliced
+           from every file, concatenated and sorted once by (bucket,
+           conv_id, turn_idx), and each bucket is a zero-copy slice
+           (memory holds one window); each bucket → atomic tmp+rename
+           part file → one lineage row, which the driver appends to the
+           manifest as soon as the task returns
 
 Why Ray Core and not Ray Data: the sink uses a Dataset only as a map, and
 its shuffle is external (below), so Ray Data's executor bought nothing and
@@ -64,13 +64,11 @@ stage is per-bucket compaction, where a conversation's rows all land in
 one crc32 bucket: skew there is capped at the size of the single largest
 conversation.  If a bucket exceeds ``GRAFT_COMPACT_MAX_ROWS`` (a single
 conversation bigger than a healthy bucket, or many medium ones; read once
-by the driver; the same bound decides whether a whole shard is read at
-once), compaction switches to the IMPLEMENTED escape hatch
-``_compact_chunked``: a narrow key-column probe, then sorted (conv_id,
-turn_idx) key-range windows streamed through one ParquetWriter —
-byte-identical output with per-task memory O(window), equivalent to
-splitting the spill key by ``(conv_id, turn_idx // window)`` without
-touching the spill format.
+by the driver; the same bound sizes Stage B's windows), compaction
+switches to the escape hatch ``_compact_chunked``: sorted (conv_id,
+turn_idx) key-range windows streamed through one ParquetWriter — the
+same rows in the same order with per-task memory O(window), equivalent
+to splitting the spill key by ``(conv_id, turn_idx // window)``.
 """
 
 import itertools
@@ -281,12 +279,11 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
     ParquetWriter.  Window boundaries may split a conversation mid-run
     and always fall on a key change, so every row (including duplicate
     keys) lands in exactly one window and the concatenation of sorted
-    windows along sorted boundaries IS the fully sorted bucket —
-    byte-identical output to the in-memory path, with per-task memory
-    O(max_rows + largest duplicate-key run) regardless of conversation
-    size.  (This implements the giant-conversation escape hatch: the
-    spill format is untouched, the split key is effectively
-    (conv_id, turn_idx // window).)
+    windows along sorted boundaries IS the fully sorted bucket — the
+    in-memory path's rows in its order (one row group per window), with
+    per-task memory O(max_rows + largest duplicate-key run) regardless of
+    conversation size.  (This implements the giant-conversation escape
+    hatch: the split key is effectively (conv_id, turn_idx // window).)
     """
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
@@ -340,115 +337,111 @@ def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
 
 def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                            max_rows=COMPACT_MAX_ROWS):
-    """Stage B UDF: one call compacts one spill shard's buckets in turn —
-    the shard's file listing is made once per call.  A shard whose footer
-    row count is at most ``max_rows`` is read once and sorted by
-    (bucket, conv_id, turn_idx), and each bucket is a zero-copy slice of
-    it (memory holds one shard).  A larger shard is compacted per bucket:
-    a predicate read with row-group pruning and in-bucket sort, or
-    ``_compact_chunked`` for a bucket above ``max_rows`` (memory holds one
-    bucket).  Every bucket is published by atomic tmp+rename."""
+    """Stage B UDF: one call compacts one spill shard's listed buckets.
+    The shard's spill files are listed once per call and each is
+    memory-mapped once; a bucket's row count in a file is a binary search
+    of that file's ``bucket`` column.  The listed buckets are cut into
+    windows: runs of ascending buckets whose rows sum to at most
+    ``max_rows``.  A window is every file sliced to its bucket range,
+    concatenated and sorted once by (bucket, conv_id, turn_idx), and each
+    of its buckets is a zero-copy slice (memory holds one window plus the
+    shard's ``bucket`` columns; the mapped pages are file-backed).  A
+    bucket above ``max_rows`` is a window of its own and goes through
+    ``_compact_chunked``.  Every bucket is published by atomic
+    tmp+rename."""
 
     def compact(batch: pa.Table) -> pa.Table:
         import glob
         import numpy as np
-        import pyarrow.compute as pc
         import pyarrow.dataset as pads
-        # 1-CPU task: pyarrow defaults BOTH pools to the machine core count
-        # PER PROCESS — 32 concurrent compact tasks × 32 threads thrash the
-        # box and make Stage B scale INVERSELY with cluster width (measured
-        # 4.8s at 8 cpus vs 10.5s at 32 on the same input).
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
+        pin_arrow_threads()
+        buckets = batch.column('bucket').to_pylist()
         out = {'bucket': [], 'rows': [], 'decode_failures': [],
                'span_count': [], 'wall_s': [], 'file': []}
-        # Enumerate PUBLISHED spill files only: a task that died mid
-        # pq.write_table leaves a 'spill-*.parquet.tmp' that directory
-        # discovery would pick up and fail on (ArrowInvalid for every
-        # compact task).  The retried task re-publishes under the same
-        # deterministic name, so .tmp leftovers are always superseded.
-        # Only the BUCKET'S OWN SHARD is listed — the whole point of the
-        # sharded layout: footer scans are O(files/num_shards) per task.
-        dsets = {}
-        held = {}      # the one shard whose sorted table this call holds
+        t0 = time.perf_counter()
 
-        def shard_dset(sdir):
-            if sdir not in dsets:
-                files = sorted(glob.glob(os.path.join(sdir, 'spill-*.parquet')))
-                if files:
-                    d = pads.dataset(files, format='parquet')
-                    # metadata-only shard row count (footer num_rows, no
-                    # data read): chooses between one read per shard and
-                    # the per-bucket path
-                    dsets[sdir] = (d, d.count_rows())
-                else:
-                    dsets[sdir] = (None, 0)
-            return dsets[sdir]
-
-        def sorted_shard(sdir, dset):
-            if sdir not in held:
-                held.clear()   # drop the previous shard before the next read
-                tbl = dset.to_table().sort_by([('bucket', 'ascending'),
-                                               ('conv_id', 'ascending'),
-                                               ('turn_idx', 'ascending')])
-                held[sdir] = (tbl, tbl.column('bucket').to_numpy())
-            return held[sdir]
-
-        def record(bucket, rows, failures, spans, t0, fname):
+        def record(bucket, rows, failures, spans, fname):
+            nonlocal t0
             out['bucket'].append(bucket)
             out['rows'].append(rows)
             out['decode_failures'].append(failures)
             out['span_count'].append(spans)
             out['wall_s'].append(time.perf_counter() - t0)
             out['file'].append(fname)
-
-        for bucket in batch.column('bucket').to_pylist():
             t0 = time.perf_counter()
-            sdir = os.path.join(spill_dir, 'shard-%03d'
-                                % shard_of(bucket, num_buckets, num_shards))
-            dset, shard_rows = shard_dset(sdir)
-            if dset is None:
-                record(bucket, 0, 0, 0, t0, '')
-                continue
-            fname = 'part-%05d.parquet' % bucket
-            tmp = os.path.join(out_dir, '_tmp-%s' % fname)
-            if shard_rows <= max_rows:
-                # the common case: the whole shard fits, so it is read and
-                # sorted once and each bucket is a slice of it
-                tbl, keys = sorted_shard(sdir, dset)
-                lo = int(np.searchsorted(keys, bucket, 'left'))
-                hi = int(np.searchsorted(keys, bucket, 'right'))
-                ordered = tbl.slice(lo, hi - lo)
-            else:
-                # Skew escape hatch (the north rule's giant-conversation
-                # case): probe the bucket's KEY columns (two narrow columns
-                # — cheap even when the payload column is huge) and, above
-                # max_rows, _compact_chunked streams sorted (conv_id,
-                # turn_idx) windows through one ParquetWriter: per-task
-                # memory O(max_rows), not O(largest conversation).
-                flt = pads.field('bucket') == bucket
-                keys = dset.to_table(filter=flt,
-                                     columns=['conv_id', 'turn_idx'])
-                if keys.num_rows > max_rows:
-                    rows, failures, spans = _compact_chunked(
-                        dset, flt, keys, tmp, max_rows)
-                    os.replace(tmp, os.path.join(out_dir, fname))
-                    record(bucket, rows, failures, spans, t0, fname)
-                    continue
-                ordered = dset.to_table(filter=flt).sort_by(
-                    [('conv_id', 'ascending'), ('turn_idx', 'ascending')])
-            ordered = ordered.drop_columns(['bucket'])
-            rows = ordered.num_rows
-            if rows:
-                pq.write_table(ordered, tmp)
+
+        # Only PUBLISHED spill files of the call's own shard: a task that
+        # died mid-write leaves a 'spill-*.arrow.tmp', which its retry
+        # supersedes under the same deterministic name.
+        files = sorted(itertools.chain.from_iterable(
+            glob.glob(os.path.join(spill_dir, 'shard-%03d' % s,
+                                   'spill-*.arrow'))
+            for s in {shard_of(b, num_buckets, num_shards) for b in buckets}))
+        tables = []
+        for path in files:
+            with pa.memory_map(path) as src:
+                tables.append(pa.ipc.open_file(src).read_all())
+        # lo[f, i], hi[f, i]: the row range of buckets[i] in file f (each
+        # file is sorted by bucket)
+        want = np.asarray(buckets, np.int32)
+        lo = np.zeros((len(tables), len(buckets)), np.int64)
+        hi = np.zeros_like(lo)
+        for f, tbl in enumerate(tables):
+            keys = tbl.column('bucket').to_numpy()
+            lo[f] = np.searchsorted(keys, want, 'left')
+            hi[f] = np.searchsorted(keys, want, 'right')
+        first, last = lo.sum(axis=0), hi.sum(axis=0)
+
+        def window(i, j):
+            """Every file's rows of buckets[i]..buckets[j], concatenated."""
+            return pa.concat_tables(
+                [t.slice(lo[f, i], hi[f, j] - lo[f, i])
+                 for f, t in enumerate(tables) if hi[f, j] > lo[f, i]])
+
+        i = 0
+        while i < len(buckets):
+            j = i
+            while (j + 1 < len(buckets) and buckets[j + 1] > buckets[j]
+                   and last[j + 1] - first[i] <= max_rows):
+                j += 1
+            if last[j] == first[i]:                 # no rows in the window
+                for bucket in buckets[i:j + 1]:
+                    record(bucket, 0, 0, 0, '')
+            elif last[j] - first[i] > max_rows:
+                # one bucket above max_rows (the north rule's giant-
+                # conversation case): _compact_chunked streams sorted
+                # (conv_id, turn_idx) key-range windows through one
+                # ParquetWriter, so memory is O(max_rows), not O(bucket)
+                rows, fname = window(i, j), 'part-%05d.parquet' % buckets[i]
+                tmp = os.path.join(out_dir, '_tmp-%s' % fname)
+                counts = _compact_chunked(
+                    pads.dataset(rows), pads.field('bucket') == buckets[i],
+                    rows.select(['conv_id', 'turn_idx']), tmp, max_rows)
                 os.replace(tmp, os.path.join(out_dir, fname))
+                record(buckets[i], *counts, fname)
             else:
-                fname = ''
-            failures = pc.sum(pc.cast(
-                pc.invert(ordered.column('decode_ok')),
-                pa.int64())).as_py() or 0
-            spans = pc.sum(ordered.column('n_spans')).as_py() or 0
-            record(bucket, rows, failures, spans, t0, fname)
+                win = window(i, j).sort_by([('bucket', 'ascending'),
+                                            ('conv_id', 'ascending'),
+                                            ('turn_idx', 'ascending')])
+                keys = win.column('bucket').to_numpy()
+                # prefix sums: a bucket's failures and spans are one
+                # subtraction each
+                fails = np.concatenate(([0], np.cumsum(
+                    ~win.column('decode_ok').to_numpy(), dtype=np.int64)))
+                spans = np.concatenate(([0], np.cumsum(
+                    win.column('n_spans').to_numpy(), dtype=np.int64)))
+                win = win.drop_columns(['bucket'])
+                for bucket in buckets[i:j + 1]:
+                    a = int(np.searchsorted(keys, bucket, 'left'))
+                    b = int(np.searchsorted(keys, bucket, 'right'))
+                    fname = 'part-%05d.parquet' % bucket if b > a else ''
+                    if fname:
+                        tmp = os.path.join(out_dir, '_tmp-%s' % fname)
+                        pq.write_table(win.slice(a, b - a), tmp)
+                        os.replace(tmp, os.path.join(out_dir, fname))
+                    record(bucket, b - a, int(fails[b] - fails[a]),
+                           int(spans[b] - spans[a]), fname)
+            i = j + 1
         return pa.table({
             'bucket': pa.array(out['bucket'], pa.int32()),
             'rows': pa.array(out['rows'], pa.int64()),

@@ -636,6 +636,7 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
     spill name (from the slice's place in the input) must make the retry
     overwrite its own file — never add a second copy of the rows (ADVICE
     r1: uuid4 names duplicated rows in the final output on retry)."""
+    import pyarrow as pa
     from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
 
     d = str(tmp_path / 'corpus')
@@ -650,14 +651,14 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
     key = (src, 0, 0, batch.num_rows, 0)
     out1 = stage(batch, key)
     out2 = stage(batch, key)            # the retry
-    files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet'))
+    files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
     assert len(files) == 1              # overwritten, not duplicated
-    assert pq.read_table(files[0]).num_rows == batch.num_rows
+    assert pa.ipc.open_file(files[0]).read_all().num_rows == batch.num_rows
     assert out1.column('rows')[0].as_py() == out2.column('rows')[0].as_py()
 
     # a DIFFERENT batch must land in a different file
     stage(batch.slice(0, 10), (src, 0, 0, 10, 0))
-    assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet'))) == 2
+    assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))) == 2
 
 
 def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path):
@@ -708,15 +709,17 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
     stage(batch, (src, 0, 0, batch.num_rows, 0))
 
     # every shard file holds only its own bucket range
-    for f in glob.glob(os.path.join(spill, 'shard-*', 'spill-*.parquet')):
+    files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
+    assert files
+    for f in files:
         s = int(os.path.basename(os.path.dirname(f)).split('-')[1])
-        for b in set(pq.read_table(f, columns=['bucket']).column('bucket').to_pylist()):
+        for b in set(pa.ipc.open_file(f).read_all().column('bucket').to_pylist()):
             assert shard_of(b, 4, 2) == s
 
     # poison the OTHER shard with a corrupt PUBLISHED file: compacting
     # buckets 0-1 (shard 0) must never open it
-    with open(os.path.join(spill, 'shard-001', 'spill-poison.parquet'), 'wb') as f:
-        f.write(b'PAR1 not parquet')
+    with open(os.path.join(spill, 'shard-001', 'spill-poison.arrow'), 'wb') as f:
+        f.write(b'ARROW1 not arrow')
     compact = _make_bucket_compactor(spill, out, num_buckets=4, num_shards=2)
     manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))
     want = sum(1 for b in batch.column('bucket').to_pylist() if b in (0, 1))
@@ -725,12 +728,12 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
 
 def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
                                                          monkeypatch):
-    """A shard whose footer row count fits ``max_rows`` is read once and
-    sliced per bucket; a larger shard is read once per bucket.  Both give
-    the same manifest rows and byte-equal part files, and neither needs
-    the chunked path while every bucket fits."""
+    """A shard whose rows fit ``max_rows`` is one window; a smaller bound
+    cuts it into windows of contiguous buckets, down to one bucket each.
+    Every bound gives the same manifest rows and byte-equal part files,
+    none needs the chunked path while every bucket fits, and each spill
+    file is mapped once per compaction call."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
     from engine.rayjob import pipeline
     from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
 
@@ -743,29 +746,24 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
         stage(assign_bucket(16)(pq.read_table(
             f, columns=['conv_id', 'turn_idx', 'text'])), f)
-    shard_rows = [pads.dataset(sorted(glob.glob(os.path.join(
-        spill, 'shard-%03d' % s, 'spill-*.parquet')))).count_rows()
-        for s in (0, 1)]
-    bucket_rows = pads.dataset(spill).to_table(
-        columns=['bucket']).column('bucket').value_counts()
+    shard_files = [sorted(glob.glob(os.path.join(
+        spill, 'shard-%03d' % s, 'spill-*.arrow'))) for s in (0, 1)]
+    assert all(len(files) > 1 for files in shard_files)
+    shards = [pa.concat_tables([pa.ipc.open_file(f).read_all()
+                                for f in files]) for files in shard_files]
+    shard_rows = [t.num_rows for t in shards]
+    bucket_rows = pa.concat_tables(shards).column('bucket').value_counts()
     assert len(bucket_rows) == 16          # every bucket has rows
-    assert max(bucket_rows.field('counts').to_pylist()) < min(shard_rows)
+    largest = max(bucket_rows.field('counts').to_pylist())
+    assert largest < min(shard_rows) - 1
 
-    reads = []
-    dataset = pads.dataset
+    maps = []
+    memory_map = pa.memory_map
 
-    class Counted(object):
-        def __init__(self, dset):
-            self._dset = dset
-
-        def to_table(self, **kwargs):
-            reads.append(kwargs)
-            return self._dset.to_table(**kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self._dset, name)
-    monkeypatch.setattr(pads, 'dataset',
-                        lambda *a, **k: Counted(dataset(*a, **k)))
+    def counted(path, *args, **kwargs):
+        maps.append(path)
+        return memory_map(path, *args, **kwargs)
+    monkeypatch.setattr(pa, 'memory_map', counted)
 
     def no_chunked(*args):
         raise AssertionError('every bucket fits max_rows')
@@ -774,29 +772,105 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     def run(max_rows):
         out = str(tmp_path / ('out-%d' % max_rows))
         os.makedirs(out)
-        del reads[:]
         compact = pipeline._make_bucket_compactor(spill, out, 16, 2, max_rows)
-        manifest = pa.concat_tables([
-            compact(pa.table({'bucket': pa.array(g, pa.int32())}))
-            for g in (range(8), range(8, 16))]).drop_columns(['wall_s'])
+        tables = []
+        for g, files in zip((range(8), range(8, 16)), shard_files):
+            del maps[:]
+            tables.append(compact(pa.table({'bucket': pa.array(g, pa.int32())})))
+            assert sorted(maps) == files   # each spill file mapped once
         parts = {}
         for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
             with open(p, 'rb') as f:
                 parts[os.path.basename(p)] = f.read()
-        full = [kw for kw in reads if 'columns' not in kw]
-        return manifest, parts, full
+        return pa.concat_tables(tables).drop_columns(['wall_s']), parts
 
-    whole, whole_parts, whole_reads = run(max(shard_rows))
-    per_bucket, bucket_parts, bucket_reads = run(min(shard_rows) - 1)
-    assert whole_reads == [{}, {}]         # one unfiltered read per shard
-    assert len(bucket_reads) == 16         # one predicate read per bucket
-    assert whole.equals(per_bucket)
+    whole, whole_parts = run(max(shard_rows))
     assert len(whole_parts) == 16
-    assert whole_parts == bucket_parts
+    for max_rows in (min(shard_rows) - 1, largest):
+        manifest, parts = run(max_rows)
+        assert whole.equals(manifest), max_rows
+        assert whole_parts == parts, max_rows
+
+
+def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
+                                                        monkeypatch):
+    """A bucket above ``max_rows`` among small buckets is a window of its
+    own: ``_compact_chunked`` runs for that bucket only, the small buckets
+    around it are still compacted in windows, and the part files equal a
+    run at the default bound (byte for byte, but for the chunked part's
+    row groups)."""
+    import collections
+    import zlib
+    import pyarrow as pa
+    import sys
+    from engine.rayjob import pipeline
+    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from gen_pdf import build_variant
+
+    d = str(tmp_path / 'corpus')
+    generate_transcripts(d, n_convs=24, seed=29, rows_per_file=150,
+                         long_conv_frac=0.0)
+    giant = 80
+    pq.write_table(pa.table({
+        'conv_id': pa.array(['conv-giant'] * giant, pa.string()),
+        'turn_idx': pa.array(list(range(giant)), pa.int32()),
+        'role': pa.array(['user'] * giant, pa.string()),
+        'text': pa.array([build_variant('V03').decode('latin-1')] * giant,
+                         pa.string()),
+        'tool': pa.array([''] * giant, pa.string()),
+        'ts': pa.array([1735689600000000 + i for i in range(giant)],
+                       pa.timestamp('us')),
+    }), os.path.join(d, 'part-giant.parquet'))
+    spill = str(tmp_path / 'spill')
+    os.makedirs(spill)
+    stage = ExtractAndSpill(spill, 8, num_shards=1)
+    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
+        stage(assign_bucket(8)(pq.read_table(
+            f, columns=['conv_id', 'turn_idx', 'text'])), f)
+    counts = collections.Counter()
+    for f in glob.glob(os.path.join(spill, 'shard-000', 'spill-*.arrow')):
+        counts.update(pa.ipc.open_file(f).read_all().column('bucket').to_pylist())
+    big = zlib.crc32(b'conv-giant') % 8
+    max_rows = max(n for b, n in counts.items() if b != big)
+    assert len(counts) == 8 and counts[big] > max_rows
+
+    chunked = []
+    run_chunked = pipeline._compact_chunked
+
+    def counting(*args):
+        chunked.append(os.path.basename(args[3]))
+        return run_chunked(*args)
+    monkeypatch.setattr(pipeline, '_compact_chunked', counting)
+
+    def run(bound):
+        out = str(tmp_path / ('out-%d' % bound))
+        os.makedirs(out)
+        manifest = pipeline._make_bucket_compactor(spill, out, 8, 1, bound)(
+            pa.table({'bucket': pa.array(range(8), pa.int32())}))
+        parts = {}
+        for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
+            with open(p, 'rb') as f:
+                parts[os.path.basename(p)] = f.read()
+        return manifest.drop_columns(['wall_s']), parts
+
+    small, small_parts = run(max_rows)
+    assert chunked == ['_tmp-part-%05d.parquet' % big]
+    del chunked[:]
+    default, default_parts = run(pipeline.COMPACT_MAX_ROWS)
+    assert chunked == []
+    assert small.equals(default)
+    assert len(default_parts) == 8
+    # the chunked part holds one row group per key-range window, so only
+    # its rows equal the default run's; every other part is byte-equal
+    name = 'part-%05d.parquet' % big
+    assert pq.read_table(pa.BufferReader(small_parts.pop(name))).equals(
+        pq.read_table(pa.BufferReader(default_parts.pop(name))))
+    assert small_parts == default_parts
 
 
 def test_compactor_ignores_tmp_files(tmp_path):
-    """A worker killed mid-write leaves 'spill-*.parquet.tmp'; compaction
+    """A worker killed mid-write leaves 'spill-*.arrow.tmp'; compaction
     must enumerate only PUBLISHED spill files (ADVICE r1: directory
     discovery made every compact task fail on the half-written file)."""
     import pyarrow as pa
@@ -817,10 +891,12 @@ def test_compactor_ignores_tmp_files(tmp_path):
         'error': pa.array(['', ''], pa.string()),
         'bucket': pa.array([0, 1], pa.int32()),
     })
-    pq.write_table(good, os.path.join(shard, 'spill-aaaa.parquet'))
-    # half-written leftover: invalid parquet bytes
-    with open(os.path.join(shard, 'spill-bbbb.parquet.tmp'), 'wb') as f:
-        f.write(b'PAR1 garbage truncated')
+    with pa.ipc.new_file(os.path.join(shard, 'spill-aaaa.arrow'),
+                         good.schema) as writer:
+        writer.write_table(good)
+    # half-written leftover: invalid Arrow IPC bytes
+    with open(os.path.join(shard, 'spill-bbbb.arrow.tmp'), 'wb') as f:
+        f.write(b'ARROW1 garbage truncated')
 
     compact = _make_bucket_compactor(spill, out, num_buckets=2, num_shards=1)
     manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))

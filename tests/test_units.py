@@ -526,6 +526,34 @@ def test_text_path_equals_span_path(shared_fonts):
         both(_text_path_doc(content))
 
 
+def test_documents_freed_without_the_cyclic_gc(shared_fonts):
+    """A document is freed by refcounting when ``extract_turn`` returns:
+    with the cyclic GC off, the 25 goldens, 50 seed-7 ``unique_docs``
+    documents and every ``_TEXT_PATH_CONTENTS`` document (the render-error
+    cases among them), with and without spans, leave nothing unreachable.
+    The typed views a document caches point back at it; left cached,
+    they kept ~75 objects per document waiting for the cyclic GC."""
+    import gc
+    import random
+    from gen_pdf import build_variant, variant_ids
+    from perfbench.corpus import _unique_rows
+    from engine.pdfcore.extract import extract_turn
+
+    docs = [build_variant(v) for v in variant_ids()]
+    docs += [r[2] for r in _unique_rows(random.Random('unique-7'), 50, 7)[0]]
+    docs += [_text_path_doc(c) for c in _TEXT_PATH_CONTENTS]
+    assert len(docs) == 25 + 50 + len(_TEXT_PATH_CONTENTS)
+    gc.collect()
+    gc.disable()
+    try:
+        for pdf in docs:
+            extract_turn(pdf, shared_fonts)
+            extract_turn(pdf, shared_fonts, collect_spans=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _render_state(content, shared):
     """Render one ``_text_path_doc`` page without spans up to its last
     operator (a final ET is dropped, so Tm survives) → (page buffer items,
