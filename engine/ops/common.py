@@ -10,23 +10,8 @@ IEEE ops on both sides give identical doubles even at boundaries.
 import os
 
 import numpy as np
-import pyarrow as pa
 
-__all__ = ['round_half_up', 'table_path', 'read_table', 'BroadcastLookup',
-           'pool']
-
-
-def pool(frac=0.75, floor=2):
-    """Actor-pool ``concurrency`` bounds sized to the CLUSTER, not a
-    hard-coded cap: ``(1, max(floor, frac·cluster_cpus))``.  A fixed
-    ``(1, 8)`` starves a 256-node cluster; a fixed lower bound of 1 keeps
-    small test sessions (4 cpus) from over-reserving."""
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get('CPU', 4))
-    except Exception:
-        cpus = 4
-    return (1, max(floor, int(cpus * frac)))
+__all__ = ['round_half_up', 'table_path', 'read_table']
 
 
 def round_half_up(x, digits):
@@ -64,22 +49,3 @@ def read_table(sf_dir, name, columns=None):
     return ray.data.read_parquet(path, columns=columns,
                                  override_num_blocks=blocks)
 
-
-class BroadcastLookup:
-    """map_batches actor base: resolves a ``ray.put`` object ref ONCE per
-    actor in ``__init__`` (not per batch).  At cluster scale the payload
-    ships to each node's object store once and is shared zero-copy by all
-    actors on that node.
-
-    Subclasses set ``self.state = ...`` from the fetched value and
-    implement ``__call__(batch) -> pa.Table``.
-    """
-
-    def __init__(self, state_ref):
-        import ray
-        pa.set_cpu_count(1)       # 1-CPU actor: don't spawn core-count pools
-        pa.set_io_thread_count(1)
-        self.state = ray.get(state_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # pragma: no cover
-        raise NotImplementedError

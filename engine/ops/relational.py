@@ -9,16 +9,13 @@ Patterns demonstrated (each is the 100 TB-shape of the operation):
   exchange, with vectorized numpy resolution per bucket.  Grouping on the
   RAW key would pay ~50µs of map_groups Python+Arrow tax per key —
   billions of groups at corpus scale.
-- *Broadcast of a small fold*: a low-cardinality result (per-type
-  moments, a per-bucket prefix) is ``ray.put`` ONCE and shared by every
-  worker that reads it (``common.BroadcastLookup`` fetches it once per
-  actor).
+- *Broadcast of a small fold*: a low-cardinality result (the late-arrival
+  per-bucket prefix) is ``ray.put`` ONCE and shared by every worker that
+  reads it.
 - *Predicate/column pruning at the read* (``columns=``), and read blocks
   sized by BYTES (common.read_table) so exchange task counts track data.
-- *Sessionize*: ordered per-key logic resolved for a whole bucket at once
-  (lexsort + break vectors / forward-fill).
-- *Windowed aggregates*: tumbling and sliding window keys DERIVED in the
-  map stage; shuffles move combiner rows only.
+- *Sessions and funnels*: ordered per-key logic resolved for a whole
+  bucket at once (lexsort + break vectors / forward-fill).
 """
 
 import numpy as np
@@ -26,24 +23,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
 
-from .common import BroadcastLookup, round_half_up, read_table, pool
+from .common import round_half_up, read_table
 
-__all__ = ['events_by_type', 'events_sessionize', 'events_windowed',
-           'events_windowed_sliding', 'events_value_quantiles',
-           'events_user_running', 'events_props_stats',
-           'events_value_hist_quantiles', 'user_event_pivot',
-           'events_user_rolling', 'events_latest_per_user', 'events_rollup',
-           'events_funnel', 'users_view_and_purchase',
-           'users_purchase_not_view', 'events_time_rolling',
-           'events_value_zscore', 'events_value_deciles',
-           'events_hour_value_corr', 'events_debounced', 'user_event_paths',
-           'events_windowed_distinct_users', 'events_value_mad_outliers',
-           'events_anomaly_days', 'events_late_arrivals', 'session_durations',
-           'purchase_view_lag', 'events_type_drift', 'events_hourly_profile',
-           'user_decay_score', 'events_user_gini', 'events_funnel_windowed',
-           'events_dau_wau']
+__all__ = ['events_funnel', 'events_hour_value_corr', 'events_debounced',
+           'user_event_paths', 'events_anomaly_days', 'events_late_arrivals',
+           'session_durations', 'purchase_view_lag', 'events_type_drift',
+           'events_hourly_profile', 'user_decay_score', 'events_user_gini',
+           'events_funnel_windowed', 'events_dau_wau']
 
 
 def rank_in_sorted_key(keys_sorted):
@@ -62,672 +49,6 @@ def rank_in_sorted_key(keys_sorted):
     starts = np.where(new, idx, 0)
     np.maximum.accumulate(starts, out=starts)
     return idx - starts + 1
-
-
-def events_by_type(sf_dir):
-    """events rollup: count / value sum / distinct users per event type."""
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({'event_type': batch.column('event_type'),
-                      'value': batch.column('value'),
-                      'user_id': batch.column('user_id')})
-        g = t.group_by(['event_type', 'user_id']).aggregate(
-            [('value', 'sum'), ('value', 'count')])
-        return g.rename_columns(['event_type', 'user_id', 'v_sum', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        v = pc.sum(group.column('v_sum')).as_py() or 0.0
-        n = pc.sum(group.column('cnt')).as_py() or 0
-        users = pc.count_distinct(group.column('user_id')).as_py()
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'n_events': pa.array([n], pa.int64()),
-            'sum_value': pa.array(round_half_up([v], 2), pa.float64()),
-            'avg_value': pa.array(round_half_up([v / n if n else 0.0], 6),
-                                  pa.float64()),
-            'n_users': pa.array([users], pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                               columns=['event_type', 'value', 'user_id'])
-    return (ds.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-              .groupby('event_type').map_groups(final, batch_format='pyarrow'))
-
-
-def events_sessionize(sf_dir, gap_s=1800, num_buckets=64):
-    """Per-user sessionization: sort by ts within user, session break when
-    the gap exceeds ``gap_s``.
-
-    BUCKETED, not per-user: grouping on raw user_id pays the ~50µs
-    map_groups Python+Arrow tax once per USER (billions of groups at
-    corpus scale).  Instead the groupby key is ``user_id & (nb-1)`` and
-    each bucket sessionizes ALL its users in one vectorized pass — a
-    lexsort by (user, ts), one boolean break vector (user change OR gap
-    exceeded), and a C++ ``group_by(user).sum/count`` fold."""
-    gap_us = gap_s * 1_000_000
-    nb = num_buckets
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch.column('user_id').to_numpy(zero_copy_only=False) & (nb - 1)
-        return batch.append_column('bucket', pa.array(b, pa.int64()))
-
-    def sessions(group: pa.Table) -> pa.Table:
-        uid = group.column('user_id').to_numpy(zero_copy_only=False)
-        ts = group.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ts, uid))
-        uid, ts = uid[order], ts[order]
-        new_user = np.empty(len(uid), np.bool_)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        brk = new_user | (np.diff(ts, prepend=ts[0]) > gap_us)
-        t = pa.table({'user_id': pa.array(uid, pa.int64()),
-                      'brk': pa.array(brk.astype(np.int64), pa.int64())})
-        g = t.group_by('user_id').aggregate([('brk', 'count'), ('brk', 'sum')])
-        g = g.rename_columns(['user_id', 'n_events', 'n_sessions'])
-        return pa.table({'user_id': g.column('user_id'),
-                         'n_events': g.column('n_events').cast(pa.int64()),
-                         'n_sessions': g.column('n_sessions')})
-
-    ds = read_table(sf_dir, 'events', columns=['user_id', 'ts'])
-    return (ds.map_batches(add_bucket, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('bucket').map_groups(sessions, batch_format='pyarrow'))
-
-
-def events_windowed(sf_dir):
-    """Tumbling 1-day windowed aggregate per event type: the window key is
-    DERIVED IN THE MAP STAGE (vectorized timestamp floor), so the groupby
-    shuffle moves pre-aggregated (type, window) combiner rows only — the
-    standard way to express time windows when the engine has no native
-    window operator."""
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column('ts'), unit='day')
-        t = pa.table({'event_type': batch.column('event_type'),
-                      'window_start': day,
-                      'value': batch.column('value')})
-        g = t.group_by(['event_type', 'window_start']).aggregate(
-            [('value', 'sum'), ('value', 'count')])
-        return g.rename_columns(['event_type', 'window_start', 'v_sum', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        v = pc.sum(group.column('v_sum')).as_py() or 0.0
-        n = pc.sum(group.column('cnt')).as_py() or 0
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'window_start': group.column('window_start').slice(0, 1),
-            'n_events': pa.array([n], pa.int64()),
-            'sum_value': pa.array(round_half_up([v], 2), pa.float64()),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                               columns=['event_type', 'ts', 'value'])
-    return (ds.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-              .groupby(['event_type', 'window_start'])
-              .map_groups(final, batch_format='pyarrow'))
-
-
-def events_windowed_distinct_users(sf_dir):
-    """Tumbling 1-day window per event type with an EXACT distinct-user
-    count.  Exact count-distinct inherently exchanges one row per distinct
-    (type, window, user) per block — the per-block Arrow group_by
-    combiner collapses raw events to that floor (carrying the event
-    multiplicity alongside, so ``n_events`` rides the same exchange),
-    and the per-group fold is a C++ distinct + two column folds.  At
-    100 TB, windows bound the per-group distinct state (a day's users,
-    not the corpus's)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column('ts'), unit='day')
-        t = pa.table({'event_type': batch.column('event_type'),
-                      'window_start': day,
-                      'user_id': batch.column('user_id')})
-        g = t.group_by(['event_type', 'window_start', 'user_id']) \
-             .aggregate([([], 'count_all')])
-        return g.rename_columns(['event_type', 'window_start', 'user_id',
-                                 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        users = group.group_by('user_id').aggregate([])
-        n = int(pc.sum(group.column('cnt')).as_py() or 0)
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'window_start': group.column('window_start').slice(0, 1),
-            'n_events': pa.array([n], pa.int64()),
-            'distinct_users': pa.array([users.num_rows], pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['event_type', 'ts', 'user_id'])
-    return (ds.map_batches(partial, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby(['event_type', 'window_start'])
-              .map_groups(final, batch_format='pyarrow'))
-
-
-_DAY_US = 86_400_000_000
-
-
-def events_windowed_sliding(sf_dir, size_days=3, slide_days=1):
-    """SLIDING (hopping) windowed aggregate per event type: windows of
-    ``size_days`` advancing every ``slide_days`` (size must be a multiple
-    of slide).  Same derived-key shape as the tumbling variant — an event
-    belongs to exactly ``size/slide`` windows, so the map stage REPLICATES
-    each row into its windows (vectorized int arithmetic on the epoch),
-    partial-aggregates per (type, window_start) within the batch, and the
-    groupby shuffle again moves combiner rows only: the shuffle grows by
-    the window overlap factor applied to COMBINER rows (distinct keys per
-    block), never to raw events."""
-    if size_days % slide_days:
-        raise ValueError('size_days must be a multiple of slide_days')
-    nwin = size_days // slide_days
-    slide_us = slide_days * _DAY_US
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        anchor = (ts // slide_us) * slide_us  # latest window containing ts
-        parts = []
-        for kk in range(nwin):
-            parts.append(pa.table({
-                'event_type': batch.column('event_type'),
-                'window_start': pa.array(anchor - kk * slide_us, pa.int64()),
-                'value': batch.column('value'),
-            }))
-        t = pa.concat_tables(parts)
-        g = t.group_by(['event_type', 'window_start']).aggregate(
-            [('value', 'sum'), ('value', 'count')])
-        return g.rename_columns(['event_type', 'window_start', 'v_sum', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        v = pc.sum(group.column('v_sum')).as_py() or 0.0
-        n = pc.sum(group.column('cnt')).as_py() or 0
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'window_start': group.column('window_start').slice(0, 1)
-                                 .cast(pa.timestamp('us')),
-            'n_events': pa.array([n], pa.int64()),
-            'sum_value': pa.array(round_half_up([v], 2), pa.float64()),
-        })
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'ts', 'value'])
-    return (ds.map_batches(partial, batch_format='pyarrow', zero_copy_batch=True)
-              .groupby(['event_type', 'window_start'])
-              .map_groups(final, batch_format='pyarrow'))
-
-
-def events_value_quantiles(sf_dir, qs=(0.5, 0.9, 0.99)):
-    """EXACT per-group discrete quantiles (percentile_disc semantics: the
-    value at 1-based sorted position ceil(q·n)) of event value per type.
-
-    Combiner-first: each block folds to (type, value, count) rows — the
-    exchange moves one row per DISTINCT value per block, then each group
-    resolves from the merged value histogram (sort values, cumulative
-    counts, searchsorted per quantile).  NOTE the honest scale contract:
-    for CONTINUOUS values the distinct-value histogram is O(rows) and a
-    group's histogram must fit a worker — exact quantiles fundamentally
-    need the group's value multiset.  For heavy continuous data at 100 TB
-    use the histogram tier (:func:`events_value_hist_quantiles`) over a
-    known range or a sort-based global-index pass; this operator is the
-    exact tier."""
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(['event_type', 'value']) \
-                 .aggregate([([], 'count_all')])
-        return g.rename_columns(['event_type', 'value', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        g = group.group_by('value').aggregate([('cnt', 'sum')])
-        vals = g.column('value').to_numpy(zero_copy_only=False)
-        cnts = g.column('cnt_sum').to_numpy(zero_copy_only=False)
-        order = np.argsort(vals, kind='mergesort')
-        vals, cnts = vals[order], cnts[order]
-        cum = np.cumsum(cnts)
-        n = int(cum[-1])
-        cols = {'event_type': group.column('event_type').slice(0, 1)}
-        for q in qs:
-            target = int(np.ceil(q * n))
-            pos = int(np.searchsorted(cum, target, side='left'))
-            cols['p%02d' % int(round(q * 100))] = pa.array([float(vals[pos])],
-                                                    pa.float64())
-        cols['n_events'] = pa.array([n], pa.int64())
-        return pa.table(cols)
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'value'])
-    return ds.map_batches(partial, batch_format='pyarrow',
-                          zero_copy_batch=True) \
-             .groupby('event_type').map_groups(final, batch_format='pyarrow')
-
-
-_MAD_K = 4.4478          # 3 sigma-equivalents x 1.4826 (normal consistency)
-
-
-def events_value_mad_outliers(sf_dir):
-    """Robust anomaly detection per event type: median / MAD (median
-    absolute deviation) and the count of events beyond
-    ``_MAD_K * MAD`` — the outlier gate that survives heavy tails where
-    mean/stddev z-scores (:func:`events_value_zscore`) blow up.
-
-    percentile_disc semantics throughout (the value at 1-based sorted
-    position ceil(0.5·n)), so ``median`` and ``mad`` are actual DATA
-    values, not interpolations — there is no float-formula drift for the
-    oracle to chase; the only arithmetic is |v − med| and one threshold
-    compare, identical IEEE ops on both sides.
-
-    Scale shape: same combiner contract as the exact-quantile tier —
-    each block folds to (type, value, cnt) rows, each group resolves
-    median, then MAD, from the merged distinct-value histogram (two
-    weighted searchsorted passes over distinct values).  O(distinct
-    values) group state."""
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(['event_type', 'value']) \
-                 .aggregate([([], 'count_all')])
-        return g.rename_columns(['event_type', 'value', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        g = group.group_by('value').aggregate([('cnt', 'sum')])
-        vals = g.column('value').to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-        cnts = g.column('cnt_sum').to_numpy(zero_copy_only=False)
-        order = np.argsort(vals, kind='mergesort')
-        vals, cnts = vals[order], cnts[order]
-        cum = np.cumsum(cnts)
-        n = int(cum[-1])
-        med = float(vals[np.searchsorted(cum, int(np.ceil(0.5 * n)),
-                                         side='left')])
-        dev = np.abs(vals - med)
-        dorder = np.argsort(dev, kind='mergesort')
-        dcum = np.cumsum(cnts[dorder])
-        mad = float(dev[dorder][np.searchsorted(
-            dcum, int(np.ceil(0.5 * n)), side='left')])
-        n_out = int(cnts[dev > _MAD_K * mad].sum())
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'median': pa.array([med], pa.float64()),
-            'mad': pa.array([mad], pa.float64()),
-            'n_outliers': pa.array([n_out], pa.int64()),
-            'n_events': pa.array([n], pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'value'])
-    return ds.map_batches(partial, batch_format='pyarrow',
-                          zero_copy_batch=True) \
-             .groupby('event_type').map_groups(final, batch_format='pyarrow')
-
-
-MAD_OUTLIERS_SQL = """
-WITH r AS (
-  SELECT event_type, value,
-         row_number() OVER (PARTITION BY event_type ORDER BY value) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM events
-), med AS (
-  SELECT event_type, max(n) AS n,
-         max(CASE WHEN rn = ceil(0.5 * n) THEN value END) AS med
-  FROM r GROUP BY event_type
-), d AS (
-  SELECT e.event_type, abs(e.value - m.med) AS dev, m.med, m.n
-  FROM events e JOIN med m USING (event_type)
-), r2 AS (
-  SELECT event_type, dev, med, n,
-         row_number() OVER (PARTITION BY event_type ORDER BY dev) AS rn
-  FROM d
-), mad AS (
-  SELECT event_type, max(med) AS med, max(n) AS n,
-         max(CASE WHEN rn = ceil(0.5 * n) THEN dev END) AS mad
-  FROM r2 GROUP BY event_type
-)
-SELECT m.event_type, m.med AS median, m.mad,
-       (SELECT count(*) FROM d
-        WHERE d.event_type = m.event_type
-          AND d.dev > {k} * m.mad)::BIGINT AS n_outliers,
-       m.n AS n_events
-FROM mad m
-""".format(k=repr(_MAD_K))
-
-
-def events_user_running(sf_dir, num_buckets=64):
-    """PER-ROW WINDOW FUNCTIONS over a partitioned, ordered stream: for
-    every event, its 1-based sequence number within the user, the user's
-    RUNNING value total up to and including it, and the LAG gap (µs since
-    the user's previous event; null on the first).
-
-    Same bucketed shape as sessionize — groupby ``user_id & (nb-1)``,
-    one vectorized pass per bucket over ALL its users (lexsort by
-    (user, ts, event_id), run-rank for seq, cumsum-minus-run-base for
-    the running total, shifted-diff masked at run starts for the lag).
-    Grouping on the raw user_id would pay the map_groups tax per USER.
-
-    Float-parity rule: the running total is carried in integer CENTS
-    (``floor(value·100 + 0.5)``) — a per-group float cumsum computed as
-    ``cumsum - base`` is not bit-identical to the oracle's fresh
-    per-partition summation, integer arithmetic is.  Output cardinality
-    equals the input (this is a transform, not a rollup): at 100 TB the
-    result is written back out, never collected."""
-    nb = num_buckets
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch.column('user_id').to_numpy(zero_copy_only=False) & (nb - 1)
-        return batch.append_column('bucket', pa.array(b, pa.int64()))
-
-    def windows(group: pa.Table) -> pa.Table:
-        uid = group.column('user_id').to_numpy(zero_copy_only=False)
-        ts = group.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column('event_id').to_numpy(zero_copy_only=False)
-        cents = np.floor(group.column('value').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, cents = uid[order], ts[order], eid[order], cents[order]
-        seq = rank_in_sorted_key(uid)
-        new_user = seq == 1
-        cum = np.cumsum(cents)
-        idx = np.arange(len(uid), dtype=np.int64)
-        starts = np.where(new_user, idx, 0)
-        np.maximum.accumulate(starts, out=starts)
-        running = cum - (cum - cents)[starts]
-        gap = ts - np.concatenate(([np.int64(0)], ts[:-1]))
-        return pa.table({
-            'event_id': pa.array(eid, pa.int64()),
-            'user_id': pa.array(uid, pa.int64()),
-            'seq': pa.array(seq, pa.int64()),
-            'running_cents': pa.array(running, pa.int64()),
-            'gap_us': pa.array(gap, pa.int64(), mask=new_user),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['event_id', 'ts', 'user_id', 'value'])
-    return (ds.map_batches(add_bucket, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('bucket').map_groups(windows, batch_format='pyarrow'))
-
-
-def events_props_stats(sf_dir):
-    """SEMI-STRUCTURED EXTRACTION: parse the integer ``k`` field out of the
-    JSON ``props`` column (vectorized RE2 ``extract_regex`` — no per-row
-    json.loads) and roll it up per event type: count, sum, max, distinct
-    count, mean.
-
-    Combiner-first distinct: each block folds to (type, k, cnt) rows —
-    the exchange moves one row per distinct (type, k) per block, and the
-    final per-type fold re-groups by k for the exact distinct count.
-    The oracle parses with DuckDB's ``json_extract`` — an INDEPENDENT
-    JSON parser, not the same regex — so the check is semantic."""
-    def partial(batch: pa.Table) -> pa.Table:
-        k = pc.cast(pc.struct_field(
-            pc.extract_regex(batch.column('props'), r'"k": (?P<k>\d+)'), 'k'),
-            pa.int64())
-        t = pa.table({'event_type': batch.column('event_type'), 'k': k})
-        g = t.group_by(['event_type', 'k']).aggregate([([], 'count_all')])
-        return g.rename_columns(['event_type', 'k', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        g = group.group_by('k').aggregate([('cnt', 'sum')])
-        k = g.column('k').to_numpy(zero_copy_only=False)
-        cnt = g.column('cnt_sum').to_numpy(zero_copy_only=False)
-        n = int(cnt.sum())
-        sum_k = int((k * cnt).sum())
-        return pa.table({
-            'event_type': group.column('event_type').slice(0, 1),
-            'n_events': pa.array([n], pa.int64()),
-            'sum_k': pa.array([sum_k], pa.int64()),
-            'max_k': pa.array([int(k.max())], pa.int64()),
-            'n_distinct_k': pa.array([g.num_rows], pa.int64()),
-            'avg_k': pa.array(round_half_up([sum_k / n], 6), pa.float64()),
-        })
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'props'])
-    return (ds.map_batches(partial, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('event_type').map_groups(final, batch_format='pyarrow'))
-
-
-def events_value_hist_quantiles(sf_dir, width=0.5, qs=(0.5, 0.9, 0.99)):
-    """APPROXIMATE per-group quantiles from a fixed-width HISTOGRAM sketch
-    — the bounded-state scale tier beside ``events_value_quantiles``
-    (exact, O(distinct values) state).  Each block folds values to
-    ``floor(value/width)`` bin counts; the merged histogram resolves each
-    quantile to its bin's UPPER edge ``(bin+1)·width`` — deterministic,
-    error < ``width``, and state is O(value range / width) per group
-    regardless of row count, so a 100 TB group costs the same exchange as
-    a 1 GB one.  The error bound needs a known value range."""
-    def partial(batch: pa.Table) -> pa.Table:
-        b = np.floor(batch.column('value').to_numpy(
-            zero_copy_only=False) / width).astype(np.int64)
-        t = pa.table({'event_type': batch.column('event_type'),
-                      'bin': pa.array(b, pa.int64())})
-        g = t.group_by(['event_type', 'bin']).aggregate([([], 'count_all')])
-        return g.rename_columns(['event_type', 'bin', 'cnt'])
-
-    def final(group: pa.Table) -> pa.Table:
-        g = group.group_by('bin').aggregate([('cnt', 'sum')])
-        bins = g.column('bin').to_numpy(zero_copy_only=False)
-        cnts = g.column('cnt_sum').to_numpy(zero_copy_only=False)
-        order = np.argsort(bins, kind='mergesort')
-        bins, cnts = bins[order], cnts[order]
-        cum = np.cumsum(cnts)
-        n = int(cum[-1])
-        cols = {'event_type': group.column('event_type').slice(0, 1)}
-        for q in qs:
-            pos = int(np.searchsorted(cum, np.ceil(q * n), side='left'))
-            cols['p%02d_est' % int(round(q * 100))] = pa.array(
-                [(float(bins[pos]) + 1.0) * width], pa.float64())
-        cols['n_events'] = pa.array([n], pa.int64())
-        cols['n_bins'] = pa.array([len(bins)], pa.int64())
-        return pa.table(cols)
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'value'])
-    return (ds.map_batches(partial, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('event_type').map_groups(final, batch_format='pyarrow'))
-
-
-_EVENT_TYPES = ('click', 'error', 'purchase', 'signup', 'view')
-
-
-def user_event_pivot(sf_dir, event_types=_EVENT_TYPES, num_buckets=64):
-    """PIVOT / reshape: one row per user with a count column per event
-    type (long → wide).  The pivot happens INSIDE the per-block combiner
-    — each block folds to (user, type, cnt) rows, the bucketed exchange
-    moves combiner rows only, and each bucket pivots ALL its users in one
-    vectorized scatter (type dictionary-encode → (row, col) index → 2-D
-    bincount), not a per-user map_groups.  ``event_types`` — the column
-    set — is the operator's PARAMETER (known vocabulary): the standard
-    contract for pivot at scale, since discovered-at-runtime columns
-    would need a schema barrier.  A value outside the vocabulary raises
-    a named ValueError rather than failing deep in a worker."""
-    nb = num_buckets
-    type_idx = {t: i for i, t in enumerate(event_types)}
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({'user_id': batch.column('user_id'),
-                      'event_type': batch.column('event_type')})
-        g = t.group_by(['user_id', 'event_type']).aggregate([([], 'count_all')])
-        g = g.rename_columns(['user_id', 'event_type', 'cnt'])
-        b = g.column('user_id').to_numpy(zero_copy_only=False) & (nb - 1)
-        return g.append_column('bucket', pa.array(b, pa.int64()))
-
-    def pivot(group: pa.Table) -> pa.Table:
-        uid = group.column('user_id').to_numpy(zero_copy_only=False)
-        cnt = group.column('cnt').to_numpy(zero_copy_only=False)
-        # type → column index in C++: dictionary-encode the (already
-        # combiner-deduped) type column, remap only the tiny dictionary
-        enc = group.column('event_type').combine_chunks().dictionary_encode()
-        dict_vals = enc.dictionary.to_pylist()
-        unknown = [v for v in dict_vals if v not in type_idx]
-        if unknown:
-            raise ValueError(
-                'user_event_pivot: event_type values %r are not in the '
-                'pivot vocabulary %r' % (unknown, list(event_types)))
-        remap = np.fromiter((type_idx[v] for v in dict_vals), np.int64,
-                            len(dict_vals))
-        col = remap[enc.indices.to_numpy(zero_copy_only=False)]
-        users, row = np.unique(uid, return_inverse=True)
-        wide = np.zeros((len(users), len(event_types)), np.int64)
-        np.add.at(wide, (row, col), cnt)
-        cols = {'user_id': pa.array(users, pa.int64())}
-        for i, t in enumerate(event_types):
-            cols['n_' + t] = pa.array(wide[:, i], pa.int64())
-        cols['n_total'] = pa.array(wide.sum(axis=1), pa.int64())
-        return pa.table(cols)
-
-    ds = read_table(sf_dir, 'events', columns=['user_id', 'event_type'])
-    return (ds.map_batches(partial, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('bucket').map_groups(pivot, batch_format='pyarrow'))
-
-
-def events_user_rolling(sf_dir, frame=3, num_buckets=64):
-    """FRAME-BOUNDED rolling window: per event, the sum of the user's
-    last ``frame`` event values (ROWS BETWEEN frame-1 PRECEDING AND
-    CURRENT ROW) — the moving-aggregate companion to the UNBOUNDED
-    running total in :func:`events_user_running`.  Same bucketed
-    one-pass-per-bucket shape; the frame sum is a cumsum difference
-    clamped at each user's run start (integer cents — exact float parity
-    with the SQL window oracle)."""
-    nb = num_buckets
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch.column('user_id').to_numpy(zero_copy_only=False) & (nb - 1)
-        return batch.append_column('bucket', pa.array(b, pa.int64()))
-
-    def rolling(group: pa.Table) -> pa.Table:
-        uid = group.column('user_id').to_numpy(zero_copy_only=False)
-        ts = group.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column('event_id').to_numpy(zero_copy_only=False)
-        cents = np.floor(group.column('value').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, cents = uid[order], ts[order], eid[order], cents[order]
-        seq = rank_in_sorted_key(uid)
-        idx = np.arange(len(uid), dtype=np.int64)
-        run_start = idx - (seq - 1)
-        cum = np.cumsum(cents)
-        base = cum - cents              # prefix sum BEFORE each row
-        # window start: frame-1 rows back, clamped at the user's run start
-        wstart = np.maximum(idx - (frame - 1), run_start)
-        roll = cum - base[wstart]
-        n_in = idx - wstart + 1
-        return pa.table({
-            'event_id': pa.array(eid, pa.int64()),
-            'user_id': pa.array(uid, pa.int64()),
-            'roll_cents': pa.array(roll, pa.int64()),
-            'n_in_frame': pa.array(n_in, pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['event_id', 'ts', 'user_id', 'value'])
-    return (ds.map_batches(add_bucket, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('bucket').map_groups(rolling, batch_format='pyarrow'))
-
-
-def events_latest_per_user(sf_dir, num_buckets=64):
-    """LATEST-RECORD COMPACTION (the CDC / upsert shape): collapse the
-    event stream to each user's single most recent event (max ts,
-    event_id as the deterministic tie-break) — the operation that turns
-    an append-only change log into a current-state snapshot.
-
-    Two-tier argmax, same skeleton as grouped top-k: a per-block PARTIAL
-    latest-per-user (lexsort desc + run-rank == 1; a block's winner is a
-    superset of its contribution to the global winner) caps the exchange
-    at ONE row per (user, block); one bucketed ``user_id & (nb-1)``
-    groupby; the identical kernel per bucket picks the global winner.
-    Payload columns (event_type, value) ride the exchange with the
-    winner rows only — the log's full width never shuffles."""
-    nb = num_buckets
-
-    def latest_rows(batch: pa.Table, with_bucket) -> pa.Table:
-        uid = batch.column('user_id').to_numpy(zero_copy_only=False)
-        ts = batch.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = batch.column('event_id').to_numpy(zero_copy_only=False)
-        order = np.lexsort((-eid, -ts, uid))
-        keep = order[rank_in_sorted_key(uid[order]) == 1]
-        out = batch.take(pa.array(keep, pa.int64()))
-        if with_bucket:
-            out = out.append_column(
-                'bucket', pa.array(uid[keep] & (nb - 1), pa.int64()))
-        return out
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return latest_rows(batch, with_bucket=True)
-
-    def bucket_final(group: pa.Table) -> pa.Table:
-        return latest_rows(group.drop_columns(['bucket']), with_bucket=False)
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['user_id', 'event_id', 'event_type', 'ts',
-                             'value'])
-    return ds.map_batches(partial, batch_format='pyarrow',
-                          zero_copy_batch=True) \
-             .groupby('bucket').map_groups(bucket_final,
-                                           batch_format='pyarrow')
-
-
-def events_rollup(sf_dir):
-    """ROLLUP aggregate — (event_type, day) detail plus the event_type
-    subtotals plus the grand total, all derived from ONE combiner pass:
-    the map stage folds each block to (type, day, cnt, cents) partials;
-    one tiny groupby folds them to the finest level; the coarser levels
-    are re-aggregations of THAT result (≤ types × days rows), never of
-    the raw stream.  ``lvl`` disambiguates the NULL padding exactly like
-    SQL's GROUPING(): 0 = detail, 1 = per-type, 3 = grand total.
-
-    Integer-cents totals keep the three fold tiers bit-identical to the
-    oracle's single-pass sums."""
-    DAY_US = 86_400_000_000
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = (ts // DAY_US) * DAY_US
-        cents = np.floor(batch.column('value').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({'event_type': batch.column('event_type'),
-                      'day': pa.array(day, pa.int64()),
-                      'cents': pa.array(cents, pa.int64())})
-        g = t.group_by(['event_type', 'day']).aggregate(
-            [('cents', 'sum'), ('cents', 'count')])
-        return g.rename_columns(['event_type', 'day', 'cents', 'cnt'])
-
-    def fold(group: pa.Table) -> pa.Table:
-        g = group.group_by(['event_type', 'day']).aggregate(
-            [('cents', 'sum'), ('cnt', 'sum')])
-        return g.rename_columns(['event_type', 'day', 'cents', 'cnt'])
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'ts', 'value'])
-    detail_ds = ds.map_batches(partial, batch_format='pyarrow',
-                               zero_copy_batch=True) \
-                  .groupby(['event_type', 'day']).map_groups(
-                      fold, batch_format='pyarrow')
-    parts = [t for t in ray.get(detail_ds.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table({'event_type': pa.array([], pa.string()),
-                         'day': pa.array([], pa.timestamp('us')),
-                         'n_events': pa.array([], pa.int64()),
-                         'sum_cents': pa.array([], pa.int64()),
-                         'lvl': pa.array([], pa.int64())})
-    detail = pa.concat_tables(parts, promote_options='none')
-
-    def level(tbl, keys, lvl):
-        if keys:
-            g = tbl.group_by(keys).aggregate([('cents', 'sum'), ('cnt', 'sum')])
-            g = g.rename_columns(keys + ['cents', 'cnt'])
-        else:
-            g = pa.table({
-                'cents': pa.array([pc.sum(tbl.column('cents')).as_py() or 0],
-                                  pa.int64()),
-                'cnt': pa.array([pc.sum(tbl.column('cnt')).as_py() or 0],
-                                pa.int64())})
-        n = g.num_rows
-        return pa.table({
-            'event_type': (g.column('event_type') if 'event_type' in keys
-                           else pa.nulls(n, pa.string())),
-            'day': (g.column('day').cast(pa.timestamp('us')) if 'day' in keys
-                    else pa.nulls(n, pa.timestamp('us'))),
-            'n_events': g.column('cnt').cast(pa.int64()),
-            'sum_cents': g.column('cents').cast(pa.int64()),
-            'lvl': pa.array([lvl] * n, pa.int64()),
-        })
-
-    return pa.concat_tables([
-        level(detail, ['event_type', 'day'], 0),
-        level(detail, ['event_type'], 1),
-        level(detail, [], 3),
-    ], promote_options='none')
 
 
 _FUNNEL_STAGES = ('view', 'click', 'purchase')
@@ -793,263 +114,6 @@ def events_funnel(sf_dir, stages=_FUNNEL_STAGES, num_buckets=64):
         'seq': g.column('seq'),
         'n_users': g.column('n_users').cast(pa.int64()),
     })
-
-
-def _user_type_set_op(sf_dir, types, keep_mask, num_buckets=64):
-    """Shared kernel for SQL set operations (INTERSECT / EXCEPT) over
-    per-type distinct user sets: each block folds its rows to ONE
-    (user_id, presence-bitmask) partial per user (``np.bitwise_or.at``
-    over a per-block ``np.unique``), one bucketed ``user_id & (nb-1)``
-    exchange moves ≤ users-per-block rows, and each bucket OR-folds the
-    masks and keeps users whose final mask equals ``keep_mask``.
-
-    The full event stream never shuffles — the exchange carries only the
-    distinct-user partials, the set-op analog of a combiner-first
-    aggregate."""
-    nb = num_buckets
-    tarr = pa.array(types)
-
-    def fold_masks(uid, bits):
-        u, inv = np.unique(uid, return_inverse=True)
-        m = np.zeros(len(u), np.int64)
-        np.bitwise_or.at(m, inv, bits)
-        return u, m
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sel = batch.filter(pc.and_(
-            pc.is_in(batch.column('event_type'), value_set=tarr),
-            pc.greater_equal(batch.column('value'), SET_OP_MIN_VALUE)))
-        uid = sel.column('user_id').to_numpy(zero_copy_only=False)
-        et = sel.column('event_type').to_numpy(zero_copy_only=False)
-        bits = np.zeros(len(uid), np.int64)
-        for i, t in enumerate(types):
-            bits |= np.where(et == t, np.int64(1 << i), np.int64(0))
-        u, m = fold_masks(uid, bits)
-        return pa.table({'user_id': pa.array(u, pa.int64()),
-                         'mask': pa.array(m, pa.int64()),
-                         'bucket': pa.array(u & (nb - 1), pa.int64())})
-
-    def bucket_final(group: pa.Table) -> pa.Table:
-        u, m = fold_masks(group.column('user_id').to_numpy(zero_copy_only=False),
-                          group.column('mask').to_numpy(zero_copy_only=False))
-        return pa.table({'user_id': pa.array(u[m == keep_mask], pa.int64())})
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['user_id', 'event_type', 'value'])
-    return ds.map_batches(partial, batch_format='pyarrow',
-                          zero_copy_batch=True) \
-             .groupby('bucket').map_groups(bucket_final,
-                                           batch_format='pyarrow')
-
-
-# High-value threshold shared verbatim with the oracle predicates (every
-# user has every event type in the synthetic data, so the UNFILTERED
-# per-type user sets are identical — the threshold makes the set algebra
-# non-trivial at every sf).
-SET_OP_MIN_VALUE = 95.0
-
-
-def users_view_and_purchase(sf_dir, num_buckets=64):
-    """SQL INTERSECT: distinct users with BOTH a high-value purchase
-    and a high-value view event."""
-    return _user_type_set_op(sf_dir, ('view', 'purchase'), keep_mask=3,
-                             num_buckets=num_buckets)
-
-
-def users_purchase_not_view(sf_dir, num_buckets=64):
-    """SQL EXCEPT: distinct users with a high-value purchase but no
-    high-value view event."""
-    return _user_type_set_op(sf_dir, ('view', 'purchase'), keep_mask=2,
-                             num_buckets=num_buckets)
-
-
-def events_time_rolling(sf_dir, window_us=3_600_000_000, num_buckets=64):
-    """TIME-RANGE rolling window: per event, the count and value total of
-    the same user's events in the last hour (SQL ``RANGE BETWEEN
-    INTERVAL 1 HOUR PRECEDING AND CURRENT ROW`` — includes ts peers on
-    both edges, so the result is order-independent under ties, unlike a
-    ROWS frame).  The ROWS-frame companion is :func:`events_user_rolling`.
-
-    Vectorized per bucket with NO per-user Python loop: after the
-    (user, ts) lexsort, per-user runs are remapped onto one global
-    MONOTONE time axis (each run shifted past the previous run's end by
-    more than the window), so two global ``np.searchsorted`` calls give
-    every row's window bounds at once and a cumsum difference gives the
-    sums."""
-    nb = num_buckets
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = batch.column('user_id').to_numpy(zero_copy_only=False) & (nb - 1)
-        return batch.append_column('bucket', pa.array(b, pa.int64()))
-
-    def rolling(group: pa.Table) -> pa.Table:
-        uid = group.column('user_id').to_numpy(zero_copy_only=False)
-        ts = group.column('ts').cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column('event_id').to_numpy(zero_copy_only=False)
-        cents = np.floor(group.column('value').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, cents = uid[order], ts[order], eid[order], cents[order]
-        n = len(uid)
-        rs = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])   # run starts
-        re = np.r_[rs[1:], n]                                   # run ends
-        span = ts[re - 1] - ts[rs]
-        # the monotone axis accumulates Σ(span + window + 1): guard the
-        # int64 capacity (float estimate, generous 2^61 margin) and fall
-        # back to per-run searchsorted — same results, no silent wrap
-        if (float(np.sum(span, dtype=np.float64))
-                + len(rs) * (window_us + 1.0)) < float(1 << 61):
-            run_of = np.repeat(np.arange(len(rs), dtype=np.int64), re - rs)
-            base = np.concatenate(([0], np.cumsum(span + window_us + 1)))[:-1]
-            mono = ts - ts[rs][run_of] + base[run_of]
-            lo = np.searchsorted(mono, mono - window_us, side='left')
-            hi = np.searchsorted(mono, mono, side='right')
-        else:
-            lo = np.empty(n, np.int64)
-            hi = np.empty(n, np.int64)
-            for s, e in zip(rs, re):
-                seg = ts[s:e]
-                lo[s:e] = s + np.searchsorted(seg, seg - window_us, 'left')
-                hi[s:e] = s + np.searchsorted(seg, seg, 'right')
-        cum = np.concatenate(([0], np.cumsum(cents)))
-        return pa.table({
-            'event_id': pa.array(eid, pa.int64()),
-            'user_id': pa.array(uid, pa.int64()),
-            'n_win': pa.array(hi - lo, pa.int64()),
-            'win_cents': pa.array(cum[hi] - cum[lo], pa.int64()),
-        })
-
-    ds = read_table(sf_dir, 'events',
-                    columns=['event_id', 'ts', 'user_id', 'value'])
-    return (ds.map_batches(add_bucket, batch_format='pyarrow',
-                           zero_copy_batch=True)
-              .groupby('bucket').map_groups(rolling, batch_format='pyarrow'))
-
-
-def events_value_zscore(sf_dir):
-    """AGGREGATE-THEN-ENRICH normalization: z-score every event's value
-    against its event_type's population mean/std — the standardization
-    pass a feature pipeline runs before training.
-
-    Shape: the per-type moments (n, Σcents, Σcents²) fold combiner-first
-    to a HANDFUL of rows (types are low-cardinality by schema), the tiny
-    moment table broadcasts back via ``ray.put``, and the fact table gets
-    its z column in a second shuffle-free map pass — the fact stream is
-    read twice but never exchanged.  Integer moment sums make the two
-    fold tiers exact; the z expression is evaluated in the IDENTICAL
-    float op order as the oracle ((c - S/n) / sqrt(S2/n - (S/n)²),
-    half-up r6) so hashes match bit-for-bit."""
-
-    def moments(batch: pa.Table) -> pa.Table:
-        cents = np.floor(batch.column('value').to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({'event_type': batch.column('event_type'),
-                      's': pa.array(cents, pa.int64()),
-                      's2': pa.array(cents * cents, pa.int64()),
-                      'n': pa.array(np.ones(len(cents), np.int64))})
-        g = t.group_by('event_type').aggregate(
-            [('s', 'sum'), ('s2', 'sum'), ('n', 'sum')])
-        return g.rename_columns(['event_type', 's', 's2', 'n'])
-
-    ds = read_table(sf_dir, 'events', columns=['event_type', 'value'])
-    parts = [t for t in ray.get(
-        ds.map_batches(moments, batch_format='pyarrow',
-                       zero_copy_batch=True).to_arrow_refs()) if t.num_rows]
-    mom = pa.concat_tables(parts, promote_options='none') \
-            .group_by('event_type').aggregate(
-                [('s', 'sum'), ('s2', 'sum'), ('n', 'sum')])
-    lookup = {mom.column('event_type')[i].as_py():
-              (mom.column('s_sum')[i].as_py(), mom.column('s2_sum')[i].as_py(),
-               mom.column('n_sum')[i].as_py()) for i in range(mom.num_rows)}
-    state_ref = ray.put(lookup)
-
-    class ZScore(BroadcastLookup):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cents = np.floor(batch.column('value').to_numpy(
-                zero_copy_only=False) * 100.0 + 0.5)
-            et = batch.column('event_type').to_numpy(zero_copy_only=False)
-            types = list(self.state)
-            code = pc.index_in(batch.column('event_type'),
-                               value_set=pa.array(types)) \
-                     .to_numpy(zero_copy_only=False)
-            S = np.array([self.state[t][0] for t in types], np.float64)[code]
-            S2 = np.array([self.state[t][1] for t in types], np.float64)[code]
-            N = np.array([self.state[t][2] for t in types], np.float64)[code]
-            mu = S / N
-            # Zero-variance guard (float parity): DuckDB yields NULL for
-            # any x/0, so a degenerate event_type (all values equal)
-            # must emit null, not NaN.  Both sides compute the variance
-            # with the identical float expression, so denom==0 happens
-            # on both or neither; a negative variance (mathematically
-            # impossible, same float path both sides) would error the
-            # oracle loudly rather than diverge silently.
-            with np.errstate(invalid='ignore', divide='ignore'):
-                denom = np.sqrt(S2 / N - mu * mu)
-                z = (cents - mu) / denom
-            null_mask = ~(denom > 0)
-            return pa.table({
-                'event_id': batch.column('event_id'),
-                'event_type': batch.column('event_type'),
-                'z': pa.array(round_half_up(z, 6), pa.float64(),
-                              mask=null_mask),
-            })
-
-    facts = read_table(sf_dir, 'events',
-                       columns=['event_id', 'event_type', 'value'])
-    return facts.map_batches(ZScore, fn_constructor_args=(state_ref,),
-                             concurrency=pool(), batch_format='pyarrow',
-                             zero_copy_batch=True)
-
-
-def events_value_deciles(sf_dir, n_bins=10):
-    """DISCRETIZATION / feature binning: assign every event the global
-    decile of its value — the quantile-bucketing transform feature
-    pipelines run before training (equal-frequency bins, exact
-    percentile_disc edges).
-
-    Shape: the (value, count) distinct-value combiner from the exact
-    quantile tier folds the stream to one row per distinct value per
-    block; the driver resolves the 9 edges from the merged histogram
-    (same scale contract as events_value_quantiles — continuous data at
-    100 TB needs the histogram tier) and the second pass assigns bins with
-    one vectorized searchsorted, shuffle-free.  ``decile`` = 1 + number
-    of edges strictly below the value — identical to the oracle's CASE
-    ladder."""
-    qs = [i / n_bins for i in range(1, n_bins)]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(['value']).group_by('value') \
-                 .aggregate([([], 'count_all')])
-        return g.rename_columns(['value', 'cnt'])
-
-    ds = read_table(sf_dir, 'events', columns=['value'])
-    parts = [t for t in ray.get(
-        ds.map_batches(partial, batch_format='pyarrow',
-                       zero_copy_batch=True).to_arrow_refs()) if t.num_rows]
-    hist = pa.concat_tables(parts, promote_options='none') \
-             .group_by('value').aggregate([('cnt', 'sum')])
-    vals = hist.column('value').to_numpy(zero_copy_only=False)
-    cnts = hist.column('cnt_sum').to_numpy(zero_copy_only=False)
-    order = np.argsort(vals, kind='mergesort')
-    vals, cnts = vals[order], cnts[order]
-    cum = np.cumsum(cnts)
-    n = int(cum[-1]) if len(cum) else 0
-    edges = np.array([vals[np.searchsorted(cum, int(np.ceil(q * n)),
-                                           side='left')]
-                      for q in qs], np.float64) if n else np.empty(0)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        v = batch.column('value').to_numpy(zero_copy_only=False)
-        d = np.searchsorted(edges, v, side='left') + 1   # edges < v
-        return pa.table({
-            'event_id': batch.column('event_id'),
-            'value': batch.column('value'),
-            'decile': pa.array(d.astype(np.int64), pa.int64()),
-        })
-
-    facts = read_table(sf_dir, 'events', columns=['event_id', 'value'])
-    return facts.map_batches(assign, batch_format='pyarrow',
-                             zero_copy_batch=True)
 
 
 def events_hour_value_corr(sf_dir):
@@ -1220,7 +284,7 @@ def user_decay_score(sf_dir, window_days=DECAY_WINDOW_DAYS, num_buckets=64):
     (``epoch_us // us_per_day``, positive operands so numpy floor and
     DuckDB truncating ``//`` agree), values go through the shared
     cents convention (``floor(v·100 + 0.5)``,
-    cf. ``events_user_running``), and the decay multiply is a BINARY
+    cf. ``events_hour_value_corr``), and the decay multiply is a BINARY
     SHIFT — the whole score is an int64 sum, order-independent, no
     float expression to drift.  Headroom: cents ≤ ~5·10^4, shift ≤ 2^20,
     so ~1.7·10^8 in-window events per user fit int64 — beyond any real
@@ -1758,14 +822,14 @@ FROM w
 
 def session_durations(sf_dir, gap_s=1800, num_buckets=64):
     """SESSION-LEVEL rollup (one row per session): (user_id,
-    session_idx, n_events, duration_us) under the same 30-min-gap rule
-    as :func:`events_sessionize` — the table a product/engagement
-    pipeline feeds into retention and engagement models.
+    session_idx, n_events, duration_us) under a 30-min-gap rule (a gap
+    of more than ``gap_s`` starts a new session) — the table a
+    product/engagement pipeline feeds into retention and engagement
+    models.
 
-    Same bucketed shape as sessionize (bucket = user_id & (nb−1), each
-    bucket sessionizes all its users in one lexsort + one break
-    vector); sessions materialize via a cumulative-sum session key and
-    one C++ group_by — never a per-user or per-session Python loop.
+    Bucketed (bucket = user_id & (nb−1)): each bucket sessionizes all
+    its users in one lexsort + one break vector; sessions materialize
+    via a cumulative-sum session key and one C++ group_by — never a per-user or per-session Python loop.
     session_idx is the per-user ordinal in time order, duration the
     int64 microsecond span (0 for singletons)."""
     gap_us = gap_s * 1_000_000

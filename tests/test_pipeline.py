@@ -525,10 +525,11 @@ def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp('out_stale'))
     os.makedirs(out, exist_ok=True)
     stale = os.path.join(out, '_spill-deadbeef')
-    os.makedirs(stale)
-    # poison: a plausible-looking spill file that would corrupt bucket 0
+    os.makedirs(os.path.join(stale, 'shard-000'))
+    # poison: a spill file in the layout Stage B reads (an Arrow IPC
+    # shard-XXX/spill-*.arrow) that would corrupt bucket 0
     import pyarrow as pa
-    pq.write_table(pa.table({
+    poison = pa.table({
         'conv_id': pa.array(['conv-zzz'], pa.string()),
         'turn_idx': pa.array([0], pa.int32()),
         'text': pa.array(['POISON'], pa.string()),
@@ -537,7 +538,10 @@ def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
         'decode_ok': pa.array([True], pa.bool_()),
         'error': pa.array([''], pa.string()),
         'bucket': pa.array([0], pa.int32()),
-    }), os.path.join(stale, 'spill-junk.parquet'))
+    })
+    with pa.ipc.new_file(os.path.join(stale, 'shard-000', 'spill-junk.arrow'),
+                         poison.schema) as writer:
+        writer.write_table(poison)
 
     summary = run_extraction(d, out, num_buckets=4, batch_size=32,
                              concurrency=2, resume=True)
