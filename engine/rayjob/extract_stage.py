@@ -13,15 +13,19 @@ another job's extraction.
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
 arbitrarily; ``batch_size`` bounds worker heap (payloads decompress
-in-row, nothing accumulates); output columns are plain Arrow arrays built
-once per batch.
+in-row, nothing accumulates).  A batch is extracted once per DISTINCT
+payload (one Arrow hash pass over its ``text`` column), and
+each output column is one Arrow ``take`` of the per-distinct results, so
+no per-row Python runs between the kernel calls.
 """
 
 import functools
+import itertools
 import zlib
 from collections import OrderedDict
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
@@ -81,11 +85,14 @@ def pin_arrow_threads():
 
 class _CachedStage(object):
     """Font state plus an LRU of extraction results keyed by payload md5.
-    Extraction is a pure function of the payload, so a repeated payload
-    (boilerplate PDFs attached to many turns — common in web-scale
-    transcript corpora) costs one md5 (~µs) instead of a full
-    re-extraction (~ms).  Bounded by entry COUNT; ``payload_lru=0``
-    disables it."""
+    Extraction is a pure function of the payload, so a batch runs it once
+    per distinct payload (``_extract_distinct``), and a payload seen in an
+    earlier batch of the job (boilerplate PDFs attached to many turns —
+    common in web-scale transcript corpora) costs one md5 (~µs) instead of
+    a full re-extraction (~ms).  ``lru_hits`` counts every row served
+    without a kernel call: LRU hits and repeats within a batch.  Bounded by
+    entry COUNT; ``payload_lru=0`` disables the LRU, not the per-batch
+    dedup."""
 
     def __init__(self, payload_lru):
         pin_arrow_threads()
@@ -108,9 +115,24 @@ class _CachedStage(object):
             self._lru.popitem(last=False)
         return value
 
+    def _extract_distinct(self, column, extract):
+        """``extract`` of each distinct payload of ``column`` (through the
+        LRU), and per row the index of its payload's result (an Arrow int32
+        array).  One Arrow hash pass finds the distinct payloads; a null
+        payload is a value of its own, because ``extract_turn(None)`` has a
+        result."""
+        enc = pc.dictionary_encode(column.combine_chunks(),
+                                   null_encoding='encode')
+        payloads = enc.dictionary.to_pylist()
+        results = [self._cached(payload, extract) for payload in payloads]
+        self.lru_hits += len(enc.indices) - len(payloads)   # in-batch repeats
+        return results, enc.indices
+
 
 class ExtractTurns(_CachedStage):
-    """One output row per turn: text, span/page counts, decode status."""
+    """One output row per turn: text, span/page counts, decode status.
+    The kernel runs once per distinct payload of the batch, and each
+    result column is one ``take`` of the rows' payload indices."""
 
     def __init__(self, payload_lru=PAYLOAD_LRU):
         super().__init__(payload_lru)
@@ -120,17 +142,18 @@ class ExtractTurns(_CachedStage):
         return (r['text'], r['n_spans'], r['n_pages'], r['decode_ok'], r['error'])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._cached(payload, self._extract)
-                for payload in batch.column('text').to_pylist()]
-        text, n_spans, n_pages, decode_ok, error = zip(*rows) if rows else [()] * 5
+        results, idx = self._extract_distinct(batch.column('text'),
+                                              self._extract)
+        text, n_spans, n_pages, decode_ok, error = (
+            zip(*results) if results else [()] * 5)
         cols = {
             'conv_id': batch.column('conv_id'),
             'turn_idx': batch.column('turn_idx'),
-            'text': pa.array(text, pa.string()),
-            'n_spans': pa.array(n_spans, pa.int32()),
-            'n_pages': pa.array(n_pages, pa.int32()),
-            'decode_ok': pa.array(decode_ok, pa.bool_()),
-            'error': pa.array(error, pa.string()),
+            'text': pa.array(text, pa.string()).take(idx),
+            'n_spans': pa.array(n_spans, pa.int32()).take(idx),
+            'n_pages': pa.array(n_pages, pa.int32()).take(idx),
+            'decode_ok': pa.array(decode_ok, pa.bool_()).take(idx),
+            'error': pa.array(error, pa.string()).take(idx),
         }
         if 'bucket' in batch.column_names:
             cols['bucket'] = batch.column('bucket')
@@ -143,9 +166,11 @@ class ExtractSpans(_CachedStage):
     layout-aware downstream consumers.
 
     Spans are a pure function of the payload (only conv_id/turn_idx differ
-    between rows sharing a payload), so the same payload LRU applies, with
-    a lower cap (a cached entry holds the whole span list, not one text
-    string)."""
+    between rows sharing a payload), so the kernel runs once per distinct
+    payload of the batch and the same payload LRU applies, with a lower cap
+    (a cached entry holds the whole span list, not one text string).  The
+    distinct payloads' span lists are flattened into columns once, and
+    each row's spans are a ``take`` of its payload's span range."""
 
     def __init__(self, payload_lru=SPANS_LRU):
         super().__init__(payload_lru)
@@ -154,28 +179,29 @@ class ExtractSpans(_CachedStage):
         return extract_turn(payload, self.shared, collect_spans=True)['spans'] or ()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        conv, turn, page, xs, ys, uni, cid, width = [], [], [], [], [], [], [], []
-        conv_ids = batch.column('conv_id').to_pylist()
-        turn_idxs = batch.column('turn_idx').to_pylist()
-        for c, t, payload in zip(conv_ids, turn_idxs, batch.column('text').to_pylist()):
-            for (pg, x, y, u, g_cid, g_w) in self._cached(payload, self._spans):
-                conv.append(c)
-                turn.append(t)
-                page.append(pg)
-                xs.append(x)
-                ys.append(y)
-                uni.append(u)
-                cid.append(g_cid)
-                width.append(g_w)
+        import numpy as np
+        spans, idx = self._extract_distinct(batch.column('text'), self._spans)
+        flat = list(itertools.chain.from_iterable(spans))
+        page, xs, ys, uni, cid, width = zip(*flat) if flat else [()] * 6
+        counts = np.fromiter(map(len, spans), np.int64, len(spans))
+        first = np.cumsum(counts) - counts      # a payload's first flat span
+        idx = idx.to_numpy(zero_copy_only=False)
+        per_row = counts[idx]
+        row_first = np.cumsum(per_row) - per_row
+        # output span k of row r is flat span first[idx[r]] + k - row_first[r]
+        at = pa.array(np.arange(per_row.sum()) +
+                      np.repeat(first[idx] - row_first, per_row))
+        keys = batch.select(['conv_id', 'turn_idx']).take(
+            pa.array(np.repeat(np.arange(len(idx)), per_row)))
         return pa.table({
-            'conv_id': pa.array(conv, pa.string()),
-            'turn_idx': pa.array(turn, pa.int32()),
-            'page': pa.array(page, pa.int32()),
-            'x': pa.array(xs, pa.float64()),
-            'y': pa.array(ys, pa.float64()),
-            'unicode': pa.array(uni, pa.string()),
-            'cid': pa.array(cid, pa.int32()),
-            'width': pa.array(width, pa.float64()),
+            'conv_id': keys.column('conv_id').cast(pa.string()),
+            'turn_idx': keys.column('turn_idx').cast(pa.int32()),
+            'page': pa.array(page, pa.int32()).take(at),
+            'x': pa.array(xs, pa.float64()).take(at),
+            'y': pa.array(ys, pa.float64()).take(at),
+            'unicode': pa.array(uni, pa.string()).take(at),
+            'cid': pa.array(cid, pa.int32()).take(at),
+            'width': pa.array(width, pa.float64()).take(at),
         })
 
 
@@ -204,9 +230,11 @@ class ExtractAndSpill(ExtractTurns):
     table), and a compaction task lists and maps ONLY its bucket's shard.
     At 100 TB (~400k spill blocks) an unsharded dir makes every compact
     task open 400k files; with S shards it opens 400k/S.
-    ``run_extraction`` derives S = isqrt(num_buckets) // 2: 4 at the
-    default 64 buckets, 223–316 at 200–400k buckets, so file count per
-    batch grows by ≤ S.
+    ``run_extraction`` derives S = min(isqrt(num_buckets) // 2, cluster
+    CPUs), at least 1: 2 at the default 64 buckets on 2 CPUs, 223–316 at
+    200–400k buckets on a cluster of at least that many CPUs, so file count
+    per batch grows by ≤ S.  Extraction is ``ExtractTurns``'s: once per
+    distinct payload of the batch.
     """
 
     def __init__(self, spill_dir, num_buckets, num_shards=1):

@@ -19,7 +19,7 @@ CPUs by default), no driver-side row loops:
            sorted by bucket, and SPILLED to shared storage as an
            uncompressed Arrow IPC file named after (unit, slice offset);
            a task returns only its row count
-  Stage B (one task per spill shard):
+  Stage B (one task per spill shard, all at once: one wave):
     compact(that shard's not-yet-done buckets)     # list and memory-map
            the shard's spill files once (spill dir is sharded by
            contiguous bucket range); bucket row counts are binary
@@ -49,12 +49,18 @@ never holds the shuffled payload, and both stages are embarrassingly
 parallel (Stage A per unit, Stage B per spill shard).  Bucket keys
 are uniform crc32 hashes: a single skewed conversation cannot skew a
 partition beyond its own size.  Stage B's width is ``num_shards`` =
-isqrt(num_buckets) // 2 (4 at 64 buckets, 223–316 at 200–400k), not
-``num_buckets``: a single bucket is ~10 ms of work on small jobs, less
-than the cost of dispatching a task for it.  At 100 TB: pick num_buckets so
-each bucket ≈ a few hundred MB and num_shards ≥ cluster cores; spill
-locality is whatever the cluster's shared store gives (the same
-trade Spark/MapReduce external shuffles make).
+min(isqrt(num_buckets) // 2, the cluster's CPUs), at least 1
+(``_num_shards``: 2 at 64 buckets on 2 CPUs, 223–316 at 200–400k buckets
+on a cluster of that many CPUs), not ``num_buckets``: a single bucket is
+~10 ms of work on small jobs, less than the cost of dispatching a task for
+it, and with no more shards than CPUs Stage B runs as one wave of tasks
+and each Stage A slice writes at most that many spill files.  The cap is
+the cluster's CPUs, not a caller's ``concurrency``.  At 100 TB: pick
+num_buckets so each bucket ≈ a few hundred MB; on a cluster with fewer
+CPUs than isqrt(num_buckets) // 2, a shard (and the redo of a failed Stage
+B task) grows by that ratio.  Spill locality is whatever the cluster's
+shared store gives (the same trade Spark/MapReduce external shuffles
+make).
 
 Skew (the north rule's long-conversation concern): the COMPUTE stage is
 per-row — extraction never groups by conv_id — so a million-turn
@@ -105,6 +111,12 @@ def default_concurrency():
     if not ray.is_initialized():
         return None
     return max(1, int(ray.cluster_resources().get('CPU', 1)))
+
+
+def _num_shards(num_buckets, cpus):
+    """Spill shards (= Stage B tasks) of a job: isqrt(num_buckets) // 2,
+    but no more than ``cpus``, so Stage B runs as one wave; at least 1."""
+    return max(1, min(math.isqrt(num_buckets) // 2, cpus))
 
 
 def _extract(ds, batch_size, concurrency, cls, job_id, *args):
@@ -503,7 +515,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
 
     if not ray.is_initialized():
         ray.init()                 # local or RAY_ADDRESS
-    cap = concurrency or default_concurrency()
+    cpus = default_concurrency()
+    cap = concurrency or cpus
     # A caller's ``concurrency`` bounds the tasks running at once.  The
     # default (the cluster's CPUs) keeps one more task queued per CPU, so a
     # CPU whose task ends starts the next without waiting on the driver.
@@ -517,7 +530,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
 
     # Stage A: map-only extract + external-shuffle spill.  The bucketer is
     # built here and shipped once, so each task applies the same function.
-    num_shards = max(1, math.isqrt(num_buckets) // 2)   # 4 at 64 buckets
+    num_shards = _num_shards(num_buckets, cpus)   # 2 at 64 buckets, 2 CPUs
     prep = [assign_bucket(num_buckets)]
     if done:
         prep.append(make_done_filter(done.keys()))

@@ -7,8 +7,9 @@ imports only that root's ``engine``: the spill format may differ between
 the sides, so each side spills and compacts with its own code.  The
 corpus is perfbench's seed-7 ``transcripts`` (3,000 turns, the
 ``boilerplate`` workload) or ``unique`` (800 turns, ``unique_docs``)
-input, cut into the Stage A units a 2-CPU job plans.  One run of a side
-is one job without Ray: every unit is bucketed and spilled by one
+input, cut into the Stage A units a 2-CPU job plans and spilled into the
+shards that side's job would make at 2 CPUs.  One run of a side is one
+job without Ray: every unit is bucketed and spilled by one
 ``ExtractAndSpill`` (its payload LRU is warm after the first run, so
 Stage A is bucketing, sorting and spill writes), then every shard's
 buckets are compacted by ``_make_bucket_compactor`` at ``--max-rows``.
@@ -40,7 +41,7 @@ _ROOT = os.path.dirname(_HERE)
 
 CORPORA = {'transcripts': 3000, 'unique': 800}
 NUM_BUCKETS = 64
-CAP = 2                # Stage A units as a job at 2 CPUs plans them
+CAP = 2                # Stage A units and shards as a job at 2 CPUs plans them
 
 
 def serve(root, corpus_dir, work, max_rows):
@@ -59,7 +60,11 @@ def serve(root, corpus_dir, work, max_rows):
         with pq.ParquetFile(path, filesystem=fs) as pf:
             tables.append(((path, rg, start, stop, 0),
                            pipeline._read_range(pf, rg, start, stop)))
-    num_shards = max(1, math.isqrt(NUM_BUCKETS) // 2)
+    # the side's own shard count for a job at CAP CPUs (a checkout older
+    # than the CPU cap has isqrt // 2 shards)
+    num_shards = (pipeline._num_shards(NUM_BUCKETS, CAP)
+                  if hasattr(pipeline, '_num_shards')
+                  else max(1, math.isqrt(NUM_BUCKETS) // 2))
     groups = {}
     for b in range(NUM_BUCKETS):
         groups.setdefault(shard_of(b, NUM_BUCKETS, num_shards), []).append(b)

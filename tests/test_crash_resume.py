@@ -49,7 +49,7 @@ def crashing_append(out_dir, rows):
 
 
 checkpoint.append_manifest_rows = crashing_append
-ray.init(address='local', num_cpus=1, include_dashboard=False)
+ray.init(address='local', num_cpus=2, include_dashboard=False)
 run_extraction(corpus, out, num_buckets=%d, resume=False)
 ''' % (CRASH_EXIT, CRASH_EXIT, NUM_BUCKETS)
 

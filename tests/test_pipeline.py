@@ -32,6 +32,14 @@ def extracted(ray_session, corpus, tmp_path_factory):
     return d, n, out, summary
 
 
+def _part_bytes(out_dir):
+    parts = {}
+    for p in sorted(glob.glob(os.path.join(out_dir, 'part-*.parquet'))):
+        with open(p, 'rb') as f:
+            parts[os.path.basename(p)] = f.read()
+    return parts
+
+
 def _read_all(out_dir):
     parts = sorted(glob.glob(os.path.join(out_dir, 'part-*.parquet')))
     return parts, [pq.read_table(p) for p in parts]
@@ -362,6 +370,61 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
     assert sorted(os.path.basename(p) for p in parts) == sorted(fresh)
     for name, table in fresh.items():
         assert pq.read_table(os.path.join(out, name)).equals(table), name
+
+
+def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
+                                              monkeypatch):
+    """Stage B runs as one wave: a job has no more spill shards (= Stage B
+    tasks) than the cluster has CPUs, whatever its ``concurrency``.  At 144
+    buckets isqrt(B) // 2 is 6, so the 4-CPU session makes 4 compaction
+    calls, each a contiguous bucket range, covering every bucket once; the
+    parts equal an in-process spill and compaction at 6 shards."""
+    import pyarrow as pa
+    from engine.rayjob import pipeline
+    from engine.rayjob.extract_stage import (ExtractAndSpill, assign_bucket,
+                                             shard_of)
+    assert [pipeline._num_shards(b, cpus) for b, cpus in
+            ((64, 2), (64, 16), (16, 1), (400000, 1000))] == [2, 4, 1, 316]
+    assert int(ray_session.cluster_resources()['CPU']) == 4
+    d, n = corpus
+    calls_path = str(tmp_path / 'calls.jsonl')
+    make = pipeline._make_bucket_compactor
+
+    def spy(*args):
+        compact = make(*args)
+
+        def logged(batch):
+            with open(calls_path, 'a') as f:
+                f.write(json.dumps(batch.column('bucket').to_pylist()) + '\n')
+            return compact(batch)
+        return logged
+    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
+
+    out = str(tmp_path / 'out')
+    summary = pipeline.run_extraction(d, out, num_buckets=144, batch_size=32,
+                                      concurrency=2, resume=False)
+    assert summary['rows_out'] == n
+    with open(calls_path) as f:
+        calls = sorted(json.loads(l) for l in f)
+    assert len(calls) == 4
+    for c in calls:
+        assert c == list(range(c[0], c[-1] + 1))
+    assert sorted(b for c in calls for b in c) == list(range(144))
+
+    spill, ref = str(tmp_path / 'spill'), str(tmp_path / 'ref')
+    os.makedirs(ref)
+    stage = ExtractAndSpill(spill, 144, 6)
+    bucket = assign_bucket(144)
+    for path in sorted(glob.glob(os.path.join(d, '*.parquet'))):
+        stage(bucket(pq.read_table(path, columns=['conv_id', 'turn_idx',
+                                                  'text'])),
+              (path, 0, 0, 0, 0))
+    compact = make(spill, ref, 144, 6)
+    for s in range(6):
+        compact(pa.table({'bucket': pa.array(
+            [b for b in range(144) if shard_of(b, 144, 6) == s], pa.int32())}))
+    got = _part_bytes(out)
+    assert got and got == _part_bytes(ref)
 
 
 def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
@@ -910,10 +973,10 @@ def test_compactor_ignores_tmp_files(tmp_path):
     assert sum(pq.read_table(p).num_rows for p in parts) == 2
 
 
-def test_payload_lru_identical_output_and_hits(tmp_path):
-    """Repeated payloads must hit the per-actor LRU (one extraction per
-    distinct payload) and produce byte-identical output to the uncached
-    stage — extraction is a pure function of the payload."""
+def test_payload_lru_identical_output_and_hits(tmp_path, shared_fonts):
+    """Repeated payloads must hit the LRU (one extraction per distinct
+    payload) and produce output identical to a per-row ``extract_turn``
+    of every row — extraction is a pure function of the payload."""
     from engine.rayjob.extract_stage import ExtractTurns
     import pyarrow as pa
 
@@ -925,11 +988,94 @@ def test_payload_lru_identical_output_and_hits(tmp_path):
     batch = pa.concat_tables([base, base]).combine_chunks()
 
     cached = ExtractTurns(payload_lru=4096)
-    plain = ExtractTurns(payload_lru=0)
     out_c = cached(batch)
-    out_p = plain(batch)
-    assert out_c.equals(out_p)
+    assert out_c.equals(_per_row_turns(batch, shared_fonts))
     assert cached.lru_hits >= base.num_rows        # second copy all hits
+
+
+def _per_row_turns(batch, shared):
+    """``ExtractTurns``'s output built row by row with ``extract_turn``."""
+    import pyarrow as pa
+    from engine.pdfcore.extract import extract_turn
+    rs = [extract_turn(p, shared) for p in batch.column('text').to_pylist()]
+    return pa.table({
+        'conv_id': batch.column('conv_id'),
+        'turn_idx': batch.column('turn_idx'),
+        'text': pa.array([r['text'] for r in rs], pa.string()),
+        'n_spans': pa.array([r['n_spans'] for r in rs], pa.int32()),
+        'n_pages': pa.array([r['n_pages'] for r in rs], pa.int32()),
+        'decode_ok': pa.array([r['decode_ok'] for r in rs], pa.bool_()),
+        'error': pa.array([r['error'] for r in rs], pa.string()),
+    })
+
+
+def _per_row_spans(batch, shared):
+    """``ExtractSpans``'s output built row by row (one row per glyph)."""
+    import pyarrow as pa
+    from engine.pdfcore.extract import extract_turn
+    rows = []
+    for c, t, p in zip(batch.column('conv_id').to_pylist(),
+                       batch.column('turn_idx').to_pylist(),
+                       batch.column('text').to_pylist()):
+        spans = extract_turn(p, shared, collect_spans=True)['spans'] or ()
+        rows.extend((c, t) + tuple(g) for g in spans)
+    cols = list(zip(*rows)) if rows else [()] * 8
+    types = [pa.string(), pa.int32(), pa.int32(), pa.float64(),
+             pa.float64(), pa.string(), pa.int32(), pa.float64()]
+    names = ['conv_id', 'turn_idx', 'page', 'x', 'y', 'unicode', 'cid',
+             'width']
+    return pa.table({n: pa.array(c, t)
+                     for n, c, t in zip(names, cols, types)})
+
+
+@pytest.mark.parametrize('stage', ['ExtractTurns', 'ExtractSpans'])
+def test_stage_extracts_each_distinct_payload_once(shared_fonts, monkeypatch,
+                                                   stage):
+    """A batch with repeated payloads, a null one, an empty one and a
+    corrupt one, whose ``text`` column has two chunks: the stage's output
+    equals the per-row ``extract_turn`` oracle, the kernel runs once per
+    distinct payload even with the LRU off, and ``lru_hits`` counts every
+    other row (rows - kernel calls)."""
+    import sys
+    import pyarrow as pa
+    from engine.rayjob import extract_stage
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from gen_pdf import build_variant
+
+    a, b, bad = (build_variant(v).decode('latin-1')
+                 for v in ('V01', 'V02', 'V18a'))
+    payloads = [a, None, b, '', a, bad, None, b, '', a, a]
+    n, distinct = len(payloads), 5
+    batch = pa.table({
+        'conv_id': pa.array(['c%d' % (i % 3) for i in range(n)], pa.string()),
+        'turn_idx': pa.array(range(n), pa.int32()),
+        'text': pa.chunked_array([payloads[:4], payloads[4:]], pa.string()),
+    })
+    oracle = {'ExtractTurns': _per_row_turns,
+              'ExtractSpans': _per_row_spans}[stage](batch, shared_fonts)
+    assert oracle.num_rows > 0
+
+    kernel = extract_stage.extract_turn
+    calls = []
+
+    def counted(payload, *args, **kwargs):
+        calls.append(payload)
+        return kernel(payload, *args, **kwargs)
+    monkeypatch.setattr(extract_stage, 'extract_turn', counted)
+
+    plain = getattr(extract_stage, stage)(payload_lru=0)
+    assert plain(batch).equals(oracle)
+    assert len(calls) == distinct
+    assert plain.lru_hits == n - len(calls)
+
+    del calls[:]
+    cached = getattr(extract_stage, stage)()
+    assert cached(batch).equals(oracle)
+    assert cached(batch).equals(oracle)         # every row an LRU hit
+    assert len(calls) == distinct
+    assert cached.lru_hits == 2 * n - len(calls)
+    empty = cached(batch.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema.equals(oracle.schema)
 
 
 def test_expected_tables_match_engine_per_variant(tmp_path, shared_fonts):
