@@ -28,14 +28,20 @@ import re
 
 from .lexers import _NUMBER_START
 
-__all__ = ['Ref', 'Hexstring', 'StreamObj', 'PdfError', 'parse_values',
-           'parse_object_body', 'parse_object_rest', 'parse_xref_table_tokens',
-           'parse_trailer_tokens', 'split_tokens', 'number', 'fold_tokens',
-           'parse_object_at', 'parse_trailer_text']
+__all__ = ['Ref', 'Hexstring', 'StreamObj', 'PdfError', 'BudgetExceeded',
+           'parse_values', 'parse_object_body', 'parse_object_rest',
+           'parse_xref_table_tokens', 'parse_trailer_tokens', 'split_tokens',
+           'number', 'fold_tokens', 'parse_object_at', 'parse_trailer_text']
 
 
 class PdfError(Exception):
     """Generic structural error while interpreting a PDF."""
+
+
+class BudgetExceeded(Exception):
+    """A document needs more work than a fixed budget allows
+    (``filters.MAX_INFLATE``, ``extract.MAX_RENDERED_OPS``).  It ends the
+    whole document, not one page: the turn fails and the job goes on."""
 
 
 class Ref(object):

@@ -31,7 +31,7 @@ from itertools import repeat
 from math import copysign
 from operator import add, mul
 
-from .cos import PdfError, Ref
+from .cos import BudgetExceeded, PdfError, Ref
 from .document import PdfDocument, ResourceView
 from .content import Mat, StateStack, content_ops
 from .fonts import FontCache, get_font_widths
@@ -159,6 +159,12 @@ def split_hex(txt, bytesize):
     return [chr(int(txt[i:i + step], 16)) for i in range(0, len(txt), step)]
 
 
+# Operators one document may render, counted per content stream rendered
+# (a page's, or a form XObject's each time it is drawn): a fan-out of
+# XObjects that draw each other twice is bounded by this, not by 2**depth.
+MAX_RENDERED_OPS = 30000
+
+
 # ---------------------------------------------------------------------------
 # Renderer (reference PDF.RenderPages / RenderPage / _RenderPage_Tokens,
 # fused with GetFullText's text assembly)
@@ -182,6 +188,7 @@ class Renderer(object):
         self.widths = None      # width stats of the font set by the last Tf
         self.stats_by_font = {}  # font oid key -> width stats
         self.page_fonts = {}    # font name -> font, while the stack is unchanged
+        self.ops_left = MAX_RENDERED_OPS
 
     # -- resource-stack font lookup (reference PDF.GetFont, :128-158) ----
 
@@ -239,6 +246,8 @@ class Renderer(object):
         for page in self.doc.dfs_pages():
             try:
                 self.render_page(page)
+            except BudgetExceeded:
+                raise             # the whole document fails, not the page
             except Exception as e:
                 # the page's partial text stays in self.txt and leaks into
                 # the next page; its resources stay on the stack (cloned)
@@ -248,7 +257,7 @@ class Renderer(object):
         ct = self.doc.page_content_text(page)
         self.push_resources(self.doc.page_resources(page))
         s = StateStack()
-        toks = content_ops(ct)
+        toks = self._charge(content_ops(ct))
         self._render_tokens(page, toks, s)
         self.pages.append("".join(self.txt))
         self.txt.clear()
@@ -283,9 +292,17 @@ class Renderer(object):
         if isinstance(x, Ref):
             x = self.doc.get_xobject(x)
         self.push_resources(x.Resources)
-        x_toks = content_ops(x.Stream)
+        x_toks = self._charge(content_ops(x.Stream))
         self._render_tokens(page, x_toks, s)
         self.pop_resources()
+
+    def _charge(self, toks):
+        """``toks``, once their count is taken from the operator budget."""
+        self.ops_left -= len(toks)
+        if self.ops_left < 0:
+            raise BudgetExceeded('more than %d operators rendered'
+                                 % MAX_RENDERED_OPS)
+        return toks
 
     def _show_text(self, s, operands):
         """Tj/TJ: draw each string's glyphs straight into the page buffer

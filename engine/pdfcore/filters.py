@@ -7,6 +7,10 @@ pdf.py:454-477; SURVEY.md D1-D3).  Behavior preserved:
   name like /LZWDecode or a filter array) raises ValueError.
 * Predictor 0 (absent) → plain zlib inflate; predictor 12 (PNG Up) is
   un-predicted; all other predictor values raise NotImplementedError.
+* Inflate raises zlib's own errors, truncation included, and ignores bytes
+  after the stream's end, as ``zlib.decompress`` does.  Unlike the
+  reference it stops at ``MAX_INFLATE`` bytes and raises BudgetExceeded,
+  so a Flate bomb fails its document without filling the worker's memory.
 * PNG-Up validation mirrors the reference: data must be a whole number of
   (Columns+1)-wide rows; every row's leading predictor byte except row 0's
   must equal 2.
@@ -19,12 +23,29 @@ import zlib
 
 import numpy as np
 
-__all__ = ['flate_decode', 'png_up', 'decode_stream']
+from .cos import BudgetExceeded
+
+__all__ = ['inflate', 'flate_decode', 'png_up', 'decode_stream', 'MAX_INFLATE']
+
+MAX_INFLATE = 1 << 24     # bytes one Flate stream may inflate to (16 MiB)
+
+
+def inflate(data):
+    """``zlib.decompress(data)``, stopped past ``MAX_INFLATE`` bytes."""
+    d = zlib.decompressobj()
+    out = d.decompress(data, MAX_INFLATE + 1)
+    if len(out) > MAX_INFLATE:
+        raise BudgetExceeded('Flate stream inflates past %d bytes'
+                             % MAX_INFLATE)
+    if not d.eof:
+        raise zlib.error('Error -5 while decompressing data: incomplete or '
+                         'truncated stream')
+    return out
 
 
 def flate_decode(data, parms):
     """zlib-inflate ``data`` (bytes) then undo the predictor per ``parms``."""
-    uncomp = zlib.decompress(data)
+    uncomp = inflate(data)
     if 'Predictor' not in parms:
         raise KeyError("Expected 'Predictor' key in parameters")
     pred = parms['Predictor']

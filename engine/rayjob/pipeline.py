@@ -24,12 +24,13 @@ CPUs by default), no driver-side row loops:
            the shard's spill files once (spill dir is sharded by
            contiguous bucket range); bucket row counts are binary
            searches of each file's bucket column; runs of contiguous
-           buckets of at most GRAFT_COMPACT_MAX_ROWS rows are sliced
-           from every file, concatenated and sorted once by (bucket,
-           conv_id, turn_idx), and each bucket is a zero-copy slice
-           (memory holds one window); each bucket → atomic tmp+rename
-           part file → one lineage row, which the driver appends to the
-           manifest as soon as the task returns
+           buckets of at most COMPACT_MAX_ROWS rows (or one bucket above
+           it) are sliced from every file and concatenated, their indices
+           sorted once by (bucket, conv_id, turn_idx), and their rows
+           taken at most COMPACT_MAX_ROWS at a time; each bucket → one
+           ParquetWriter → atomic tmp+rename part file → one lineage row,
+           which the driver appends to the manifest as soon as the task
+           returns
 
 Why Ray Core and not Ray Data: the sink uses a Dataset only as a map, and
 its shuffle is external (below), so Ray Data's executor bought nothing and
@@ -68,13 +69,10 @@ conversation parallelizes exactly like a million one-turn conversations
 and no salting is needed where it matters most.  The only key-grouped
 stage is per-bucket compaction, where a conversation's rows all land in
 one crc32 bucket: skew there is capped at the size of the single largest
-conversation.  If a bucket exceeds ``GRAFT_COMPACT_MAX_ROWS`` (a single
-conversation bigger than a healthy bucket, or many medium ones; read once
-by the driver; the same bound sizes Stage B's windows), compaction
-switches to the escape hatch ``_compact_chunked``: sorted (conv_id,
-turn_idx) key-range windows streamed through one ParquetWriter — the
-same rows in the same order with per-task memory O(window), equivalent
-to splitting the spill key by ``(conv_id, turn_idx // window)``.
+conversation.  A bucket above ``COMPACT_MAX_ROWS`` is a window of its own,
+written in sorted takes of at most that many rows through one
+ParquetWriter, so a task's memory is O(``COMPACT_MAX_ROWS``) plus the
+bucket's sort indices, not O(bucket).
 """
 
 import itertools
@@ -98,7 +96,9 @@ __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
            'default_concurrency', 'list_input', 'plan_units']
 
 
-COMPACT_MAX_ROWS = 2000000
+COMPACT_MAX_ROWS = 2000000   # Stage B's rows per window and per take
+SORT_KEYS = [('bucket', 'ascending'), ('conv_id', 'ascending'),
+             ('turn_idx', 'ascending')]
 COLUMNS = ['conv_id', 'turn_idx', 'text']
 READ_BUFFER = 1 << 20     # a Stage A task streams its range in 1 MiB reads
 
@@ -281,72 +281,6 @@ def _run_tasks(submit, items, cap, on_result):
         raise
 
 
-def _compact_chunked(dset, base_filter, keys, tmp_path, max_rows):
-    """External merge compaction for a bucket whose rows exceed
-    ``max_rows`` (single giant conversation, or many medium ones): sort
-    the narrow key table, cut it into ~max_rows windows ALONG the sorted
-    order, and stream each window — a half-open (conv_id, turn_idx)
-    key-range predicate read ([window start key, next window's start
-    key), last window unbounded above), sorted in memory — through one
-    ParquetWriter.  Window boundaries may split a conversation mid-run
-    and always fall on a key change, so every row (including duplicate
-    keys) lands in exactly one window and the concatenation of sorted
-    windows along sorted boundaries IS the fully sorted bucket — the
-    in-memory path's rows in its order (one row group per window), with
-    per-task memory O(max_rows + largest duplicate-key run) regardless of
-    conversation size.  (This implements the giant-conversation escape
-    hatch: the split key is effectively (conv_id, turn_idx // window).)
-    """
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    skeys = keys.sort_by([('conv_id', 'ascending'), ('turn_idx', 'ascending')])
-    convs = skeys.column('conv_id')
-    turns = skeys.column('turn_idx')
-    n = skeys.num_rows
-    rows = failures = spans = 0
-    writer = None
-    try:
-        start = 0
-        while start < n:
-            lo_c, lo_t = convs[start].as_py(), turns[start].as_py()
-            end = min(start + max_rows, n)
-            # HALF-OPEN windows [key[start], key[end]): a boundary must
-            # fall on a key CHANGE so duplicate (conv_id, turn_idx) keys
-            # (unique for turns today, but not for e.g. a spans dataset)
-            # land in exactly one window — advance past any run of the
-            # boundary key (memory stays O(max_rows + largest key run)).
-            while end < n and convs[end] == convs[end - 1] \
-                    and turns[end] == turns[end - 1]:
-                end += 1
-            f_lo = (pads.field('conv_id') > lo_c) | (
-                (pads.field('conv_id') == lo_c) & (pads.field('turn_idx') >= lo_t))
-            if end < n:
-                hi_c, hi_t = convs[end].as_py(), turns[end].as_py()
-                f_hi = (pads.field('conv_id') < hi_c) | (
-                    (pads.field('conv_id') == hi_c) &
-                    (pads.field('turn_idx') < hi_t))
-                window = base_filter & f_lo & f_hi
-            else:
-                window = base_filter & f_lo
-            start = end
-            chunk = dset.to_table(filter=window)
-            ordered = chunk.sort_by([('conv_id', 'ascending'),
-                                     ('turn_idx', 'ascending')])
-            ordered = ordered.drop_columns(['bucket'])
-            if writer is None:
-                writer = pq.ParquetWriter(tmp_path, ordered.schema)
-            writer.write_table(ordered)
-            rows += ordered.num_rows
-            failures += pc.sum(pc.cast(pc.invert(ordered.column('decode_ok')),
-                                       pa.int64())).as_py() or 0
-            spans += pc.sum(ordered.column('n_spans')).as_py() or 0
-    finally:
-        if writer is not None:
-            writer.close()
-    return rows, failures, spans
-
-
 def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
                            max_rows=COMPACT_MAX_ROWS):
     """Stage B UDF: one call compacts one spill shard's listed buckets.
@@ -354,18 +288,18 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
     memory-mapped once; a bucket's row count in a file is a binary search
     of that file's ``bucket`` column.  The listed buckets are cut into
     windows: runs of ascending buckets whose rows sum to at most
-    ``max_rows``.  A window is every file sliced to its bucket range,
-    concatenated and sorted once by (bucket, conv_id, turn_idx), and each
-    of its buckets is a zero-copy slice (memory holds one window plus the
-    shard's ``bucket`` columns; the mapped pages are file-backed).  A
-    bucket above ``max_rows`` is a window of its own and goes through
-    ``_compact_chunked``.  Every bucket is published by atomic
-    tmp+rename."""
+    ``max_rows``, or one bucket above it.  A window is every file sliced
+    to its bucket range and concatenated, with one stable sort of its
+    indices by (bucket, conv_id, turn_idx); its rows are taken in that
+    order ``max_rows`` at a time, and each bucket streams through one
+    ParquetWriter, so memory holds at most ``max_rows`` rows plus the
+    window's indices and the shard's ``bucket`` columns (the mapped pages
+    are file-backed).  Every bucket is published by atomic tmp+rename."""
 
     def compact(batch: pa.Table) -> pa.Table:
         import glob
         import numpy as np
-        import pyarrow.dataset as pads
+        import pyarrow.compute as pc
         pin_arrow_threads()
         buckets = batch.column('bucket').to_pylist()
         out = {'bucket': [], 'rows': [], 'decode_failures': [],
@@ -419,37 +353,38 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
             if last[j] == first[i]:                 # no rows in the window
                 for bucket in buckets[i:j + 1]:
                     record(bucket, 0, 0, 0, '')
-            elif last[j] - first[i] > max_rows:
-                # one bucket above max_rows (the north rule's giant-
-                # conversation case): _compact_chunked streams sorted
-                # (conv_id, turn_idx) key-range windows through one
-                # ParquetWriter, so memory is O(max_rows), not O(bucket)
-                rows, fname = window(i, j), 'part-%05d.parquet' % buckets[i]
-                tmp = os.path.join(out_dir, '_tmp-%s' % fname)
-                counts = _compact_chunked(
-                    pads.dataset(rows), pads.field('bucket') == buckets[i],
-                    rows.select(['conv_id', 'turn_idx']), tmp, max_rows)
-                os.replace(tmp, os.path.join(out_dir, fname))
-                record(buckets[i], *counts, fname)
             else:
-                win = window(i, j).sort_by([('bucket', 'ascending'),
-                                            ('conv_id', 'ascending'),
-                                            ('turn_idx', 'ascending')])
-                keys = win.column('bucket').to_numpy()
+                win = window(i, j)
+                order = pc.sort_indices(win, sort_keys=SORT_KEYS)
+                keys = win.column('bucket').take(order).to_numpy()
                 # prefix sums: a bucket's failures and spans are one
                 # subtraction each
                 fails = np.concatenate(([0], np.cumsum(
-                    ~win.column('decode_ok').to_numpy(), dtype=np.int64)))
+                    ~win.column('decode_ok').take(order).to_numpy(),
+                    dtype=np.int64)))
                 spans = np.concatenate(([0], np.cumsum(
-                    win.column('n_spans').to_numpy(), dtype=np.int64)))
+                    win.column('n_spans').take(order).to_numpy(),
+                    dtype=np.int64)))
                 win = win.drop_columns(['bucket'])
+                # chunk holds the rows order[at:at + max_rows]: one take
+                # for a window that fits, and a bucket above max_rows
+                # streams through its writer one take at a time
+                at, chunk = -1, None
                 for bucket in buckets[i:j + 1]:
                     a = int(np.searchsorted(keys, bucket, 'left'))
                     b = int(np.searchsorted(keys, bucket, 'right'))
                     fname = 'part-%05d.parquet' % bucket if b > a else ''
                     if fname:
                         tmp = os.path.join(out_dir, '_tmp-%s' % fname)
-                        pq.write_table(win.slice(a, b - a), tmp)
+                        with pq.ParquetWriter(tmp, win.schema) as writer:
+                            k = a
+                            while k < b:
+                                if k - k % max_rows != at:
+                                    at = k - k % max_rows
+                                    chunk = win.take(order[at:at + max_rows])
+                                end = min(b, at + max_rows)
+                                writer.write_table(chunk.slice(k - at, end - k))
+                                k = end
                         os.replace(tmp, os.path.join(out_dir, fname))
                     record(bucket, b - a, int(fails[b] - fails[a]),
                            int(spans[b] - spans[a]), fname)
@@ -525,8 +460,6 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     job_id = uuid.uuid4().hex
     spill_dir = os.path.join(out_dir, '_spill-%s' % job_id)
     os.makedirs(spill_dir)
-    # driver-side: env vars set after ray.init never reach the workers
-    max_rows = int(os.environ.get('GRAFT_COMPACT_MAX_ROWS', COMPACT_MAX_ROWS))
 
     # Stage A: map-only extract + external-shuffle spill.  The bucketer is
     # built here and shipped once, so each task applies the same function.
@@ -536,35 +469,35 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
         prep.append(make_done_filter(done.keys()))
     prep_ref = ray.put(prep)
     fs, units = plan_units(input_path, cap, listing)
-    extracted = []
     _run_tasks(lambda unit: _extract_task.remote(
                    fs, unit, prep_ref, batch_size, job_id, spill_dir,
                    num_buckets, num_shards),
-               units, inflight, extracted.append)
+               units, inflight, lambda rows: None)
     stage_a_s = time.perf_counter() - t0
 
     # Stage B: one compaction task per spill shard, over that shard's
-    # not-yet-done buckets, in shard order.  Grouped, not split evenly, so
-    # a resume with gaps never mixes two shards in one task.  A task's
-    # manifest rows are appended as soon as it finishes, so a later
-    # shard's failure keeps the finished shards' buckets for the next run.
+    # not-yet-done buckets, in shard order, even when Stage A spilled no
+    # row (an empty bucket still gets its manifest row).  Grouped, not
+    # split evenly, so a resume with gaps never mixes two shards in a task.
+    # A task's manifest rows are appended as soon as it finishes, so a
+    # later shard's failure keeps the finished shards' buckets.
     new_rows = []
-    if sum(extracted):
-        groups = {}
-        for b in range(num_buckets):
-            if b not in done:
-                groups.setdefault(shard_of(b, num_buckets, num_shards),
-                                  []).append(b)
-        compact = ray.put(_make_bucket_compactor(
-            spill_dir, out_dir, num_buckets, num_shards, max_rows))
+    groups = {}
+    for b in range(num_buckets):
+        if b not in done:
+            groups.setdefault(shard_of(b, num_buckets, num_shards),
+                              []).append(b)
+    # looked up per job, not bound at import
+    compact = ray.put(_make_bucket_compactor(
+        spill_dir, out_dir, num_buckets, num_shards, COMPACT_MAX_ROWS))
 
-        def record(manifest_rows):
-            rows = [dict(r, num_buckets=num_buckets,   # one row per bucket
-                         input=fingerprint) for r in manifest_rows]
-            checkpoint.append_manifest_rows(out_dir, rows)
-            new_rows.extend(rows)
-        _run_tasks(lambda group: _compact_task.remote(compact, group),
-                   groups.values(), inflight, record)
+    def record(manifest_rows):
+        rows = [dict(r, num_buckets=num_buckets,   # one row per bucket
+                     input=fingerprint) for r in manifest_rows]
+        checkpoint.append_manifest_rows(out_dir, rows)
+        new_rows.extend(rows)
+    _run_tasks(lambda group: _compact_task.remote(compact, group),
+               groups.values(), inflight, record)
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)

@@ -575,3 +575,37 @@ def variant_ids(include_corrupt=True):
 
 def build_variant(vid):
     return VARIANTS[vid]()
+
+
+# ---------------------------------------------------------------------------
+# Hostile payloads: small documents whose work is not bounded by their size
+
+def xobject_fanout(depth):
+    """A page that draws form XObject X0, where each Xk draws Xk+1 twice
+    and X<depth> shows one glyph: 2**(depth + 1) content streams rendered
+    from ~190 bytes per level (every Do resolves against the page's
+    resources, so nothing recurses into itself)."""
+    b = _Builder()
+    names = b" ".join(b"/X%d %d 0 R" % (k, 10 + k) for k in range(depth + 1))
+    _skeleton(b, [4], resources=b"<< /Font << /F1 5 0 R >> /XObject << "
+              + names + b" >> >>")
+    b.add_stream(4, b"", b"/X0 Do")
+    b.add(5, _HELV)
+    for k in range(depth + 1):
+        body = (b"/X%d Do /X%d Do" % (k + 1, k + 1) if k < depth
+                else b"BT /F1 12 Tf 72 720 Td (A) Tj ET")
+        b.add_stream(10 + k, b"/Type /XObject /Subtype /Form "
+                     b"/BBox [0 0 612 792] /Resources << /Font << /F1 5 0 R"
+                     b" >> >>", body)
+    return b.build()
+
+
+def flate_bomb(megabytes):
+    """A one-page document whose Flate content stream inflates to
+    ``megabytes`` MiB of blanks after one Tj (~1 KB per MiB)."""
+    b = _Builder()
+    _skeleton(b, [4])
+    b.add_stream(4, b"/Filter /FlateDecode", zlib.compress(
+        b"BT /F1 12 Tf 72 720 Td (A) Tj ET " + b" " * (megabytes << 20), 9))
+    b.add(5, _HELV)
+    return b.build()

@@ -112,7 +112,7 @@ def main(argv=None):
     ap.add_argument('--parent', help='root of the checkout to compare against')
     ap.add_argument('--corpus', choices=sorted(CORPORA), default='transcripts')
     ap.add_argument('--max-rows', type=int, default=2000000,
-                    help="Stage B's max_rows (GRAFT_COMPACT_MAX_ROWS)")
+                    help="Stage B's max_rows (pipeline.COMPACT_MAX_ROWS is 2000000)")
     ap.add_argument('--pairs', type=int, default=8)
     ap.add_argument('--work', default=os.path.join(tempfile.gettempdir(),
                                                    'stage_ab'),

@@ -165,6 +165,56 @@ def test_resume_of_finished_output_submits_no_task(ray_session, extracted,
     assert not glob.glob(os.path.join(out, '_spill-*'))
 
 
+def test_resume_finishes_when_only_empty_buckets_are_left(ray_session,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """A resume whose unfinished buckets hold no rows still runs Stage B
+    over them: each gets its empty manifest row, so the output is finished
+    and a further resume submits no task."""
+    import zlib
+    import pyarrow as pa
+    from engine.rayjob import pipeline
+    from gen_pdf import build_variant
+
+    conv = next('conv-%d' % i for i in range(100)
+                if zlib.crc32(b'conv-%d' % i) % 2 == 0)
+    d = str(tmp_path / 'corpus')
+    os.makedirs(d)
+    pq.write_table(pa.table({
+        'conv_id': pa.array([conv] * 5, pa.string()),
+        'turn_idx': pa.array(range(5), pa.int32()),
+        'text': pa.array([build_variant('V01').decode('latin-1')] * 5,
+                         pa.string()),
+    }), os.path.join(d, 'part-0.parquet'))
+    out = str(tmp_path / 'out')
+    first = pipeline.run_extraction(d, out, num_buckets=2, resume=False)
+    assert first['buckets'] == 2 and first['rows_out'] == 5
+
+    # the driver died between the two shards' appends: bucket 1's empty
+    # row never reached the manifest
+    mpath = checkpoint.manifest_path(out)
+    rows = [json.loads(l) for l in open(mpath) if l.strip()]
+    assert [(r['bucket'], r['rows'], r['file']) for r in rows] == [
+        (0, 5, 'part-00000.parquet'), (1, 0, '')]
+    with open(mpath, 'w') as f:
+        f.write(json.dumps(rows[0]) + '\n')
+
+    resumed = pipeline.run_extraction(d, out, num_buckets=2)
+    assert resumed['buckets'] == 2 and resumed['buckets_this_run'] == 1
+    assert resumed['rows_out'] == 5 and resumed['rows_this_run'] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('a finished output must not submit a task')
+
+    class NoSubmit(object):
+        remote = staticmethod(refuse)
+    monkeypatch.setattr(pipeline, '_extract_task', NoSubmit)
+    monkeypatch.setattr(pipeline, '_compact_task', NoSubmit)
+    again = pipeline.run_extraction(d, out, num_buckets=2)
+    assert again['buckets'] == 2 and again['buckets_this_run'] == 0
+    assert again['rows_out'] == 5
+
+
 def test_resume_skips_units_of_done_buckets(ray_session, tmp_path):
     """A resume at the default batch size (one batch per row group) whose
     finished-bucket filter empties whole units skips them: one file per
@@ -798,8 +848,8 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     """A shard whose rows fit ``max_rows`` is one window; a smaller bound
     cuts it into windows of contiguous buckets, down to one bucket each.
     Every bound gives the same manifest rows and byte-equal part files,
-    none needs the chunked path while every bucket fits, and each spill
-    file is mapped once per compaction call."""
+    each part is one write of at most ``max_rows`` rows while every bucket
+    fits, and each spill file is mapped once per compaction call."""
     import pyarrow as pa
     from engine.rayjob import pipeline
     from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
@@ -832,19 +882,25 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
         return memory_map(path, *args, **kwargs)
     monkeypatch.setattr(pa, 'memory_map', counted)
 
-    def no_chunked(*args):
-        raise AssertionError('every bucket fits max_rows')
-    monkeypatch.setattr(pipeline, '_compact_chunked', no_chunked)
+    writes = []
+    write_table = pq.ParquetWriter.write_table
+
+    def counted_write(self, table, *args, **kwargs):
+        writes.append(table.num_rows)
+        return write_table(self, table, *args, **kwargs)
+    monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
 
     def run(max_rows):
         out = str(tmp_path / ('out-%d' % max_rows))
         os.makedirs(out)
         compact = pipeline._make_bucket_compactor(spill, out, 16, 2, max_rows)
         tables = []
+        del writes[:]
         for g, files in zip((range(8), range(8, 16)), shard_files):
             del maps[:]
             tables.append(compact(pa.table({'bucket': pa.array(g, pa.int32())})))
             assert sorted(maps) == files   # each spill file mapped once
+        assert len(writes) == 16 and max(writes) <= max_rows
         parts = {}
         for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
             with open(p, 'rb') as f:
@@ -862,10 +918,11 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
 def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
                                                         monkeypatch):
     """A bucket above ``max_rows`` among small buckets is a window of its
-    own: ``_compact_chunked`` runs for that bucket only, the small buckets
-    around it are still compacted in windows, and the part files equal a
-    run at the default bound (byte for byte, but for the chunked part's
-    row groups)."""
+    own, written through one ParquetWriter in takes of at most
+    ``max_rows`` rows; the small buckets around it still share windows
+    (one sort each), and the part files equal a run at the default bound
+    (byte for byte, but for the giant part, which holds one row group per
+    take)."""
     import collections
     import zlib
     import pyarrow as pa
@@ -902,13 +959,20 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     max_rows = max(n for b, n in counts.items() if b != big)
     assert len(counts) == 8 and counts[big] > max_rows
 
-    chunked = []
-    run_chunked = pipeline._compact_chunked
+    import pyarrow.compute as pc
+    sorts, writes = [], []
+    sort_indices = pc.sort_indices
+    write_table = pq.ParquetWriter.write_table
 
-    def counting(*args):
-        chunked.append(os.path.basename(args[3]))
-        return run_chunked(*args)
-    monkeypatch.setattr(pipeline, '_compact_chunked', counting)
+    def counted_sort(table, *args, **kwargs):
+        sorts.append(table.num_rows)
+        return sort_indices(table, *args, **kwargs)
+
+    def counted_write(self, table, *args, **kwargs):
+        writes.append(table.num_rows)
+        return write_table(self, table, *args, **kwargs)
+    monkeypatch.setattr(pc, 'sort_indices', counted_sort)
+    monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
 
     def run(bound):
         out = str(tmp_path / ('out-%d' % bound))
@@ -922,15 +986,20 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
         return manifest.drop_columns(['wall_s']), parts
 
     small, small_parts = run(max_rows)
-    assert chunked == ['_tmp-part-%05d.parquet' % big]
-    del chunked[:]
+    assert counts[big] in sorts and sum(sorts) == sum(counts.values())
+    assert len(sorts) - 1 < 7        # the 7 small buckets share windows
+    assert max(writes) <= max_rows
+    assert len(writes) == 7 + -(-counts[big] // max_rows)
+    name = 'part-%05d.parquet' % big
+    meta = pq.ParquetFile(pa.BufferReader(small_parts[name])).metadata
+    assert meta.num_row_groups == -(-counts[big] // max_rows)
+    del sorts[:], writes[:]
     default, default_parts = run(pipeline.COMPACT_MAX_ROWS)
-    assert chunked == []
+    assert sorts == [sum(counts.values())] and len(writes) == 8
     assert small.equals(default)
     assert len(default_parts) == 8
-    # the chunked part holds one row group per key-range window, so only
-    # its rows equal the default run's; every other part is byte-equal
-    name = 'part-%05d.parquet' % big
+    # the giant part holds one row group per take, so only its rows equal
+    # the default run's; every other part is byte-equal
     assert pq.read_table(pa.BufferReader(small_parts.pop(name))).equals(
         pq.read_table(pa.BufferReader(default_parts.pop(name))))
     assert small_parts == default_parts
@@ -1078,6 +1147,31 @@ def test_stage_extracts_each_distinct_payload_once(shared_fonts, monkeypatch,
     assert empty.num_rows == 0 and empty.schema.equals(oracle.schema)
 
 
+def test_hostile_payloads_fail_only_their_rows(shared_fonts):
+    """One ``ExtractTurns`` batch mixes a Flate bomb and an XObject fan-out
+    with every golden variant: the two hostile rows fail with the budget
+    error, and every row equals its ``extract_turn`` oracle."""
+    import pyarrow as pa
+    from engine.rayjob.extract_stage import ExtractTurns
+    from gen_pdf import build_variant, flate_bomb, variant_ids, xobject_fanout
+
+    payloads = [build_variant(v).decode('latin-1') for v in variant_ids()]
+    payloads[3:3] = [flate_bomb(64).decode('latin-1')]
+    payloads[10:10] = [xobject_fanout(30).decode('latin-1')]
+    batch = pa.table({
+        'conv_id': pa.array(['c%d' % (i % 4) for i in range(len(payloads))],
+                            pa.string()),
+        'turn_idx': pa.array(range(len(payloads)), pa.int32()),
+        'text': pa.array(payloads, pa.string()),
+    })
+    got = ExtractTurns(payload_lru=0)(batch)
+    assert got.equals(_per_row_turns(batch, shared_fonts))
+    errors = got.column('error').to_pylist()
+    assert [i for i, e in enumerate(errors)
+            if e.startswith('BudgetExceeded: ')] == [3, 10]
+    assert got.column('text').to_pylist()[3] == ''
+
+
 def test_expected_tables_match_engine_per_variant(tmp_path, shared_fonts):
     """The reference-derived expected tables (ensure_expected — built from
     the committed goldens, never from the engine) must agree with the
@@ -1122,11 +1216,11 @@ def test_expected_tables_match_engine_per_variant(tmp_path, shared_fonts):
 
 def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
                                              monkeypatch):
-    """Skew escape hatch: with max_rows far below the bucket size (one
-    conversation much larger than the chunk window), the external merge
-    compaction must run and produce byte-identical parts, manifest counts
-    and ordering to the in-memory path.  GRAFT_COMPACT_MAX_ROWS is read by
-    the driver, so a value set after ray.init reaches the compactor."""
+    """Skew: with max_rows far below the bucket size (one conversation
+    much larger than a take), a bucket is written in several takes and the
+    parts, manifest counts and ordering equal the default bound's.
+    ``run_extraction`` reads ``COMPACT_MAX_ROWS`` per job on the driver,
+    so a bound set after ray.init reaches the compactor."""
     from engine.rayjob import pipeline
     from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
     from engine.rayjob.transcripts import generate_transcripts
@@ -1139,7 +1233,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     generate_transcripts(d, n_convs=12, seed=23, rows_per_file=150,
                          long_conv_frac=0.0)
     payload = build_variant('V02').decode('latin-1')
-    giant = 90                        # >> the 16-row window below
+    giant = 90                        # >> the 16-row takes below
     pq.write_table(pa.table({
         'conv_id': pa.array(['conv-giant'] * giant, pa.string()),
         'turn_idx': pa.array(list(range(giant)), pa.int32()),
@@ -1154,7 +1248,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     s1 = pipeline.run_extraction(d, out_mem, num_buckets=4, batch_size=32,
                                  concurrency=2, resume=False)
 
-    # the driver hands the env value to the compactor it builds
+    # the driver hands the module's bound to the compactor it builds
     seen = []
     make = pipeline._make_bucket_compactor
 
@@ -1162,30 +1256,32 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
         seen.append(args[-1])
         return make(*args)
     monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
-    monkeypatch.setenv('GRAFT_COMPACT_MAX_ROWS', '16')
-    s2 = pipeline.run_extraction(d, str(tmp_path_factory.mktemp('out_env')),
-                                 num_buckets=4, batch_size=32, concurrency=2,
-                                 resume=False)
+    monkeypatch.setattr(pipeline, 'COMPACT_MAX_ROWS', 16)
+    out_small = str(tmp_path_factory.mktemp('out_small'))
+    s2 = pipeline.run_extraction(d, out_small, num_buckets=4, batch_size=32,
+                                 concurrency=2, resume=False)
     assert seen == [16]
     assert s2['rows_out'] == s1['rows_out']
 
-    # compact a real spill in-process with max_rows=16, counting chunked runs
+    # compact a real spill in-process with max_rows=16, counting writes
     spill = str(tmp_path_factory.mktemp('chunk_spill'))
     out_chk = str(tmp_path_factory.mktemp('out_chk'))
     stage = ExtractAndSpill(spill, 4, num_shards=4)
     for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
         stage(assign_bucket(4)(pq.read_table(
             f, columns=['conv_id', 'turn_idx', 'text'])), f)
-    chunked = []
-    run_chunked = pipeline._compact_chunked
+    writes = []
+    write_table = pq.ParquetWriter.write_table
 
-    def counting(*args):
-        chunked.append(args[-1])
-        return run_chunked(*args)
-    monkeypatch.setattr(pipeline, '_compact_chunked', counting)
+    def counted_write(self, table, *args, **kwargs):
+        writes.append(table.num_rows)
+        return write_table(self, table, *args, **kwargs)
+    monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
     compact = make(spill, out_chk, 4, 4, max_rows=16)
     manifest = compact(pa.table({'bucket': pa.array(range(4), pa.int32())}))
-    assert chunked and set(chunked) == {16}
+    assert max(writes) <= 16
+    assert len(writes) > sum(1 for f in manifest.column('file').to_pylist()
+                             if f)      # some bucket took several writes
 
     assert sum(manifest.column('rows').to_pylist()) == s1['rows_out']
     assert sum(manifest.column('decode_failures').to_pylist()) == s1['decode_failures']
@@ -1197,19 +1293,18 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     assert p1 == p2
     for name in p1:
         a = pq.read_table(os.path.join(out_mem, name))
-        b = pq.read_table(os.path.join(out_chk, name))
-        assert a.equals(b), name       # same rows, same order, same schema
+        for out in (out_chk, out_small):
+            b = pq.read_table(os.path.join(out, name))
+            assert a.equals(b), name   # same rows, same order, same schema
 
 
-def test_compact_chunked_duplicate_keys(tmp_path):
-    """Half-open window contract: rows whose (conv_id, turn_idx) key is
-    DUPLICATED across a window boundary must land in exactly one window
-    (the review found the old inclusive-both-ends predicates read them
-    twice).  30 rows with every key appearing 3x, window of 4 → boundaries
-    must advance past key runs; exactly-once output, fully sorted."""
+def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
+    """Rows whose (conv_id, turn_idx) key is DUPLICATED land exactly once,
+    fully sorted, when a bucket is written in takes smaller than a key's
+    run: 30 rows in two spill files, every key 3x, at ``max_rows=4``.
+    The sort is stable, so duplicates keep their spill order."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
-    from engine.rayjob.pipeline import _compact_chunked
+    from engine.rayjob.pipeline import _make_bucket_compactor
 
     n = 30
     convs = ['c%d' % (i % 2) for i in range(n)]
@@ -1219,22 +1314,38 @@ def test_compact_chunked_duplicate_keys(tmp_path):
         'turn_idx': pa.array(turns, pa.int32()),
         'text': pa.array(['t%d' % i for i in range(n)], pa.string()),
         'n_spans': pa.array([1] * n, pa.int32()),
-        'decode_ok': pa.array([True] * n, pa.bool_()),
-        'bucket': pa.array([0] * n, pa.int64()),
+        'n_pages': pa.array([1] * n, pa.int32()),
+        'decode_ok': pa.array([i % 5 != 0 for i in range(n)], pa.bool_()),
+        'error': pa.array([''] * n, pa.string()),
+        'bucket': pa.array([0] * n, pa.int32()),
     })
-    f = os.path.join(str(tmp_path), 'spill.parquet')
-    pq.write_table(tbl, f)
-    dset = pads.dataset([f])
-    keys = tbl.select(['conv_id', 'turn_idx'])
-    out = os.path.join(str(tmp_path), 'out.parquet')
-    rows, failures, spans = _compact_chunked(
-        dset, pads.field('bucket') == 0, keys, out, max_rows=4)
-    assert (rows, failures, spans) == (n, 0, n)
-    got = pq.read_table(out)
+    shard = os.path.join(str(tmp_path), 'spill', 'shard-000')
+    out = os.path.join(str(tmp_path), 'out')
+    os.makedirs(shard)
+    os.makedirs(out)
+    for k, part in enumerate((tbl.slice(0, 13), tbl.slice(13))):
+        with pa.OSFile(os.path.join(shard, 'spill-%d.arrow' % k), 'wb') as f:
+            with pa.ipc.new_file(f, part.schema) as w:
+                w.write_table(part)
+    writes = []
+    write_table = pq.ParquetWriter.write_table
+
+    def counted_write(self, table, *args, **kwargs):
+        writes.append(table.num_rows)
+        return write_table(self, table, *args, **kwargs)
+    monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
+    manifest = _make_bucket_compactor(
+        os.path.join(str(tmp_path), 'spill'), out, 1, 1, max_rows=4)(
+        pa.table({'bucket': pa.array([0], pa.int32())}))
+    assert manifest.drop_columns(['wall_s']).to_pylist() == [{
+        'bucket': 0, 'rows': n, 'decode_failures': 6, 'span_count': n,
+        'file': 'part-00000.parquet'}]
+    assert writes == [4] * 7 + [2]
+    got = pq.read_table(os.path.join(out, 'part-00000.parquet'))
     assert got.num_rows == n                      # exactly-once
-    ks = list(zip(got.column('conv_id').to_pylist(),
-                  got.column('turn_idx').to_pylist()))
-    assert ks == sorted(ks)                       # fully sorted
+    want = tbl.drop_columns(['bucket']).sort_by(
+        [('conv_id', 'ascending'), ('turn_idx', 'ascending')])
+    assert got.equals(want)                       # fully sorted, stable
 
 
 def test_stage_instance_is_per_job():

@@ -89,7 +89,7 @@ def test_entry_module_does_not_init_ray():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     r = subprocess.run(
         [sys.executable, '-c',
-         'import ray, __ray_entry__, engine.rayjob.pipeline, engine.ops;'
+         'import ray, __ray_entry__, engine.rayjob.pipeline;'
          'print("initialized:", ray.is_initialized())'],
         capture_output=True, text=True, timeout=120, cwd=root)
     assert r.returncode == 0, r.stderr[-2000:]

@@ -424,6 +424,62 @@ def test_render_error_surfaces(shared_fonts):
         assert run(content) == want, content
 
 
+# ------------------------------ work budgets: a hostile payload fails its turn
+
+def _timed_turn(payload, shared):
+    import time
+    from engine.pdfcore.extract import extract_turn
+    t = time.perf_counter()
+    r = extract_turn(payload.decode('latin-1'), shared)
+    return r, time.perf_counter() - t
+
+
+def test_xobject_fanout_fails_its_turn_within_budget(shared_fonts):
+    """Form XObjects 31 levels deep, each drawing the next twice (~6 KB,
+    2**31 content streams; depth 16 took 1.1 s before the budget, x4 per
+    two levels): the rendered-operator budget ends the document in well
+    under a second, as a failed turn, not a page error."""
+    from engine.pdfcore.extract import MAX_RENDERED_OPS
+    from gen_pdf import xobject_fanout
+    r, wall = _timed_turn(xobject_fanout(30), shared_fonts)
+    assert wall < 1.0
+    assert (r['decode_ok'], r['text'], r['n_pages'], r['error']) == (
+        False, '', 0, 'BudgetExceeded: more than %d operators rendered'
+        % MAX_RENDERED_OPS)
+    r, _ = _timed_turn(xobject_fanout(10), shared_fonts)   # 7,167 operators
+    assert r['decode_ok'] and r['text'] == '\n' + 'A' * 1024
+
+
+def test_flate_bomb_fails_its_turn_within_budget(shared_fonts):
+    """A ~66 KB content stream that inflates to 64 MiB stops at
+    ``MAX_INFLATE`` bytes: a failed turn in well under a second."""
+    from gen_pdf import flate_bomb
+    r, wall = _timed_turn(flate_bomb(64), shared_fonts)
+    assert wall < 1.0
+    assert (r['decode_ok'], r['text'], r['n_pages'], r['error']) == (
+        False, '', 0, 'BudgetExceeded: Flate stream inflates past %d bytes'
+        % filters.MAX_INFLATE)
+
+
+def test_inflate_keeps_zlib_errors():
+    """``filters.inflate`` gives ``zlib.decompress``'s bytes or error: a
+    truncated or empty stream raises zlib's own error, bytes after the
+    stream's end are ignored, and a stream of exactly ``MAX_INFLATE``
+    bytes passes."""
+    data = zlib.compress(bytes(range(256)) * 40)
+    cases = [data, data[:len(data) // 2], data[:-1], b'', b'junk',
+             data + b'trailing', zlib.compress(b' ' * filters.MAX_INFLATE)]
+    for case in cases:
+        try:
+            want = zlib.decompress(case)
+        except zlib.error as e:
+            with pytest.raises(zlib.error) as got:
+                filters.inflate(case)
+            assert str(got.value) == str(e)
+        else:
+            assert filters.inflate(case) == want
+
+
 # ------------------------------ T1-T2 the string-at-a-time text path
 
 _HUGE = b'9' * 400 + b'.0'      # a FLOAT that reads as inf
