@@ -92,36 +92,18 @@ def _extract_to_parquet(sf_dir: str) -> Any:
 
 
 def _extract_metrics(sf_dir: str) -> Any:
-    """SINGLE-PASS metrics: one combiner map_batches emits per-batch
-    partial counters, one tiny .sum() folds them — the read→extract DAG
-    executes exactly once (three separate ds.count()/sum()/filter() calls
-    would each re-run the full extraction)."""
+    """Corpus-level metrics from one extraction: the Dataset is
+    materialized, so only its three count columns are brought to the
+    driver and summed there."""
     import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from engine.rayjob.pipeline import build_extract_dataset
-    ds = build_extract_dataset(_transcripts_dir(sf_dir))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        fails = pc.sum(pc.cast(pc.invert(batch.column('decode_ok')),
-                               pa.int64())).as_py() or 0
-        return pa.table({
-            'n_turns': pa.array([batch.num_rows], pa.int64()),
-            'decode_failures': pa.array([fails], pa.int64()),
-            'total_spans': pa.array([pc.sum(batch.column('n_spans')).as_py() or 0],
-                                    pa.int64()),
-            'total_pages': pa.array([pc.sum(batch.column('n_pages')).as_py() or 0],
-                                    pa.int64()),
-        })
-
-    agg = ds.map_batches(partial, batch_format='pyarrow',
-                         zero_copy_batch=True).sum(
-        ['n_turns', 'decode_failures', 'total_spans', 'total_pages'])
+    df = build_extract_dataset(_transcripts_dir(sf_dir)).select_columns(
+        ['decode_ok', 'n_spans', 'n_pages']).to_pandas()
     return pd.DataFrame([{
-        'n_turns': agg['sum(n_turns)'],
-        'decode_failures': agg['sum(decode_failures)'],
-        'total_spans': agg['sum(total_spans)'],
-        'total_pages': agg['sum(total_pages)'],
+        'n_turns': len(df),
+        'decode_failures': int((~df.decode_ok).sum()),
+        'total_spans': int(df.n_spans.sum()),
+        'total_pages': int(df.n_pages.sum()),
     }])
 
 

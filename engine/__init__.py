@@ -2,7 +2,7 @@
 
 A from-scratch re-derivation of the extraction semantics of the reference
 library cmlburnett/pypdfproc (see /root/reference and SURVEY.md), built as
-Ray tasks and Ray Data pipelines over Arrow batches:
+Ray Core tasks over Arrow batches:
 
 * ``engine.pdfcore`` — pure-Python PDF semantics (no Ray imports): COS
   lexing/parsing, xref resolution, stream filters, content-stream
@@ -11,5 +11,5 @@ Ray tasks and Ray Data pipelines over Arrow batches:
   (``run_extraction``) as plain Ray Core tasks driven with ``ray.wait``
   (Ray Data's executor only added fixed cost to a map), external-spill
   ordering shuffle, checkpoint manifest and metrics; the driver contract's
-  lazy ``ray.data.Dataset`` queries with task-based ``map_batches`` stages.
+  ``ray.data.Dataset`` queries, materialized from the same Stage A tasks.
 """

@@ -163,6 +163,11 @@ def split_hex(txt, bytesize):
 # (a page's, or a form XObject's each time it is drawn): a fan-out of
 # XObjects that draw each other twice is bounded by this, not by 2**depth.
 MAX_RENDERED_OPS = 30000
+# Bytes of content stream one document may lex, charged before each
+# content stream is rendered (again at each Do of a form XObject).
+MAX_CONTENT_BYTES = 16 << 20
+# Glyphs one document may draw, charged once per string shown.
+MAX_GLYPHS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,8 @@ class Renderer(object):
         self.stats_by_font = {}  # font oid key -> width stats
         self.page_fonts = {}    # font name -> font, while the stack is unchanged
         self.ops_left = MAX_RENDERED_OPS
+        self.bytes_left = MAX_CONTENT_BYTES
+        self.glyphs_left = MAX_GLYPHS
 
     # -- resource-stack font lookup (reference PDF.GetFont, :128-158) ----
 
@@ -257,7 +264,7 @@ class Renderer(object):
         ct = self.doc.page_content_text(page)
         self.push_resources(self.doc.page_resources(page))
         s = StateStack()
-        toks = self._charge(content_ops(ct))
+        toks = self._charge(ct)
         self._render_tokens(page, toks, s)
         self.pages.append("".join(self.txt))
         self.txt.clear()
@@ -292,12 +299,19 @@ class Renderer(object):
         if isinstance(x, Ref):
             x = self.doc.get_xobject(x)
         self.push_resources(x.Resources)
-        x_toks = self._charge(content_ops(x.Stream))
+        x_toks = self._charge(x.Stream)
         self._render_tokens(page, x_toks, s)
         self.pop_resources()
 
-    def _charge(self, toks):
-        """``toks``, once their count is taken from the operator budget."""
+    def _charge(self, content):
+        """The operators of ``content``, a content stream about to be
+        rendered: its length is taken from the byte budget before it is
+        lexed, and its operator count from the operator budget."""
+        self.bytes_left -= len(content)
+        if self.bytes_left < 0:
+            raise BudgetExceeded('more than %d content bytes rendered'
+                                 % MAX_CONTENT_BYTES)
+        toks = content_ops(content)
         self.ops_left -= len(toks)
         if self.ops_left < 0:
             raise BudgetExceeded('more than %d operators rendered'
@@ -370,6 +384,10 @@ class Renderer(object):
                     raise PdfError("Unrecognized Tj token type: %s" % st)
                 if not chars:
                     continue
+                self.glyphs_left -= len(chars)
+                if self.glyphs_left < 0:
+                    raise BudgetExceeded('more than %d glyphs drawn'
+                                         % MAX_GLYPHS)
 
                 if Tm is None:
                     if glyphs is None:

@@ -1,2 +1,2 @@
-"""Distributed layer: Ray tasks and Ray Data pipelines over the pdfcore
-extraction kernel."""
+"""Distributed layer: Ray Core tasks over the pdfcore extraction
+kernel."""

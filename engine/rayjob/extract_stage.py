@@ -3,8 +3,8 @@
 ``stage_for`` gives this worker process's stage instance
 (``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
 current job: ``run_extraction``'s Stage A tasks call its
-``ExtractAndSpill`` per slice, and ``run_stage`` is the ``map_batches``
-function of ``build_*_dataset``.  The
+``ExtractAndSpill`` per slice, and the tasks behind ``build_*_dataset``
+its ``ExtractTurns`` or ``ExtractSpans`` per unit.  The
 corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
 S3/F10/F11) is built once per process (``font_state``); the payload LRU
 lives in the stage instance, so it is per job and a job is never served
@@ -29,8 +29,8 @@ import pyarrow.compute as pc
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
-__all__ = ['ExtractTurns', 'ExtractSpans', 'ExtractAndSpill', 'run_stage',
-           'stage_for', 'assign_bucket', 'make_done_filter']
+__all__ = ['ExtractTurns', 'ExtractSpans', 'ExtractAndSpill', 'stage_for',
+           'assign_bucket', 'make_done_filter']
 
 PAYLOAD_LRU = 4096   # ExtractTurns cache entries (one text row each)
 SPANS_LRU = 1024     # ExtractSpans cache entries (a whole span list each)
@@ -53,12 +53,6 @@ def stage_for(cls, job_id, *args):
     if cur is None or cur[0] != job_id:
         cur = _stages[cls] = (job_id, cls(*args))
     return cur[1]
-
-
-def run_stage(batch, cls, job_id, *args):
-    """Apply this process's ``cls(*args)`` for ``job_id`` to ``batch``:
-    the one entry point of every extraction stage."""
-    return stage_for(cls, job_id, *args)(batch)
 
 
 def _payload_key(payload):
@@ -146,7 +140,7 @@ class ExtractTurns(_CachedStage):
                                               self._extract)
         text, n_spans, n_pages, decode_ok, error = (
             zip(*results) if results else [()] * 5)
-        cols = {
+        return pa.table({
             'conv_id': batch.column('conv_id'),
             'turn_idx': batch.column('turn_idx'),
             'text': pa.array(text, pa.string()).take(idx),
@@ -154,10 +148,7 @@ class ExtractTurns(_CachedStage):
             'n_pages': pa.array(n_pages, pa.int32()).take(idx),
             'decode_ok': pa.array(decode_ok, pa.bool_()).take(idx),
             'error': pa.array(error, pa.string()).take(idx),
-        }
-        if 'bucket' in batch.column_names:
-            cols['bucket'] = batch.column('bucket')
-        return pa.table(cols)
+        })
 
 
 class ExtractSpans(_CachedStage):
@@ -250,7 +241,8 @@ class ExtractAndSpill(ExtractTurns):
         import hashlib
         import os
         import numpy as np
-        out = super().__call__(batch)
+        out = super().__call__(batch).append_column('bucket',
+                                                    batch.column('bucket'))
         ordered = out.sort_by([('bucket', 'ascending'),
                                ('conv_id', 'ascending'),
                                ('turn_idx', 'ascending')])

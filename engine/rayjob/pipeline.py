@@ -38,10 +38,14 @@ cost a fixed ~2 s on a session's first job plus two resident actors
 (``_StatsActor`` and ``AutoscalingRequester``, ~290 MB together).  On
 plain tasks perfbench's seed-7 ``boilerplate`` went from ~5.4k to ~17.7k
 turns/s, ``setup_s`` from ~8.5 to ~5.1 s and peak RSS from ~1.19 to
-~0.75 GB (1 vCPU, Ray at 2 CPUs).  ``build_extract_dataset`` and
-``build_spans_dataset`` stay lazy Ray Datasets, because the driver contract
-returns them; they import ``ray.data`` when called, so importing this
-module does not load it.
+~0.75 GB (1 vCPU, Ray at 2 CPUs).
+
+The driver contract's ``build_extract_dataset`` and ``build_spans_dataset``
+run the same Stage A: one task per ``plan_units`` unit reads it with the
+sink's reader and applies ``ExtractTurns`` or ``ExtractSpans`` with no
+spill, and ``ray.data.from_arrow_refs`` wraps the task results as a
+materialized Dataset, one block per unit.  They import ``ray.data`` when
+called, so importing this module does not load it.
 
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
 shared filesystem, like Spark's shuffle files — so no Ray AllToAll
@@ -88,8 +92,7 @@ import ray
 
 from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
                             assign_bucket, make_done_filter,
-                            pin_arrow_threads, run_stage, shard_of,
-                            stage_for)
+                            pin_arrow_threads, shard_of, stage_for)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
@@ -104,12 +107,9 @@ READ_BUFFER = 1 << 20     # a Stage A task streams its range in 1 MiB reads
 
 
 def default_concurrency():
-    """The extraction task cap: the cluster's logical CPU count (None
-    before ``ray.init``: a Ray Data stage then sizes itself).
-    Without a ``concurrency``, ``run_extraction`` keeps at most twice this
-    many tasks in flight, one running and one queued per CPU."""
-    if not ray.is_initialized():
-        return None
+    """The extraction task cap: the cluster's logical CPU count.  Without a
+    ``concurrency``, ``run_extraction`` keeps at most twice this many tasks
+    in flight, one running and one queued per CPU."""
     return max(1, int(ray.cluster_resources().get('CPU', 1)))
 
 
@@ -119,45 +119,36 @@ def _num_shards(num_buckets, cpus):
     return max(1, min(math.isqrt(num_buckets) // 2, cpus))
 
 
-def _extract(ds, batch_size, concurrency, cls, job_id, *args):
-    """A Ray Data extraction stage as plain tasks: ``run_stage`` applies
-    this worker process's ``cls(*args)`` for ``job_id`` to each batch."""
-    if concurrency is None:
-        concurrency = default_concurrency()
-    return ds.map_batches(run_stage, fn_args=(cls, job_id) + args,
-                          batch_format='pyarrow', batch_size=batch_size,
-                          concurrency=concurrency, zero_copy_batch=True)
-
-
-def _read_input(input_path):
-    """The input as a Ray Dataset over the files ``plan_units`` reads:
-    ``file_extensions=None`` keeps ``.pq`` and any other name, where a
-    later Ray's default (``['parquet']``) would drop them."""
+def _dataset(input_path, cls):
+    """A materialized Dataset of ``cls``'s rows for the input: one Stage A
+    task per ``plan_units`` unit, each a block, in input order."""
     import ray.data
-    return ray.data.read_parquet(input_path, columns=COLUMNS,
-                                 file_extensions=None)
+    if not ray.is_initialized():
+        ray.init()                 # local or RAY_ADDRESS
+    fs, units = plan_units(input_path, default_concurrency())
+    job_id = uuid.uuid4().hex
+    return ray.data.from_arrow_refs(
+        [_rows_task.remote(fs, unit, cls, job_id) for unit in units])
 
 
-def build_extract_dataset(input_path, batch_size=64, concurrency=None):
-    """Lazy Dataset of turns_out rows (no write, no ordering shuffle)."""
-    return _extract(_read_input(input_path), batch_size, concurrency,
-                    ExtractTurns, uuid.uuid4().hex)
+def build_extract_dataset(input_path):
+    """Dataset of turns_out rows (no write, no ordering shuffle)."""
+    return _dataset(input_path, ExtractTurns)
 
 
-def build_spans_dataset(input_path, batch_size=64, concurrency=None):
-    """Lazy Dataset of positioned spans, one row per drawn glyph."""
-    return _extract(_read_input(input_path), batch_size, concurrency,
-                    ExtractSpans, uuid.uuid4().hex)
+def build_spans_dataset(input_path):
+    """Dataset of positioned spans, one row per drawn glyph."""
+    return _dataset(input_path, ExtractSpans)
 
 
 def list_input(input_path):
     """The Parquet input's files, listed once: ``(filesystem, files)``
     with ``files`` a list of ``(path, relative path, size)`` sorted by
-    path.  The rules are ``pyarrow.dataset``'s, so the set is the one
-    ``ray.data.read_parquet`` reads with ``file_extensions=None``: a
-    directory is walked recursively, a file under a path part that starts
-    with ``_`` or ``.`` is skipped, and any extension is kept; a file path
-    is that one file.  Names and sizes only: no footer is read."""
+    path: the set the sink and both Datasets read.  The rules are
+    ``pyarrow.dataset``'s: a directory is walked recursively, a file under
+    a path part that starts with ``_`` or ``.`` is skipped, and any
+    extension is kept; a file path is that one file.  Names and sizes
+    only: no footer is read."""
     import pyarrow.fs as pafs
     if '://' in input_path:
         fs, root = pafs.FileSystem.from_uri(input_path)
@@ -220,18 +211,29 @@ def _read_range(pf, rg, start, stop):
     return pa.Table.from_batches(parts)
 
 
+def _read_unit(fs, unit):
+    """One unit's columns.  A buffered stream, not a pre-buffered row
+    group: the read and its decoding stop at the range's end."""
+    path, rg, start, stop = unit
+    with pq.ParquetFile(path, filesystem=fs, pre_buffer=False,
+                        buffer_size=READ_BUFFER) as pf:
+        return _read_range(pf, rg, start, stop)
+
+
+def _extract_rows(fs, unit, cls, job_id):
+    """Dataset task: one unit's rows through this process's ``cls`` for
+    ``job_id``, as one batch, with no spill."""
+    pin_arrow_threads()
+    return stage_for(cls, job_id)(_read_unit(fs, unit))
+
+
 def _extract_unit(fs, unit, prep, batch_size, job_id, *args):
     """Stage A task: read one unit's columns, apply ``prep`` (the
     driver-built bucketer, then the finished-bucket filter on resume), and
     extract and spill each ``batch_size`` slice (the range whole when
     None).  Returns the rows spilled."""
     pin_arrow_threads()
-    path, rg, start, stop = unit
-    # a buffered stream, not a pre-buffered row group: the read and its
-    # decoding stop at ``stop``
-    with pq.ParquetFile(path, filesystem=fs, pre_buffer=False,
-                        buffer_size=READ_BUFFER) as pf:
-        tbl = _read_range(pf, rg, start, stop)
+    tbl = _read_unit(fs, unit)
     for fn in prep:
         tbl = fn(tbl)
     step = batch_size or max(1, tbl.num_rows)   # 0 rows: all done
@@ -240,7 +242,7 @@ def _extract_unit(fs, unit, prep, batch_size, job_id, *args):
         # the spill file is named after the unit and offset, so a retry
         # overwrites it and distinct slices never share a name
         stats = stage_for(ExtractAndSpill, job_id, *args)(
-            tbl.slice(lo, step), (path, rg, start, stop, lo))
+            tbl.slice(lo, step), (*unit, lo))
         rows += stats.column('rows')[0].as_py()
     return rows
 
@@ -253,6 +255,7 @@ def _compact_buckets(compact, buckets):
     return compact(table).to_pylist()
 
 
+_rows_task = ray.remote(num_cpus=1)(_extract_rows)
 _extract_task = ray.remote(num_cpus=1)(_extract_unit)
 _compact_task = ray.remote(num_cpus=1)(_compact_buckets)
 

@@ -110,8 +110,8 @@ EXPECTED_VERSION = 2
 
 def expected_dir_for(corpus_dir):
     """Sibling dir holding the reference-derived expected tables.  SIBLING,
-    not child: ray.data.read_parquet(corpus_dir) reads recursively, so
-    anything inside the corpus dir would pollute the pipeline input."""
+    not child: ``pipeline.list_input`` walks the corpus dir recursively, so
+    anything inside it would pollute the pipeline input."""
     return corpus_dir + '-expected-v%d' % EXPECTED_VERSION
 
 

@@ -609,3 +609,31 @@ def flate_bomb(megabytes):
         b"BT /F1 12 Tf 72 720 Td (A) Tj ET " + b" " * (megabytes << 20), 9))
     b.add(5, _HELV)
     return b.build()
+
+
+def _drawn_xobject(body, draws):
+    """A page that draws one form XObject ``draws`` times, its content
+    stream ``body`` Flate-compressed."""
+    b = _Builder()
+    _skeleton(b, [4], resources=b"<< /Font << /F1 5 0 R >> "
+              b"/XObject << /X0 10 0 R >> >>")
+    b.add_stream(4, b"", b" ".join([b"/X0 Do"] * draws))
+    b.add(5, _HELV)
+    b.add_stream(10, b"/Type /XObject /Subtype /Form /BBox [0 0 612 792] "
+                 b"/Resources << /Font << /F1 5 0 R >> >> "
+                 b"/Filter /FlateDecode", zlib.compress(body, 9))
+    return b.build()
+
+
+def glyph_repeat(kib, draws):
+    """An XObject showing one ``kib`` KiB literal, drawn ``draws`` times:
+    ``kib`` × 1,024 × ``draws`` glyphs from ~1 KB plus ~1 KB per MiB."""
+    return _drawn_xobject(b"BT /F1 12 Tf 72 720 Td (" + b"A" * (kib << 10)
+                          + b") Tj ET", draws)
+
+
+def content_repeat(megabytes, draws):
+    """An XObject of ``megabytes`` MiB of blanks after one Tj, drawn
+    ``draws`` times: ``megabytes`` × ``draws`` MiB of content to lex."""
+    return _drawn_xobject(b"BT /F1 12 Tf 72 720 Td (A) Tj ET "
+                          + b" " * (megabytes << 20), draws)

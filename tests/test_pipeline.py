@@ -778,13 +778,19 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
     assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))) == 2
 
 
-def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path):
+def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path,
+                                               monkeypatch):
     """A file copied under a second name doubles the input, and the sink
     must write both copies: each key as many times as
     ``build_extract_dataset`` gives it.  Spill files named after the rows'
     keys gave both files' units the same name, so the second replaced the
-    first and the job returned 51 of 102 rows without an error."""
+    first and the job returned 51 of 102 rows without an error.  The
+    Dataset comes from the sink's own Stage A reader, not from
+    ``ray.data.read_parquet`` (patched to raise), and its rows sorted by
+    (conv_id, turn_idx) equal the part files' column for column."""
     import collections
+    import pyarrow as pa
+    import ray.data
     from engine.rayjob.pipeline import build_extract_dataset, run_extraction
 
     d = str(tmp_path / 'corpus')
@@ -799,8 +805,59 @@ def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path):
     sink = collections.Counter(
         k for t in parts for k in zip(t.column('conv_id').to_pylist(),
                                       t.column('turn_idx').to_pylist()))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError('the Datasets must not read through Ray Data')
+    monkeypatch.setattr(ray.data, 'read_parquet', no_read)
     turns = build_extract_dataset(d).to_pandas()
     assert sink == collections.Counter(zip(turns.conv_id, turns.turn_idx))
+    keys = ['conv_id', 'turn_idx']
+    want = pa.concat_tables(parts).to_pandas().sort_values(
+        keys, kind='mergesort').reset_index(drop=True)
+    got = turns.sort_values(keys, kind='mergesort').reset_index(drop=True)
+    assert list(got.columns) == list(want.columns)
+    assert got.equals(want)
+
+
+def test_sink_fails_only_hostile_turns(ray_session, tmp_path, shared_fonts):
+    """A sink run over a corpus with an XObject fan-out, a Flate bomb and
+    a glyph-repeat turn finishes: each hostile row is written once, failed
+    with ``BudgetExceeded``, and every row equals its ``extract_turn``
+    oracle."""
+    import pyarrow as pa
+    from engine.rayjob.pipeline import run_extraction
+    from gen_pdf import flate_bomb, glyph_repeat, xobject_fanout
+
+    d = str(tmp_path / 'corpus')
+    n, files = generate_transcripts(d, n_convs=8, seed=17)
+    assert files == 1
+    src = glob.glob(os.path.join(d, '*.parquet'))[0]
+    table = pq.read_table(src)
+    hostile = {5: xobject_fanout(30), 20: flate_bomb(64),
+               40: glyph_repeat(256, 100)}
+    text = table.column('text').to_pylist()
+    for i, payload in hostile.items():
+        text[i] = payload.decode('latin-1')
+    table = table.set_column(table.schema.get_field_index('text'), 'text',
+                             pa.array(text, pa.string()))
+    pq.write_table(table, src)
+    bad = {(table.column('conv_id')[i].as_py(),
+            table.column('turn_idx')[i].as_py()) for i in hostile}
+
+    out = str(tmp_path / 'out')
+    summary = run_extraction(d, out, num_buckets=4, resume=False)
+    assert summary['rows_out'] == n
+    _, parts = _read_all(out)
+    keys = [('conv_id', 'ascending'), ('turn_idx', 'ascending')]
+    got = pa.concat_tables(parts).sort_by(keys)
+    want = _per_row_turns(table.select(['conv_id', 'turn_idx', 'text'])
+                          .sort_by(keys), shared_fonts)
+    assert got.equals(want)
+    failed = {(c, t) for c, t, e in zip(got.column('conv_id').to_pylist(),
+                                        got.column('turn_idx').to_pylist(),
+                                        got.column('error').to_pylist())
+              if e.startswith('BudgetExceeded: ')}
+    assert failed == bad
 
 
 def test_sharded_spill_compacts_from_own_shard_only(tmp_path):

@@ -461,6 +461,37 @@ def test_flate_bomb_fails_its_turn_within_budget(shared_fonts):
         % filters.MAX_INFLATE)
 
 
+def test_glyph_repeat_fails_its_turn_within_budget(shared_fonts):
+    """A 256 KiB literal in one XObject drawn 100 times (a ~1.8 KB
+    payload; 3.4 s and 26 MB of text before the glyph budget): the
+    ``MAX_GLYPHS`` budget, charged per string, fails the turn in well
+    under a second.  Three draws of a 1 KiB literal stay within it."""
+    from engine.pdfcore.extract import MAX_GLYPHS
+    from gen_pdf import glyph_repeat
+    r, wall = _timed_turn(glyph_repeat(256, 100), shared_fonts)
+    assert wall < 1.0
+    assert (r['decode_ok'], r['text'], r['n_pages'], r['error']) == (
+        False, '', 0, 'BudgetExceeded: more than %d glyphs drawn' % MAX_GLYPHS)
+    r, _ = _timed_turn(glyph_repeat(1, 3), shared_fonts)
+    assert r['decode_ok'] and r['text'] == '\n' + 'A' * 3072
+
+
+def test_content_repeat_fails_its_turn_within_budget(shared_fonts):
+    """An 8 MiB blank XObject drawn 40 times (~9 KB; 4.8 s before the
+    content-byte budget): each ``Do`` pays its stream's length again
+    before it is lexed, so the second draw passes ``MAX_CONTENT_BYTES``
+    and the turn fails in well under a second."""
+    from engine.pdfcore.extract import MAX_CONTENT_BYTES
+    from gen_pdf import content_repeat
+    r, wall = _timed_turn(content_repeat(8, 40), shared_fonts)
+    assert wall < 1.0
+    assert (r['decode_ok'], r['text'], r['n_pages'], r['error']) == (
+        False, '', 0, 'BudgetExceeded: more than %d content bytes rendered'
+        % MAX_CONTENT_BYTES)
+    r, _ = _timed_turn(content_repeat(1, 3), shared_fonts)
+    assert r['decode_ok'] and r['text'] == '\nAAA'
+
+
 def test_inflate_keeps_zlib_errors():
     """``filters.inflate`` gives ``zlib.decompress``'s bytes or error: a
     truncated or empty stream raises zlib's own error, bytes after the
