@@ -17,12 +17,18 @@ All scanning is over latin-1-decoded ``str`` data.  A token is a plain
 ``(type, value, pos)`` tuple; ``pos`` is the index into that string (the
 reference's ``lexpos``), which the object-stream indexer relies on.
 
-The COS and content scanners first lex a whole region with one
-``findall`` (``_scan_fast``), which makes no match object per token, and
-keep its tokens unless the region holds something the fast path cannot
-vouch for.  Then a ``match`` loop lexes token by token, dispatching on
-``m.lastindex`` (every alternative is one plain group); it also raises
-every lex error.
+Each language is lexed by one ``match`` loop, token by token; it also
+raises every lex error.  Above the COS and content loops sit the
+one-pass parsers (``cos.parse_object_at``, ``content.content_ops``).
+
+Trade-off: a whole-region regex tier once sat between the two, and no
+workload needed it.  ``unique_docs`` never reaches ``scan_cos`` or
+``scan_content``, and the 25 ``boilerplate`` payloads, with and without
+spans, took 10.1 ms per 25 documents without it and 10.0 ms with it
+(1-vCPU VM, process time, median of 5).  A 46,000-token object stream
+lexes in 93 ms instead of 64 ms; if such streams become traffic, their
+fast path belongs in a one-pass object-stream parser, not in a second
+lexer tier.
 """
 
 import re
@@ -79,75 +85,14 @@ def _master(func_rules, literal_rules, skip_ws=False):
     return regex, names
 
 
-def _findall_master(func_rules, literal_rules):
-    """The fast path's regex: ``([\t \r\n]*)(token)``, the token's
-    alternatives in PLY order and no other group, so ``findall`` lexes a
-    whole region in one call and makes no match object per token.  A
-    literal string with no ``(``, ``)`` or ``\\`` inside is one token (the
-    balanced scan would end at its first ``)``); any other literal string
-    leaves a bare ``(`` token, on which the fast path gives up."""
-    parts = [p for n, p in func_rules]
-    for n, p in sorted(literal_rules.items(), key=lambda kv: len(kv[1]), reverse=True):
-        if n == 'LIT_START':
-            parts.append(r'\([^()\\]*\)')
-        parts.append(p)
-    return re.compile(r"([\t \r\n]*)(%s)" % "|".join(parts))
-
-
 def _keywords(literal_rules, *special):
-    """Keyword text → token type, for the fast path's literal rules other
-    than ``special`` ones."""
+    """Keyword text → token type, for the literal rules other than
+    ``special`` ones (the one-pass content parser's operator table)."""
     return {re.sub(r'\\(.)', r'\1', p): n for n, p in literal_rules.items()
             if n not in special}
 
 
 _NUMBER_START = frozenset('0123456789+-.')
-_NO_DIGIT = frozenset(('.', '-.', '+.'))     # FLOAT tokens float() rejects
-
-
-def _scan_fast(regex, keywords, data, pos, end):
-    """Tokens of ``data[pos:end]`` lexed with one ``findall`` of a
-    ``_findall_master`` regex, or None when the fast path cannot vouch for
-    them: a character no rule matches (the tokens would skip it), a
-    literal string with parens or backslashes, a FLOAT with no digit (the
-    ``match`` loop raises), or a COS ``stream`` keyword before ``end``."""
-    tokens = []
-    append = tokens.append
-    p = pos
-    for ws, tok in regex.findall(data, pos, end):
-        p += len(ws)
-        start = p
-        p += len(tok)
-        c = tok[0]
-        if c in _NUMBER_START:
-            if '.' not in tok:
-                append(('INT', int(tok), start))
-            elif tok not in _NO_DIGIT:
-                append(('FLOAT', float(tok), start))
-            else:
-                return None
-            continue
-        typ = keywords.get(tok)
-        if typ is not None:
-            append((typ, tok, start))
-        elif c == '(':
-            if len(tok) == 1:
-                return None
-            append(('LIT', tok[1:-1], start))
-        elif c == '/':
-            append(('NAME', tok[1:], start))
-        elif c == '<':
-            append(('HEXSTRING', tok[1:-1], start))
-        elif tok == 'stream':
-            if p != end:
-                return None
-            append(('stream', tok, start))
-        elif c == '%':
-            if tok == '%%EOF':
-                append(('EOF', tok, start))
-            else:
-                append(('COMMENT', tok[1:], start))
-    return tokens if p == end else None
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +120,6 @@ _COS_LITERALS = {
 }
 
 _COS_RE, _COS_IDX = _master(_COS_FUNCS, _COS_LITERALS, skip_ws=True)
-_COS_FINDALL = _findall_master(_COS_FUNCS, _COS_LITERALS)
-_COS_KW = _keywords(_COS_LITERALS, 'LIT_START', 'stream')
 
 
 def _scan_literal_simple(data, pos):
@@ -260,28 +203,7 @@ def scan_cos(data, pos=None, stoptoken=None, streamlength=None):
     """
     p = pos or 0
     n = len(data)
-    tokens = None
-    if stoptoken is None or stoptoken == 'endobj':
-        # Fast path up to the first ``stream`` or ``endobj`` text (or the
-        # end).  If the region's last token is that keyword, no token
-        # before it reaches past it, so the region's tokens are the
-        # scan's.  At ``stream`` the loop below goes on from the keyword.
-        end = n
-        for word in ('stream', stoptoken):
-            at = data.find(word, p) if word else -1
-            if 0 <= at and at + len(word) < end:
-                end = at + len(word)
-        tokens = _scan_fast(_COS_FINDALL, _COS_KW, data, p, end)
-        if tokens is not None:
-            last = tokens[-1][0] if tokens else None
-            if last == 'stream':
-                p = tokens.pop()[2]
-            elif end == n or last == stoptoken:
-                return tokens
-            else:
-                tokens = None
-    if tokens is None:
-        tokens = []
+    tokens = []
     match = _COS_RE.match
     names = _COS_IDX
     append = tokens.append
@@ -370,7 +292,6 @@ _TEXT_LITERALS = {
 }
 
 _TEXT_RE, _TEXT_IDX = _master(_TEXT_FUNCS, _TEXT_LITERALS, skip_ws=True)
-_TEXT_FINDALL = _findall_master(_TEXT_FUNCS, _TEXT_LITERALS)
 _TEXT_KW = _keywords(_TEXT_LITERALS, 'LIT_START')
 _G = _TEXT_RE.groupindex
 _T_INT, _T_NAME, _T_WS = _G['INT'], _G['NAME'], _G['WS']
@@ -382,12 +303,8 @@ def scan_content(data):
 
     Literal strings use the backslash-parity escape check.  There is no
     COMMENT rule: a ``%`` in a content stream is a lex error, as in the
-    reference.  The ``findall`` fast path lexes most streams; the match
-    loop below takes the rest and raises the lex errors.
+    reference.
     """
-    tokens = _scan_fast(_TEXT_FINDALL, _TEXT_KW, data, 0, len(data))
-    if tokens is not None:
-        return tokens
     tokens = []
     p = 0
     n = len(data)

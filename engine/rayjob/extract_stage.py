@@ -3,8 +3,8 @@
 ``stage_for`` gives this worker process's stage instance
 (``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
 current job: ``run_extraction``'s Stage A tasks call its
-``ExtractAndSpill`` per slice, and the tasks behind ``build_*_dataset``
-its ``ExtractTurns`` or ``ExtractSpans`` per unit.  The
+``ExtractAndSpill`` and the tasks behind ``build_*_dataset`` its
+``ExtractTurns`` or ``ExtractSpans``, once per work unit.  The
 corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
 S3/F10/F11) is built once per process (``font_state``); the payload LRU
 lives in the stage instance, so it is per job and a job is never served
@@ -12,11 +12,12 @@ another job's extraction.
 
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
-arbitrarily; ``batch_size`` bounds worker heap (payloads decompress
-in-row, nothing accumulates).  A batch is extracted once per DISTINCT
-payload (one Arrow hash pass over its ``text`` column), and
-each output column is one Arrow ``take`` of the per-distinct results, so
-no per-row Python runs between the kernel calls.
+arbitrarily; a task's heap is one work unit's row range, at most a row
+group (payloads decompress in-row, nothing accumulates).  A batch is
+extracted once per DISTINCT payload (one Arrow hash pass over its
+``text`` column), and each output column is one Arrow ``take`` of the
+per-distinct results, so no per-row Python runs between the kernel
+calls.
 """
 
 import functools
@@ -236,8 +237,8 @@ class ExtractAndSpill(ExtractTurns):
 
     def __call__(self, batch: pa.Table, slice_key) -> pa.Table:
         """Extract and spill ``batch``; ``slice_key`` names the slice of
-        the input it is (the sink passes ``(path, row_group, start, stop,
-        offset)``) and must have a stable ``repr``."""
+        the input it is (the sink passes its work unit, ``(path,
+        row_group, start, stop)``) and must have a stable ``repr``."""
         import hashlib
         import os
         import numpy as np

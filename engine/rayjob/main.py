@@ -26,9 +26,6 @@ def main(argv=None):
     ap.add_argument('--output', required=True, help='output directory (bucketed parquet + manifest)')
     ap.add_argument('--num-buckets', type=int, default=64,
                     help='output partitions; size so each is a few hundred MB at scale')
-    ap.add_argument('--batch-size', type=int, default=None,
-                    help='extraction batch size '
-                         '(default: one batch per work unit)')
     ap.add_argument('--concurrency', type=int, default=None,
                     help='max concurrent extraction tasks (default: cluster CPUs)')
     ap.add_argument('--no-resume', action='store_true', help='ignore existing manifest')
@@ -45,7 +42,6 @@ def main(argv=None):
     from .pipeline import run_extraction
     summary = run_extraction(args.input, args.output,
                              num_buckets=args.num_buckets,
-                             batch_size=args.batch_size,
                              concurrency=args.concurrency,
                              resume=not args.no_resume)
     print(json.dumps(summary))

@@ -15,10 +15,10 @@ CPUs by default), no driver-side row loops:
            the range's end is decoded
       → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
-      → ExtractAndSpill                            # each slice is extracted,
+      → ExtractAndSpill                            # the unit is extracted,
            sorted by bucket, and SPILLED to shared storage as an
-           uncompressed Arrow IPC file named after (unit, slice offset);
-           a task returns only its row count
+           uncompressed Arrow IPC file named after the unit; a task
+           returns only its row count
   Stage B (one task per spill shard, all at once: one wave):
     compact(that shard's not-yet-done buckets)     # list and memory-map
            the shard's spill files once (spill dir is sharded by
@@ -59,7 +59,7 @@ min(isqrt(num_buckets) // 2, the cluster's CPUs), at least 1
 on a cluster of that many CPUs), not ``num_buckets``: a single bucket is
 ~10 ms of work on small jobs, less than the cost of dispatching a task for
 it, and with no more shards than CPUs Stage B runs as one wave of tasks
-and each Stage A slice writes at most that many spill files.  The cap is
+and each Stage A unit writes at most that many spill files.  The cap is
 the cluster's CPUs, not a caller's ``concurrency``.  At 100 TB: pick
 num_buckets so each bucket ≈ a few hundred MB; on a cluster with fewer
 CPUs than isqrt(num_buckets) // 2, a shard (and the redo of a failed Stage
@@ -227,24 +227,20 @@ def _extract_rows(fs, unit, cls, job_id):
     return stage_for(cls, job_id)(_read_unit(fs, unit))
 
 
-def _extract_unit(fs, unit, prep, batch_size, job_id, *args):
+def _extract_unit(fs, unit, prep, job_id, *args):
     """Stage A task: read one unit's columns, apply ``prep`` (the
     driver-built bucketer, then the finished-bucket filter on resume), and
-    extract and spill each ``batch_size`` slice (the range whole when
-    None).  Returns the rows spilled."""
+    extract and spill what is left as one slice keyed by ``unit``.
+    Returns the rows spilled: 0, with no kernel call and no spill file,
+    when every row is in a finished bucket."""
     pin_arrow_threads()
     tbl = _read_unit(fs, unit)
     for fn in prep:
         tbl = fn(tbl)
-    step = batch_size or max(1, tbl.num_rows)   # 0 rows: all done
-    rows = 0
-    for lo in range(0, tbl.num_rows, step):
-        # the spill file is named after the unit and offset, so a retry
-        # overwrites it and distinct slices never share a name
-        stats = stage_for(ExtractAndSpill, job_id, *args)(
-            tbl.slice(lo, step), (*unit, lo))
-        rows += stats.column('rows')[0].as_py()
-    return rows
+    if not tbl.num_rows:
+        return 0
+    stats = stage_for(ExtractAndSpill, job_id, *args)(tbl, unit)
+    return stats.column('rows')[0].as_py()
 
 
 def _compact_buckets(compact, buckets):
@@ -403,8 +399,8 @@ def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
     return compact
 
 
-def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
-                   concurrency=None, resume=True):
+def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
+                   resume=True):
     """Run the full pipeline; returns a summary dict (job metrics).
 
     Resume refuses an output written with another ``num_buckets``: its
@@ -413,9 +409,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     version that did not record them; see ``checkpoint``): keeping its
     buckets would mix old and new rows.  The input is listed once, before
     anything is written, and Stage A reads exactly the listed files.
-    A ``num_buckets`` that is not an int >= 1, or a ``batch_size`` or
-    ``concurrency`` that is neither None nor an int >= 1, raises before
-    anything is written (a negative ``batch_size`` would extract nothing).
+    A ``num_buckets`` that is not an int >= 1, or a ``concurrency`` that
+    is neither None nor an int >= 1, raises before anything is written.
     """
     import glob
     import shutil
@@ -423,11 +418,10 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     if not isinstance(num_buckets, int) or num_buckets < 1:
         raise ValueError('num_buckets must be an int >= 1, got %r'
                          % (num_buckets,))
-    for name, value in (('batch_size', batch_size),
-                        ('concurrency', concurrency)):
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise ValueError('%s must be None or an int >= 1, got %r'
-                             % (name, value))
+    if concurrency is not None and (not isinstance(concurrency, int)
+                                    or concurrency < 1):
+        raise ValueError('concurrency must be None or an int >= 1, got %r'
+                         % (concurrency,))
     listing = list_input(input_path)
     fingerprint = checkpoint.input_fingerprint(listing[1])
     os.makedirs(out_dir, exist_ok=True)
@@ -473,7 +467,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, batch_size=None,
     prep_ref = ray.put(prep)
     fs, units = plan_units(input_path, cap, listing)
     _run_tasks(lambda unit: _extract_task.remote(
-                   fs, unit, prep_ref, batch_size, job_id, spill_dir,
+                   fs, unit, prep_ref, job_id, spill_dir,
                    num_buckets, num_shards),
                units, inflight, lambda rows: None)
     stage_a_s = time.perf_counter() - t0

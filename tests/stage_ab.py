@@ -56,10 +56,10 @@ def serve(root, corpus_dir, work, max_rows):
 
     fs, units = pipeline.plan_units(corpus_dir, CAP)
     tables = []
-    for path, rg, start, stop in units:
+    for unit in units:                 # the sink's spill key is the unit
+        path, rg, start, stop = unit
         with pq.ParquetFile(path, filesystem=fs) as pf:
-            tables.append(((path, rg, start, stop, 0),
-                           pipeline._read_range(pf, rg, start, stop)))
+            tables.append((unit, pipeline._read_range(pf, rg, start, stop)))
     # the side's own shard count for a job at CAP CPUs (a checkout older
     # than the CPU cap has isqrt // 2 shards)
     num_shards = (pipeline._num_shards(NUM_BUCKETS, CAP)

@@ -27,7 +27,7 @@ def extracted(ray_session, corpus, tmp_path_factory):
     from engine.rayjob.pipeline import run_extraction
     d, n = corpus
     out = str(tmp_path_factory.mktemp('out'))
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=False)
     return d, n, out, summary
 
@@ -105,7 +105,7 @@ def test_resume_skips_done_and_rebuilds_missing(ray_session, extracted):
             if r['bucket'] != victim_bucket:
                 f.write(json.dumps(r) + '\n')
 
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 1
     assert summary['rows_out'] == n
@@ -130,7 +130,7 @@ def test_resume_of_finished_output_skips_stage_a(ray_session, extracted,
     def no_read(*args, **kwargs):
         raise AssertionError('a finished output must not read its input')
     monkeypatch.setattr(pq, 'ParquetFile', no_read)
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=True)
     assert summary['rows_out'] == n
     assert summary['rows_this_run'] == 0
@@ -156,7 +156,7 @@ def test_resume_of_finished_output_submits_no_task(ray_session, extracted,
     monkeypatch.setattr(pads, 'dataset', refuse)
     monkeypatch.setattr(pipeline, '_extract_task', NoSubmit)
     monkeypatch.setattr(pipeline, '_compact_task', NoSubmit)
-    summary = pipeline.run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = pipeline.run_extraction(d, out, num_buckets=4,
                                       concurrency=2, resume=True)
     assert summary['rows_out'] == n
     assert summary['rows_this_run'] == 0
@@ -216,9 +216,8 @@ def test_resume_finishes_when_only_empty_buckets_are_left(ray_session,
 
 
 def test_resume_skips_units_of_done_buckets(ray_session, tmp_path):
-    """A resume at the default batch size (one batch per row group) whose
-    finished-bucket filter empties whole units skips them: one file per
-    conversation, every bucket but one done."""
+    """A resume whose finished-bucket filter empties whole units skips
+    them: one file per conversation, every bucket but one done."""
     import zlib
     import pyarrow as pa
     from engine.rayjob.pipeline import run_extraction
@@ -261,7 +260,7 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
     from engine.rayjob.pipeline import run_extraction
     d, n = corpus
     out = str(tmp_path)
-    run_extraction(d, out, num_buckets=4, batch_size=32, concurrency=2,
+    run_extraction(d, out, num_buckets=4, concurrency=2,
                    resume=False)
     mpath = checkpoint.manifest_path(out)
     rows = [json.loads(l) for l in open(mpath)]
@@ -273,9 +272,9 @@ def test_resume_refuses_changed_bucket_count(ray_session, corpus, tmp_path):
                 os.unlink(os.path.join(out, r['file']))
 
     with pytest.raises(ValueError, match='--no-resume'):
-        run_extraction(d, out, num_buckets=2, batch_size=32, concurrency=2,
+        run_extraction(d, out, num_buckets=2, concurrency=2,
                        resume=True)
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 2
     assert summary['rows_out'] == n
@@ -304,7 +303,7 @@ def test_resume_refuses_changed_input(ray_session, corpus, tmp_path,
     d = str(tmp_path / 'corpus')
     shutil.copytree(src, d)
     out = str(tmp_path / 'out')
-    pipeline.run_extraction(d, out, num_buckets=4, batch_size=32,
+    pipeline.run_extraction(d, out, num_buckets=4,
                             concurrency=2, resume=False)
     mpath = checkpoint.manifest_path(out)
     rows = [json.loads(l) for l in open(mpath)]
@@ -347,21 +346,20 @@ def test_resume_refuses_changed_input(ray_session, corpus, tmp_path,
 
     if change != 'resized':
         drop_bucket_0()
-    summary = pipeline.run_extraction(src, out, num_buckets=4, batch_size=32,
+    summary = pipeline.run_extraction(src, out, num_buckets=4,
                                       concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 1
     assert summary['rows_out'] == n
 
 
 def test_run_extraction_rejects_bad_bucket_count(corpus, tmp_path):
-    """A bucket count below 1, or a batch size or concurrency that is
-    neither None nor an int >= 1, raises a ValueError naming the
-    parameter before any work: no Ray task runs and no spill dir is left
-    behind (a negative batch size would extract nothing)."""
+    """A bucket count below 1, or a concurrency that is neither None nor
+    an int >= 1, raises a ValueError naming the parameter before any
+    work: no Ray task runs and no spill dir is left behind."""
     from engine.rayjob.pipeline import run_extraction
     d, _ = corpus
-    cases = [('num_buckets', 0), ('num_buckets', -4), ('batch_size', -5),
-             ('batch_size', 0), ('concurrency', -1), ('concurrency', 0)]
+    cases = [('num_buckets', 0), ('num_buckets', -4), ('concurrency', -1),
+             ('concurrency', 0)]
     for i, (name, bad) in enumerate(cases):
         out = str(tmp_path / str(i))
         with pytest.raises(ValueError, match=name):
@@ -396,7 +394,7 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
         return got
 
     out = str(tmp_path / 'out')
-    pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+    pipeline.run_extraction(d, out, num_buckets=16,
                             concurrency=2, resume=False)   # 2 spill shards
     assert calls() == [list(range(8)), list(range(8, 16))]
     parts, _ = _read_all(out)
@@ -411,7 +409,7 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
                 f.write(json.dumps(r) + '\n')
             elif r['file']:
                 os.unlink(os.path.join(out, r['file']))
-    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+    summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=True)
     assert calls() == [[1, 2], [9, 14]]
     assert summary['buckets_this_run'] == 4
@@ -451,7 +449,7 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
     monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
 
     out = str(tmp_path / 'out')
-    summary = pipeline.run_extraction(d, out, num_buckets=144, batch_size=32,
+    summary = pipeline.run_extraction(d, out, num_buckets=144,
                                       concurrency=2, resume=False)
     assert summary['rows_out'] == n
     with open(calls_path) as f:
@@ -506,12 +504,12 @@ def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
     monkeypatch.setattr(pipeline, '_make_bucket_compactor', failing)
 
     with pytest.raises(Exception, match='injected Stage B failure'):
-        pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+        pipeline.run_extraction(d, out, num_buckets=16,
                                 concurrency=2, resume=False)   # 2 shards
     assert sorted(checkpoint.load_done_buckets(out)) == list(range(8))
 
     monkeypatch.setattr(pipeline, '_make_bucket_compactor', make)
-    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+    summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 8
     assert summary['rows_out'] == n
@@ -543,7 +541,7 @@ def test_manifest_rows_name_published_parts(ray_session, corpus, tmp_path,
         append(out_dir, rows)
     monkeypatch.setattr(checkpoint, 'append_manifest_rows', checked)
 
-    summary = pipeline.run_extraction(d, out, num_buckets=16, batch_size=32,
+    summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=False)
     assert sorted(seen) == list(range(16))
     assert summary['rows_out'] == n
@@ -656,7 +654,7 @@ def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
                          poison.schema) as writer:
         writer.write_table(poison)
 
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=True)
     assert not os.path.exists(stale)
     assert summary['rows_out'] == n
@@ -692,7 +690,7 @@ def test_giant_conversation_skew(ray_session, tmp_path_factory):
     }), os.path.join(d, 'part-giant.parquet'))
 
     out = str(tmp_path_factory.mktemp('out_skew'))
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=False)
     # the giant conversation landed whole in exactly one bucket, ordered
     rows = [json.loads(l) for l in open(checkpoint.manifest_path(out))]
@@ -1302,7 +1300,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     }), os.path.join(d, 'part-giant.parquet'))
 
     out_mem = str(tmp_path_factory.mktemp('out_mem'))
-    s1 = pipeline.run_extraction(d, out_mem, num_buckets=4, batch_size=32,
+    s1 = pipeline.run_extraction(d, out_mem, num_buckets=4,
                                  concurrency=2, resume=False)
 
     # the driver hands the module's bound to the compactor it builds
@@ -1315,7 +1313,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
     monkeypatch.setattr(pipeline, 'COMPACT_MAX_ROWS', 16)
     out_small = str(tmp_path_factory.mktemp('out_small'))
-    s2 = pipeline.run_extraction(d, out_small, num_buckets=4, batch_size=32,
+    s2 = pipeline.run_extraction(d, out_small, num_buckets=4,
                                  concurrency=2, resume=False)
     assert seen == [16]
     assert s2['rows_out'] == s1['rows_out']
@@ -1449,7 +1447,7 @@ def test_torn_manifest_tail_redone(ray_session, extracted):
     with open(mpath, 'w') as f:
         f.write(text[:len(text) - len(last) - 1] + last[:len(last) // 2])
 
-    summary = run_extraction(d, out, num_buckets=4, batch_size=32,
+    summary = run_extraction(d, out, num_buckets=4,
                              concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 1
     assert summary['rows_out'] == n
@@ -1528,8 +1526,7 @@ def test_stage_a_units_from_metadata(tmp_path):
     """Stage A plans its work units on the driver from the footers, with no
     Ray: each row group is cut into even row ranges of at most
     ceil(rows / (2 * cap)) rows, reading the ranges gives every row once
-    and in order, and the file set is the one ``ray.data.read_parquet``
-    reads."""
+    and in order, and the file set is the one ``list_input`` lists."""
     import pyarrow as pa
     from engine.rayjob.pipeline import (READ_BUFFER, _read_range,
                                         plan_units)
@@ -1585,13 +1582,10 @@ def test_stage_a_units_from_metadata(tmp_path):
     assert files(nested, units) == ['a.parquet', 'e.pq', 'sub/b.parquet']
 
 
-def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path,
-                                               monkeypatch):
-    """``build_extract_dataset`` and ``build_spans_dataset`` read a
-    ``.pq`` file as the sink does, also under the ``file_extensions``
-    default Ray announces for ``read_parquet`` (``['parquet']``), which
-    the patch applies to any call that does not pass its own."""
-    import ray.data
+def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path):
+    """The sink, ``build_extract_dataset`` and ``build_spans_dataset`` all
+    read a ``.pq`` file: every row reaches the part files and the turns
+    Dataset, and every glyph the spans Dataset."""
     from engine.rayjob.pipeline import (build_extract_dataset,
                                         build_spans_dataset, run_extraction)
     d = str(tmp_path / 'corpus')
@@ -1599,13 +1593,6 @@ def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path,
     assert files > 1
     first = sorted(glob.glob(os.path.join(d, '*.parquet')))[0]
     os.rename(first, first[:-len('.parquet')] + '.pq')
-
-    read = ray.data.read_parquet
-
-    def future_default(*args, **kwargs):
-        kwargs.setdefault('file_extensions', ['parquet'])
-        return read(*args, **kwargs)
-    monkeypatch.setattr(ray.data, 'read_parquet', future_default)
 
     out = str(tmp_path / 'out')
     summary = run_extraction(d, out, num_buckets=2, resume=False)

@@ -1049,6 +1049,36 @@ def test_content_ops_equal_tokenize_content():
     assert vouched > 500
 
 
+def test_unique_docs_never_reach_the_lexers(monkeypatch, shared_fonts):
+    """The one-pass parsers take every object and content stream of the
+    ``unique_docs`` benchmark documents: over the first 100 of the 800
+    seed-7 ones, with and without spans, neither ``scan_cos`` nor
+    ``scan_content`` runs.  If they stop doing so, the token path is hot
+    on that workload again."""
+    import random
+    from engine.pdfcore import content, document
+    from engine.pdfcore.extract import extract_turn
+    from perfbench.corpus import _unique_rows
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(document, 'scan_cos',
+                        spy('scan_cos', document.scan_cos))
+    monkeypatch.setattr(content, 'scan_content',
+                        spy('scan_content', content.scan_content))
+    rows, _ = _unique_rows(random.Random('unique-7'), 800, 7)
+    for row in rows[:100]:
+        for spans in (False, True):
+            r = extract_turn(row[2], shared_fonts, collect_spans=spans)
+            assert r['decode_ok'], r['error']
+    assert calls == []
+
+
 def test_xref_section_fast_path_equals_line_loop(monkeypatch):
     """``_xref_table_fast`` reads an xref section and its trailer with
     ``find`` and ``split``; ``_parse_xref_table``'s line loop reads them
