@@ -196,6 +196,7 @@ class Renderer(object):
         self.ops_left = MAX_RENDERED_OPS
         self.bytes_left = MAX_CONTENT_BYTES
         self.glyphs_left = MAX_GLYPHS
+        self._ops = {}          # content string -> its operators
 
     # -- resource-stack font lookup (reference PDF.GetFont, :128-158) ----
 
@@ -306,12 +307,16 @@ class Renderer(object):
     def _charge(self, content):
         """The operators of ``content``, a content stream about to be
         rendered: its length is taken from the byte budget before it is
-        lexed, and its operator count from the operator budget."""
+        lexed, and its operator count from the operator budget, on every
+        draw.  A stream drawn again (a form XObject at each ``Do``) is
+        lexed once per document."""
         self.bytes_left -= len(content)
         if self.bytes_left < 0:
             raise BudgetExceeded('more than %d content bytes rendered'
                                  % MAX_CONTENT_BYTES)
-        toks = content_ops(content)
+        toks = self._ops.get(content)
+        if toks is None:
+            toks = self._ops[content] = content_ops(content)
         self.ops_left -= len(toks)
         if self.ops_left < 0:
             raise BudgetExceeded('more than %d operators rendered'

@@ -1,10 +1,11 @@
 """Extraction stages over zero-copy Arrow batches, run in plain tasks.
 
-``stage_for`` gives this worker process's stage instance
-(``ExtractTurns``, ``ExtractSpans`` or ``ExtractAndSpill``) for the
-current job: ``run_extraction``'s Stage A tasks call its
-``ExtractAndSpill`` and the tasks behind ``build_*_dataset`` its
-``ExtractTurns`` or ``ExtractSpans``, once per work unit.  The
+``stage_for`` gives this worker process's stage instance (``ExtractTurns``
+or ``ExtractSpans``) for the current job: ``run_extraction``'s Stage A
+tasks and the tasks behind ``build_extract_dataset`` call its
+``ExtractTurns``, those behind ``build_spans_dataset`` its
+``ExtractSpans``, once per work unit.  The spill that follows Stage A's
+extraction is ``pipeline``'s; this module reads and writes no file.  The
 corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
 S3/F10/F11) is built once per process (``font_state``); the payload LRU
 lives in the stage instance, so it is per job and a job is never served
@@ -30,8 +31,8 @@ import pyarrow.compute as pc
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
-__all__ = ['ExtractTurns', 'ExtractSpans', 'ExtractAndSpill', 'stage_for',
-           'assign_bucket', 'make_done_filter']
+__all__ = ['ExtractTurns', 'ExtractSpans', 'stage_for', 'assign_bucket',
+           'make_done_filter']
 
 PAYLOAD_LRU = 4096   # ExtractTurns cache entries (one text row each)
 SPANS_LRU = 1024     # ExtractSpans cache entries (a whole span list each)
@@ -46,13 +47,13 @@ def font_state():
     return SharedFontState()
 
 
-def stage_for(cls, job_id, *args):
-    """This process's ``cls(*args)`` for job ``job_id``.  Only the latest
-    job's instance per class is kept: a new job id gets a fresh instance
-    (and payload LRU), so a process holds one job's cache per stage."""
+def stage_for(cls, job_id):
+    """This process's ``cls()`` for job ``job_id``.  Only the latest job's
+    instance per class is kept: a new job id gets a fresh instance (and
+    payload LRU), so a process holds one job's cache per stage."""
     cur = _stages.get(cls)
     if cur is None or cur[0] != job_id:
-        cur = _stages[cls] = (job_id, cls(*args))
+        cur = _stages[cls] = (job_id, cls())
     return cur[1]
 
 
@@ -86,19 +87,15 @@ class _CachedStage(object):
     common in web-scale transcript corpora) costs one md5 (~µs) instead of
     a full re-extraction (~ms).  ``lru_hits`` counts every row served
     without a kernel call: LRU hits and repeats within a batch.  Bounded by
-    entry COUNT; ``payload_lru=0`` disables the LRU, not the per-batch
-    dedup."""
+    entry COUNT, the stage's ``lru_cap``."""
 
-    def __init__(self, payload_lru):
+    def __init__(self):
         pin_arrow_threads()
         self.shared = font_state()
         self._lru = OrderedDict()
-        self._lru_cap = payload_lru
         self.lru_hits = 0
 
     def _cached(self, payload, extract):
-        if not self._lru_cap:
-            return extract(payload)
         key = _payload_key(payload)
         hit = self._lru.get(key)
         if hit is not None:
@@ -106,7 +103,7 @@ class _CachedStage(object):
             self.lru_hits += 1
             return hit
         value = self._lru[key] = extract(payload)
-        if len(self._lru) > self._lru_cap:
+        if len(self._lru) > self.lru_cap:
             self._lru.popitem(last=False)
         return value
 
@@ -129,8 +126,7 @@ class ExtractTurns(_CachedStage):
     The kernel runs once per distinct payload of the batch, and each
     result column is one ``take`` of the rows' payload indices."""
 
-    def __init__(self, payload_lru=PAYLOAD_LRU):
-        super().__init__(payload_lru)
+    lru_cap = PAYLOAD_LRU
 
     def _extract(self, payload):
         r = extract_turn(payload, self.shared)
@@ -164,8 +160,7 @@ class ExtractSpans(_CachedStage):
     distinct payloads' span lists are flattened into columns once, and
     each row's spans are a ``take`` of its payload's span range."""
 
-    def __init__(self, payload_lru=SPANS_LRU):
-        super().__init__(payload_lru)
+    lru_cap = SPANS_LRU
 
     def _spans(self, payload):
         return extract_turn(payload, self.shared, collect_spans=True)['spans'] or ()
@@ -195,81 +190,6 @@ class ExtractSpans(_CachedStage):
             'cid': pa.array(cid, pa.int32()).take(at),
             'width': pa.array(width, pa.float64()).take(at),
         })
-
-
-def shard_of(bucket, num_buckets, num_shards):
-    """Contiguous bucket-range → spill shard mapping (works elementwise on
-    numpy arrays too)."""
-    return bucket * num_shards // num_buckets
-
-
-class ExtractAndSpill(ExtractTurns):
-    """Extract + external-shuffle spill in one stage.
-
-    Instead of a Ray all-to-all (sort/groupby) after extraction, each
-    call writes its output batch straight to shared storage, sorted by
-    ``bucket``, as an uncompressed Arrow IPC file: the spill lives for one
-    job and is read back only by this job's compaction, which
-    memory-maps it, so it needs no Parquet encoding, statistics or footer.
-    Rows stay contiguous per bucket in every file, so compaction finds a
-    bucket's rows with a binary search of the file's ``bucket`` column.
-    Returns one tiny stat row per batch — the object store never carries
-    the shuffled payload, and there is no global barrier operator.
-
-    The spill dir is SHARDED by contiguous bucket range
-    (``shard-XXX/`` = buckets ``[s·B/S, (s+1)·B/S)``): each batch writes
-    one file per non-empty shard (cheap slices of the already-sorted
-    table), and a compaction task lists and maps ONLY its bucket's shard.
-    At 100 TB (~400k spill blocks) an unsharded dir makes every compact
-    task open 400k files; with S shards it opens 400k/S.
-    ``run_extraction`` derives S = min(isqrt(num_buckets) // 2, cluster
-    CPUs), at least 1: 2 at the default 64 buckets on 2 CPUs, 223–316 at
-    200–400k buckets on a cluster of at least that many CPUs, so file count
-    per batch grows by ≤ S.  Extraction is ``ExtractTurns``'s: once per
-    distinct payload of the batch.
-    """
-
-    def __init__(self, spill_dir, num_buckets, num_shards=1):
-        super().__init__()
-        self.spill_dir = spill_dir
-        self.num_buckets = num_buckets
-        self.num_shards = num_shards
-
-    def __call__(self, batch: pa.Table, slice_key) -> pa.Table:
-        """Extract and spill ``batch``; ``slice_key`` names the slice of
-        the input it is (the sink passes its work unit, ``(path,
-        row_group, start, stop)``) and must have a stable ``repr``."""
-        import hashlib
-        import os
-        import numpy as np
-        out = super().__call__(batch).append_column('bucket',
-                                                    batch.column('bucket'))
-        ordered = out.sort_by([('bucket', 'ascending'),
-                               ('conv_id', 'ascending'),
-                               ('turn_idx', 'ascending')])
-        # Deterministic spill name = hash of the slice's place in the
-        # input: a Ray-retried task OVERWRITES its own prior (possibly
-        # published) spill files via os.replace instead of duplicating rows
-        # under a fresh random name, and the same slice always has the same
-        # non-empty shard set, so no orphan from the first try.  Distinct
-        # slices never collide, even when two input files hold the same
-        # rows.
-        digest = hashlib.md5(repr(slice_key).encode('utf-8')).hexdigest()
-        shards = shard_of(
-            ordered.column('bucket').to_numpy(zero_copy_only=False).astype(np.int64),
-            self.num_buckets, self.num_shards)
-        present, starts = np.unique(shards, return_index=True)
-        bounds = np.append(starts, len(shards))
-        for i, s in enumerate(present):                # zero-copy slices of
-            part = ordered.slice(bounds[i], bounds[i + 1] - bounds[i])
-            sdir = os.path.join(self.spill_dir, 'shard-%03d' % s)
-            os.makedirs(sdir, exist_ok=True)
-            fname = os.path.join(sdir, 'spill-%s.arrow' % digest)
-            tmp = fname + '.tmp'
-            with pa.ipc.new_file(tmp, part.schema) as writer:
-                writer.write_table(part)
-            os.replace(tmp, fname)
-        return pa.table({'rows': pa.array([ordered.num_rows], pa.int64())})
 
 
 def assign_bucket(num_buckets):

@@ -15,12 +15,12 @@ CPUs by default), no driver-side row loops:
            the range's end is decoded
       → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
-      → ExtractAndSpill                            # the unit is extracted,
-           sorted by bucket, and SPILLED to shared storage as an
-           uncompressed Arrow IPC file named after the unit; a task
-           returns only its row count
+      → ExtractTurns, then _spill                  # the unit is extracted,
+           sorted by bucket, and SPILLED to shared storage as one
+           uncompressed Arrow IPC file per shard, named after the unit; a
+           task returns only its row count
   Stage B (one task per spill shard, all at once: one wave):
-    compact(that shard's not-yet-done buckets)     # list and memory-map
+    _compact_shard(its not-yet-done buckets)       # list and memory-map
            the shard's spill files once (spill dir is sharded by
            contiguous bucket range); bucket row counts are binary
            searches of each file's bucket column; runs of contiguous
@@ -48,8 +48,9 @@ materialized Dataset, one block per unit.  They import ``ray.data`` when
 called, so importing this module does not load it.
 
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
-shared filesystem, like Spark's shuffle files — so no Ray AllToAll
-barrier operator sits between extraction and write, the object store
+shared filesystem, like Spark's shuffle files, with its layout owned by
+``_spill`` and ``_compact_shard`` alone — so no Ray AllToAll barrier
+operator sits between extraction and write, the object store
 never holds the shuffled payload, and both stages are embarrassingly
 parallel (Stage A per unit, Stage B per spill shard).  Bucket keys
 are uniform crc32 hashes: a single skewed conversation cannot skew a
@@ -79,6 +80,7 @@ ParquetWriter, so a task's memory is O(``COMPACT_MAX_ROWS``) plus the
 bucket's sort indices, not O(bucket).
 """
 
+import glob
 import itertools
 import math
 import os
@@ -90,9 +92,8 @@ import pyarrow.parquet as pq
 
 import ray
 
-from .extract_stage import (ExtractTurns, ExtractAndSpill, ExtractSpans,
-                            assign_bucket, make_done_filter,
-                            pin_arrow_threads, shard_of, stage_for)
+from .extract_stage import (ExtractTurns, ExtractSpans, assign_bucket,
+                            make_done_filter, pin_arrow_threads, stage_for)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
@@ -111,6 +112,12 @@ def default_concurrency():
     ``concurrency``, ``run_extraction`` keeps at most twice this many tasks
     in flight, one running and one queued per CPU."""
     return max(1, int(ray.cluster_resources().get('CPU', 1)))
+
+
+def shard_of(bucket, num_buckets, num_shards):
+    """Contiguous bucket-range → spill shard mapping (works elementwise on
+    numpy arrays too)."""
+    return bucket * num_shards // num_buckets
 
 
 def _num_shards(num_buckets, cpus):
@@ -227,33 +234,162 @@ def _extract_rows(fs, unit, cls, job_id):
     return stage_for(cls, job_id)(_read_unit(fs, unit))
 
 
-def _extract_unit(fs, unit, prep, job_id, *args):
+def _extract_unit(fs, unit, prep, job_id, spill_dir, num_buckets,
+                  num_shards):
     """Stage A task: read one unit's columns, apply ``prep`` (the
-    driver-built bucketer, then the finished-bucket filter on resume), and
-    extract and spill what is left as one slice keyed by ``unit``.
-    Returns the rows spilled: 0, with no kernel call and no spill file,
-    when every row is in a finished bucket."""
+    driver-built bucketer, then the finished-bucket filter on resume),
+    extract what is left with this process's ``ExtractTurns`` for
+    ``job_id`` and spill it as one slice keyed by ``unit``.  Returns the
+    rows spilled: 0, with no kernel call and no spill file, when every row
+    is in a finished bucket."""
     pin_arrow_threads()
     tbl = _read_unit(fs, unit)
     for fn in prep:
         tbl = fn(tbl)
     if not tbl.num_rows:
         return 0
-    stats = stage_for(ExtractAndSpill, job_id, *args)(tbl, unit)
-    return stats.column('rows')[0].as_py()
+    out = stage_for(ExtractTurns, job_id)(tbl).append_column(
+        'bucket', tbl.column('bucket'))
+    _spill(out, unit, spill_dir, num_buckets, num_shards)
+    return out.num_rows
 
 
-def _compact_buckets(compact, buckets):
-    """Stage B task: one spill shard's listed buckets → part files; returns
-    their manifest rows as dicts (an Arrow table in a task result would
-    make the driver import ``ray.data`` to deserialise it)."""
-    table = pa.table({'bucket': pa.array(buckets, pa.int32())})
-    return compact(table).to_pylist()
+def _spill(out, unit, spill_dir, num_buckets, num_shards):
+    """Stage A's half of the exchange: ``out`` (extracted rows with their
+    ``bucket``) sorted by ``SORT_KEYS`` and written as one uncompressed
+    Arrow IPC file per non-empty shard, ``shard-XXX/spill-<md5 of
+    repr(unit)>.arrow``, each published by tmp + ``os.replace``.  Rows
+    stay contiguous per bucket, so ``_compact_shard`` finds a bucket's rows
+    in a file with a binary search.  The name is the unit's, not a random
+    one: a Ray-retried task OVERWRITES its earlier files (the same unit has
+    the same shard set) instead of duplicating rows, and two units never
+    collide, even when two input files hold the same rows."""
+    import hashlib
+    import numpy as np
+    ordered = out.sort_by(SORT_KEYS)
+    digest = hashlib.md5(repr(unit).encode('utf-8')).hexdigest()
+    shards = shard_of(
+        ordered.column('bucket').to_numpy(zero_copy_only=False).astype(np.int64),
+        num_buckets, num_shards)
+    present, starts = np.unique(shards, return_index=True)
+    bounds = np.append(starts, len(shards))
+    for i, s in enumerate(present):
+        part = ordered.slice(bounds[i], bounds[i + 1] - bounds[i])
+        sdir = os.path.join(spill_dir, 'shard-%03d' % s)
+        os.makedirs(sdir, exist_ok=True)
+        fname = os.path.join(sdir, 'spill-%s.arrow' % digest)
+        tmp = fname + '.tmp'
+        with pa.ipc.new_file(tmp, part.schema) as writer:
+            writer.write_table(part)
+        os.replace(tmp, fname)
+
+
+def _compact_shard(spill_dir, out_dir, shard, buckets,
+                   max_rows=COMPACT_MAX_ROWS):
+    """Stage B task: spill shard ``shard``'s listed ``buckets`` → part
+    files; returns their manifest rows as dicts (an Arrow table in a task
+    result would make the driver import ``ray.data`` to deserialise it).
+
+    The shard's spill files are listed once and each is memory-mapped
+    once; a bucket's row count in a file is a binary search of that file's
+    ``bucket`` column.  The buckets are cut into windows: runs of
+    ascending buckets whose rows sum to at most ``max_rows``, or one
+    bucket above it.  A window is every file sliced to its bucket range
+    and concatenated, with one stable sort of its indices by
+    ``SORT_KEYS``; its rows are taken in that order ``max_rows`` at a
+    time, and each bucket streams through one ParquetWriter, so memory
+    holds at most ``max_rows`` rows plus the window's indices and the
+    shard's ``bucket`` columns (the mapped pages are file-backed).  Every
+    bucket is published by atomic tmp+rename."""
+    import numpy as np
+    import pyarrow.compute as pc
+    pin_arrow_threads()
+    rows = []
+    t0 = time.perf_counter()
+
+    def record(bucket, n, failures, spans, fname):
+        nonlocal t0
+        now = time.perf_counter()
+        rows.append({'bucket': bucket, 'rows': n, 'decode_failures': failures,
+                     'span_count': spans, 'wall_s': now - t0, 'file': fname})
+        t0 = now
+
+    # Only PUBLISHED spill files: a task that died mid-write leaves a
+    # 'spill-*.arrow.tmp', which its retry supersedes under the same
+    # deterministic name.
+    tables = []
+    for path in sorted(glob.glob(os.path.join(
+            spill_dir, 'shard-%03d' % shard, 'spill-*.arrow'))):
+        with pa.memory_map(path) as src:
+            tables.append(pa.ipc.open_file(src).read_all())
+    # lo[f, i], hi[f, i]: the row range of buckets[i] in file f (each file
+    # is sorted by bucket)
+    want = np.asarray(buckets, np.int32)
+    lo = np.zeros((len(tables), len(buckets)), np.int64)
+    hi = np.zeros_like(lo)
+    for f, tbl in enumerate(tables):
+        keys = tbl.column('bucket').to_numpy()
+        lo[f] = np.searchsorted(keys, want, 'left')
+        hi[f] = np.searchsorted(keys, want, 'right')
+    first, last = lo.sum(axis=0), hi.sum(axis=0)
+
+    def window(i, j):
+        """Every file's rows of buckets[i]..buckets[j], concatenated."""
+        return pa.concat_tables(
+            [t.slice(lo[f, i], hi[f, j] - lo[f, i])
+             for f, t in enumerate(tables) if hi[f, j] > lo[f, i]])
+
+    i = 0
+    while i < len(buckets):
+        j = i
+        while (j + 1 < len(buckets) and buckets[j + 1] > buckets[j]
+               and last[j + 1] - first[i] <= max_rows):
+            j += 1
+        if last[j] == first[i]:                 # no rows in the window
+            for bucket in buckets[i:j + 1]:
+                record(bucket, 0, 0, 0, '')
+        else:
+            win = window(i, j)
+            order = pc.sort_indices(win, sort_keys=SORT_KEYS)
+            keys = win.column('bucket').take(order).to_numpy()
+            # prefix sums: a bucket's failures and spans are one
+            # subtraction each
+            fails = np.concatenate(([0], np.cumsum(
+                ~win.column('decode_ok').take(order).to_numpy(),
+                dtype=np.int64)))
+            spans = np.concatenate(([0], np.cumsum(
+                win.column('n_spans').take(order).to_numpy(),
+                dtype=np.int64)))
+            win = win.drop_columns(['bucket'])
+            # chunk holds the rows order[at:at + max_rows]: one take for a
+            # window that fits, and a bucket above max_rows streams
+            # through its writer one take at a time
+            at, chunk = -1, None
+            for bucket in buckets[i:j + 1]:
+                a = int(np.searchsorted(keys, bucket, 'left'))
+                b = int(np.searchsorted(keys, bucket, 'right'))
+                fname = 'part-%05d.parquet' % bucket if b > a else ''
+                if fname:
+                    tmp = os.path.join(out_dir, '_tmp-%s' % fname)
+                    with pq.ParquetWriter(tmp, win.schema) as writer:
+                        k = a
+                        while k < b:
+                            if k - k % max_rows != at:
+                                at = k - k % max_rows
+                                chunk = win.take(order[at:at + max_rows])
+                            end = min(b, at + max_rows)
+                            writer.write_table(chunk.slice(k - at, end - k))
+                            k = end
+                    os.replace(tmp, os.path.join(out_dir, fname))
+                record(bucket, b - a, int(fails[b] - fails[a]),
+                       int(spans[b] - spans[a]), fname)
+        i = j + 1
+    return rows
 
 
 _rows_task = ray.remote(num_cpus=1)(_extract_rows)
 _extract_task = ray.remote(num_cpus=1)(_extract_unit)
-_compact_task = ray.remote(num_cpus=1)(_compact_buckets)
+_compact_task = ray.remote(num_cpus=1)(_compact_shard)
 
 
 def _run_tasks(submit, items, cap, on_result):
@@ -280,125 +416,6 @@ def _run_tasks(submit, items, cap, on_result):
         raise
 
 
-def _make_bucket_compactor(spill_dir, out_dir, num_buckets, num_shards,
-                           max_rows=COMPACT_MAX_ROWS):
-    """Stage B UDF: one call compacts one spill shard's listed buckets.
-    The shard's spill files are listed once per call and each is
-    memory-mapped once; a bucket's row count in a file is a binary search
-    of that file's ``bucket`` column.  The listed buckets are cut into
-    windows: runs of ascending buckets whose rows sum to at most
-    ``max_rows``, or one bucket above it.  A window is every file sliced
-    to its bucket range and concatenated, with one stable sort of its
-    indices by (bucket, conv_id, turn_idx); its rows are taken in that
-    order ``max_rows`` at a time, and each bucket streams through one
-    ParquetWriter, so memory holds at most ``max_rows`` rows plus the
-    window's indices and the shard's ``bucket`` columns (the mapped pages
-    are file-backed).  Every bucket is published by atomic tmp+rename."""
-
-    def compact(batch: pa.Table) -> pa.Table:
-        import glob
-        import numpy as np
-        import pyarrow.compute as pc
-        pin_arrow_threads()
-        buckets = batch.column('bucket').to_pylist()
-        out = {'bucket': [], 'rows': [], 'decode_failures': [],
-               'span_count': [], 'wall_s': [], 'file': []}
-        t0 = time.perf_counter()
-
-        def record(bucket, rows, failures, spans, fname):
-            nonlocal t0
-            out['bucket'].append(bucket)
-            out['rows'].append(rows)
-            out['decode_failures'].append(failures)
-            out['span_count'].append(spans)
-            out['wall_s'].append(time.perf_counter() - t0)
-            out['file'].append(fname)
-            t0 = time.perf_counter()
-
-        # Only PUBLISHED spill files of the call's own shard: a task that
-        # died mid-write leaves a 'spill-*.arrow.tmp', which its retry
-        # supersedes under the same deterministic name.
-        files = sorted(itertools.chain.from_iterable(
-            glob.glob(os.path.join(spill_dir, 'shard-%03d' % s,
-                                   'spill-*.arrow'))
-            for s in {shard_of(b, num_buckets, num_shards) for b in buckets}))
-        tables = []
-        for path in files:
-            with pa.memory_map(path) as src:
-                tables.append(pa.ipc.open_file(src).read_all())
-        # lo[f, i], hi[f, i]: the row range of buckets[i] in file f (each
-        # file is sorted by bucket)
-        want = np.asarray(buckets, np.int32)
-        lo = np.zeros((len(tables), len(buckets)), np.int64)
-        hi = np.zeros_like(lo)
-        for f, tbl in enumerate(tables):
-            keys = tbl.column('bucket').to_numpy()
-            lo[f] = np.searchsorted(keys, want, 'left')
-            hi[f] = np.searchsorted(keys, want, 'right')
-        first, last = lo.sum(axis=0), hi.sum(axis=0)
-
-        def window(i, j):
-            """Every file's rows of buckets[i]..buckets[j], concatenated."""
-            return pa.concat_tables(
-                [t.slice(lo[f, i], hi[f, j] - lo[f, i])
-                 for f, t in enumerate(tables) if hi[f, j] > lo[f, i]])
-
-        i = 0
-        while i < len(buckets):
-            j = i
-            while (j + 1 < len(buckets) and buckets[j + 1] > buckets[j]
-                   and last[j + 1] - first[i] <= max_rows):
-                j += 1
-            if last[j] == first[i]:                 # no rows in the window
-                for bucket in buckets[i:j + 1]:
-                    record(bucket, 0, 0, 0, '')
-            else:
-                win = window(i, j)
-                order = pc.sort_indices(win, sort_keys=SORT_KEYS)
-                keys = win.column('bucket').take(order).to_numpy()
-                # prefix sums: a bucket's failures and spans are one
-                # subtraction each
-                fails = np.concatenate(([0], np.cumsum(
-                    ~win.column('decode_ok').take(order).to_numpy(),
-                    dtype=np.int64)))
-                spans = np.concatenate(([0], np.cumsum(
-                    win.column('n_spans').take(order).to_numpy(),
-                    dtype=np.int64)))
-                win = win.drop_columns(['bucket'])
-                # chunk holds the rows order[at:at + max_rows]: one take
-                # for a window that fits, and a bucket above max_rows
-                # streams through its writer one take at a time
-                at, chunk = -1, None
-                for bucket in buckets[i:j + 1]:
-                    a = int(np.searchsorted(keys, bucket, 'left'))
-                    b = int(np.searchsorted(keys, bucket, 'right'))
-                    fname = 'part-%05d.parquet' % bucket if b > a else ''
-                    if fname:
-                        tmp = os.path.join(out_dir, '_tmp-%s' % fname)
-                        with pq.ParquetWriter(tmp, win.schema) as writer:
-                            k = a
-                            while k < b:
-                                if k - k % max_rows != at:
-                                    at = k - k % max_rows
-                                    chunk = win.take(order[at:at + max_rows])
-                                end = min(b, at + max_rows)
-                                writer.write_table(chunk.slice(k - at, end - k))
-                                k = end
-                        os.replace(tmp, os.path.join(out_dir, fname))
-                    record(bucket, b - a, int(fails[b] - fails[a]),
-                           int(spans[b] - spans[a]), fname)
-            i = j + 1
-        return pa.table({
-            'bucket': pa.array(out['bucket'], pa.int32()),
-            'rows': pa.array(out['rows'], pa.int64()),
-            'decode_failures': pa.array(out['decode_failures'], pa.int64()),
-            'span_count': pa.array(out['span_count'], pa.int64()),
-            'wall_s': pa.array(out['wall_s'], pa.float64()),
-            'file': pa.array(out['file'], pa.string()),
-        })
-    return compact
-
-
 def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
                    resume=True):
     """Run the full pipeline; returns a summary dict (job metrics).
@@ -412,7 +429,6 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     A ``num_buckets`` that is not an int >= 1, or a ``concurrency`` that
     is neither None nor an int >= 1, raises before anything is written.
     """
-    import glob
     import shutil
 
     if not isinstance(num_buckets, int) or num_buckets < 1:
@@ -477,24 +493,23 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     # row (an empty bucket still gets its manifest row).  Grouped, not
     # split evenly, so a resume with gaps never mixes two shards in a task.
     # A task's manifest rows are appended as soon as it finishes, so a
-    # later shard's failure keeps the finished shards' buckets.
+    # later shard's failure keeps the finished shards' buckets.  The bound
+    # COMPACT_MAX_ROWS is looked up per job, not bound at import.
     new_rows = []
     groups = {}
     for b in range(num_buckets):
         if b not in done:
             groups.setdefault(shard_of(b, num_buckets, num_shards),
                               []).append(b)
-    # looked up per job, not bound at import
-    compact = ray.put(_make_bucket_compactor(
-        spill_dir, out_dir, num_buckets, num_shards, COMPACT_MAX_ROWS))
 
     def record(manifest_rows):
         rows = [dict(r, num_buckets=num_buckets,   # one row per bucket
                      input=fingerprint) for r in manifest_rows]
         checkpoint.append_manifest_rows(out_dir, rows)
         new_rows.extend(rows)
-    _run_tasks(lambda group: _compact_task.remote(compact, group),
-               groups.values(), inflight, record)
+    _run_tasks(lambda shard_buckets: _compact_task.remote(
+                   spill_dir, out_dir, *shard_buckets, COMPACT_MAX_ROWS),
+               groups.items(), inflight, record)
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)

@@ -9,10 +9,10 @@ corpus is perfbench's seed-7 ``transcripts`` (3,000 turns, the
 ``boilerplate`` workload) or ``unique`` (800 turns, ``unique_docs``)
 input, cut into the Stage A units a 2-CPU job plans and spilled into the
 shards that side's job would make at 2 CPUs.  One run of a side is one
-job without Ray: every unit is bucketed and spilled by one
-``ExtractAndSpill`` (its payload LRU is warm after the first run, so
-Stage A is bucketing, sorting and spill writes), then every shard's
-buckets are compacted by ``_make_bucket_compactor`` at ``--max-rows``.
+job without Ray: every unit goes through the side's Stage A task body,
+``pipeline._extract_unit``, under a fixed job id (its payload LRU is warm
+after the first run), then every shard's buckets are compacted by
+``pipeline._compact_shard`` (or an older side's compactor) at ``--max-rows``.
 Both sides run once to warm, then ``--pairs`` pairs alternating which
 side goes first.  Prints each pair's Stage A and Stage B times, the
 medians with p25-p75, and whether the last runs' part files (byte for
@@ -27,7 +27,6 @@ Run from the repo root::
 import argparse
 import glob
 import json
-import math
 import os
 import shutil
 import statistics
@@ -45,31 +44,22 @@ CAP = 2                # Stage A units and shards as a job at 2 CPUs plans them
 
 
 def serve(root, corpus_dir, work, max_rows):
-    """One side: read the units once, then answer each ``run`` line on
+    """One side: plan the units once, then answer each ``run`` line on
     stdin with one JSON line of timings and manifest rows."""
     sys.path.insert(0, root)
     import pyarrow as pa
-    import pyarrow.parquet as pq
     from engine.rayjob import pipeline
-    from engine.rayjob.extract_stage import (ExtractAndSpill, assign_bucket,
-                                             shard_of)
+    try:
+        from engine.rayjob.pipeline import shard_of
+    except ImportError:            # a checkout whose spill was extract_stage's
+        from engine.rayjob.extract_stage import shard_of
 
     fs, units = pipeline.plan_units(corpus_dir, CAP)
-    tables = []
-    for unit in units:                 # the sink's spill key is the unit
-        path, rg, start, stop = unit
-        with pq.ParquetFile(path, filesystem=fs) as pf:
-            tables.append((unit, pipeline._read_range(pf, rg, start, stop)))
-    # the side's own shard count for a job at CAP CPUs (a checkout older
-    # than the CPU cap has isqrt // 2 shards)
-    num_shards = (pipeline._num_shards(NUM_BUCKETS, CAP)
-                  if hasattr(pipeline, '_num_shards')
-                  else max(1, math.isqrt(NUM_BUCKETS) // 2))
+    num_shards = pipeline._num_shards(NUM_BUCKETS, CAP)
     groups = {}
     for b in range(NUM_BUCKETS):
         groups.setdefault(shard_of(b, NUM_BUCKETS, num_shards), []).append(b)
     spill, out = os.path.join(work, 'spill'), os.path.join(work, 'out')
-    stage = None
     for line in sys.stdin:
         if line.strip() != 'run':
             break
@@ -77,17 +67,21 @@ def serve(root, corpus_dir, work, max_rows):
             shutil.rmtree(d, ignore_errors=True)
             os.makedirs(d)
         t0 = time.perf_counter()
-        stage = stage or ExtractAndSpill(spill, NUM_BUCKETS, num_shards)
-        bucket = assign_bucket(NUM_BUCKETS)
-        for key, tbl in tables:
-            stage(bucket(tbl), key)
+        prep = [pipeline.assign_bucket(NUM_BUCKETS)]
+        for unit in units:
+            pipeline._extract_unit(fs, unit, prep, 'stage-ab', spill,
+                                   NUM_BUCKETS, num_shards)
         t1 = time.perf_counter()
-        compact = pipeline._make_bucket_compactor(
-            spill, out, NUM_BUCKETS, num_shards, max_rows)
         rows = []
-        for g in groups.values():
-            rows += compact(pa.table({'bucket': pa.array(g, pa.int32())})
-                            ).drop_columns(['wall_s']).to_pylist()
+        for shard, g in groups.items():
+            if hasattr(pipeline, '_compact_shard'):
+                got = pipeline._compact_shard(spill, out, shard, g, max_rows)
+            else:
+                got = pipeline._make_bucket_compactor(
+                    spill, out, NUM_BUCKETS, num_shards, max_rows)(
+                    pa.table({'bucket': pa.array(g, pa.int32())})).to_pylist()
+            rows += [{k: v for k, v in r.items() if k != 'wall_s'}
+                     for r in got]
         t2 = time.perf_counter()
         print(json.dumps({'a': t1 - t0, 'b': t2 - t1, 'manifest': rows}),
               flush=True)

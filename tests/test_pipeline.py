@@ -45,6 +45,54 @@ def _read_all(out_dir):
     return parts, [pq.read_table(p) for p in parts]
 
 
+def _spill(spill_dir, paths, num_buckets, num_shards=1):
+    """Stage A in this process: each row group of ``paths`` is one unit
+    through ``pipeline._extract_unit`` (read, bucketed, extracted and
+    spilled to ``spill_dir``)."""
+    import pyarrow.fs as pafs
+    from engine.rayjob import pipeline
+    prep = [pipeline.assign_bucket(num_buckets)]
+    for path in paths:
+        meta = pq.read_metadata(path)
+        for rg in range(meta.num_row_groups):
+            pipeline._extract_unit(
+                pafs.LocalFileSystem(), (path, rg, 0,
+                                         meta.row_group(rg).num_rows),
+                prep, 'in-process', spill_dir, num_buckets, num_shards)
+
+
+def _log_compact_task(monkeypatch, log, before=None):
+    """Swap Stage B's task for one that appends each call's buckets and
+    ``max_rows`` to ``log`` and runs ``before(buckets)``, if given, ahead
+    of ``_compact_shard``."""
+    import ray
+    from engine.rayjob import pipeline
+    compact = pipeline._compact_shard
+
+    @ray.remote(num_cpus=1)
+    def task(spill_dir, out_dir, shard, buckets, max_rows):
+        with open(log, 'a') as f:
+            f.write(json.dumps([buckets, max_rows]) + '\n')
+        if before is not None:
+            before(buckets)
+        return compact(spill_dir, out_dir, shard, buckets, max_rows)
+    monkeypatch.setattr(pipeline, '_compact_task', task)
+
+
+def _without_wall(manifest):
+    """Manifest rows without their timing, which differs run to run."""
+    return [{k: v for k, v in r.items() if k != 'wall_s'} for r in manifest]
+
+
+def _logged_calls(log):
+    """The (buckets, max_rows) calls ``_log_compact_task`` logged, sorted;
+    the log is emptied."""
+    with open(log) as f:
+        got = sorted(json.loads(l) for l in f)
+    os.unlink(log)
+    return got
+
+
 def test_row_counts_and_metrics(extracted):
     d, n, out, summary = extracted
     assert summary['rows_out'] == n
@@ -374,29 +422,14 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
     makes one call per shard with only that shard's missing buckets."""
     from engine.rayjob import pipeline
     d, n = corpus
-    calls_path = str(tmp_path / 'calls.jsonl')
-    make = pipeline._make_bucket_compactor
-
-    def spy(*args):
-        compact = make(*args)
-
-        def logged(batch):
-            with open(calls_path, 'a') as f:
-                f.write(json.dumps(batch.column('bucket').to_pylist()) + '\n')
-            return compact(batch)
-        return logged
-    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
-
-    def calls():
-        with open(calls_path) as f:
-            got = sorted(json.loads(l) for l in f)
-        os.unlink(calls_path)
-        return got
+    log = str(tmp_path / 'calls.jsonl')
+    _log_compact_task(monkeypatch, log)
 
     out = str(tmp_path / 'out')
     pipeline.run_extraction(d, out, num_buckets=16,
                             concurrency=2, resume=False)   # 2 spill shards
-    assert calls() == [list(range(8)), list(range(8, 16))]
+    assert [b for b, _ in _logged_calls(log)] == [list(range(8)),
+                                                  list(range(8, 16))]
     parts, _ = _read_all(out)
     fresh = {os.path.basename(p): pq.read_table(p) for p in parts}
 
@@ -411,7 +444,7 @@ def test_stage_b_one_task_per_shard(ray_session, corpus, tmp_path,
                 os.unlink(os.path.join(out, r['file']))
     summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=True)
-    assert calls() == [[1, 2], [9, 14]]
+    assert [b for b, _ in _logged_calls(log)] == [[1, 2], [9, 14]]
     assert summary['buckets_this_run'] == 4
     assert summary['rows_out'] == n
     parts, _ = _read_all(out)
@@ -427,33 +460,19 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
     buckets isqrt(B) // 2 is 6, so the 4-CPU session makes 4 compaction
     calls, each a contiguous bucket range, covering every bucket once; the
     parts equal an in-process spill and compaction at 6 shards."""
-    import pyarrow as pa
     from engine.rayjob import pipeline
-    from engine.rayjob.extract_stage import (ExtractAndSpill, assign_bucket,
-                                             shard_of)
     assert [pipeline._num_shards(b, cpus) for b, cpus in
             ((64, 2), (64, 16), (16, 1), (400000, 1000))] == [2, 4, 1, 316]
     assert int(ray_session.cluster_resources()['CPU']) == 4
     d, n = corpus
-    calls_path = str(tmp_path / 'calls.jsonl')
-    make = pipeline._make_bucket_compactor
-
-    def spy(*args):
-        compact = make(*args)
-
-        def logged(batch):
-            with open(calls_path, 'a') as f:
-                f.write(json.dumps(batch.column('bucket').to_pylist()) + '\n')
-            return compact(batch)
-        return logged
-    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
+    log = str(tmp_path / 'calls.jsonl')
+    _log_compact_task(monkeypatch, log)
 
     out = str(tmp_path / 'out')
     summary = pipeline.run_extraction(d, out, num_buckets=144,
                                       concurrency=2, resume=False)
     assert summary['rows_out'] == n
-    with open(calls_path) as f:
-        calls = sorted(json.loads(l) for l in f)
+    calls = [buckets for buckets, _ in _logged_calls(log)]
     assert len(calls) == 4
     for c in calls:
         assert c == list(range(c[0], c[-1] + 1))
@@ -461,16 +480,10 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
 
     spill, ref = str(tmp_path / 'spill'), str(tmp_path / 'ref')
     os.makedirs(ref)
-    stage = ExtractAndSpill(spill, 144, 6)
-    bucket = assign_bucket(144)
-    for path in sorted(glob.glob(os.path.join(d, '*.parquet'))):
-        stage(bucket(pq.read_table(path, columns=['conv_id', 'turn_idx',
-                                                  'text'])),
-              (path, 0, 0, 0, 0))
-    compact = make(spill, ref, 144, 6)
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 144, 6)
     for s in range(6):
-        compact(pa.table({'bucket': pa.array(
-            [b for b in range(144) if shard_of(b, 144, 6) == s], pa.int32())}))
+        pipeline._compact_shard(spill, ref, s, [
+            b for b in range(144) if pipeline.shard_of(b, 144, 6) == s])
     got = _part_bytes(out)
     assert got and got == _part_bytes(ref)
 
@@ -485,30 +498,27 @@ def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
     d, n = corpus
     out = str(tmp_path / 'out')
     mpath = checkpoint.manifest_path(out)
-    make = pipeline._make_bucket_compactor
+    task = pipeline._compact_task
 
-    def failing(*args):
-        compact = make(*args)
-
-        def second_shard_fails(batch):
-            if batch.column('bucket')[0].as_py() < 8:
-                return compact(batch)
-            # wait until the driver has recorded shard 0, then fail
-            deadline = time.monotonic() + 15
-            while time.monotonic() < deadline:
-                if os.path.exists(mpath) and os.path.getsize(mpath):
-                    break
-                time.sleep(0.05)
-            raise RuntimeError('injected Stage B failure')
-        return second_shard_fails
-    monkeypatch.setattr(pipeline, '_make_bucket_compactor', failing)
+    def second_shard_fails(buckets):
+        if buckets[0] < 8:
+            return
+        # wait until the driver has recorded shard 0, then fail
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline:
+            if os.path.exists(mpath) and os.path.getsize(mpath):
+                break
+            time.sleep(0.05)
+        raise RuntimeError('injected Stage B failure')
+    _log_compact_task(monkeypatch, str(tmp_path / 'calls.jsonl'),
+                      second_shard_fails)
 
     with pytest.raises(Exception, match='injected Stage B failure'):
         pipeline.run_extraction(d, out, num_buckets=16,
                                 concurrency=2, resume=False)   # 2 shards
     assert sorted(checkpoint.load_done_buckets(out)) == list(range(8))
 
-    monkeypatch.setattr(pipeline, '_make_bucket_compactor', make)
+    monkeypatch.setattr(pipeline, '_compact_task', task)
     summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=True)
     assert summary['buckets_this_run'] == 8
@@ -614,7 +624,7 @@ def test_concurrency_bounds_tasks_running_at_once(ray_session, tmp_path,
     monkeypatch.setattr(pipeline, '_extract_task',
                         spied('a', pipeline._extract_unit))
     monkeypatch.setattr(pipeline, '_compact_task',
-                        spied('b', pipeline._compact_buckets))
+                        spied('b', pipeline._compact_shard))
     summary = pipeline.run_extraction(d, str(tmp_path / 'out'),
                                       num_buckets=16, concurrency=1,
                                       resume=False)   # 2 spill shards
@@ -746,33 +756,34 @@ def test_install_staged_replaces_stale_partial(tmp_path):
 
 
 def test_spill_retry_overwrites_not_duplicates(tmp_path):
-    """A Ray-retried ExtractAndSpill task re-executes __call__ on the SAME
-    batch after a possibly-successful earlier publish.  The deterministic
-    spill name (from the slice's place in the input) must make the retry
-    overwrite its own file — never add a second copy of the rows (ADVICE
-    r1: uuid4 names duplicated rows in the final output on retry)."""
+    """A Ray-retried Stage A task re-runs on the SAME unit after a
+    possibly-successful earlier publish.  The deterministic spill name
+    (from the unit's place in the input) must make the retry overwrite its
+    own file — never add a second copy of the rows (ADVICE r1: uuid4 names
+    duplicated rows in the final output on retry)."""
     import pyarrow as pa
-    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
+    import pyarrow.fs as pafs
+    from engine.rayjob import pipeline
 
     d = str(tmp_path / 'corpus')
     generate_transcripts(d, n_convs=4, seed=11, rows_per_file=100)
     src = glob.glob(os.path.join(d, '*.parquet'))[0]
-    batch = assign_bucket(4)(pq.read_table(
-        src, columns=['conv_id', 'turn_idx', 'text']))
+    rows = pq.read_metadata(src).num_rows
 
     spill = str(tmp_path / 'spill')
     os.makedirs(spill)
-    stage = ExtractAndSpill(spill, 4)
-    key = (src, 0, 0, batch.num_rows, 0)
-    out1 = stage(batch, key)
-    out2 = stage(batch, key)            # the retry
+
+    def task(unit):
+        return pipeline._extract_unit(pafs.LocalFileSystem(), unit,
+                                      [pipeline.assign_bucket(4)], 'retry',
+                                      spill, 4, 1)
+    assert task((src, 0, 0, rows)) == task((src, 0, 0, rows)) == rows
     files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
     assert len(files) == 1              # overwritten, not duplicated
-    assert pa.ipc.open_file(files[0]).read_all().num_rows == batch.num_rows
-    assert out1.column('rows')[0].as_py() == out2.column('rows')[0].as_py()
+    assert pa.ipc.open_file(files[0]).read_all().num_rows == rows
 
-    # a DIFFERENT batch must land in a different file
-    stage(batch.slice(0, 10), (src, 0, 0, 10, 0))
+    # a DIFFERENT unit must land in a different file
+    assert task((src, 0, 0, 10)) == 10
     assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))) == 2
 
 
@@ -864,21 +875,19 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
     corrupt file in ANOTHER shard must not be read at all (at 100 TB this
     is what keeps per-task footer scans at files/num_shards)."""
     import pyarrow as pa
-    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket, shard_of
-    from engine.rayjob.pipeline import _make_bucket_compactor
+    from engine.rayjob.extract_stage import assign_bucket
+    from engine.rayjob.pipeline import _compact_shard, shard_of
 
     d = str(tmp_path / 'corpus')
     generate_transcripts(d, n_convs=8, seed=17, rows_per_file=200)
     src = glob.glob(os.path.join(d, '*.parquet'))[0]
-    batch = assign_bucket(4)(pq.read_table(
-        src, columns=['conv_id', 'turn_idx', 'text']))
+    batch = assign_bucket(4)(pq.read_table(src, columns=['conv_id']))
 
     spill = str(tmp_path / 'spill')
     out = str(tmp_path / 'out')
     os.makedirs(spill)
     os.makedirs(out)
-    stage = ExtractAndSpill(spill, 4, num_shards=2)
-    stage(batch, (src, 0, 0, batch.num_rows, 0))
+    _spill(spill, [src], 4, num_shards=2)
 
     # every shard file holds only its own bucket range
     files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
@@ -892,10 +901,9 @@ def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
     # buckets 0-1 (shard 0) must never open it
     with open(os.path.join(spill, 'shard-001', 'spill-poison.arrow'), 'wb') as f:
         f.write(b'ARROW1 not arrow')
-    compact = _make_bucket_compactor(spill, out, num_buckets=4, num_shards=2)
-    manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))
+    manifest = _compact_shard(spill, out, 0, [0, 1])
     want = sum(1 for b in batch.column('bucket').to_pylist() if b in (0, 1))
-    assert sum(manifest.column('rows').to_pylist()) == want
+    assert sum(r['rows'] for r in manifest) == want
 
 
 def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
@@ -907,17 +915,13 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     fits, and each spill file is mapped once per compaction call."""
     import pyarrow as pa
     from engine.rayjob import pipeline
-    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
 
     d = str(tmp_path / 'corpus')
     generate_transcripts(d, n_convs=60, seed=19, rows_per_file=150,
                          long_conv_frac=0.0)
     spill = str(tmp_path / 'spill')
     os.makedirs(spill)
-    stage = ExtractAndSpill(spill, 16, num_shards=2)
-    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
-        stage(assign_bucket(16)(pq.read_table(
-            f, columns=['conv_id', 'turn_idx', 'text'])), f)
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 16, 2)
     shard_files = [sorted(glob.glob(os.path.join(
         spill, 'shard-%03d' % s, 'spill-*.arrow'))) for s in (0, 1)]
     assert all(len(files) > 1 for files in shard_files)
@@ -948,25 +952,21 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     def run(max_rows):
         out = str(tmp_path / ('out-%d' % max_rows))
         os.makedirs(out)
-        compact = pipeline._make_bucket_compactor(spill, out, 16, 2, max_rows)
-        tables = []
+        rows = []
         del writes[:]
-        for g, files in zip((range(8), range(8, 16)), shard_files):
+        for s, files in enumerate(shard_files):
             del maps[:]
-            tables.append(compact(pa.table({'bucket': pa.array(g, pa.int32())})))
+            rows += pipeline._compact_shard(
+                spill, out, s, list(range(8 * s, 8 * s + 8)), max_rows)
             assert sorted(maps) == files   # each spill file mapped once
         assert len(writes) == 16 and max(writes) <= max_rows
-        parts = {}
-        for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
-            with open(p, 'rb') as f:
-                parts[os.path.basename(p)] = f.read()
-        return pa.concat_tables(tables).drop_columns(['wall_s']), parts
+        return _without_wall(rows), _part_bytes(out)
 
     whole, whole_parts = run(max(shard_rows))
     assert len(whole_parts) == 16
     for max_rows in (min(shard_rows) - 1, largest):
         manifest, parts = run(max_rows)
-        assert whole.equals(manifest), max_rows
+        assert whole == manifest, max_rows
         assert whole_parts == parts, max_rows
 
 
@@ -983,7 +983,6 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     import pyarrow as pa
     import sys
     from engine.rayjob import pipeline
-    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from gen_pdf import build_variant
 
@@ -1003,10 +1002,7 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     }), os.path.join(d, 'part-giant.parquet'))
     spill = str(tmp_path / 'spill')
     os.makedirs(spill)
-    stage = ExtractAndSpill(spill, 8, num_shards=1)
-    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
-        stage(assign_bucket(8)(pq.read_table(
-            f, columns=['conv_id', 'turn_idx', 'text'])), f)
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 8)
     counts = collections.Counter()
     for f in glob.glob(os.path.join(spill, 'shard-000', 'spill-*.arrow')):
         counts.update(pa.ipc.open_file(f).read_all().column('bucket').to_pylist())
@@ -1032,13 +1028,9 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     def run(bound):
         out = str(tmp_path / ('out-%d' % bound))
         os.makedirs(out)
-        manifest = pipeline._make_bucket_compactor(spill, out, 8, 1, bound)(
-            pa.table({'bucket': pa.array(range(8), pa.int32())}))
-        parts = {}
-        for p in sorted(glob.glob(os.path.join(out, 'part-*.parquet'))):
-            with open(p, 'rb') as f:
-                parts[os.path.basename(p)] = f.read()
-        return manifest.drop_columns(['wall_s']), parts
+        manifest = pipeline._compact_shard(spill, out, 0, list(range(8)),
+                                           bound)
+        return _without_wall(manifest), _part_bytes(out)
 
     small, small_parts = run(max_rows)
     assert counts[big] in sorts and sum(sorts) == sum(counts.values())
@@ -1051,7 +1043,7 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     del sorts[:], writes[:]
     default, default_parts = run(pipeline.COMPACT_MAX_ROWS)
     assert sorts == [sum(counts.values())] and len(writes) == 8
-    assert small.equals(default)
+    assert small == default
     assert len(default_parts) == 8
     # the giant part holds one row group per take, so only its rows equal
     # the default run's; every other part is byte-equal
@@ -1065,7 +1057,7 @@ def test_compactor_ignores_tmp_files(tmp_path):
     must enumerate only PUBLISHED spill files (ADVICE r1: directory
     discovery made every compact task fail on the half-written file)."""
     import pyarrow as pa
-    from engine.rayjob.pipeline import _make_bucket_compactor
+    from engine.rayjob.pipeline import _compact_shard
 
     spill = str(tmp_path / 'spill')
     out = str(tmp_path / 'out')
@@ -1089,15 +1081,14 @@ def test_compactor_ignores_tmp_files(tmp_path):
     with open(os.path.join(shard, 'spill-bbbb.arrow.tmp'), 'wb') as f:
         f.write(b'ARROW1 garbage truncated')
 
-    compact = _make_bucket_compactor(spill, out, num_buckets=2, num_shards=1)
-    manifest = compact(pa.table({'bucket': pa.array([0, 1], pa.int32())}))
-    assert manifest.column('rows').to_pylist() == [1, 1]
+    manifest = _compact_shard(spill, out, 0, [0, 1])
+    assert [r['rows'] for r in manifest] == [1, 1]
     parts = sorted(glob.glob(os.path.join(out, 'part-*.parquet')))
     assert len(parts) == 2
     assert sum(pq.read_table(p).num_rows for p in parts) == 2
 
 
-def test_payload_lru_identical_output_and_hits(tmp_path, shared_fonts):
+def test_lru_identical_output_and_hits(tmp_path, shared_fonts):
     """Repeated payloads must hit the LRU (one extraction per distinct
     payload) and produce output identical to a per-row ``extract_turn``
     of every row — extraction is a pure function of the payload."""
@@ -1111,7 +1102,7 @@ def test_payload_lru_identical_output_and_hits(tmp_path, shared_fonts):
     # duplicate the batch so every payload appears at least twice
     batch = pa.concat_tables([base, base]).combine_chunks()
 
-    cached = ExtractTurns(payload_lru=4096)
+    cached = ExtractTurns()
     out_c = cached(batch)
     assert out_c.equals(_per_row_turns(batch, shared_fonts))
     assert cached.lru_hits >= base.num_rows        # second copy all hits
@@ -1187,13 +1178,17 @@ def test_stage_extracts_each_distinct_payload_once(shared_fonts, monkeypatch,
         return kernel(payload, *args, **kwargs)
     monkeypatch.setattr(extract_stage, 'extract_turn', counted)
 
-    plain = getattr(extract_stage, stage)(payload_lru=0)
+    cls = getattr(extract_stage, stage)
+    cap = cls.lru_cap
+    monkeypatch.setattr(cls, 'lru_cap', 0)              # the LRU off
+    plain = cls()
     assert plain(batch).equals(oracle)
     assert len(calls) == distinct
     assert plain.lru_hits == n - len(calls)
 
     del calls[:]
-    cached = getattr(extract_stage, stage)()
+    monkeypatch.setattr(cls, 'lru_cap', cap)
+    cached = cls()
     assert cached(batch).equals(oracle)
     assert cached(batch).equals(oracle)         # every row an LRU hit
     assert len(calls) == distinct
@@ -1219,7 +1214,7 @@ def test_hostile_payloads_fail_only_their_rows(shared_fonts):
         'turn_idx': pa.array(range(len(payloads)), pa.int32()),
         'text': pa.array(payloads, pa.string()),
     })
-    got = ExtractTurns(payload_lru=0)(batch)
+    got = ExtractTurns()(batch)
     assert got.equals(_per_row_turns(batch, shared_fonts))
     errors = got.column('error').to_pylist()
     assert [i for i, e in enumerate(errors)
@@ -1277,7 +1272,6 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     ``run_extraction`` reads ``COMPACT_MAX_ROWS`` per job on the driver,
     so a bound set after ray.init reaches the compactor."""
     from engine.rayjob import pipeline
-    from engine.rayjob.extract_stage import ExtractAndSpill, assign_bucket
     from engine.rayjob.transcripts import generate_transcripts
     import pyarrow as pa
     import sys
@@ -1303,28 +1297,22 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     s1 = pipeline.run_extraction(d, out_mem, num_buckets=4,
                                  concurrency=2, resume=False)
 
-    # the driver hands the module's bound to the compactor it builds
-    seen = []
-    make = pipeline._make_bucket_compactor
-
-    def spy(*args):
-        seen.append(args[-1])
-        return make(*args)
-    monkeypatch.setattr(pipeline, '_make_bucket_compactor', spy)
+    # the driver hands the module's bound to each compaction task
+    log = str(tmp_path_factory.mktemp('calls').joinpath('calls.jsonl'))
+    _log_compact_task(monkeypatch, log)
     monkeypatch.setattr(pipeline, 'COMPACT_MAX_ROWS', 16)
     out_small = str(tmp_path_factory.mktemp('out_small'))
     s2 = pipeline.run_extraction(d, out_small, num_buckets=4,
                                  concurrency=2, resume=False)
-    assert seen == [16]
+    calls = _logged_calls(log)
+    assert calls and all(max_rows == 16 for _, max_rows in calls)
     assert s2['rows_out'] == s1['rows_out']
 
-    # compact a real spill in-process with max_rows=16, counting writes
+    # compact a real spill (one shard) in-process with max_rows=16,
+    # counting writes
     spill = str(tmp_path_factory.mktemp('chunk_spill'))
     out_chk = str(tmp_path_factory.mktemp('out_chk'))
-    stage = ExtractAndSpill(spill, 4, num_shards=4)
-    for f in sorted(glob.glob(os.path.join(d, '*.parquet'))):
-        stage(assign_bucket(4)(pq.read_table(
-            f, columns=['conv_id', 'turn_idx', 'text'])), f)
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 4)
     writes = []
     write_table = pq.ParquetWriter.write_table
 
@@ -1332,15 +1320,14 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
         writes.append(table.num_rows)
         return write_table(self, table, *args, **kwargs)
     monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
-    compact = make(spill, out_chk, 4, 4, max_rows=16)
-    manifest = compact(pa.table({'bucket': pa.array(range(4), pa.int32())}))
+    manifest = pipeline._compact_shard(spill, out_chk, 0, list(range(4)),
+                                       max_rows=16)
     assert max(writes) <= 16
-    assert len(writes) > sum(1 for f in manifest.column('file').to_pylist()
-                             if f)      # some bucket took several writes
-
-    assert sum(manifest.column('rows').to_pylist()) == s1['rows_out']
-    assert sum(manifest.column('decode_failures').to_pylist()) == s1['decode_failures']
-    assert sum(manifest.column('span_count').to_pylist()) == s1['span_count']
+    assert len(writes) > sum(1 for r in manifest
+                             if r['file'])   # some bucket took several writes
+    assert sum(r['rows'] for r in manifest) == s1['rows_out']
+    assert sum(r['decode_failures'] for r in manifest) == s1['decode_failures']
+    assert sum(r['span_count'] for r in manifest) == s1['span_count']
     p1 = sorted(os.path.basename(p)
                 for p in glob.glob(os.path.join(out_mem, 'part-*.parquet')))
     p2 = sorted(os.path.basename(p)
@@ -1359,7 +1346,7 @@ def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
     run: 30 rows in two spill files, every key 3x, at ``max_rows=4``.
     The sort is stable, so duplicates keep their spill order."""
     import pyarrow as pa
-    from engine.rayjob.pipeline import _make_bucket_compactor
+    from engine.rayjob.pipeline import _compact_shard
 
     n = 30
     convs = ['c%d' % (i % 2) for i in range(n)]
@@ -1389,10 +1376,9 @@ def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
         writes.append(table.num_rows)
         return write_table(self, table, *args, **kwargs)
     monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
-    manifest = _make_bucket_compactor(
-        os.path.join(str(tmp_path), 'spill'), out, 1, 1, max_rows=4)(
-        pa.table({'bucket': pa.array([0], pa.int32())}))
-    assert manifest.drop_columns(['wall_s']).to_pylist() == [{
+    manifest = _compact_shard(os.path.join(str(tmp_path), 'spill'), out, 0,
+                              [0], max_rows=4)
+    assert _without_wall(manifest) == [{
         'bucket': 0, 'rows': n, 'decode_failures': 6, 'span_count': n,
         'file': 'part-00000.parquet'}]
     assert writes == [4] * 7 + [2]

@@ -450,6 +450,23 @@ def test_xobject_fanout_fails_its_turn_within_budget(shared_fonts):
     assert r['decode_ok'] and r['text'] == '\n' + 'A' * 1024
 
 
+def test_form_xobject_lexed_once_per_document(shared_fonts, monkeypatch):
+    """A depth-10 fan-out (2,047 draws, 7,167 operators) lexes each of its
+    12 content streams once, with its text unchanged, and still charges
+    every draw to the operator budget."""
+    from engine.pdfcore import extract
+    from gen_pdf import xobject_fanout
+    lexed, content_ops = [], extract.content_ops
+    monkeypatch.setattr(extract, 'content_ops',
+                        lambda txt: lexed.append(txt) or content_ops(txt))
+    r, _ = _timed_turn(xobject_fanout(10), shared_fonts)
+    assert r['decode_ok'] and r['text'] == '\n' + 'A' * 1024
+    assert len(lexed) == len(set(lexed)) == 12
+    monkeypatch.setattr(extract, 'MAX_RENDERED_OPS', 7166)
+    r, _ = _timed_turn(xobject_fanout(10), shared_fonts)
+    assert r['error'] == 'BudgetExceeded: more than 7166 operators rendered'
+
+
 def test_flate_bomb_fails_its_turn_within_budget(shared_fonts):
     """A ~66 KB content stream that inflates to 64 MiB stops at
     ``MAX_INFLATE`` bytes: a failed turn in well under a second."""
