@@ -13,8 +13,9 @@ another job's extraction.
 
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
-arbitrarily; a task's heap is one work unit's row range, at most a row
-group (payloads decompress in-row, nothing accumulates).  A batch is
+arbitrarily; a task's heap is one work unit's rows, about
+``pipeline.UNIT_BYTES`` of input whatever the row-group size (payloads
+decompress in-row, nothing accumulates).  A batch is
 extracted once per DISTINCT payload (one Arrow hash pass over its
 ``text`` column), and each output column is one Arrow ``take`` of the
 per-distinct results, so no per-row Python runs between the kernel

@@ -9,10 +9,11 @@ CPUs by default), no driver-side row loops:
   Stage A (one task per work unit):
     list_input(input)                              # names and sizes, once:
            the manifest's input fingerprint and Stage A's file set
-    plan_units(input)                              # from the footers: each
-           row group cut into even ranges of ≤ ceil(rows / (2 × cap))
+    plan_units(input)                              # from the footers: the
+           input cut at equal byte offsets into max(cap, ceil(bytes /
+           UNIT_BYTES)) spans of row-group pieces, across files
     → read unit (conv_id, turn_idx, text)          # streamed: no row past
-           the range's end is decoded
+           a piece's end is decoded
       → assign_bucket                              # cheap crc32 bucketing
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
       → ExtractTurns, then _spill                  # the unit is extracted,
@@ -80,12 +81,14 @@ ParquetWriter, so a task's memory is O(``COMPACT_MAX_ROWS``) plus the
 bucket's sort indices, not O(bucket).
 """
 
+import bisect
 import glob
 import itertools
 import math
 import os
 import time
 import uuid
+from fractions import Fraction
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -104,7 +107,8 @@ COMPACT_MAX_ROWS = 2000000   # Stage B's rows per window and per take
 SORT_KEYS = [('bucket', 'ascending'), ('conv_id', 'ascending'),
              ('turn_idx', 'ascending')]
 COLUMNS = ['conv_id', 'turn_idx', 'text']
-READ_BUFFER = 1 << 20     # a Stage A task streams its range in 1 MiB reads
+READ_BUFFER = 1 << 20     # a Stage A task streams its unit in 1 MiB reads
+UNIT_BYTES = 128 << 20    # a Stage A unit's share of the input's bytes
 
 
 def default_concurrency():
@@ -179,26 +183,49 @@ def list_input(input_path):
 def plan_units(input_path, cap, listing=None):
     """Stage A work units of the Parquet input, from the file footers, and
     the filesystem to read them with.  The files are ``listing``, or
-    ``list_input(input_path)`` when it is None.  A unit is a row
-    range ``(path, row_group, start, stop)``: each row group is cut into
-    even contiguous ranges of at most ceil(total rows / (2 * cap)) rows
-    (3 files of 1,000 rows at cap 2 give 6 ranges of 500), so a small
-    input still spreads over the cluster, and a row group of no more rows
-    than that is one unit."""
-    import pyarrow.dataset as pads
+    ``list_input(input_path)`` when it is None.  A unit is a contiguous
+    span of the input: a tuple of ``(path, row_group, start, stop)`` pieces
+    in file order, then row-group order.  Each row group's
+    ``total_byte_size`` is spread evenly over its rows, and the input is cut
+    at equal byte offsets into max(cap, ceil(bytes / UNIT_BYTES)) units, at
+    most one per row, each cut at the row start nearest its offset.  So an
+    input smaller than cap x UNIT_BYTES is cap units (3 one-group
+    files of 1,000 rows at cap 2 give 2 units of ~1,500 rows, the first
+    ending inside the second file; 448 two-row files give 2 units, not
+    448), and a large input is units of about UNIT_BYTES, whatever
+    row-group size its writer chose.  Row groups with no rows are skipped,
+    no unit is empty, and an input with no rows has no unit."""
     fs, files = listing or list_input(input_path)
-    dset = pads.dataset([path for path, _, _ in files], filesystem=fs,
-                        format='parquet')
-    frags = list(dset.get_fragments())
-    metas = [f.metadata for f in frags]
-    step = max(1, -(-sum(m.num_rows for m in metas) // (2 * cap)))
-    units = []
-    for f, meta in zip(frags, metas):
+    groups = []                    # (path, row group, rows, bytes)
+    for path, _, _ in files:
+        meta = pq.read_metadata(path, filesystem=fs)
         for rg in range(meta.num_row_groups):
-            n = meta.row_group(rg).num_rows
-            k = -(-n // step)          # ranges of this row group, even sizes
-            units.extend((f.path, rg, n * i // k, n * (i + 1) // k)
-                         for i in range(k))
+            g = meta.row_group(rg)
+            if g.num_rows:
+                groups.append((path, rg, g.num_rows,   # a writer may
+                               max(g.total_byte_size, 1)))   # record 0
+    byte0 = list(itertools.accumulate((g[3] for g in groups), initial=0))
+    row0 = list(itertools.accumulate((g[2] for g in groups), initial=0))
+    total, rows = byte0[-1], row0[-1]
+    k = min(rows, max(cap, -(-total // UNIT_BYTES)))
+    ends = {rows}                  # each unit's end, as an input row number
+    for i in range(1, k):
+        at = Fraction(total * i, k)          # the cut's byte offset
+        g = bisect.bisect_right(byte0, at) - 1
+        ends.add(row0[g] + round((at - byte0[g]) * groups[g][2]
+                                 / groups[g][3]))
+    ends = iter(sorted(ends - {0}))
+    end = next(ends, None)
+    units, unit = [], []
+    for (path, rg, n, _), first in zip(groups, row0):
+        lo = 0
+        while lo < n:
+            hi = min(n, end - first)
+            unit.append((path, rg, lo, hi))
+            lo = hi
+            if first + hi == end:
+                units.append(tuple(unit))
+                unit, end = [], next(ends, None)
     return fs, units
 
 
@@ -219,12 +246,16 @@ def _read_range(pf, rg, start, stop):
 
 
 def _read_unit(fs, unit):
-    """One unit's columns.  A buffered stream, not a pre-buffered row
-    group: the read and its decoding stop at the range's end."""
-    path, rg, start, stop = unit
-    with pq.ParquetFile(path, filesystem=fs, pre_buffer=False,
-                        buffer_size=READ_BUFFER) as pf:
-        return _read_range(pf, rg, start, stop)
+    """One unit's columns: its pieces' rows, in order.  Each file is opened
+    once, as a buffered stream, not a pre-buffered row group: the read and
+    its decoding stop at each piece's end."""
+    parts = []
+    for path, pieces in itertools.groupby(unit, key=lambda piece: piece[0]):
+        with pq.ParquetFile(path, filesystem=fs, pre_buffer=False,
+                            buffer_size=READ_BUFFER) as pf:
+            parts.extend(_read_range(pf, rg, start, stop)
+                         for _, rg, start, stop in pieces)
+    return pa.concat_tables(parts)
 
 
 def _extract_rows(fs, unit, cls, job_id):

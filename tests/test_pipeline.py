@@ -46,8 +46,8 @@ def _read_all(out_dir):
 
 
 def _spill(spill_dir, paths, num_buckets, num_shards=1):
-    """Stage A in this process: each row group of ``paths`` is one unit
-    through ``pipeline._extract_unit`` (read, bucketed, extracted and
+    """Stage A in this process: each row group of ``paths`` is a one-piece
+    unit through ``pipeline._extract_unit`` (read, bucketed, extracted and
     spilled to ``spill_dir``)."""
     import pyarrow.fs as pafs
     from engine.rayjob import pipeline
@@ -56,8 +56,8 @@ def _spill(spill_dir, paths, num_buckets, num_shards=1):
         meta = pq.read_metadata(path)
         for rg in range(meta.num_row_groups):
             pipeline._extract_unit(
-                pafs.LocalFileSystem(), (path, rg, 0,
-                                         meta.row_group(rg).num_rows),
+                pafs.LocalFileSystem(), ((path, rg, 0,
+                                          meta.row_group(rg).num_rows),),
                 prep, 'in-process', spill_dir, num_buckets, num_shards)
 
 
@@ -189,9 +189,8 @@ def test_resume_of_finished_output_skips_stage_a(ray_session, extracted,
 
 def test_resume_of_finished_output_submits_no_task(ray_session, extracted,
                                                   monkeypatch):
-    """A resume over a finished output lists no input fragment and submits
+    """A resume over a finished output reads no input footer and submits
     no Stage A or Stage B task: the summary comes from the manifest."""
-    import pyarrow.dataset as pads
     from engine.rayjob import pipeline
     d, n, out, _ = extracted
 
@@ -201,7 +200,7 @@ def test_resume_of_finished_output_submits_no_task(ray_session, extracted,
 
     class NoSubmit(object):
         remote = staticmethod(refuse)
-    monkeypatch.setattr(pads, 'dataset', refuse)
+    monkeypatch.setattr(pq, 'read_metadata', refuse)
     monkeypatch.setattr(pipeline, '_extract_task', NoSubmit)
     monkeypatch.setattr(pipeline, '_compact_task', NoSubmit)
     summary = pipeline.run_extraction(d, out, num_buckets=4,
@@ -488,6 +487,46 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
     assert got and got == _part_bytes(ref)
 
 
+def test_many_small_files_pack_into_few_units(ray_session, tmp_path,
+                                              monkeypatch):
+    """Stage A units are sized by bytes, not by files: over 200 two-row
+    files at ``concurrency=2`` plan 2 units, so each spill shard holds at
+    most 2 spill files, not one per file, and every input row reaches the
+    part files once."""
+    from engine.rayjob import pipeline
+    d = str(tmp_path / 'corpus')
+    n, n_files = generate_transcripts(d, n_convs=70, seed=7,
+                                      rows_per_file=2)
+    assert n_files >= 200
+    assert len(pipeline.plan_units(d, 2)[1]) == 2
+    out = str(tmp_path / 'out')
+    counts = str(tmp_path / 'spill_files.jsonl')
+
+    def count_spill_files(buckets):
+        shard = pipeline.shard_of(buckets[0], 16, 2)
+        files = glob.glob(os.path.join(out, '_spill-*', 'shard-%03d' % shard,
+                                       'spill-*.arrow'))
+        with open(counts, 'a') as f:
+            f.write(json.dumps([shard, len(files)]) + '\n')
+    _log_compact_task(monkeypatch, str(tmp_path / 'calls.jsonl'),
+                      count_spill_files)
+    summary = pipeline.run_extraction(d, out, num_buckets=16,
+                                      concurrency=2, resume=False)  # 2 shards
+    assert summary['rows_out'] == n
+    with open(counts) as f:
+        got = sorted(json.loads(l) for l in f)
+    assert [shard for shard, _ in got] == [0, 1]
+    assert all(1 <= files <= 2 for _, files in got), got
+    src = pq.read_table(d)
+    want = sorted(zip(src.column('conv_id').to_pylist(),
+                      src.column('turn_idx').to_pylist()))
+    _, tables = _read_all(out)
+    keys = sorted(k for t in tables
+                  for k in zip(t.column('conv_id').to_pylist(),
+                               t.column('turn_idx').to_pylist()))
+    assert keys == want and len(set(keys)) == n
+
+
 def test_stage_b_failure_keeps_finished_shards(ray_session, corpus, tmp_path,
                                                monkeypatch):
     """A Stage B task that fails after another shard has finished must not
@@ -598,7 +637,9 @@ def test_concurrency_bounds_tasks_running_at_once(ray_session, tmp_path,
                                                   monkeypatch):
     """A ``concurrency`` below the cluster's CPUs bounds the tasks that run
     at once in both stages: the session has 4 CPUs and the job asks for 1,
-    so no two Stage A or Stage B tasks overlap in time."""
+    so no two Stage A or Stage B tasks overlap in time.  ``UNIT_BYTES`` is
+    cut to a file's share of the input, so Stage A has at least one task
+    per file to overlap."""
     import itertools
     import time
     import uuid
@@ -607,6 +648,11 @@ def test_concurrency_bounds_tasks_running_at_once(ray_session, tmp_path,
     d = str(tmp_path / 'corpus')
     n, n_files = generate_transcripts(d, n_convs=6, seed=7, rows_per_file=8)
     assert n_files >= 2
+    total = sum(pq.read_metadata(p).row_group(0).total_byte_size
+                for p in glob.glob(os.path.join(d, '*.parquet')))
+    monkeypatch.setattr(pipeline, 'UNIT_BYTES', total // n_files)
+    n_units = len(pipeline.plan_units(d, 1)[1])
+    assert n_units >= n_files
     log = str(tmp_path / 'log')
     os.makedirs(log)
 
@@ -630,7 +676,7 @@ def test_concurrency_bounds_tasks_running_at_once(ray_session, tmp_path,
                                       resume=False)   # 2 spill shards
     assert summary['rows_out'] == n
     spans = [json.load(open(os.path.join(log, f))) for f in os.listdir(log)]
-    for stage, count in (('a', n_files), ('b', 2)):
+    for stage, count in (('a', n_units), ('b', 2)):
         events = sorted(e for s, start, end in spans if s == stage
                         for e in ((start, 1), (end, -1)))
         assert len(events) == 2 * count
@@ -777,13 +823,14 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
         return pipeline._extract_unit(pafs.LocalFileSystem(), unit,
                                       [pipeline.assign_bucket(4)], 'retry',
                                       spill, 4, 1)
-    assert task((src, 0, 0, rows)) == task((src, 0, 0, rows)) == rows
+    unit = ((src, 0, 0, rows),)
+    assert task(unit) == task(unit) == rows
     files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
     assert len(files) == 1              # overwritten, not duplicated
     assert pa.ipc.open_file(files[0]).read_all().num_rows == rows
 
     # a DIFFERENT unit must land in a different file
-    assert task((src, 0, 0, 10)) == 10
+    assert task(((src, 0, 0, 10),)) == 10
     assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))) == 2
 
 
@@ -1508,14 +1555,15 @@ print('rows_out', summary['rows_out'])
     assert 'rows_out' in out
 
 
-def test_stage_a_units_from_metadata(tmp_path):
+def test_stage_a_units_from_metadata(tmp_path, monkeypatch):
     """Stage A plans its work units on the driver from the footers, with no
-    Ray: each row group is cut into even row ranges of at most
-    ceil(rows / (2 * cap)) rows, reading the ranges gives every row once
-    and in order, and the file set is the one ``list_input`` lists."""
+    Ray: the input is cut at equal byte offsets into max(cap, ceil(bytes /
+    UNIT_BYTES)) contiguous spans of row-group pieces, reading the units
+    gives every row once and in order, and the file set is the one
+    ``list_input`` lists."""
     import pyarrow as pa
-    from engine.rayjob.pipeline import (READ_BUFFER, _read_range,
-                                        plan_units)
+    from engine.rayjob import pipeline
+    from engine.rayjob.pipeline import _read_unit, plan_units
 
     def write(path, n, row_group_size=None):
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -1526,38 +1574,63 @@ def test_stage_a_units_from_metadata(tmp_path):
         }), path, row_group_size=row_group_size)
 
     def files(root, units):
-        return sorted({os.path.relpath(u[0], root) for u in units})
+        return sorted({os.path.relpath(piece[0], root)
+                       for unit in units for piece in unit})
 
-    def read(units):
-        parts = []
-        for path, rg, lo, hi in units:
-            with pq.ParquetFile(path, pre_buffer=False,
-                                buffer_size=READ_BUFFER) as pf:
-                parts.append(_read_range(pf, rg, lo, hi))
-        return pa.concat_tables(parts)
+    def read(fs, units):
+        return pa.concat_tables([_read_unit(fs, unit) for unit in units])
 
-    # one 800-row file with one row group at cap 2: 4 ranges, every row once
+    def unit_bytes(unit):
+        """A unit's share of its row groups' bytes, spread over their
+        rows."""
+        total = 0
+        for path, rg, lo, hi in unit:
+            g = pq.read_metadata(path).row_group(rg)
+            total += g.total_byte_size * (hi - lo) / g.num_rows
+        return total
+
+    # one 800-row file with one row group at cap 2: 2 halves, every row once
     one = str(tmp_path / 'one')
-    write(os.path.join(one, 'a.parquet'), 800)
+    p = os.path.join(one, 'a.parquet')
+    write(p, 800)
     whole = pq.read_table(one, columns=['conv_id', 'turn_idx', 'text'])
-    _, units = plan_units(one, 2)
-    assert [u[1:] for u in units] == [(0, 0, 200), (0, 200, 400),
-                                      (0, 400, 600), (0, 600, 800)]
-    assert read(units).equals(whole)
-    # at cap 3, ranges of 133-134 rows that straddle the read batches
-    _, units = plan_units(one, 3)
-    assert len(units) == 6 and max(hi - lo for _, _, lo, hi in units) <= 134
-    assert read(units).equals(whole)
+    fs, units = plan_units(one, 2)
+    assert units == [((p, 0, 0, 400),), ((p, 0, 400, 800),)]
+    assert read(fs, units).equals(whole)
 
-    # row groups of 300, 300 and 200 rows at cap 2: the 200-row group, no
-    # larger than a range, is one unit
-    groups = str(tmp_path / 'groups')
-    write(os.path.join(groups, 'a.parquet'), 800, row_group_size=300)
-    _, units = plan_units(groups, 2)
-    assert [u[1:] for u in units] == [(0, 0, 150), (0, 150, 300),
-                                      (1, 0, 150), (1, 150, 300),
-                                      (2, 0, 200)]
-    assert read(units).equals(whole)
+    # three 1,000-row files at cap 2: 2 units, the first crossing from the
+    # first file into the second
+    three = str(tmp_path / 'three')
+    for name in ('a', 'b', 'c'):
+        write(os.path.join(three, name + '.parquet'), 1000)
+    whole = pa.concat_tables(
+        [pq.read_table(os.path.join(three, name + '.parquet'))
+         for name in ('a', 'b', 'c')])
+    fs, units = plan_units(three, 2)
+    assert len(units) == 2
+    assert [os.path.basename(piece[0]) for piece in units[0]] == [
+        'a.parquet', 'b.parquet']
+    assert units[0][0][2:] == (0, 1000) and units[0][1][2] == 0
+    assert read(fs, units).equals(whole)
+
+    # UNIT_BYTES at a quarter of the input's bytes: 4 units of about equal
+    # bytes at cap 2, and a row group split between two of them
+    total = sum(pq.read_metadata(os.path.join(three, name + '.parquet'))
+                .row_group(0).total_byte_size for name in ('a', 'b', 'c'))
+    monkeypatch.setattr(pipeline, 'UNIT_BYTES', -(-total // 4))
+    fs, units = plan_units(three, 2)
+    assert len(units) == 4
+    row_bytes = total / 3000
+    for unit in units:
+        assert abs(unit_bytes(unit) - total / 4) <= row_bytes
+    assert any(piece[2] > 0 for unit in units for piece in unit)
+    assert read(fs, units).equals(whole)
+    monkeypatch.undo()
+
+    # an input with no rows plans no unit
+    empty = str(tmp_path / 'empty')
+    write(os.path.join(empty, 'a.parquet'), 0)
+    assert plan_units(empty, 2)[1] == []
 
     # nested dirs are read; '_' and '.' prefixes are skipped; '.pq' is kept
     nested = str(tmp_path / 'nested')
@@ -1593,7 +1666,8 @@ def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path):
 def test_sink_never_loads_ray_data(tmp_path):
     """The CLI's sink runs on Ray Core tasks: a one-job run writes every
     row and never imports ``ray.data`` (its executor costs ~2 s of cold
-    start and two resident actors)."""
+    start and two resident actors) or ``pyarrow.dataset`` (the footers are
+    read with ``pq.read_metadata``; the module is ~35 MB of driver RSS)."""
     import signal
     import subprocess
     import sys
@@ -1605,7 +1679,8 @@ from engine.rayjob.transcripts import generate_transcripts
 from engine.rayjob.main import main
 n, _ = generate_transcripts(sys.argv[1], n_convs=6, seed=7, rows_per_file=40)
 main(['--input', sys.argv[1], '--output', sys.argv[2], '--num-buckets', '4'])
-print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules}))
+print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules,
+                  'pads': 'pyarrow.dataset' in sys.modules}))
 '''
     env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS='local')
     proc = subprocess.Popen(
@@ -1623,3 +1698,4 @@ print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules}))
     summary, probe = [json.loads(l) for l in out.strip().splitlines()[-2:]]
     assert summary['rows_out'] == probe['n']
     assert not probe['ray_data'], 'the sink imported ray.data'
+    assert not probe['pads'], 'the sink imported pyarrow.dataset'
