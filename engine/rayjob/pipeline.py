@@ -81,14 +81,12 @@ ParquetWriter, so a task's memory is O(``COMPACT_MAX_ROWS``) plus the
 bucket's sort indices, not O(bucket).
 """
 
-import bisect
 import glob
 import itertools
 import math
 import os
 import time
 import uuid
-from fractions import Fraction
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -204,28 +202,26 @@ def plan_units(input_path, cap, listing=None):
             if g.num_rows:
                 groups.append((path, rg, g.num_rows,   # a writer may
                                max(g.total_byte_size, 1)))   # record 0
-    byte0 = list(itertools.accumulate((g[3] for g in groups), initial=0))
-    row0 = list(itertools.accumulate((g[2] for g in groups), initial=0))
-    total, rows = byte0[-1], row0[-1]
-    k = min(rows, max(cap, -(-total // UNIT_BYTES)))
-    ends = {rows}                  # each unit's end, as an input row number
-    for i in range(1, k):
-        at = Fraction(total * i, k)          # the cut's byte offset
-        g = bisect.bisect_right(byte0, at) - 1
-        ends.add(row0[g] + round((at - byte0[g]) * groups[g][2]
-                                 / groups[g][3]))
-    ends = iter(sorted(ends - {0}))
-    end = next(ends, None)
-    units, unit = [], []
-    for (path, rg, n, _), first in zip(groups, row0):
+    total = sum(g[3] for g in groups)
+    k = min(sum(g[2] for g in groups), max(cap, -(-total // UNIT_BYTES)))
+    units, unit, i, seen = [], [], 1, 0   # cut i is at byte total * i / k
+    for path, rg, n, b in groups:
         lo = 0
-        while lo < n:
-            hi = min(n, end - first)
-            unit.append((path, rg, lo, hi))
-            lo = hi
-            if first + hi == end:
+        while i < k and total * i < (seen + b) * k:    # cut i is in here:
+            hi = ((2 * (total * i - seen * k) * n + k * b)   # its nearest
+                  // (2 * k * b))                            # row start
+            i += 1
+            if hi > lo:
+                unit.append((path, rg, lo, hi))
+                lo = hi
+            if unit:
                 units.append(tuple(unit))
-                unit, end = [], next(ends, None)
+                unit = []
+        if lo < n:
+            unit.append((path, rg, lo, n))
+        seen += b
+    if unit:
+        units.append(tuple(unit))
     return fs, units
 
 

@@ -1598,6 +1598,21 @@ def test_stage_a_units_from_metadata(tmp_path, monkeypatch):
     assert units == [((p, 0, 0, 400),), ((p, 0, 400, 800),)]
     assert read(fs, units).equals(whole)
 
+    # the same rows in row groups of 300, 300 and 200 at cap 2: the cut at
+    # half the bytes falls inside group 1, so each unit is two pieces of
+    # the one file, and reading them gives the file once and in order
+    groups = str(tmp_path / 'groups')
+    p = os.path.join(groups, 'a.parquet')
+    write(p, 800, row_group_size=300)
+    meta = pq.read_metadata(p)
+    b0, b1, b2 = (meta.row_group(rg).total_byte_size for rg in range(3))
+    cut = round(((b0 + b1 + b2) / 2 - b0) * 300 / b1)
+    assert 0 < cut < 300
+    fs, units = plan_units(groups, 2)
+    assert units == [((p, 0, 0, 300), (p, 1, 0, cut)),
+                     ((p, 1, cut, 300), (p, 2, 0, 200))]
+    assert read(fs, units).equals(whole)
+
     # three 1,000-row files at cap 2: 2 units, the first crossing from the
     # first file into the second
     three = str(tmp_path / 'three')
