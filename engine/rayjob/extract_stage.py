@@ -20,6 +20,16 @@ extracted once per DISTINCT payload (one Arrow hash pass over its
 ``text`` column), and each output column is one Arrow ``take`` of the
 per-distinct results, so no per-row Python runs between the kernel
 calls.
+
+Column helpers (``num_array``, ``bool_array``, ``str_array``,
+``np_view``): Stage A and Stage B build every Arrow column from numpy
+buffers with ``pa.Array.from_buffers``, and read every column as a numpy
+view of its data buffer.  pyarrow's own conversions of Python or numpy
+values (``pa.array``, ``Array.to_numpy``, a Python scalar as a compute
+argument) import pandas on first use, ~40 MB resident and ~0.2 s per
+worker process, for nothing the engine uses.  The builders give the
+types ``pa.array`` gives, so the part files' schema is unchanged, and
+raise where numpy alone would wrap an int or an offset.
 """
 
 import functools
@@ -27,13 +37,15 @@ import itertools
 import zlib
 from collections import OrderedDict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
 __all__ = ['ExtractTurns', 'ExtractSpans', 'stage_for', 'assign_bucket',
-           'make_done_filter']
+           'make_done_filter', 'num_array', 'bool_array', 'str_array',
+           'np_view']
 
 PAYLOAD_LRU = 4096   # ExtractTurns cache entries (one text row each)
 SPANS_LRU = 1024     # ExtractSpans cache entries (a whole span list each)
@@ -78,6 +90,67 @@ def pin_arrow_threads():
     extraction stage pins Arrow to its own core."""
     pa.set_cpu_count(1)
     pa.set_io_thread_count(1)
+
+
+_NUMERIC = {pa.int32(): np.int32, pa.int64(): np.int64,
+            pa.float64(): np.float64}
+MAX_STR_BYTES = (1 << 31) - 1   # the last int32 offset of a pa.string()
+
+
+def num_array(values, type):
+    """An int32, int64 or float64 array of ``values`` (no None), equal to
+    what ``pa.array`` gives for them, over one numpy buffer.  An int out of
+    the type's range raises ``OverflowError`` (numpy alone would wrap it)."""
+    dtype = np.dtype(_NUMERIC[type])
+    nd = np.asarray(values)
+    if nd.dtype != dtype and dtype.kind == 'i' and nd.size:
+        info = np.iinfo(dtype)
+        if nd.min() < info.min or nd.max() > info.max:
+            raise OverflowError('value out of range for %s' % type)
+    nd = np.ascontiguousarray(nd, dtype)
+    return pa.Array.from_buffers(type, len(nd), [None, pa.py_buffer(nd)])
+
+
+def bool_array(values):
+    """A bool array of ``values`` (no None), bit-packed by numpy."""
+    nd = np.asarray(values, np.bool_)
+    return pa.Array.from_buffers(pa.bool_(), len(nd), [
+        None, pa.py_buffer(np.packbits(nd, bitorder='little'))])
+
+
+def str_array(values):
+    """A ``pa.string()`` array of ``values``: each str strictly UTF-8
+    encoded, and None a null.  Text past ``MAX_STR_BYTES`` in all raises
+    ``OverflowError``: an int32 offset never wraps."""
+    data = [b'' if v is None else v.encode('utf-8') for v in values]
+    n = len(data)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, data), np.int64, n), out=offsets[1:])
+    if offsets[-1] > MAX_STR_BYTES:
+        raise OverflowError('%d bytes of text do not fit a pa.string()'
+                            % offsets[-1])
+    present = np.fromiter((v is not None for v in values), np.bool_, n)
+    nulls = n - int(present.sum())
+    valid = (pa.py_buffer(np.packbits(present, bitorder='little'))
+             if nulls else None)
+    return pa.Array.from_buffers(
+        pa.string(), n, [valid, pa.py_buffer(offsets.astype(np.int32)),
+                         pa.py_buffer(b''.join(data))], null_count=nulls)
+
+
+def np_view(arr, dtype):
+    """A read-only numpy view of ``arr``'s values (chunks combined first):
+    ``dtype`` must be as wide as its fixed-width type, and a null raises.
+    For a bool column, view ``pc.cast(column, pa.int8())``."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    if arr.null_count:
+        raise ValueError('np_view of a column with %d nulls' % arr.null_count)
+    dtype = np.dtype(dtype)
+    if dtype.itemsize * 8 != arr.type.bit_width:
+        raise TypeError('np_view of %s as %s' % (arr.type, dtype))
+    return np.frombuffer(arr.buffers()[1], dtype, len(arr),
+                         arr.offset * dtype.itemsize)
 
 
 class _CachedStage(object):
@@ -141,11 +214,11 @@ class ExtractTurns(_CachedStage):
         return pa.table({
             'conv_id': batch.column('conv_id'),
             'turn_idx': batch.column('turn_idx'),
-            'text': pa.array(text, pa.string()).take(idx),
-            'n_spans': pa.array(n_spans, pa.int32()).take(idx),
-            'n_pages': pa.array(n_pages, pa.int32()).take(idx),
-            'decode_ok': pa.array(decode_ok, pa.bool_()).take(idx),
-            'error': pa.array(error, pa.string()).take(idx),
+            'text': str_array(text).take(idx),
+            'n_spans': num_array(n_spans, pa.int32()).take(idx),
+            'n_pages': num_array(n_pages, pa.int32()).take(idx),
+            'decode_ok': bool_array(decode_ok).take(idx),
+            'error': str_array(error).take(idx),
         })
 
 
@@ -167,29 +240,28 @@ class ExtractSpans(_CachedStage):
         return extract_turn(payload, self.shared, collect_spans=True)['spans'] or ()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
         spans, idx = self._extract_distinct(batch.column('text'), self._spans)
         flat = list(itertools.chain.from_iterable(spans))
         page, xs, ys, uni, cid, width = zip(*flat) if flat else [()] * 6
         counts = np.fromiter(map(len, spans), np.int64, len(spans))
         first = np.cumsum(counts) - counts      # a payload's first flat span
-        idx = idx.to_numpy(zero_copy_only=False)
+        idx = np_view(idx, np.int32)
         per_row = counts[idx]
         row_first = np.cumsum(per_row) - per_row
         # output span k of row r is flat span first[idx[r]] + k - row_first[r]
-        at = pa.array(np.arange(per_row.sum()) +
-                      np.repeat(first[idx] - row_first, per_row))
-        keys = batch.select(['conv_id', 'turn_idx']).take(
-            pa.array(np.repeat(np.arange(len(idx)), per_row)))
+        at = num_array(np.arange(per_row.sum()) +
+                       np.repeat(first[idx] - row_first, per_row), pa.int64())
+        keys = batch.select(['conv_id', 'turn_idx']).take(num_array(
+            np.repeat(np.arange(len(idx)), per_row), pa.int64()))
         return pa.table({
             'conv_id': keys.column('conv_id').cast(pa.string()),
             'turn_idx': keys.column('turn_idx').cast(pa.int32()),
-            'page': pa.array(page, pa.int32()).take(at),
-            'x': pa.array(xs, pa.float64()).take(at),
-            'y': pa.array(ys, pa.float64()).take(at),
-            'unicode': pa.array(uni, pa.string()).take(at),
-            'cid': pa.array(cid, pa.int32()).take(at),
-            'width': pa.array(width, pa.float64()).take(at),
+            'page': num_array(page, pa.int32()).take(at),
+            'x': num_array(xs, pa.float64()).take(at),
+            'y': num_array(ys, pa.float64()).take(at),
+            'unicode': str_array(uni).take(at),
+            'cid': num_array(cid, pa.int32()).take(at),
+            'width': num_array(width, pa.float64()).take(at),
         })
 
 
@@ -202,17 +274,13 @@ def assign_bucket(num_buckets):
     in the batch (conversations repeat ~dozens of turns), the per-row
     expansion is a numpy gather on the dictionary indices.
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     def fn(batch: pa.Table) -> pa.Table:
         enc = pc.dictionary_encode(batch.column('conv_id')).combine_chunks()
         lut = np.fromiter(
             (zlib.crc32(s.encode('utf-8')) % num_buckets
              for s in enc.dictionary.to_pylist()),
             dtype=np.int32, count=len(enc.dictionary))
-        buckets = pa.array(lut[enc.indices.to_numpy(zero_copy_only=False)],
-                           pa.int32())
+        buckets = num_array(lut[np_view(enc.indices, np.int32)], pa.int32())
         return batch.append_column('bucket', buckets)
     return fn
 
@@ -222,8 +290,7 @@ def make_done_filter(done_buckets):
     done = frozenset(done_buckets)
 
     def fn(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         mask = pc.invert(pc.is_in(batch.column('bucket'),
-                                  value_set=pa.array(sorted(done), pa.int32())))
+                                  value_set=num_array(sorted(done), pa.int32())))
         return batch.filter(mask)
     return fn

@@ -94,7 +94,8 @@ import pyarrow.parquet as pq
 import ray
 
 from .extract_stage import (ExtractTurns, ExtractSpans, assign_bucket,
-                            make_done_filter, pin_arrow_threads, stage_for)
+                            make_done_filter, np_view, pin_arrow_threads,
+                            stage_for)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
@@ -295,9 +296,8 @@ def _spill(out, unit, spill_dir, num_buckets, num_shards):
     import numpy as np
     ordered = out.sort_by(SORT_KEYS)
     digest = hashlib.md5(repr(unit).encode('utf-8')).hexdigest()
-    shards = shard_of(
-        ordered.column('bucket').to_numpy(zero_copy_only=False).astype(np.int64),
-        num_buckets, num_shards)
+    shards = shard_of(np_view(ordered.column('bucket'), np.int32).astype(np.int64),
+                      num_buckets, num_shards)
     present, starts = np.unique(shards, return_index=True)
     bounds = np.append(starts, len(shards))
     for i, s in enumerate(present):
@@ -355,7 +355,7 @@ def _compact_shard(spill_dir, out_dir, shard, buckets,
     lo = np.zeros((len(tables), len(buckets)), np.int64)
     hi = np.zeros_like(lo)
     for f, tbl in enumerate(tables):
-        keys = tbl.column('bucket').to_numpy()
+        keys = np_view(tbl.column('bucket'), np.int32)
         lo[f] = np.searchsorted(keys, want, 'left')
         hi[f] = np.searchsorted(keys, want, 'right')
     first, last = lo.sum(axis=0), hi.sum(axis=0)
@@ -378,14 +378,14 @@ def _compact_shard(spill_dir, out_dir, shard, buckets,
         else:
             win = window(i, j)
             order = pc.sort_indices(win, sort_keys=SORT_KEYS)
-            keys = win.column('bucket').take(order).to_numpy()
+            keys = np_view(win.column('bucket').take(order), np.int32)
             # prefix sums: a bucket's failures and spans are one
             # subtraction each
-            fails = np.concatenate(([0], np.cumsum(
-                ~win.column('decode_ok').take(order).to_numpy(),
-                dtype=np.int64)))
+            fails = np.concatenate(([0], np.cumsum(np_view(
+                pc.cast(pc.invert(win.column('decode_ok').take(order)),
+                        pa.int8()), np.int8), dtype=np.int64)))
             spans = np.concatenate(([0], np.cumsum(
-                win.column('n_spans').take(order).to_numpy(),
+                np_view(win.column('n_spans').take(order), np.int32),
                 dtype=np.int64)))
             win = win.drop_columns(['bucket'])
             # chunk holds the rows order[at:at + max_rows]: one take for a

@@ -1678,24 +1678,82 @@ def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path):
     assert build_spans_dataset(d).count() == glyphs > 0
 
 
+def test_workers_never_load_pandas(tmp_path):
+    """Stage A and Stage B build and read their Arrow columns over plain
+    numpy buffers, never through ``pa.array`` or ``to_numpy``: those load
+    pandas (~40 MB and ~0.2 s per worker process) on first use.  A fresh
+    process (no Ray) runs both task bodies of a resumed job, bucketed by
+    ``assign_bucket`` and filtered by ``make_done_filter``, and both
+    Dataset task bodies, and pandas must stay out of its ``sys.modules``;
+    the part files must hold every row of a bucket that is not done."""
+    import subprocess
+    import sys
+    import zlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    d = str(tmp_path / 'corpus')
+    n, _ = generate_transcripts(d, n_convs=12, seed=7, rows_per_file=40)
+    code = '''
+import json
+import sys
+from engine.rayjob import pipeline
+corpus, spill, out = sys.argv[1:4]
+fs, units = pipeline.plan_units(corpus, 2)
+prep = [pipeline.assign_bucket(16), pipeline.make_done_filter({1, 2})]
+for unit in units:
+    pipeline._extract_unit(fs, unit, prep, 'job', spill, 16, 2)
+for shard in range(2):
+    pipeline._compact_shard(spill, out, shard, [
+        b for b in range(16)
+        if b not in (1, 2) and pipeline.shard_of(b, 16, 2) == shard])
+rows = {cls.__name__: sum(pipeline._extract_rows(fs, unit, cls, 'job').num_rows
+                          for unit in units)
+        for cls in (pipeline.ExtractTurns, pipeline.ExtractSpans)}
+print(json.dumps(dict(rows, pandas='pandas' in sys.modules)))
+'''
+    out = tmp_path / 'out'
+    out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, '-c', code, d, str(tmp_path / 'spill'), str(out)],
+        capture_output=True, text=True, cwd=root, timeout=300,
+        env=dict(os.environ, PYTHONPATH=root))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    probe = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not probe['pandas'], 'a Stage A or Stage B task imported pandas'
+    assert probe['ExtractTurns'] == n and probe['ExtractSpans'] > n
+    src = pq.read_table(d)
+    want = sorted(k for k in zip(src.column('conv_id').to_pylist(),
+                                 src.column('turn_idx').to_pylist())
+                  if zlib.crc32(k[0].encode('utf-8')) % 16 not in (1, 2))
+    assert 0 < len(want) < n
+    _, tables = _read_all(str(out))
+    got = sorted(k for t in tables
+                 for k in zip(t.column('conv_id').to_pylist(),
+                              t.column('turn_idx').to_pylist()))
+    assert got == want
+
+
 def test_sink_never_loads_ray_data(tmp_path):
     """The CLI's sink runs on Ray Core tasks: a one-job run writes every
     row and never imports ``ray.data`` (its executor costs ~2 s of cold
-    start and two resident actors) or ``pyarrow.dataset`` (the footers are
-    read with ``pq.read_metadata``; the module is ~35 MB of driver RSS)."""
+    start and two resident actors), ``pyarrow.dataset`` (the footers are
+    read with ``pq.read_metadata``; the module is ~35 MB of driver RSS) or
+    pandas (~40 MB).  The corpus is generated in this process, because
+    ``generate_transcripts`` builds its columns with ``pa.array``, which
+    loads pandas."""
     import signal
     import subprocess
     import sys
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    n, _ = generate_transcripts(str(tmp_path / 'corpus'), n_convs=6, seed=7,
+                                rows_per_file=40)
     code = '''
 import json
 import sys
-from engine.rayjob.transcripts import generate_transcripts
 from engine.rayjob.main import main
-n, _ = generate_transcripts(sys.argv[1], n_convs=6, seed=7, rows_per_file=40)
 main(['--input', sys.argv[1], '--output', sys.argv[2], '--num-buckets', '4'])
-print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules,
-                  'pads': 'pyarrow.dataset' in sys.modules}))
+print(json.dumps({'ray_data': 'ray.data' in sys.modules,
+                  'pads': 'pyarrow.dataset' in sys.modules,
+                  'pandas': 'pandas' in sys.modules}))
 '''
     env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS='local')
     proc = subprocess.Popen(
@@ -1711,6 +1769,7 @@ print(json.dumps({'n': n, 'ray_data': 'ray.data' in sys.modules,
         pytest.fail('a one-job CLI run did not finish in 300 s')
     assert proc.returncode == 0, err[-2000:]
     summary, probe = [json.loads(l) for l in out.strip().splitlines()[-2:]]
-    assert summary['rows_out'] == probe['n']
+    assert summary['rows_out'] == n
     assert not probe['ray_data'], 'the sink imported ray.data'
     assert not probe['pads'], 'the sink imported pyarrow.dataset'
+    assert not probe['pandas'], 'the driver imported pandas'

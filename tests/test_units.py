@@ -1,6 +1,7 @@
 """Operator-level unit tests (SURVEY.md §5.3 level 1) — one section per §2
 row family, pinning the reference quirks the goldens exercise only in
-aggregate.  Pure pdfcore: no Ray, no oracle."""
+aggregate.  Pure pdfcore, and at the end the Arrow column helpers of
+``engine.rayjob.extract_stage``: no Ray, no oracle."""
 
 import re
 import zlib
@@ -1199,3 +1200,75 @@ def test_objstm_slices_equal_the_reference_filter():
         idx = _ObjStmIndex(StreamObj({'N': 300, 'First': first}, data))
         got = [idx.get_object_values(i) for i in range(300)]
         assert got == reference(data, first, offsets)
+
+
+# ------------------------------------------ Arrow columns over plain buffers
+
+@pytest.mark.parametrize('values, type_name', [
+    ((), 'int32'), ((0, -2**31, 2**31 - 1), 'int32'),
+    ([7, -2**63, 2**63 - 1], 'int64'), (range(5), 'int64'),
+    ((), 'float64'), ((1.5, -0.0, float('inf'), 3), 'float64')])
+def test_num_array_equals_pa_array(values, type_name):
+    import numpy as np
+    import pyarrow as pa
+    from engine.rayjob.extract_stage import num_array
+    type = getattr(pa, type_name)()
+    want = pa.array(list(values), type)
+    for given in (list(values), np.asarray(list(values), type_name)):
+        got = num_array(given, type)
+        assert got.type == want.type and got.equals(want)
+
+
+@pytest.mark.parametrize('n', [0, 1, 7, 8, 9, 17])
+def test_bool_array_equals_pa_array(n):
+    import pyarrow as pa
+    from engine.rayjob.extract_stage import bool_array
+    values = [i % 3 != 1 for i in range(n)]
+    got, want = bool_array(values), pa.array(values, pa.bool_())
+    assert got.type == want.type and got.equals(want)
+    assert got.to_pylist() == values
+
+
+def test_str_array_equals_pa_array():
+    import pyarrow as pa
+    from engine.rayjob.extract_stage import str_array
+    for values in ([], [None], [''], ['é€𝄞'], [None, '', 'é€𝄞', 'ascii', None]):
+        got, want = str_array(values), pa.array(values, pa.string())
+        got.validate(full=True)
+        assert got.type == want.type and got.equals(want)
+        assert got.null_count == want.null_count
+
+
+def test_builders_raise_instead_of_wrapping(monkeypatch):
+    import pyarrow as pa
+    from engine.rayjob import extract_stage
+    for values, type in (([2**31], pa.int32()), ([-2**31 - 1], pa.int32()),
+                         ([2**63], pa.int64())):
+        with pytest.raises(OverflowError):
+            extract_stage.num_array(values, type)
+    with pytest.raises(UnicodeEncodeError):
+        extract_stage.str_array(['\ud800'])     # a lone surrogate
+    monkeypatch.setattr(extract_stage, 'MAX_STR_BYTES', 9)
+    assert extract_stage.str_array(['1234', 'é€']).to_pylist() == ['1234', 'é€']
+    with pytest.raises(OverflowError):
+        extract_stage.str_array(['1234', 'é€', 'x'])
+
+
+def test_np_view_reads_slices_and_chunks():
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from engine.rayjob.extract_stage import np_view
+    arr = pa.array(range(10), pa.int32())
+    part = arr.slice(3, 5)
+    assert np_view(part, np.int32).tolist() == part.to_pylist()
+    two = pa.chunked_array([arr.slice(0, 4), arr.slice(6)])
+    assert two.num_chunks == 2
+    assert np_view(two, np.int32).tolist() == two.to_pylist()
+    assert np_view(pa.chunked_array([], pa.int32()), np.int32).tolist() == []
+    ok = pa.array([True, False, True])
+    assert np_view(pc.cast(pc.invert(ok), pa.int8()), np.int8).tolist() == [0, 1, 0]
+    with pytest.raises(ValueError):
+        np_view(pa.array([1, None, 3], pa.int32()), np.int32)
+    with pytest.raises(TypeError):
+        np_view(arr, np.int64)
