@@ -1,15 +1,12 @@
 """Extraction stages over zero-copy Arrow batches, run in plain tasks.
 
-``stage_for`` gives this worker process's stage instance (``ExtractTurns``
-or ``ExtractSpans``) for the current job: ``run_extraction``'s Stage A
-tasks and the tasks behind ``build_extract_dataset`` call its
-``ExtractTurns``, those behind ``build_spans_dataset`` its
-``ExtractSpans``, once per work unit.  The spill that follows Stage A's
-extraction is ``pipeline``'s; this module reads and writes no file.  The
-corpus-invariant font state (AFM metrics, encoding maps — SURVEY.md
-S3/F10/F11) is built once per process (``font_state``); the payload LRU
-lives in the stage instance, so it is per job and a job is never served
-another job's extraction.
+``run_extraction``'s Stage A tasks and the tasks behind
+``build_extract_dataset`` call ``ExtractTurns()`` on their work unit,
+those behind ``build_spans_dataset`` ``ExtractSpans()``.  The spill that
+follows Stage A's extraction is ``pipeline``'s; this module reads and
+writes no file.  The corpus-invariant font state (AFM metrics, encoding
+maps — SURVEY.md S3/F10/F11) is built once per process
+(``font_state``); no extraction result outlives its unit.
 
 Scale notes (100 TB design): per-row payloads are independent — no
 cross-row state beyond the read-only shared tables, so the stage shards
@@ -19,7 +16,7 @@ decompress in-row, nothing accumulates).  A batch is
 extracted once per DISTINCT payload (one Arrow hash pass over its
 ``text`` column), and each output column is one Arrow ``take`` of the
 per-distinct results, so no per-row Python runs between the kernel
-calls.
+calls.  A payload that repeats across units is extracted once per unit.
 
 Column helpers (``num_array``, ``bool_array``, ``str_array``,
 ``np_view``): Stage A and Stage B build every Arrow column from numpy
@@ -35,7 +32,6 @@ raise where numpy alone would wrap an int or an offset.
 import functools
 import itertools
 import zlib
-from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -43,14 +39,9 @@ import pyarrow.compute as pc
 
 from engine.pdfcore.extract import SharedFontState, extract_turn
 
-__all__ = ['ExtractTurns', 'ExtractSpans', 'stage_for', 'assign_bucket',
+__all__ = ['ExtractTurns', 'ExtractSpans', 'assign_bucket',
            'make_done_filter', 'num_array', 'bool_array', 'str_array',
            'np_view']
-
-PAYLOAD_LRU = 4096   # ExtractTurns cache entries (one text row each)
-SPANS_LRU = 1024     # ExtractSpans cache entries (a whole span list each)
-
-_stages = {}         # stage class -> (job id, instance) in this process
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,29 +49,6 @@ def font_state():
     """This process's ``SharedFontState``, built on first use.  It is
     corpus-invariant, so every job in the process shares it."""
     return SharedFontState()
-
-
-def stage_for(cls, job_id):
-    """This process's ``cls()`` for job ``job_id``.  Only the latest job's
-    instance per class is kept: a new job id gets a fresh instance (and
-    payload LRU), so a process holds one job's cache per stage."""
-    cur = _stages.get(cls)
-    if cur is None or cur[0] != job_id:
-        cur = _stages[cls] = (job_id, cls())
-    return cur[1]
-
-
-def _payload_key(payload):
-    """LRU cache key: md5 of the payload CONTENT.  bytes payloads hash
-    their own bytes (a shared constant key would silently serve another
-    payload's extraction); None gets a distinct sentinel (extract_turn(None)
-    is a constant, so one shared entry is correct there)."""
-    import hashlib
-    if isinstance(payload, str):
-        return hashlib.md5(payload.encode('utf-8', 'replace')).digest()
-    if isinstance(payload, (bytes, bytearray)):
-        return hashlib.md5(payload).digest()
-    return b'\x00none-payload'
 
 
 def pin_arrow_threads():
@@ -154,44 +122,23 @@ def np_view(arr, dtype):
 
 
 class _CachedStage(object):
-    """Font state plus an LRU of extraction results keyed by payload md5.
-    Extraction is a pure function of the payload, so a batch runs it once
-    per distinct payload (``_extract_distinct``), and a payload seen in an
-    earlier batch of the job (boilerplate PDFs attached to many turns —
-    common in web-scale transcript corpora) costs one md5 (~µs) instead of
-    a full re-extraction (~ms).  ``lru_hits`` counts every row served
-    without a kernel call: LRU hits and repeats within a batch.  Bounded by
-    entry COUNT, the stage's ``lru_cap``."""
+    """Font state plus the batch's payload dedup: extraction is a pure
+    function of the payload, so a call runs it once per distinct payload
+    (``_extract_distinct``) and keeps no result after it."""
 
     def __init__(self):
-        pin_arrow_threads()
         self.shared = font_state()
-        self._lru = OrderedDict()
-        self.lru_hits = 0
-
-    def _cached(self, payload, extract):
-        key = _payload_key(payload)
-        hit = self._lru.get(key)
-        if hit is not None:
-            self._lru.move_to_end(key)
-            self.lru_hits += 1
-            return hit
-        value = self._lru[key] = extract(payload)
-        if len(self._lru) > self.lru_cap:
-            self._lru.popitem(last=False)
-        return value
+        self.lru_hits = 0   # rows a repeat served; perfbench reads the name
 
     def _extract_distinct(self, column, extract):
-        """``extract`` of each distinct payload of ``column`` (through the
-        LRU), and per row the index of its payload's result (an Arrow int32
-        array).  One Arrow hash pass finds the distinct payloads; a null
-        payload is a value of its own, because ``extract_turn(None)`` has a
-        result."""
+        """``extract`` of each distinct payload of ``column``, and per row
+        the index of its payload's result (an Arrow int32 array).  One
+        Arrow hash pass finds the distinct payloads; a null payload is a
+        value of its own, because ``extract_turn(None)`` has a result."""
         enc = pc.dictionary_encode(column.combine_chunks(),
                                    null_encoding='encode')
-        payloads = enc.dictionary.to_pylist()
-        results = [self._cached(payload, extract) for payload in payloads]
-        self.lru_hits += len(enc.indices) - len(payloads)   # in-batch repeats
+        results = [extract(payload) for payload in enc.dictionary.to_pylist()]
+        self.lru_hits += len(enc.indices) - len(results)
         return results, enc.indices
 
 
@@ -199,8 +146,6 @@ class ExtractTurns(_CachedStage):
     """One output row per turn: text, span/page counts, decode status.
     The kernel runs once per distinct payload of the batch, and each
     result column is one ``take`` of the rows' payload indices."""
-
-    lru_cap = PAYLOAD_LRU
 
     def _extract(self, payload):
         r = extract_turn(payload, self.shared)
@@ -229,12 +174,9 @@ class ExtractSpans(_CachedStage):
 
     Spans are a pure function of the payload (only conv_id/turn_idx differ
     between rows sharing a payload), so the kernel runs once per distinct
-    payload of the batch and the same payload LRU applies, with a lower cap
-    (a cached entry holds the whole span list, not one text string).  The
-    distinct payloads' span lists are flattened into columns once, and
-    each row's spans are a ``take`` of its payload's span range."""
-
-    lru_cap = SPANS_LRU
+    payload of the batch.  The distinct payloads' span lists are flattened
+    into columns once, and each row's spans are a ``take`` of its
+    payload's span range."""
 
     def _spans(self, payload):
         return extract_turn(payload, self.shared, collect_spans=True)['spans'] or ()

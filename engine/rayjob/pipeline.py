@@ -94,8 +94,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .extract_stage import (ExtractTurns, ExtractSpans, assign_bucket,
-                            make_done_filter, np_view, pin_arrow_threads,
-                            stage_for)
+                            make_done_filter, np_view, pin_arrow_threads)
 from . import checkpoint
 
 __all__ = ['build_extract_dataset', 'build_spans_dataset', 'run_extraction',
@@ -136,9 +135,8 @@ def _dataset(input_path, cls):
     if not ray.is_initialized():
         ray.init()                 # local or RAY_ADDRESS
     fs, units = plan_units(input_path, default_concurrency())
-    job_id = uuid.uuid4().hex
     return ray.data.from_arrow_refs(
-        [_rows_task.remote(fs, unit, cls, job_id) for unit in units])
+        [_rows_task.remote(fs, unit, cls) for unit in units])
 
 
 def build_extract_dataset(input_path):
@@ -193,11 +191,21 @@ def plan_units(input_path, cap, listing=None):
     ending inside the second file; 448 two-row files give 2 units, not
     448), and a large input is units of about UNIT_BYTES, whatever
     row-group size its writer chose.  Row groups with no rows are skipped,
-    no unit is empty, and an input with no rows has no unit."""
+    no unit is empty, and an input with no rows has no unit.  A file that
+    lacks one of ``COLUMNS`` or types it unlike the first file raises."""
     fs, files = listing or list_input(input_path)
     groups = []                    # (path, row group, rows, bytes)
+    want = None                    # the first file's types by column
     for path, _, _ in files:
         meta = pq.read_metadata(path, filesystem=fs)
+        types = {f.name: f.type for f in meta.schema.to_arrow_schema()}
+        want = want or types
+        for name in COLUMNS:
+            if name not in types:
+                raise ValueError('%s has no column %r' % (path, name))
+            if types[name] != want[name]:
+                raise ValueError('%s: column %r is %s, not %s as in %s' % (
+                    path, name, types[name], want[name], files[0][0]))
         for rg in range(meta.num_row_groups):
             g = meta.row_group(rg)
             if g.num_rows:
@@ -255,29 +263,25 @@ def _read_unit(fs, unit):
     return pa.concat_tables(parts)
 
 
-def _extract_rows(fs, unit, cls, job_id):
-    """Dataset task: one unit's rows through this process's ``cls`` for
-    ``job_id``, as one batch, with no spill."""
+def _extract_rows(fs, unit, cls):
+    """Dataset task: one unit's rows through ``cls()``, with no spill."""
     pin_arrow_threads()
-    return stage_for(cls, job_id)(_read_unit(fs, unit))
+    return cls()(_read_unit(fs, unit))
 
 
-def _extract_unit(fs, unit, prep, job_id, spill_dir, num_buckets,
-                  num_shards):
+def _extract_unit(fs, unit, prep, spill_dir, num_buckets, num_shards):
     """Stage A task: read one unit's columns, apply ``prep`` (the
     driver-built bucketer, then the finished-bucket filter on resume),
-    extract what is left with this process's ``ExtractTurns`` for
-    ``job_id`` and spill it as one slice keyed by ``unit``.  Returns the
-    rows spilled: 0, with no kernel call and no spill file, when every row
-    is in a finished bucket."""
+    extract what is left with ``ExtractTurns()`` and spill it as one slice
+    keyed by ``unit``.  Returns the rows spilled: 0, with no kernel call
+    and no spill file, when every row is in a finished bucket."""
     pin_arrow_threads()
     tbl = _read_unit(fs, unit)
     for fn in prep:
         tbl = fn(tbl)
     if not tbl.num_rows:
         return 0
-    out = stage_for(ExtractTurns, job_id)(tbl).append_column(
-        'bucket', tbl.column('bucket'))
+    out = ExtractTurns()(tbl).append_column('bucket', tbl.column('bucket'))
     _spill(out, unit, spill_dir, num_buckets, num_shards)
     return out.num_rows
 
@@ -497,8 +501,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     # CPU whose task ends starts the next without waiting on the driver.
     inflight = concurrency or 2 * cap
     t0 = time.perf_counter()
-    job_id = uuid.uuid4().hex
-    spill_dir = os.path.join(out_dir, '_spill-%s' % job_id)
+    fs, units = plan_units(input_path, cap, listing)   # may raise: no spill
+    spill_dir = os.path.join(out_dir, '_spill-%s' % uuid.uuid4().hex)
     os.makedirs(spill_dir)
 
     # Stage A: map-only extract + external-shuffle spill.  The bucketer is
@@ -508,10 +512,8 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     if done:
         prep.append(make_done_filter(done.keys()))
     prep_ref = ray.put(prep)
-    fs, units = plan_units(input_path, cap, listing)
     _run_tasks(lambda unit: _extract_task.remote(
-                   fs, unit, prep_ref, job_id, spill_dir,
-                   num_buckets, num_shards),
+                   fs, unit, prep_ref, spill_dir, num_buckets, num_shards),
                units, inflight, lambda rows: None)
     stage_a_s = time.perf_counter() - t0
 

@@ -10,9 +10,14 @@ corpus is perfbench's seed-7 ``transcripts`` (3,000 turns, the
 input, cut into the Stage A units a 2-CPU job plans and spilled into the
 shards that side's job would make at 2 CPUs.  One run of a side is one
 job without Ray: every unit goes through the side's Stage A task body,
-``pipeline._extract_unit``, under a fixed job id (its payload LRU is warm
-after the first run), then every shard's buckets are compacted by
-``pipeline._compact_shard`` (or an older side's compactor) at ``--max-rows``.
+``pipeline._extract_unit`` (called with that side's own signature; an
+older side that takes a ``job_id`` gets a fresh one per run, so its
+payload LRU never carries results from one run to the next), then every
+shard's buckets are compacted by ``pipeline._compact_shard`` (or an older
+side's compactor) at ``--max-rows``.  Against a side with that LRU,
+``transcripts`` still times its Stage A faster: both units run in one
+process here, so the LRU serves the second unit's 25 payloads, which a
+2-CPU job, running each unit on its own worker, never gets.
 Both sides run once to warm, then ``--pairs`` pairs alternating which
 side goes first.  Prints each pair's Stage A and Stage B times, the
 medians with p25-p75, and whether the last runs' part files (byte for
@@ -26,6 +31,7 @@ Run from the repo root::
 
 import argparse
 import glob
+import inspect
 import json
 import os
 import shutil
@@ -60,7 +66,8 @@ def serve(root, corpus_dir, work, max_rows):
     for b in range(NUM_BUCKETS):
         groups.setdefault(shard_of(b, NUM_BUCKETS, num_shards), []).append(b)
     spill, out = os.path.join(work, 'spill'), os.path.join(work, 'out')
-    for line in sys.stdin:
+    job_id = 'job_id' in inspect.signature(pipeline._extract_unit).parameters
+    for run, line in enumerate(sys.stdin):
         if line.strip() != 'run':
             break
         for d in (spill, out):
@@ -68,9 +75,10 @@ def serve(root, corpus_dir, work, max_rows):
             os.makedirs(d)
         t0 = time.perf_counter()
         prep = [pipeline.assign_bucket(NUM_BUCKETS)]
+        args = (prep, 'stage-ab-%d' % run) if job_id else (prep,)
         for unit in units:
-            pipeline._extract_unit(fs, unit, prep, 'stage-ab', spill,
-                                   NUM_BUCKETS, num_shards)
+            pipeline._extract_unit(fs, unit, *args, spill, NUM_BUCKETS,
+                                   num_shards)
         t1 = time.perf_counter()
         rows = []
         for shard, g in groups.items():

@@ -58,7 +58,7 @@ def _spill(spill_dir, paths, num_buckets, num_shards=1):
             pipeline._extract_unit(
                 pafs.LocalFileSystem(), ((path, rg, 0,
                                           meta.row_group(rg).num_rows),),
-                prep, 'in-process', spill_dir, num_buckets, num_shards)
+                prep, spill_dir, num_buckets, num_shards)
 
 
 def _log_compact_task(monkeypatch, log, before=None):
@@ -821,8 +821,7 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
 
     def task(unit):
         return pipeline._extract_unit(pafs.LocalFileSystem(), unit,
-                                      [pipeline.assign_bucket(4)], 'retry',
-                                      spill, 4, 1)
+                                      [pipeline.assign_bucket(4)], spill, 4, 1)
     unit = ((src, 0, 0, rows),)
     assert task(unit) == task(unit) == rows
     files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
@@ -1135,10 +1134,10 @@ def test_compactor_ignores_tmp_files(tmp_path):
     assert sum(pq.read_table(p).num_rows for p in parts) == 2
 
 
-def test_lru_identical_output_and_hits(tmp_path, shared_fonts):
-    """Repeated payloads must hit the LRU (one extraction per distinct
-    payload) and produce output identical to a per-row ``extract_turn``
-    of every row — extraction is a pure function of the payload."""
+def test_in_batch_repeats_identical_output_and_hits(tmp_path, shared_fonts):
+    """Payloads repeated within a batch are extracted once per distinct
+    payload and give output identical to a per-row ``extract_turn`` of
+    every row — extraction is a pure function of the payload."""
     from engine.rayjob.extract_stage import ExtractTurns
     import pyarrow as pa
 
@@ -1149,10 +1148,9 @@ def test_lru_identical_output_and_hits(tmp_path, shared_fonts):
     # duplicate the batch so every payload appears at least twice
     batch = pa.concat_tables([base, base]).combine_chunks()
 
-    cached = ExtractTurns()
-    out_c = cached(batch)
-    assert out_c.equals(_per_row_turns(batch, shared_fonts))
-    assert cached.lru_hits >= base.num_rows        # second copy all hits
+    stage = ExtractTurns()
+    assert stage(batch).equals(_per_row_turns(batch, shared_fonts))
+    assert stage.lru_hits >= base.num_rows         # second copy all repeats
 
 
 def _per_row_turns(batch, shared):
@@ -1196,8 +1194,9 @@ def test_stage_extracts_each_distinct_payload_once(shared_fonts, monkeypatch,
     """A batch with repeated payloads, a null one, an empty one and a
     corrupt one, whose ``text`` column has two chunks: the stage's output
     equals the per-row ``extract_turn`` oracle, the kernel runs once per
-    distinct payload even with the LRU off, and ``lru_hits`` counts every
-    other row (rows - kernel calls)."""
+    distinct payload, ``lru_hits`` counts every other row (rows - kernel
+    calls), and a second call extracts every payload again: no result is
+    kept between calls.  Stage instances share the process's font state."""
     import sys
     import pyarrow as pa
     from engine.rayjob import extract_stage
@@ -1226,22 +1225,16 @@ def test_stage_extracts_each_distinct_payload_once(shared_fonts, monkeypatch,
     monkeypatch.setattr(extract_stage, 'extract_turn', counted)
 
     cls = getattr(extract_stage, stage)
-    cap = cls.lru_cap
-    monkeypatch.setattr(cls, 'lru_cap', 0)              # the LRU off
     plain = cls()
     assert plain(batch).equals(oracle)
     assert len(calls) == distinct
     assert plain.lru_hits == n - len(calls)
-
-    del calls[:]
-    monkeypatch.setattr(cls, 'lru_cap', cap)
-    cached = cls()
-    assert cached(batch).equals(oracle)
-    assert cached(batch).equals(oracle)         # every row an LRU hit
-    assert len(calls) == distinct
-    assert cached.lru_hits == 2 * n - len(calls)
-    empty = cached(batch.slice(0, 0))
+    assert plain(batch).equals(oracle)
+    assert len(calls) == 2 * distinct           # nothing kept between calls
+    assert plain.lru_hits == 2 * n - len(calls)
+    empty = plain(batch.slice(0, 0))
     assert empty.num_rows == 0 and empty.schema.equals(oracle.schema)
+    assert cls().shared is plain.shared is extract_stage.font_state()
 
 
 def test_hostile_payloads_fail_only_their_rows(shared_fonts):
@@ -1434,38 +1427,6 @@ def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
     want = tbl.drop_columns(['bucket']).sort_by(
         [('conv_id', 'ascending'), ('turn_idx', 'ascending')])
     assert got.equals(want)                       # fully sorted, stable
-
-
-def test_stage_instance_is_per_job():
-    """One stage instance per (class, job) in a process: the same job id
-    reuses it, a new job id gets a fresh payload LRU (a job is never served
-    another job's extraction), and the font state is shared across jobs."""
-    import sys
-    import pyarrow as pa
-    from engine.rayjob.extract_stage import ExtractTurns, stage_for
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from gen_pdf import build_variant
-
-    ids = ['V01', 'V02', 'V03', 'V11']             # distinct payloads
-    batch = pa.table({
-        'conv_id': pa.array(['c%d' % i for i in range(len(ids))], pa.string()),
-        'turn_idx': pa.array([0] * len(ids), pa.int32()),
-        'text': pa.array([build_variant(v).decode('latin-1') for v in ids],
-                         pa.string()),
-    })
-    first = stage_for(ExtractTurns, 'job-a')
-    assert stage_for(ExtractTurns, 'job-a') is first
-    first(batch)
-    assert first.lru_hits == 0
-    first(batch)
-    assert first.lru_hits == len(ids)
-
-    second = stage_for(ExtractTurns, 'job-b')
-    assert second is not first
-    out = second(batch)
-    assert second.lru_hits == 0
-    assert out.equals(first(batch))
-    assert second.shared is first.shared
 
 
 def test_torn_manifest_tail_redone(ray_session, extracted):
@@ -1678,6 +1639,42 @@ def test_datasets_read_the_files_the_sink_reads(ray_session, tmp_path):
     assert build_spans_dataset(d).count() == glyphs > 0
 
 
+@pytest.mark.parametrize('bad', ['missing', 'retyped'])
+def test_input_columns_checked_before_any_task(ray_session, tmp_path,
+                                               monkeypatch, bad):
+    """A file that lacks ``text``, or types it unlike the first file,
+    raises a ``ValueError`` naming that file and the column in the driver,
+    before any task is submitted: the sink leaves no ``_spill-*`` dir and
+    no manifest, and neither Dataset starts a task."""
+    import pyarrow as pa
+    from engine.rayjob import pipeline
+    d = str(tmp_path / 'corpus')
+    generate_transcripts(d, n_convs=12, seed=7, rows_per_file=20)
+    tbl = pq.read_table(sorted(glob.glob(os.path.join(d, '*.parquet')))[0])
+    i = tbl.schema.get_field_index('text')
+    tbl = (tbl.remove_column(i) if bad == 'missing' else
+           tbl.set_column(i, 'text', tbl.column(i).cast(pa.large_string())))
+    path = os.path.join(d, 'zz-%s.parquet' % bad)   # the last file listed
+    pq.write_table(tbl, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('a task was submitted')
+
+    class NoSubmit(object):
+        remote = staticmethod(refuse)
+    for task in ('_extract_task', '_rows_task', '_compact_task'):
+        monkeypatch.setattr(pipeline, task, NoSubmit)
+    out = str(tmp_path / 'out')
+    for run in (lambda: pipeline.run_extraction(d, out, num_buckets=2),
+                lambda: pipeline.build_extract_dataset(d),
+                lambda: pipeline.build_spans_dataset(d)):
+        with pytest.raises(ValueError,
+                           match=r"zz-%s\.parquet.*'text'" % bad):
+            run()
+    assert not glob.glob(os.path.join(out, '_spill-*'))
+    assert not os.path.exists(checkpoint.manifest_path(out))
+
+
 def test_workers_never_load_pandas(tmp_path):
     """Stage A and Stage B build and read their Arrow columns over plain
     numpy buffers, never through ``pa.array`` or ``to_numpy``: those load
@@ -1700,12 +1697,12 @@ corpus, spill, out = sys.argv[1:4]
 fs, units = pipeline.plan_units(corpus, 2)
 prep = [pipeline.assign_bucket(16), pipeline.make_done_filter({1, 2})]
 for unit in units:
-    pipeline._extract_unit(fs, unit, prep, 'job', spill, 16, 2)
+    pipeline._extract_unit(fs, unit, prep, spill, 16, 2)
 for shard in range(2):
     pipeline._compact_shard(spill, out, shard, [
         b for b in range(16)
         if b not in (1, 2) and pipeline.shard_of(b, 16, 2) == shard])
-rows = {cls.__name__: sum(pipeline._extract_rows(fs, unit, cls, 'job').num_rows
+rows = {cls.__name__: sum(pipeline._extract_rows(fs, unit, cls).num_rows
                           for unit in units)
         for cls in (pipeline.ExtractTurns, pipeline.ExtractSpans)}
 print(json.dumps(dict(rows, pandas='pandas' in sys.modules)))
