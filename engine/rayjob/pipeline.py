@@ -18,13 +18,12 @@ CPUs by default), no driver-side row loops:
       → [resume filter: drop finished buckets]     # BEFORE the heavy stage
       → ExtractTurns, then _spill                  # the unit is extracted,
            sorted by bucket, and SPILLED to shared storage as one
-           uncompressed Arrow IPC file per shard, named after the unit; a
-           task returns only its row count
-  Stage B (one task per spill shard, all at once: one wave):
+           uncompressed Arrow IPC file, named after the unit; a task
+           returns only its row count
+  Stage B (one task per shard of contiguous buckets, all at once: one wave):
     _compact_shard(its not-yet-done buckets)       # list and memory-map
-           the shard's spill files once (spill dir is sharded by
-           contiguous bucket range); bucket row counts are binary
-           searches of each file's bucket column; runs of contiguous
+           every spill file once; a bucket's rows in a file are binary
+           searches of its bucket column; runs of contiguous
            buckets of at most COMPACT_MAX_ROWS rows (or one bucket above
            it) are sliced from every file and concatenated, their indices
            sorted once by (bucket, conv_id, turn_idx), and their rows
@@ -51,23 +50,26 @@ called, so importing this module does not load it.
 Shuffle accounting: the all-to-all exchange is EXTERNAL — through the
 shared filesystem, like Spark's shuffle files, with its layout owned by
 ``_spill`` and ``_compact_shard`` alone — so no Ray AllToAll barrier
-operator sits between extraction and write, the object store
-never holds the shuffled payload, and both stages are embarrassingly
-parallel (Stage A per unit, Stage B per spill shard).  Bucket keys
-are uniform crc32 hashes: a single skewed conversation cannot skew a
-partition beyond its own size.  Stage B's width is ``num_shards`` =
-min(isqrt(num_buckets) // 2, the cluster's CPUs), at least 1
-(``_num_shards``: 2 at 64 buckets on 2 CPUs, 223–316 at 200–400k buckets
-on a cluster of that many CPUs), not ``num_buckets``: a single bucket is
-~10 ms of work on small jobs, less than the cost of dispatching a task for
-it, and with no more shards than CPUs Stage B runs as one wave of tasks
-and each Stage A unit writes at most that many spill files.  The cap is
-the cluster's CPUs, not a caller's ``concurrency``.  At 100 TB: pick
-num_buckets so each bucket ≈ a few hundred MB; on a cluster with fewer
-CPUs than isqrt(num_buckets) // 2, a shard (and the redo of a failed Stage
-B task) grows by that ratio.  Spill locality is whatever the cluster's
-shared store gives (the same trade Spark/MapReduce external shuffles
-make).
+operator sits between extraction and write, the object store never holds
+the shuffled payload, and both stages are embarrassingly parallel (Stage
+A per unit, Stage B per shard).  A job writes one spill file per unit
+that has rows, sorted by bucket, and each Stage B task binary-searches
+every file for its buckets' rows, so the file count does not grow with
+the shard count.
+Bucket keys are uniform crc32 hashes: a single skewed conversation cannot
+skew a partition beyond its own size.  A shard is only the driver's
+grouping of contiguous buckets into one Stage B task; nothing on disk is
+split by it.  Stage B's width is ``num_shards`` = min(isqrt(num_buckets)
+// 2, the cluster's CPUs), at least 1 (``_num_shards``: 2 at 64 buckets
+on 2 CPUs, 223–316 at 200–400k buckets on a cluster of that many CPUs),
+not ``num_buckets``: a single bucket is ~10 ms of work on small jobs,
+less than the cost of dispatching a task for it, and with no more shards
+than CPUs Stage B runs as one wave of tasks.  The cap is the cluster's
+CPUs, not a caller's ``concurrency``.  At 100 TB: pick num_buckets so
+each bucket ≈ a few hundred MB; on a cluster with fewer CPUs than
+isqrt(num_buckets) // 2, a shard (and the redo of a failed Stage B task)
+grows by that ratio.  Spill locality is whatever the cluster's shared
+store gives (the same trade Spark/MapReduce external shuffles make).
 
 Skew (the north rule's long-conversation concern): the COMPUTE stage is
 per-row — extraction never groups by conv_id — so a million-turn
@@ -85,6 +87,7 @@ import glob
 import itertools
 import math
 import os
+import shutil
 import time
 import uuid
 
@@ -117,13 +120,12 @@ def default_concurrency():
 
 
 def shard_of(bucket, num_buckets, num_shards):
-    """Contiguous bucket-range → spill shard mapping (works elementwise on
-    numpy arrays too)."""
+    """The shard (Stage B task) of a bucket: contiguous bucket ranges."""
     return bucket * num_shards // num_buckets
 
 
 def _num_shards(num_buckets, cpus):
-    """Spill shards (= Stage B tasks) of a job: isqrt(num_buckets) // 2,
+    """Shards (= Stage B tasks) of a job: isqrt(num_buckets) // 2,
     but no more than ``cpus``, so Stage B runs as one wave; at least 1."""
     return max(1, min(math.isqrt(num_buckets) // 2, cpus))
 
@@ -269,10 +271,10 @@ def _extract_rows(fs, unit, cls):
     return cls()(_read_unit(fs, unit))
 
 
-def _extract_unit(fs, unit, prep, spill_dir, num_buckets, num_shards):
+def _extract_unit(fs, unit, prep, spill_dir):
     """Stage A task: read one unit's columns, apply ``prep`` (the
     driver-built bucketer, then the finished-bucket filter on resume),
-    extract what is left with ``ExtractTurns()`` and spill it as one slice
+    extract what is left with ``ExtractTurns()`` and spill it as one file
     keyed by ``unit``.  Returns the rows spilled: 0, with no kernel call
     and no spill file, when every row is in a finished bucket."""
     pin_arrow_threads()
@@ -282,55 +284,45 @@ def _extract_unit(fs, unit, prep, spill_dir, num_buckets, num_shards):
     if not tbl.num_rows:
         return 0
     out = ExtractTurns()(tbl).append_column('bucket', tbl.column('bucket'))
-    _spill(out, unit, spill_dir, num_buckets, num_shards)
+    _spill(out, unit, spill_dir)
     return out.num_rows
 
 
-def _spill(out, unit, spill_dir, num_buckets, num_shards):
+def _spill(out, unit, spill_dir):
     """Stage A's half of the exchange: ``out`` (extracted rows with their
     ``bucket``) sorted by ``SORT_KEYS`` and written as one uncompressed
-    Arrow IPC file per non-empty shard, ``shard-XXX/spill-<md5 of
-    repr(unit)>.arrow``, each published by tmp + ``os.replace``.  Rows
-    stay contiguous per bucket, so ``_compact_shard`` finds a bucket's rows
-    in a file with a binary search.  The name is the unit's, not a random
-    one: a Ray-retried task OVERWRITES its earlier files (the same unit has
-    the same shard set) instead of duplicating rows, and two units never
+    Arrow IPC file, ``spill-<md5 of repr(unit)>.arrow``, published by tmp +
+    ``os.replace``.  Rows stay contiguous per bucket, so every Stage B
+    task finds its buckets' rows in the file with a binary search.  The
+    name is the unit's, not a random one: a Ray-retried task OVERWRITES
+    its earlier file instead of duplicating rows, and two units never
     collide, even when two input files hold the same rows."""
     import hashlib
-    import numpy as np
     ordered = out.sort_by(SORT_KEYS)
     digest = hashlib.md5(repr(unit).encode('utf-8')).hexdigest()
-    shards = shard_of(np_view(ordered.column('bucket'), np.int32).astype(np.int64),
-                      num_buckets, num_shards)
-    present, starts = np.unique(shards, return_index=True)
-    bounds = np.append(starts, len(shards))
-    for i, s in enumerate(present):
-        part = ordered.slice(bounds[i], bounds[i + 1] - bounds[i])
-        sdir = os.path.join(spill_dir, 'shard-%03d' % s)
-        os.makedirs(sdir, exist_ok=True)
-        fname = os.path.join(sdir, 'spill-%s.arrow' % digest)
-        tmp = fname + '.tmp'
-        with pa.ipc.new_file(tmp, part.schema) as writer:
-            writer.write_table(part)
-        os.replace(tmp, fname)
+    fname = os.path.join(spill_dir, 'spill-%s.arrow' % digest)
+    tmp = fname + '.tmp'
+    with pa.ipc.new_file(tmp, ordered.schema) as writer:
+        writer.write_table(ordered)
+    os.replace(tmp, fname)
 
 
-def _compact_shard(spill_dir, out_dir, shard, buckets,
-                   max_rows=COMPACT_MAX_ROWS):
-    """Stage B task: spill shard ``shard``'s listed ``buckets`` → part
-    files; returns their manifest rows as dicts (an Arrow table in a task
-    result would make the driver import ``ray.data`` to deserialise it).
+def _compact_shard(spill_dir, out_dir, buckets, max_rows=COMPACT_MAX_ROWS):
+    """Stage B task: the listed ``buckets`` of the spill → part files;
+    returns their manifest rows as dicts (an Arrow table in a task result
+    would make the driver import ``ray.data`` to deserialise it).
 
-    The shard's spill files are listed once and each is memory-mapped
-    once; a bucket's row count in a file is a binary search of that file's
-    ``bucket`` column.  The buckets are cut into windows: runs of
+    The spill files (one per Stage A unit) are listed once and each is
+    memory-mapped once; a bucket's rows in a file are a binary search of
+    that file's ``bucket`` column, so a task reads only its buckets' rows
+    of each file.  The buckets are cut into windows: runs of
     ascending buckets whose rows sum to at most ``max_rows``, or one
     bucket above it.  A window is every file sliced to its bucket range
     and concatenated, with one stable sort of its indices by
     ``SORT_KEYS``; its rows are taken in that order ``max_rows`` at a
     time, and each bucket streams through one ParquetWriter, so memory
     holds at most ``max_rows`` rows plus the window's indices and the
-    shard's ``bucket`` columns (the mapped pages are file-backed).  Every
+    files' ``bucket`` columns (the mapped pages are file-backed).  Every
     bucket is published by atomic tmp+rename."""
     import numpy as np
     import pyarrow.compute as pc
@@ -349,8 +341,7 @@ def _compact_shard(spill_dir, out_dir, shard, buckets,
     # 'spill-*.arrow.tmp', which its retry supersedes under the same
     # deterministic name.
     tables = []
-    for path in sorted(glob.glob(os.path.join(
-            spill_dir, 'shard-%03d' % shard, 'spill-*.arrow'))):
+    for path in sorted(glob.glob(os.path.join(spill_dir, 'spill-*.arrow'))):
         with pa.memory_map(path) as src:
             tables.append(pa.ipc.open_file(src).read_all())
     # lo[f, i], hi[f, i]: the row range of buckets[i] in file f (each file
@@ -455,13 +446,12 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     bucket ids name different row sets, so skipping them would drop rows.
     It also refuses an output written from other input files (or by a
     version that did not record them; see ``checkpoint``): keeping its
-    buckets would mix old and new rows.  The input is listed once, before
-    anything is written, and Stage A reads exactly the listed files.
-    A ``num_buckets`` that is not an int >= 1, or a ``concurrency`` that
-    is neither None nor an int >= 1, raises before anything is written.
+    buckets would mix old and new rows.  The input is listed once, and
+    Stage A reads exactly the listed files.  A ``num_buckets`` that is not
+    an int >= 1, a ``concurrency`` that is neither None nor an int >= 1, a
+    refused resume or a bad input footer raises before anything is
+    deleted or written.
     """
-    import shutil
-
     if not isinstance(num_buckets, int) or num_buckets < 1:
         raise ValueError('num_buckets must be an int >= 1, got %r'
                          % (num_buckets,))
@@ -471,12 +461,6 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
                          % (concurrency,))
     listing = list_input(input_path)
     fingerprint = checkpoint.input_fingerprint(listing[1])
-    os.makedirs(out_dir, exist_ok=True)
-    if not resume:
-        checkpoint.reset_output(out_dir)
-    # stale spill dirs from crashed runs hold no lineage — drop them
-    for stale in glob.glob(os.path.join(out_dir, '_spill-*')):
-        shutil.rmtree(stale, ignore_errors=True)
     done = checkpoint.load_done_buckets(out_dir) if resume else {}
     other = {r.get('num_buckets') for r in done.values()} - {num_buckets}
     if other:
@@ -490,6 +474,7 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
             'that did not record its input); rerun with --no-resume'
             % (out_dir, input_path))
     if len(done) == num_buckets:   # finished output: nothing to read
+        _drop_stale_spills(out_dir)
         return _summary(done, [], out_dir, 0.0, 0.0, 0.0)
 
     if not ray.is_initialized():
@@ -501,29 +486,33 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
     # CPU whose task ends starts the next without waiting on the driver.
     inflight = concurrency or 2 * cap
     t0 = time.perf_counter()
-    fs, units = plan_units(input_path, cap, listing)   # may raise: no spill
+    fs, units = plan_units(input_path, cap, listing)   # every footer
+    # every check has passed: only now is anything deleted
+    if not resume:
+        checkpoint.reset_output(out_dir)
+    _drop_stale_spills(out_dir)
     spill_dir = os.path.join(out_dir, '_spill-%s' % uuid.uuid4().hex)
     os.makedirs(spill_dir)
 
     # Stage A: map-only extract + external-shuffle spill.  The bucketer is
     # built here and shipped once, so each task applies the same function.
-    num_shards = _num_shards(num_buckets, cpus)   # 2 at 64 buckets, 2 CPUs
     prep = [assign_bucket(num_buckets)]
     if done:
         prep.append(make_done_filter(done.keys()))
     prep_ref = ray.put(prep)
-    _run_tasks(lambda unit: _extract_task.remote(
-                   fs, unit, prep_ref, spill_dir, num_buckets, num_shards),
+    _run_tasks(lambda unit: _extract_task.remote(fs, unit, prep_ref,
+                                                 spill_dir),
                units, inflight, lambda rows: None)
     stage_a_s = time.perf_counter() - t0
 
-    # Stage B: one compaction task per spill shard, over that shard's
+    # Stage B: one compaction task per shard of contiguous buckets, over its
     # not-yet-done buckets, in shard order, even when Stage A spilled no
     # row (an empty bucket still gets its manifest row).  Grouped, not
     # split evenly, so a resume with gaps never mixes two shards in a task.
     # A task's manifest rows are appended as soon as it finishes, so a
     # later shard's failure keeps the finished shards' buckets.  The bound
     # COMPACT_MAX_ROWS is looked up per job, not bound at import.
+    num_shards = _num_shards(num_buckets, cpus)   # 2 at 64 buckets, 2 CPUs
     new_rows = []
     groups = {}
     for b in range(num_buckets):
@@ -536,15 +525,22 @@ def run_extraction(input_path, out_dir, num_buckets=64, concurrency=None,
                      input=fingerprint) for r in manifest_rows]
         checkpoint.append_manifest_rows(out_dir, rows)
         new_rows.extend(rows)
-    _run_tasks(lambda shard_buckets: _compact_task.remote(
-                   spill_dir, out_dir, *shard_buckets, COMPACT_MAX_ROWS),
-               groups.items(), inflight, record)
+    _run_tasks(lambda buckets: _compact_task.remote(
+                   spill_dir, out_dir, buckets, COMPACT_MAX_ROWS),
+               groups.values(), inflight, record)
 
     stage_b_s = time.perf_counter() - t0 - stage_a_s
     shutil.rmtree(spill_dir, ignore_errors=True)
     wall = time.perf_counter() - t0
 
     return _summary(done, new_rows, out_dir, wall, stage_a_s, stage_b_s)
+
+
+def _drop_stale_spills(out_dir):
+    """Delete the ``_spill-*`` dirs of crashed runs: they hold no
+    lineage."""
+    for stale in glob.glob(os.path.join(out_dir, '_spill-*')):
+        shutil.rmtree(stale, ignore_errors=True)
 
 
 def _summary(done, new_rows, out_dir, wall, stage_a_s, stage_b_s):

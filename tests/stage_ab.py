@@ -7,21 +7,18 @@ imports only that root's ``engine``: the spill format may differ between
 the sides, so each side spills and compacts with its own code.  The
 corpus is perfbench's seed-7 ``transcripts`` (3,000 turns, the
 ``boilerplate`` workload) or ``unique`` (800 turns, ``unique_docs``)
-input, cut into the Stage A units a 2-CPU job plans and spilled into the
-shards that side's job would make at 2 CPUs.  One run of a side is one
-job without Ray: every unit goes through the side's Stage A task body,
-``pipeline._extract_unit`` (called with that side's own signature; an
-older side that takes a ``job_id`` gets a fresh one per run, so its
-payload LRU never carries results from one run to the next), then every
-shard's buckets are compacted by ``pipeline._compact_shard`` (or an older
-side's compactor) at ``--max-rows``.  Against a side with that LRU,
-``transcripts`` still times its Stage A faster: both units run in one
-process here, so the LRU serves the second unit's 25 payloads, which a
-2-CPU job, running each unit on its own worker, never gets.
+input, cut into the Stage A units a 2-CPU job plans.  One run of a side
+is one job without Ray: every unit goes through the side's Stage A task
+body, ``pipeline._extract_unit``, then the buckets of every shard a
+2-CPU job makes are compacted by ``pipeline._compact_shard`` at
+``--max-rows``.  Each function is called with its side's own signature:
+a side whose spill is split into shard dirs takes the bucket and shard
+counts in Stage A and the shard in Stage B.
 Both sides run once to warm, then ``--pairs`` pairs alternating which
 side goes first.  Prints each pair's Stage A and Stage B times, the
-medians with p25-p75, and whether the last runs' part files (byte for
-byte) and manifest rows (without ``wall_s``) are equal; exits 1 if not.
+medians with p25-p75, each side's spill file count, and whether the last
+runs' part files (byte for byte) and manifest rows (without ``wall_s``)
+are equal; exits 1 if not.
 
 Run from the repo root::
 
@@ -53,21 +50,22 @@ def serve(root, corpus_dir, work, max_rows):
     """One side: plan the units once, then answer each ``run`` line on
     stdin with one JSON line of timings and manifest rows."""
     sys.path.insert(0, root)
-    import pyarrow as pa
     from engine.rayjob import pipeline
-    try:
-        from engine.rayjob.pipeline import shard_of
-    except ImportError:            # a checkout whose spill was extract_stage's
-        from engine.rayjob.extract_stage import shard_of
 
     fs, units = pipeline.plan_units(corpus_dir, CAP)
     num_shards = pipeline._num_shards(NUM_BUCKETS, CAP)
     groups = {}
     for b in range(NUM_BUCKETS):
-        groups.setdefault(shard_of(b, NUM_BUCKETS, num_shards), []).append(b)
+        groups.setdefault(pipeline.shard_of(b, NUM_BUCKETS, num_shards),
+                          []).append(b)
     spill, out = os.path.join(work, 'spill'), os.path.join(work, 'out')
-    job_id = 'job_id' in inspect.signature(pipeline._extract_unit).parameters
-    for run, line in enumerate(sys.stdin):
+
+    def takes(fn, name):
+        return name in inspect.signature(fn).parameters
+    counts = ((NUM_BUCKETS, num_shards)
+              if takes(pipeline._extract_unit, 'num_shards') else ())
+    by_shard = takes(pipeline._compact_shard, 'shard')
+    for line in sys.stdin:
         if line.strip() != 'run':
             break
         for d in (spill, out):
@@ -75,19 +73,13 @@ def serve(root, corpus_dir, work, max_rows):
             os.makedirs(d)
         t0 = time.perf_counter()
         prep = [pipeline.assign_bucket(NUM_BUCKETS)]
-        args = (prep, 'stage-ab-%d' % run) if job_id else (prep,)
         for unit in units:
-            pipeline._extract_unit(fs, unit, *args, spill, NUM_BUCKETS,
-                                   num_shards)
+            pipeline._extract_unit(fs, unit, prep, spill, *counts)
         t1 = time.perf_counter()
         rows = []
         for shard, g in groups.items():
-            if hasattr(pipeline, '_compact_shard'):
-                got = pipeline._compact_shard(spill, out, shard, g, max_rows)
-            else:
-                got = pipeline._make_bucket_compactor(
-                    spill, out, NUM_BUCKETS, num_shards, max_rows)(
-                    pa.table({'bucket': pa.array(g, pa.int32())})).to_pylist()
+            got = pipeline._compact_shard(
+                spill, out, *((shard, g) if by_shard else (g,)), max_rows)
             rows += [{k: v for k, v in r.items() if k != 'wall_s'}
                      for r in got]
         t2 = time.perf_counter()
@@ -179,6 +171,10 @@ def main(argv=None):
             stage.upper(), statistics.median(
                 p / c for p, c in zip(times['parent'][stage],
                                       times['change'][stage]))))
+    print('spill files: ' + ', '.join(
+        '%s %d' % (name, len(glob.glob(os.path.join(
+            args.work, name, 'spill', '**', 'spill-*.arrow'), recursive=True)))
+        for name in sides))
     parts = {name: _parts(os.path.join(args.work, name, 'out'))
              for name in sides}
     differ = sorted(n for n in set(parts['parent']) | set(parts['change'])

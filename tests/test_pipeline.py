@@ -45,12 +45,13 @@ def _read_all(out_dir):
     return parts, [pq.read_table(p) for p in parts]
 
 
-def _spill(spill_dir, paths, num_buckets, num_shards=1):
+def _spill(spill_dir, paths, num_buckets):
     """Stage A in this process: each row group of ``paths`` is a one-piece
     unit through ``pipeline._extract_unit`` (read, bucketed, extracted and
-    spilled to ``spill_dir``)."""
+    spilled to ``spill_dir``, which is made if missing)."""
     import pyarrow.fs as pafs
     from engine.rayjob import pipeline
+    os.makedirs(spill_dir, exist_ok=True)
     prep = [pipeline.assign_bucket(num_buckets)]
     for path in paths:
         meta = pq.read_metadata(path)
@@ -58,7 +59,7 @@ def _spill(spill_dir, paths, num_buckets, num_shards=1):
             pipeline._extract_unit(
                 pafs.LocalFileSystem(), ((path, rg, 0,
                                           meta.row_group(rg).num_rows),),
-                prep, spill_dir, num_buckets, num_shards)
+                prep, spill_dir)
 
 
 def _log_compact_task(monkeypatch, log, before=None):
@@ -70,12 +71,12 @@ def _log_compact_task(monkeypatch, log, before=None):
     compact = pipeline._compact_shard
 
     @ray.remote(num_cpus=1)
-    def task(spill_dir, out_dir, shard, buckets, max_rows):
+    def task(spill_dir, out_dir, buckets, max_rows):
         with open(log, 'a') as f:
             f.write(json.dumps([buckets, max_rows]) + '\n')
         if before is not None:
             before(buckets)
-        return compact(spill_dir, out_dir, shard, buckets, max_rows)
+        return compact(spill_dir, out_dir, buckets, max_rows)
     monkeypatch.setattr(pipeline, '_compact_task', task)
 
 
@@ -479,9 +480,9 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
 
     spill, ref = str(tmp_path / 'spill'), str(tmp_path / 'ref')
     os.makedirs(ref)
-    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 144, 6)
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 144)
     for s in range(6):
-        pipeline._compact_shard(spill, ref, s, [
+        pipeline._compact_shard(spill, ref, [
             b for b in range(144) if pipeline.shard_of(b, 144, 6) == s])
     got = _part_bytes(out)
     assert got and got == _part_bytes(ref)
@@ -490,9 +491,9 @@ def test_stage_b_shards_capped_by_cluster_cpus(ray_session, corpus, tmp_path,
 def test_many_small_files_pack_into_few_units(ray_session, tmp_path,
                                               monkeypatch):
     """Stage A units are sized by bytes, not by files: over 200 two-row
-    files at ``concurrency=2`` plan 2 units, so each spill shard holds at
-    most 2 spill files, not one per file, and every input row reaches the
-    part files once."""
+    files at ``concurrency=2`` plan 2 units, so the job writes 2 spill
+    files, one per unit, not one per file or per shard, and every input
+    row reaches the part files once."""
     from engine.rayjob import pipeline
     d = str(tmp_path / 'corpus')
     n, n_files = generate_transcripts(d, n_convs=70, seed=7,
@@ -503,20 +504,16 @@ def test_many_small_files_pack_into_few_units(ray_session, tmp_path,
     counts = str(tmp_path / 'spill_files.jsonl')
 
     def count_spill_files(buckets):
-        shard = pipeline.shard_of(buckets[0], 16, 2)
-        files = glob.glob(os.path.join(out, '_spill-*', 'shard-%03d' % shard,
-                                       'spill-*.arrow'))
+        files = glob.glob(os.path.join(out, '_spill-*', 'spill-*.arrow'))
         with open(counts, 'a') as f:
-            f.write(json.dumps([shard, len(files)]) + '\n')
+            f.write(json.dumps(len(files)) + '\n')
     _log_compact_task(monkeypatch, str(tmp_path / 'calls.jsonl'),
                       count_spill_files)
     summary = pipeline.run_extraction(d, out, num_buckets=16,
                                       concurrency=2, resume=False)  # 2 shards
     assert summary['rows_out'] == n
     with open(counts) as f:
-        got = sorted(json.loads(l) for l in f)
-    assert [shard for shard, _ in got] == [0, 1]
-    assert all(1 <= files <= 2 for _, files in got), got
+        assert [json.loads(l) for l in f] == [2, 2]   # per Stage B task
     src = pq.read_table(d)
     want = sorted(zip(src.column('conv_id').to_pylist(),
                       src.column('turn_idx').to_pylist()))
@@ -692,9 +689,9 @@ def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp('out_stale'))
     os.makedirs(out, exist_ok=True)
     stale = os.path.join(out, '_spill-deadbeef')
-    os.makedirs(os.path.join(stale, 'shard-000'))
+    os.makedirs(stale)
     # poison: a spill file in the layout Stage B reads (an Arrow IPC
-    # shard-XXX/spill-*.arrow) that would corrupt bucket 0
+    # spill-*.arrow) that would corrupt bucket 0
     import pyarrow as pa
     poison = pa.table({
         'conv_id': pa.array(['conv-zzz'], pa.string()),
@@ -706,7 +703,7 @@ def test_stale_spill_cleaned_and_ignored(ray_session, corpus, tmp_path_factory):
         'error': pa.array([''], pa.string()),
         'bucket': pa.array([0], pa.int32()),
     })
-    with pa.ipc.new_file(os.path.join(stale, 'shard-000', 'spill-junk.arrow'),
+    with pa.ipc.new_file(os.path.join(stale, 'spill-junk.arrow'),
                          poison.schema) as writer:
         writer.write_table(poison)
 
@@ -806,7 +803,9 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
     possibly-successful earlier publish.  The deterministic spill name
     (from the unit's place in the input) must make the retry overwrite its
     own file — never add a second copy of the rows (ADVICE r1: uuid4 names
-    duplicated rows in the final output on retry)."""
+    duplicated rows in the final output on retry).  A unit of two pieces
+    spills ONE file of one record batch: every Stage B task searches its
+    ``bucket`` column, which must be one chunk, not one copy per task."""
     import pyarrow as pa
     import pyarrow.fs as pafs
     from engine.rayjob import pipeline
@@ -821,16 +820,19 @@ def test_spill_retry_overwrites_not_duplicates(tmp_path):
 
     def task(unit):
         return pipeline._extract_unit(pafs.LocalFileSystem(), unit,
-                                      [pipeline.assign_bucket(4)], spill, 4, 1)
-    unit = ((src, 0, 0, rows),)
+                                      [pipeline.assign_bucket(4)], spill)
+    unit = ((src, 0, 0, rows // 2), (src, 0, rows // 2, rows))
     assert task(unit) == task(unit) == rows
-    files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
+    files = glob.glob(os.path.join(spill, 'spill-*.arrow'))
     assert len(files) == 1              # overwritten, not duplicated
-    assert pa.ipc.open_file(files[0]).read_all().num_rows == rows
+    reader = pa.ipc.open_file(files[0])
+    assert reader.num_record_batches == 1
+    table = reader.read_all()
+    assert table.num_rows == rows and table.column('bucket').num_chunks == 1
 
     # a DIFFERENT unit must land in a different file
     assert task(((src, 0, 0, 10),)) == 10
-    assert len(glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))) == 2
+    assert len(glob.glob(os.path.join(spill, 'spill-*.arrow'))) == 2
 
 
 def test_duplicated_input_file_keeps_every_row(ray_session, tmp_path,
@@ -915,50 +917,14 @@ def test_sink_fails_only_hostile_turns(ray_session, tmp_path, shared_fonts):
     assert failed == bad
 
 
-def test_sharded_spill_compacts_from_own_shard_only(tmp_path):
-    """With num_shards > 1 every spill block splits into per-bucket-range
-    shard dirs and a compaction task lists ONLY its bucket's shard — a
-    corrupt file in ANOTHER shard must not be read at all (at 100 TB this
-    is what keeps per-task footer scans at files/num_shards)."""
-    import pyarrow as pa
-    from engine.rayjob.extract_stage import assign_bucket
-    from engine.rayjob.pipeline import _compact_shard, shard_of
-
-    d = str(tmp_path / 'corpus')
-    generate_transcripts(d, n_convs=8, seed=17, rows_per_file=200)
-    src = glob.glob(os.path.join(d, '*.parquet'))[0]
-    batch = assign_bucket(4)(pq.read_table(src, columns=['conv_id']))
-
-    spill = str(tmp_path / 'spill')
-    out = str(tmp_path / 'out')
-    os.makedirs(spill)
-    os.makedirs(out)
-    _spill(spill, [src], 4, num_shards=2)
-
-    # every shard file holds only its own bucket range
-    files = glob.glob(os.path.join(spill, 'shard-*', 'spill-*.arrow'))
-    assert files
-    for f in files:
-        s = int(os.path.basename(os.path.dirname(f)).split('-')[1])
-        for b in set(pa.ipc.open_file(f).read_all().column('bucket').to_pylist()):
-            assert shard_of(b, 4, 2) == s
-
-    # poison the OTHER shard with a corrupt PUBLISHED file: compacting
-    # buckets 0-1 (shard 0) must never open it
-    with open(os.path.join(spill, 'shard-001', 'spill-poison.arrow'), 'wb') as f:
-        f.write(b'ARROW1 not arrow')
-    manifest = _compact_shard(spill, out, 0, [0, 1])
-    want = sum(1 for b in batch.column('bucket').to_pylist() if b in (0, 1))
-    assert sum(r['rows'] for r in manifest) == want
-
-
 def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
                                                          monkeypatch):
     """A shard whose rows fit ``max_rows`` is one window; a smaller bound
     cuts it into windows of contiguous buckets, down to one bucket each.
     Every bound gives the same manifest rows and byte-equal part files,
     each part is one write of at most ``max_rows`` rows while every bucket
-    fits, and each spill file is mapped once per compaction call."""
+    fits, and each unit's spill file is mapped once per compaction call."""
+    import collections
     import pyarrow as pa
     from engine.rayjob import pipeline
 
@@ -966,17 +932,16 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
     generate_transcripts(d, n_convs=60, seed=19, rows_per_file=150,
                          long_conv_frac=0.0)
     spill = str(tmp_path / 'spill')
-    os.makedirs(spill)
-    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 16, 2)
-    shard_files = [sorted(glob.glob(os.path.join(
-        spill, 'shard-%03d' % s, 'spill-*.arrow'))) for s in (0, 1)]
-    assert all(len(files) > 1 for files in shard_files)
-    shards = [pa.concat_tables([pa.ipc.open_file(f).read_all()
-                                for f in files]) for files in shard_files]
-    shard_rows = [t.num_rows for t in shards]
-    bucket_rows = pa.concat_tables(shards).column('bucket').value_counts()
+    _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 16)
+    files = sorted(glob.glob(os.path.join(spill, 'spill-*.arrow')))
+    assert len(files) > 1
+    bucket_rows = collections.Counter(
+        b for f in files
+        for b in pa.ipc.open_file(f).read_all().column('bucket').to_pylist())
     assert len(bucket_rows) == 16          # every bucket has rows
-    largest = max(bucket_rows.field('counts').to_pylist())
+    shard_rows = [sum(bucket_rows[b] for b in range(8 * s, 8 * s + 8))
+                  for s in (0, 1)]
+    largest = max(bucket_rows.values())
     assert largest < min(shard_rows) - 1
 
     maps = []
@@ -1000,10 +965,10 @@ def test_compaction_paths_equal_bytes_and_shard_read_once(tmp_path,
         os.makedirs(out)
         rows = []
         del writes[:]
-        for s, files in enumerate(shard_files):
+        for s in (0, 1):
             del maps[:]
             rows += pipeline._compact_shard(
-                spill, out, s, list(range(8 * s, 8 * s + 8)), max_rows)
+                spill, out, list(range(8 * s, 8 * s + 8)), max_rows)
             assert sorted(maps) == files   # each spill file mapped once
         assert len(writes) == 16 and max(writes) <= max_rows
         return _without_wall(rows), _part_bytes(out)
@@ -1047,10 +1012,9 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
                        pa.timestamp('us')),
     }), os.path.join(d, 'part-giant.parquet'))
     spill = str(tmp_path / 'spill')
-    os.makedirs(spill)
     _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 8)
     counts = collections.Counter()
-    for f in glob.glob(os.path.join(spill, 'shard-000', 'spill-*.arrow')):
+    for f in glob.glob(os.path.join(spill, 'spill-*.arrow')):
         counts.update(pa.ipc.open_file(f).read_all().column('bucket').to_pylist())
     big = zlib.crc32(b'conv-giant') % 8
     max_rows = max(n for b, n in counts.items() if b != big)
@@ -1074,8 +1038,7 @@ def test_bucket_above_max_rows_alone_takes_chunked_path(tmp_path,
     def run(bound):
         out = str(tmp_path / ('out-%d' % bound))
         os.makedirs(out)
-        manifest = pipeline._compact_shard(spill, out, 0, list(range(8)),
-                                           bound)
+        manifest = pipeline._compact_shard(spill, out, list(range(8)), bound)
         return _without_wall(manifest), _part_bytes(out)
 
     small, small_parts = run(max_rows)
@@ -1107,8 +1070,7 @@ def test_compactor_ignores_tmp_files(tmp_path):
 
     spill = str(tmp_path / 'spill')
     out = str(tmp_path / 'out')
-    shard = os.path.join(spill, 'shard-000')
-    os.makedirs(shard)
+    os.makedirs(spill)
     os.makedirs(out)
     good = pa.table({
         'conv_id': pa.array(['c1', 'c2'], pa.string()),
@@ -1120,14 +1082,14 @@ def test_compactor_ignores_tmp_files(tmp_path):
         'error': pa.array(['', ''], pa.string()),
         'bucket': pa.array([0, 1], pa.int32()),
     })
-    with pa.ipc.new_file(os.path.join(shard, 'spill-aaaa.arrow'),
+    with pa.ipc.new_file(os.path.join(spill, 'spill-aaaa.arrow'),
                          good.schema) as writer:
         writer.write_table(good)
     # half-written leftover: invalid Arrow IPC bytes
-    with open(os.path.join(shard, 'spill-bbbb.arrow.tmp'), 'wb') as f:
+    with open(os.path.join(spill, 'spill-bbbb.arrow.tmp'), 'wb') as f:
         f.write(b'ARROW1 garbage truncated')
 
-    manifest = _compact_shard(spill, out, 0, [0, 1])
+    manifest = _compact_shard(spill, out, [0, 1])
     assert [r['rows'] for r in manifest] == [1, 1]
     parts = sorted(glob.glob(os.path.join(out, 'part-*.parquet')))
     assert len(parts) == 2
@@ -1348,8 +1310,8 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
     assert calls and all(max_rows == 16 for _, max_rows in calls)
     assert s2['rows_out'] == s1['rows_out']
 
-    # compact a real spill (one shard) in-process with max_rows=16,
-    # counting writes
+    # compact a real spill (every bucket in one call) in-process with
+    # max_rows=16, counting writes
     spill = str(tmp_path_factory.mktemp('chunk_spill'))
     out_chk = str(tmp_path_factory.mktemp('out_chk'))
     _spill(spill, sorted(glob.glob(os.path.join(d, '*.parquet'))), 4)
@@ -1360,7 +1322,7 @@ def test_chunked_compaction_identical_output(ray_session, tmp_path_factory,
         writes.append(table.num_rows)
         return write_table(self, table, *args, **kwargs)
     monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
-    manifest = pipeline._compact_shard(spill, out_chk, 0, list(range(4)),
+    manifest = pipeline._compact_shard(spill, out_chk, list(range(4)),
                                        max_rows=16)
     assert max(writes) <= 16
     assert len(writes) > sum(1 for r in manifest
@@ -1401,12 +1363,12 @@ def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
         'error': pa.array([''] * n, pa.string()),
         'bucket': pa.array([0] * n, pa.int32()),
     })
-    shard = os.path.join(str(tmp_path), 'spill', 'shard-000')
+    spill = os.path.join(str(tmp_path), 'spill')
     out = os.path.join(str(tmp_path), 'out')
-    os.makedirs(shard)
+    os.makedirs(spill)
     os.makedirs(out)
     for k, part in enumerate((tbl.slice(0, 13), tbl.slice(13))):
-        with pa.OSFile(os.path.join(shard, 'spill-%d.arrow' % k), 'wb') as f:
+        with pa.OSFile(os.path.join(spill, 'spill-%d.arrow' % k), 'wb') as f:
             with pa.ipc.new_file(f, part.schema) as w:
                 w.write_table(part)
     writes = []
@@ -1416,8 +1378,7 @@ def test_duplicate_keys_land_once_across_takes(tmp_path, monkeypatch):
         writes.append(table.num_rows)
         return write_table(self, table, *args, **kwargs)
     monkeypatch.setattr(pq.ParquetWriter, 'write_table', counted_write)
-    manifest = _compact_shard(os.path.join(str(tmp_path), 'spill'), out, 0,
-                              [0], max_rows=4)
+    manifest = _compact_shard(spill, out, [0], max_rows=4)
     assert _without_wall(manifest) == [{
         'bucket': 0, 'rows': n, 'decode_failures': 6, 'span_count': n,
         'file': 'part-00000.parquet'}]
@@ -1675,6 +1636,33 @@ def test_input_columns_checked_before_any_task(ray_session, tmp_path,
     assert not os.path.exists(checkpoint.manifest_path(out))
 
 
+def test_no_resume_checks_the_input_before_deleting(ray_session, tmp_path):
+    """A ``--no-resume`` run whose input has a file with ``turn_idx`` typed
+    int64 raises from the footer check before it deletes anything: the
+    finished output it would replace keeps its manifest and both part
+    files byte for byte."""
+    import pyarrow as pa
+    from engine.rayjob.pipeline import run_extraction
+    d = str(tmp_path / 'corpus')
+    generate_transcripts(d, n_convs=8, seed=7, rows_per_file=40)
+    out = str(tmp_path / 'out')
+    run_extraction(d, out, num_buckets=2, resume=False)
+    parts = _part_bytes(out)
+    with open(checkpoint.manifest_path(out), 'rb') as f:
+        manifest = f.read()
+    assert len(parts) == 2
+    tbl = pq.read_table(sorted(glob.glob(os.path.join(d, '*.parquet')))[0])
+    i = tbl.schema.get_field_index('turn_idx')
+    pq.write_table(tbl.set_column(i, 'turn_idx',
+                                  tbl.column(i).cast(pa.int64())),
+                   os.path.join(d, 'zz-int64.parquet'))   # listed last
+    with pytest.raises(ValueError, match=r"zz-int64\.parquet.*'turn_idx'"):
+        run_extraction(d, out, num_buckets=2, resume=False)
+    assert _part_bytes(out) == parts
+    with open(checkpoint.manifest_path(out), 'rb') as f:
+        assert f.read() == manifest
+
+
 def test_workers_never_load_pandas(tmp_path):
     """Stage A and Stage B build and read their Arrow columns over plain
     numpy buffers, never through ``pa.array`` or ``to_numpy``: those load
@@ -1691,15 +1679,17 @@ def test_workers_never_load_pandas(tmp_path):
     n, _ = generate_transcripts(d, n_convs=12, seed=7, rows_per_file=40)
     code = '''
 import json
+import os
 import sys
 from engine.rayjob import pipeline
 corpus, spill, out = sys.argv[1:4]
+os.makedirs(spill)
 fs, units = pipeline.plan_units(corpus, 2)
 prep = [pipeline.assign_bucket(16), pipeline.make_done_filter({1, 2})]
 for unit in units:
-    pipeline._extract_unit(fs, unit, prep, spill, 16, 2)
+    pipeline._extract_unit(fs, unit, prep, spill)
 for shard in range(2):
-    pipeline._compact_shard(spill, out, shard, [
+    pipeline._compact_shard(spill, out, [
         b for b in range(16)
         if b not in (1, 2) and pipeline.shard_of(b, 16, 2) == shard])
 rows = {cls.__name__: sum(pipeline._extract_rows(fs, unit, cls).num_rows
